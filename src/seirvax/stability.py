@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonUniformGridError, NotApplicableError
+from .errors import InconsistentVerdictError, NonUniformGridError, NotApplicableError
 from .model import ModelParams
 
 
@@ -60,7 +60,11 @@ class StabilityVerdict:
 
     def __post_init__(self):
         # hard internal consistency: the verdict is exactly its conditions
-        assert self.hypothesis_holds == all(c.satisfied for c in self.conditions)
+        if self.hypothesis_holds != all(c.satisfied for c in self.conditions):
+            raise InconsistentVerdictError(
+                f"{self.criterion.value}: hypothesis_holds={self.hypothesis_holds!r} "
+                "disagrees with its conditions"
+            )
 
     @property
     def title(self) -> str:

@@ -40,6 +40,32 @@ horizon = 2
 dt = 0.01
 """
 
+# vartheta = mu + omega: the decay profile's denominator vanishes.
+DEGENERATE_DECAY_INI = """\
+[params]
+mu = 0.1
+omega = 0.1
+beta = 1.66
+sigma_days = 2.2
+gamma_days = 2.2
+rho = 0.1
+nu_days = 150
+
+[control]
+law = saturated
+g_family = zero
+h_family = theorem6_ii
+vartheta = 0.2
+
+[scenario]
+S0 = 400
+E0 = 150
+I0 = 250
+R0 = 200
+horizon = 2
+dt = 0.01
+"""
+
 VERDICT_IDS = ("T2", "T3_necessary", "T3_integral", "T4_case1", "T4_case2")
 
 
@@ -202,6 +228,14 @@ class TestConfigFiles:
         assert rc == 2
         assert needle in capsys.readouterr().err
 
+    def test_degenerate_decay_profile_is_a_config_error(self, tmp_path, capsys):
+        path = write_ini(tmp_path, DEGENERATE_DECAY_INI)
+        rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vartheta" in err
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.ini")])
         assert rc == 2
@@ -332,6 +366,17 @@ class TestSweep:
         header = lines[0].split(",")
         statuses = [line.split(",")[header.index("status")] for line in lines[1:]]
         assert statuses == ["error", "ok"]
+
+    def test_degenerate_sweep_value_becomes_error_row(self, tmp_path):
+        ini = DEGENERATE_DECAY_INI.replace("vartheta = 0.2", "vartheta = 0.3")
+        path = write_ini(tmp_path, ini)
+        rc = main(["--config", str(path), "--sweep", "vartheta=0.3,0.2,0.4",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        statuses = [line.split(",")[header.index("status")] for line in lines[1:]]
+        assert statuses == ["ok", "error", "ok"]
 
     def test_sweep_period_keys(self, tmp_path):
         rc = main(["--preset", "fig1-no-vaccination", "--horizon", "1",

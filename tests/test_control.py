@@ -109,15 +109,15 @@ class TestReferenceProfiles:
 class TestGainSchedule:
     def test_frozen_gains(self, params):
         cfg = ControlConfig()  # K_R = K_Rd = 1, eps0 -> mu + omega
-        k_n, k_i = gain_schedule(cfg, params, 0.0, h=0.2, h_dot=0.0, g=0.0)
+        k_n, k_i = gain_schedule(cfg, params, h=0.2, h_dot=0.0, g=0.0)
         assert k_n == pytest.approx(-0.12996078431372549, rel=1e-12)
         assert k_i == pytest.approx(0.00909090909090909, rel=1e-12)
 
     def test_infectious_gain_vanishes_without_channel(self, params):
         cfg = ControlConfig()
-        _, k_i = gain_schedule(cfg, replace(params, rho=0.0), 0.0, 0.2, 0.0, 0.0)
+        _, k_i = gain_schedule(cfg, replace(params, rho=0.0), 0.2, 0.0, 0.0)
         assert k_i == 0.0
-        _, k_i = gain_schedule(cfg, params, 0.0, 0.0, 0.0, 0.0)
+        _, k_i = gain_schedule(cfg, params, 0.0, 0.0, 0.0)
         assert k_i == 0.0
 
 
@@ -390,7 +390,7 @@ class TestClosedFormOracles:
     def test_closed_form_vectorized(self, params):
         cfg = ControlConfig(vartheta=0.08)
         t = np.array([0.0, 50.0, 200.0])
-        out = immune_closed_form(cfg, params, t, R0, n_samples=999)
+        out = immune_closed_form(cfg, params, t, R0)
         assert isinstance(out, np.ndarray) and out.shape == (3,)
         for ti, oi in zip(t, out):
             assert oi == immune_closed_form(cfg, params, float(ti), R0)

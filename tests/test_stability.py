@@ -10,6 +10,7 @@ from seirvax import (
     IntegralDiagnostic,
     ModelParams,
     StabilityCriterion,
+    StabilityVerdict,
     check_mortality_absorbs_growth,
     check_population_nonincreasing,
     check_unforced_boundedness,
@@ -17,7 +18,11 @@ from seirvax import (
     integral_verdict,
     standard_verdicts,
 )
-from seirvax.errors import NonUniformGridError, NotApplicableError
+from seirvax.errors import (
+    InconsistentVerdictError,
+    NonUniformGridError,
+    NotApplicableError,
+)
 
 
 def _by_name(verdict, name):
@@ -193,3 +198,12 @@ class TestStandardVerdicts:
         )
         verdicts = standard_verdicts(params, diag)
         assert verdicts[2].hypothesis_holds
+
+    def test_inconsistent_verdict_raises(self, params):
+        verdict = standard_verdicts(params)[0]
+        with pytest.raises(InconsistentVerdictError):
+            StabilityVerdict(
+                criterion=verdict.criterion,
+                hypothesis_holds=not verdict.hypothesis_holds,
+                conditions=verdict.conditions,
+            )
