@@ -52,32 +52,25 @@ TRAJECTORY_COLUMNS = (
 _EXIT_BY_STATUS = {RunStatus.OK: 0, RunStatus.EXTINCT: 3, RunStatus.BLOWUP: 4}
 
 
+# Rows per csv.writerows call: whole-column tolist() would hold every cell
+# of the run as a Python object at once.
+_CSV_CHUNK_ROWS = 4096
+
+
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """Emit the run at full float precision (repr round-trips exactly)."""
+    """Emit the run at full float precision (csv writes floats by repr,
+    which round-trips exactly)."""
+    columns = (
+        traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
+        traj.g, traj.h, traj.r_star, traj.dn, traj.reset_counts,
+        traj.theta0.astype(np.int64), traj.theta1.astype(np.int64),
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        n_col = traj.N
-        for k in range(len(traj)):
-            writer.writerow(
-                [
-                    repr(float(traj.t[k])),
-                    repr(float(traj.states[k, 0])),
-                    repr(float(traj.states[k, 1])),
-                    repr(float(traj.states[k, 2])),
-                    repr(float(traj.states[k, 3])),
-                    repr(float(n_col[k])),
-                    repr(float(traj.va[k])),
-                    repr(float(traj.v[k])),
-                    repr(float(traj.g[k])),
-                    repr(float(traj.h[k])),
-                    repr(float(traj.r_star[k])),
-                    repr(float(traj.dn[k])),
-                    int(traj.reset_counts[k]),
-                    int(traj.theta0[k]),
-                    int(traj.theta1[k]),
-                ]
-            )
+        for start in range(0, len(traj), _CSV_CHUNK_ROWS):
+            chunk = slice(start, start + _CSV_CHUNK_ROWS)
+            writer.writerows(zip(*(col[chunk].tolist() for col in columns)))
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
@@ -115,10 +108,13 @@ def build_run_report(traj: Trajectory) -> RunReport:
     sc = traj.scenario
     ss = detect_steady_state(traj)
     terminal = traj.terminal_state()
-    try:
-        diag = integral_test(traj, sc.params)
-    except NotApplicableError:
-        diag = None
+    diag = None
+    # a run cut short inside its first step has no grid to integrate over
+    if len(traj) >= 2:
+        try:
+            diag = integral_test(traj, sc.params)
+        except NotApplicableError:
+            pass
     decay_g_max = decay_ceiling = None
     if sc.control.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN:
         decay_g_max = float(traj.g.max())
@@ -203,7 +199,7 @@ def render_report(rep: RunReport) -> str:
     out.append("")
     out.append("population integral identity:")
     if rep.integral is None:
-        out.append("  not applicable (needs nu > mu)")
+        out.append("  not evaluated (needs nu > mu and at least two recorded samples)")
     else:
         d = rep.integral
         out.append(
@@ -342,31 +338,14 @@ def apply_sweep_value(
 
 
 def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
-    blank = [""] * 7
+    """One sweep.csv row; its cells are the run's [machine] values."""
     try:
         traj = integrate(apply_sweep_value(scenario, key, value))
         rep = build_run_report(traj)
     except SeirvaxError:
-        return [key, repr(value), "error", *blank, "", "", ""]
-    ss = rep.steady_state
-    if ss.found:
-        ss_cells = [
-            repr(ss.t_ss),
-            repr(ss.x_ss.S), repr(ss.x_ss.E), repr(ss.x_ss.I), repr(ss.x_ss.R),
-            repr(ss.x_ss.N), repr(ss.infected_fraction),
-        ]
-    else:
-        ss_cells = blank
-    return [
-        key,
-        repr(value),
-        rep.status.value,
-        "1" if ss.found else "0",
-        *ss_cells,
-        repr(rep.terminal_infected_fraction),
-        str(rep.reset_count),
-        repr(rep.identity_max_residual),
-    ]
+        return [key, repr(value), "error"] + [""] * (len(SWEEP_COLUMNS) - 3)
+    cells = dict(machine_items(rep))
+    return [key, repr(value)] + [cells.get(col, "") for col in SWEEP_COLUMNS[2:]]
 
 
 def run_sweep(scenario: ScenarioConfig, spec: str, out_dir: Path) -> Path:

@@ -15,11 +15,10 @@ import enum
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 
-from .control import ControlConfig, ControlSample, make_control_fn
+from .control import ControlConfig, make_control_fn
 # Bound here only so the benchmark's tracer (perfbench/tracing.py) can look
 # up and wrap these names on this module; integrate itself goes through
 # make_control_fn, and gets its rate closure through this make_rate_fn.
@@ -32,7 +31,6 @@ from .model import (
     COMPONENT_NAMES,
     N_FLOOR,
     ModelParams,
-    StateRate,
     StateVec,
     make_rate_fn,
 )
@@ -97,19 +95,6 @@ class ScenarioConfig:
 
     def step_count(self) -> int:
         return max(1, int(round(self.horizon / self.dt)))
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One recorded boundary, in object form (columns are primary storage)."""
-
-    t: float
-    state: StateVec
-    rate: StateRate
-    control: ControlSample
-    dN: float
-    identity_residual: float
-    reset_count: int
 
 
 @dataclass
@@ -177,49 +162,15 @@ class Trajectory:
     def terminal_state(self) -> StateVec:
         return self.state(len(self) - 1)
 
-    def record(self, k: int) -> TrajectoryRecord:
-        if not -len(self) <= k < len(self):
-            raise IndexError(f"record index {k} out of range for {len(self)} samples")
-        sample = ControlSample(
-            t=float(self.t[k]), V_a=float(self.va[k]), V=float(self.v[k]),
-            theta0=bool(self.theta0[k]), theta1=bool(self.theta1[k]),
-            g=float(self.g[k]), h=float(self.h[k]), h_dot=float(self.h_dot[k]),
-            R_star=float(self.r_star[k]), R_star_dot=float(self.r_star_dot[k]),
-            K_N=float(self.k_n[k]), K_I=float(self.k_i[k]),
-        )
-        return TrajectoryRecord(
-            t=float(self.t[k]),
-            state=self.state(k),
-            rate=StateRate(*self.rates[k]),
-            control=sample,
-            dN=float(self.dn[k]),
-            identity_residual=float(self.identity_residual[k]),
-            reset_count=int(self.reset_counts[k]),
-        )
-
-    def records(self) -> Iterator[TrajectoryRecord]:
-        for k in range(len(self)):
-            yield self.record(k)
-
 
 # Trajectory columns in the order make_control_fn returns their values.
 _CONTROL_COLUMNS = (
     "va", "v", "theta0", "theta1", "g", "h", "h_dot", "r_star", "r_star_dot",
     "k_n", "k_i", "identity_residual", "dn",
 )
-# Packed per-boundary row: t, the four state components, their four rates
-# and the control columns.
+# One row of the run's table per recorded boundary: t, the four state
+# components, their four rates, then the control columns.
 _ROW = struct.Struct(f"{9 + len(_CONTROL_COLUMNS)}d")
-_BLOCK_ROWS = 1024
-
-
-def _store_rows(columns: dict, start: int, rows: np.ndarray) -> None:
-    stop = start + len(rows)
-    columns["t"][start:stop] = rows[:, 0]
-    columns["states"][start:stop] = rows[:, 1:5]
-    columns["rates"][start:stop] = rows[:, 5:9]
-    for j, name in enumerate(_CONTROL_COLUMNS, 9):
-        columns[name][start:stop] = rows[:, j]
 
 
 def integrate(scenario: ScenarioConfig) -> Trajectory:
@@ -238,15 +189,11 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     control = make_control_fn(sc.control, sc.params, sc.x0.R)
 
     size = n_steps + 1
-    columns = {"t": np.empty(size), "states": np.empty((size, 4)),
-               "rates": np.empty((size, 4))}
-    for name in _CONTROL_COLUMNS:
-        columns[name] = np.empty(size, dtype=bool if name.startswith("theta") else float)
-    # Rows are packed into a small buffer (t, state, rate, then the control
-    # kernel's outputs) and moved into the columns one block at a time.
-    rows = np.empty((_BLOCK_ROWS, _ROW.size // 8))
-    packed = memoryview(rows).cast("B")
-    filled = 0
+    # The table is the run's only storage: each step packs its row straight
+    # into it, and the Trajectory columns are views of the recorded rows.
+    table = np.empty((size, _ROW.size // 8))
+    packed = memoryview(table).cast("B")
+    row_bytes = _ROW.size
     reset_counts = np.zeros(size, dtype=np.int64)
     reset_events: list[ResetEvent] = []
 
@@ -287,12 +234,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         c = control(t, S, E, I, R, raw_min)
         V = c[1]
         d = rate(S, E, I, R, V)
-        pack(packed, filled * _ROW.size, t, S, E, I, R, *d, *c)
-        filled += 1
+        pack(packed, k * row_bytes, t, S, E, I, R, *d, *c)
         recorded = k + 1
-        if filled == _BLOCK_ROWS:
-            _store_rows(columns, recorded - filled, rows)
-            filled = 0
 
         if k == n_steps:
             break
@@ -317,14 +260,20 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         I += sixth * (d1I + 2.0 * (d2I + d3I) + d4I)
         R += sixth * (d1R + 2.0 * (d2R + d3R) + d4R)
 
-    _store_rows(columns, recorded - filled, rows[:filled])
+    rows = table[:recorded]
+    columns = {name: rows[:, j] for j, name in enumerate(_CONTROL_COLUMNS, 9)}
+    columns["theta0"] = columns["theta0"] != 0.0
+    columns["theta1"] = columns["theta1"] != 0.0
     return Trajectory(
         scenario=sc,
         status=status,
         halt_time=halt_time,
+        t=rows[:, 0],
+        states=rows[:, 1:5],
+        rates=rows[:, 5:9],
         reset_counts=reset_counts[:recorded],
         reset_events=tuple(reset_events),
-        **{name: col[:recorded] for name, col in columns.items()},
+        **columns,
     )
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, report content, config parsing,
 overrides, sweeps, and exit codes. Everything runs main() in-process."""
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from seirvax import build_preset, integrate, load_scenario, preset_names
 from seirvax.cli import (
+    _CSV_CHUNK_ROWS,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
     main,
@@ -66,6 +68,53 @@ horizon = 2
 dt = 0.01
 """
 
+# Births cannot keep up with mortality: the run goes extinct partway.
+COLLAPSE_INI = """\
+[params]
+mu = 1000
+omega = 0.1
+beta = 1.0
+sigma = 0.5
+gamma = 0.5
+rho = 0.1
+nu = 0
+
+[control]
+law = none
+
+[scenario]
+S0 = 1
+E0 = 0
+I0 = 0
+R0 = 0
+horizon = 1
+dt = 0.001
+"""
+
+# Recovery is so fast that the first step's stage evaluation drives the
+# population below the floor: the run records its initial boundary only.
+FIRST_STEP_EXTINCTION_INI = """\
+[params]
+mu = 0.01
+omega = 0.1
+beta = 0.5
+sigma = 0.5
+gamma = 10000
+rho = 1
+nu = 0.02
+
+[control]
+law = none
+
+[scenario]
+S0 = 1
+E0 = 1
+I0 = 100
+R0 = 1
+horizon = 10
+dt = 0.01
+"""
+
 VERDICT_IDS = ("T2", "T3_necessary", "T3_integral", "T4_case1", "T4_case2")
 
 
@@ -90,6 +139,24 @@ def write_ini(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def assert_csv_matches(path, traj):
+    """trajectory.csv holds every recorded column of traj bit for bit."""
+    data = read_trajectory_csv(path)
+    assert np.array_equal(data["t"], traj.t)
+    for i, name in enumerate("SEIR"):
+        assert np.array_equal(data[name], traj.states[:, i])
+    assert np.array_equal(data["N"], traj.N)
+    assert np.array_equal(data["V_a"], traj.va)
+    assert np.array_equal(data["V"], traj.v)
+    assert np.array_equal(data["g"], traj.g)
+    assert np.array_equal(data["h"], traj.h)
+    assert np.array_equal(data["R_star"], traj.r_star)
+    assert np.array_equal(data["dN"], traj.dn)
+    assert np.array_equal(data["reset_flag"], traj.reset_counts)
+    assert np.array_equal(data["theta0"], traj.theta0)
+    assert np.array_equal(data["theta1"], traj.theta1)
 
 
 class TestListing:
@@ -128,24 +195,22 @@ class TestRunArtifacts:
         assert "vaccination identity max relative residual" in report
 
     def test_csv_round_trips_run_exactly(self, tmp_path):
-        rc = main(["--preset", "fig2-saturated", "--horizon", "2",
+        rc = main(["--preset", "fig2-saturated", "--horizon", "100",
                    "--out", str(tmp_path)])
         assert rc == 0
-        data = read_trajectory_csv(tmp_path / "trajectory.csv")
-        traj = integrate(replace(build_preset("fig2-saturated"), horizon=2.0))
-        assert np.array_equal(data["t"], traj.t)
-        for i, name in enumerate("SEIR"):
-            assert np.array_equal(data[name], traj.states[:, i])
-        assert np.array_equal(data["N"], traj.N)
-        assert np.array_equal(data["V_a"], traj.va)
-        assert np.array_equal(data["V"], traj.v)
-        assert np.array_equal(data["g"], traj.g)
-        assert np.array_equal(data["h"], traj.h)
-        assert np.array_equal(data["R_star"], traj.r_star)
-        assert np.array_equal(data["dN"], traj.dn)
-        assert np.array_equal(data["reset_flag"], traj.reset_counts)
-        assert np.array_equal(data["theta0"], traj.theta0)
-        assert np.array_equal(data["theta1"], traj.theta1)
+        traj = integrate(replace(build_preset("fig2-saturated"), horizon=100.0))
+        # several write chunks, the last one partial
+        assert len(traj) > 2 * _CSV_CHUNK_ROWS
+        assert len(traj) % _CSV_CHUNK_ROWS != 0
+        assert_csv_matches(tmp_path / "trajectory.csv", traj)
+
+    def test_csv_round_trips_truncated_run(self, tmp_path):
+        path = write_ini(tmp_path, COLLAPSE_INI, name="collapse.ini")
+        rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        traj = integrate(load_scenario(path))
+        assert 1 < len(traj) < 1001
+        assert_csv_matches(tmp_path / "o" / "trajectory.csv", traj)
 
     def test_env_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -250,30 +315,21 @@ class TestConfigFiles:
 
 class TestExitCodes:
     def test_extinction(self, tmp_path):
-        ini = """\
-[params]
-mu = 1000
-omega = 0.1
-beta = 1.0
-sigma = 0.5
-gamma = 0.5
-rho = 0.1
-nu = 0
-
-[control]
-law = none
-
-[scenario]
-S0 = 1
-E0 = 0
-I0 = 0
-R0 = 0
-horizon = 1
-dt = 0.001
-"""
-        path = write_ini(tmp_path, ini, name="collapse.ini")
+        path = write_ini(tmp_path, COLLAPSE_INI, name="collapse.ini")
         rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_extinction_inside_first_step(self, tmp_path, capsys):
+        path = write_ini(tmp_path, FIRST_STEP_EXTINCTION_INI)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == ""
+        assert len(read_trajectory_csv(out / "trajectory.csv")["t"]) == 1
+        block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
+        assert block["status"] == "extinct"
+        assert block["T3_integral"] == "0"
+        assert "integral_consistent" not in block
 
     def test_blowup(self, tmp_path):
         ini = """\
@@ -366,6 +422,9 @@ class TestSweep:
         header = lines[0].split(",")
         statuses = [line.split(",")[header.index("status")] for line in lines[1:]]
         assert statuses == ["error", "ok"]
+        with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [len(SWEEP_COLUMNS)] * 3
 
     def test_degenerate_sweep_value_becomes_error_row(self, tmp_path):
         ini = DEGENERATE_DECAY_INI.replace("vartheta = 0.2", "vartheta = 0.3")

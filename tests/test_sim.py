@@ -59,19 +59,6 @@ class TestGridAndRecording:
         assert np.array_equal(a.va, b.va)
         assert np.array_equal(a.identity_residual, b.identity_residual)
 
-    def test_record_roundtrip(self, params, outbreak_x0):
-        traj = integrate(_plain_scenario(params, outbreak_x0))
-        rec = traj.record(5)
-        assert rec.t == traj.t[5]
-        assert rec.state == traj.state(5)
-        assert rec.control.V == traj.v[5]
-        assert rec.control.h == traj.h[5]
-        assert rec.dN == traj.dn[5]
-        assert rec.reset_count == traj.reset_counts[5]
-        with pytest.raises(IndexError):
-            traj.record(len(traj))
-        assert len(list(traj.records())) == len(traj)
-
     def test_terminal_state(self, params, outbreak_x0):
         traj = integrate(_plain_scenario(params, outbreak_x0))
         assert traj.terminal_state() == traj.state(len(traj) - 1)
