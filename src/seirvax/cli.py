@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import load_scenario
+from .config import load_scenario, numeric_key, with_numeric
 from .control import (
     ModulationFamily,
     VaccinationLaw,
@@ -30,6 +30,7 @@ from .errors import ConfigError, NotApplicableError, SeirvaxError
 from .model import ModelParams, StateVec
 from .presets import PRESETS, build_preset
 from .sim import (
+    STEADY_STATE_WINDOW_DAYS,
     RunStatus,
     ScenarioConfig,
     SteadyState,
@@ -75,11 +76,12 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
     """Inverse of write_trajectory_csv (column name -> float array)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader]
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        has_rows = bool(fh.readline())
+    if not has_rows:
+        return {name: np.empty(0) for name in header}
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
@@ -179,7 +181,8 @@ def render_report(rep: RunReport) -> str:
     if ss.found:
         out.append(
             f"  found at t = {ss.t_ss:.6g} days "
-            f"(sustained 30-day window, tol {rep.steady_state_tol:g}*N)"
+            f"(sustained {STEADY_STATE_WINDOW_DAYS:g}-day window, "
+            f"tol {rep.steady_state_tol:g}*N)"
         )
         out.append(f"  {_fmt_state(ss.x_ss)}")
         out.append(f"  infected fraction (E+I)/N = {ss.infected_fraction:.6g}")
@@ -277,10 +280,6 @@ def machine_items(rep: RunReport) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 # sweep plumbing
 
-_SWEEP_PARAM_KEYS = ("mu", "omega", "beta", "sigma", "gamma", "rho", "nu")
-_SWEEP_CONTROL_KEYS = ("K_R", "K_Rd", "eps", "eps0", "vartheta", "c")
-_SWEEP_SCENARIO_KEYS = ("dt", "horizon", "steady_state_tol")
-
 SWEEP_COLUMNS = (
     "key", "value", "status", "steady_state_found", "t_ss",
     "S_ss", "E_ss", "I_ss", "R_ss", "N_ss", "infected_fraction_ss",
@@ -303,38 +302,11 @@ def parse_sweep_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     return key, values
 
 
-def sweepable_key(key: str) -> str:
-    """Validate a sweep key, returning the attribute it targets.
-
-    Separated from value application so a malformed key can abort the whole
-    sweep before any run starts (bad values only fail their own row).
-    """
-    if key.endswith("_days"):
-        base = key[: -len("_days")]
-        if base not in ("mu", "omega", "beta", "sigma", "gamma", "nu", "c"):
-            raise ConfigError(f"{key!r} has no period form")
-        return base
-    if key in _SWEEP_PARAM_KEYS + _SWEEP_CONTROL_KEYS + _SWEEP_SCENARIO_KEYS:
-        return key
-    known = ", ".join(
-        _SWEEP_PARAM_KEYS + _SWEEP_CONTROL_KEYS + _SWEEP_SCENARIO_KEYS
-    )
-    raise ConfigError(f"cannot sweep {key!r}; sweepable keys: {known}")
-
-
 def apply_sweep_value(
     scenario: ScenarioConfig, key: str, value: float
 ) -> ScenarioConfig:
-    base = sweepable_key(key)
-    if key.endswith("_days"):
-        if value == 0.0:
-            raise ConfigError(f"{key} must be nonzero")
-        value = 1.0 / value
-    if base in _SWEEP_PARAM_KEYS:
-        return replace(scenario, params=replace(scenario.params, **{base: value}))
-    if base in _SWEEP_CONTROL_KEYS:
-        return replace(scenario, control=replace(scenario.control, **{base: value}))
-    return replace(scenario, **{base: value})
+    """scenario with one numeric key (as in a scenario file) set to value."""
+    return with_numeric(scenario, key, value)
 
 
 def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
@@ -342,7 +314,8 @@ def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
     try:
         traj = integrate(apply_sweep_value(scenario, key, value))
         rep = build_run_report(traj)
-    except SeirvaxError:
+    except SeirvaxError as exc:
+        print(f"sweep row {key}={value!r} failed: {exc}", file=sys.stderr)
         return [key, repr(value), "error"] + [""] * (len(SWEEP_COLUMNS) - 3)
     cells = dict(machine_items(rep))
     return [key, repr(value)] + [cells.get(col, "") for col in SWEEP_COLUMNS[2:]]
@@ -351,7 +324,7 @@ def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
 def run_sweep(scenario: ScenarioConfig, spec: str, out_dir: Path) -> Path:
     """One run per grid value, merged in grid order; failures become rows."""
     key, values = parse_sweep_spec(spec)
-    sweepable_key(key)  # reject unknown keys before any run starts
+    numeric_key(key)  # reject an unknown key before any run starts
     path = out_dir / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

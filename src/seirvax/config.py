@@ -1,15 +1,17 @@
-"""Plain-text scenario files.
+"""Plain-text scenario files, and the numeric keys they share with --sweep.
 
-INI-style sections [params], [control], [scenario]. Every rate key also
-accepts a ``_days`` variant giving the mean period instead (mu_days=255
-means mu = 1/255); the settling constant c accepts c_days the same way.
-Unknown sections or keys are errors so typos cannot silently fall back to
-defaults.
+INI-style sections [params], [control], [scenario]. The numeric keys are
+one table (``_NUMERIC_KEYS``) that scenario files and ``--sweep`` both
+read; each rate and the settling constant c also accept a ``_days``
+variant giving the mean period instead (mu_days=255 means mu = 1/255).
+Unknown sections or keys are errors so typos cannot silently fall back
+to defaults.
 """
 
 from __future__ import annotations
 
 import configparser
+from dataclasses import replace
 from pathlib import Path
 
 from .control import (
@@ -22,11 +24,55 @@ from .errors import ConfigError
 from .model import ModelParams, StateVec
 from .sim import ScenarioConfig
 
-_RATE_KEYS = ("mu", "omega", "beta", "sigma", "gamma", "nu")
-_PARAM_KEYS = _RATE_KEYS + ("rho", "I0_ref", "N0_ref")
-_CONTROL_NUMBER_KEYS = ("K_R", "K_Rd", "eps", "eps0", "vartheta", "c")
-_CONTROL_ENUM_KEYS = ("law", "g_family", "h_family")
-_SCENARIO_KEYS = ("name", "S0", "E0", "I0", "R0", "horizon", "dt", "steady_state_tol")
+# Every numeric key a scenario file or --sweep may set, grouped by the
+# section (and the ScenarioConfig field) it sets.
+_NUMERIC_KEYS = {
+    "params": ("mu", "omega", "beta", "sigma", "gamma", "rho", "nu"),
+    "control": ("K_R", "K_Rd", "eps", "eps0", "vartheta", "c"),
+    "scenario": ("horizon", "dt", "steady_state_tol"),
+}
+# Keys that also take their mean period: KEY_days = D sets KEY = 1/D.
+_PERIOD_KEYS = ("mu", "omega", "beta", "sigma", "gamma", "nu", "c")
+_ENUM_KEYS = {
+    "law": VaccinationLaw, "g_family": ModulationFamily, "h_family": ReferenceProfile,
+}
+
+
+def numeric_key(key: str) -> tuple[str, str]:
+    """(section, field) that a numeric key sets; KEY_days sets KEY.
+
+    Needs no value, so a caller can reject a key before any run starts.
+    """
+    field = key.removesuffix("_days")
+    if field == key or field in _PERIOD_KEYS:
+        for section, fields in _NUMERIC_KEYS.items():
+            if field in fields:
+                return section, field
+    known = " ".join(k for fields in _NUMERIC_KEYS.values() for k in fields)
+    raise ConfigError(
+        f"unknown key {key!r}; numeric keys: {known} "
+        f"(and KEY_days for {' '.join(_PERIOD_KEYS)})"
+    )
+
+
+def _numeric_setting(key: str, value: float) -> tuple[str, str, float]:
+    """(section, field, value) that one numeric key sets: KEY_days = D
+    sets KEY = 1/D, and D = 0 is rejected."""
+    section, field = numeric_key(key)
+    if field != key:
+        if value == 0.0:
+            raise ConfigError(f"{key} must be nonzero")
+        value = 1.0 / value
+    return section, field, value
+
+
+def with_numeric(scenario: ScenarioConfig, key: str, value: float) -> ScenarioConfig:
+    """scenario with one numeric key set to value."""
+    section, field, value = _numeric_setting(key, value)
+    if section == "scenario":
+        return replace(scenario, **{field: value})
+    target = replace(getattr(scenario, section), **{field: value})
+    return replace(scenario, **{section: target})
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -36,78 +82,32 @@ def _parse_float(section: str, key: str, raw: str) -> float:
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from None
 
 
-def _parse_enum(section: str, key: str, raw: str, enum_cls):
+def _parse_enum(key: str, raw: str):
+    enum_cls = _ENUM_KEYS[key]
     try:
         return enum_cls(raw)
     except ValueError:
         allowed = ", ".join(m.value for m in enum_cls)
         raise ConfigError(
-            f"[{section}] {key} = {raw!r}; allowed values: {allowed}"
+            f"[control] {key} = {raw!r}; allowed values: {allowed}"
         ) from None
 
 
-def _rate_with_period(section, items: dict[str, str], key: str) -> float | None:
-    """Value for a rate key, honoring the _days reciprocal spelling."""
-    direct = items.pop(key, None)
-    period = items.pop(f"{key}_days", None)
-    if direct is not None and period is not None:
-        raise ConfigError(f"[{section}] give {key} or {key}_days, not both")
-    if direct is not None:
-        return _parse_float(section, key, direct)
-    if period is not None:
-        days = _parse_float(section, f"{key}_days", period)
-        if days == 0.0:
-            raise ConfigError(f"[{section}] {key}_days must be nonzero")
-        return 1.0 / days
-    return None
-
-
-def _reject_unknown(section: str, items: dict[str, str]) -> None:
-    if items:
-        raise ConfigError(
-            f"unknown key(s) in [{section}]: {', '.join(sorted(items))}"
-        )
-
-
-def _build_params(items: dict[str, str]) -> ModelParams:
+def _numbers(section: str, items: dict[str, str]) -> dict[str, float]:
+    """field -> value for the keys left in one section, each of which must
+    be a numeric key of that section."""
     values: dict[str, float] = {}
-    for key in _RATE_KEYS:
-        v = _rate_with_period("params", items, key)
-        if v is None:
-            raise ConfigError(f"[params] missing required key {key} (or {key}_days)")
-        values[key] = v
-    rho = items.pop("rho", None)
-    if rho is None:
-        raise ConfigError("[params] missing required key rho")
-    values["rho"] = _parse_float("params", "rho", rho)
-    for key in ("I0_ref", "N0_ref"):
-        raw = items.pop(key, None)
-        if raw is not None:
-            values[key] = _parse_float("params", key, raw)
-    _reject_unknown("params", items)
-    return ModelParams(**values)
-
-
-def _build_control(items: dict[str, str]) -> ControlConfig:
-    kwargs = {}
-    raw = items.pop("law", None)
-    if raw is not None:
-        kwargs["law"] = _parse_enum("control", "law", raw, VaccinationLaw)
-    raw = items.pop("g_family", None)
-    if raw is not None:
-        kwargs["g_family"] = _parse_enum("control", "g_family", raw, ModulationFamily)
-    raw = items.pop("h_family", None)
-    if raw is not None:
-        kwargs["h_family"] = _parse_enum("control", "h_family", raw, ReferenceProfile)
-    c = _rate_with_period("control", items, "c")
-    if c is not None:
-        kwargs["c"] = c
-    for key in ("K_R", "K_Rd", "eps", "eps0", "vartheta"):
-        raw = items.pop(key, None)
-        if raw is not None:
-            kwargs[key] = _parse_float("control", key, raw)
-    _reject_unknown("control", items)
-    return ControlConfig(**kwargs)
+    for key, raw in items.items():
+        try:
+            owner, field = numeric_key(key)
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
+        if owner != section:
+            raise ConfigError(f"[{section}] {key} belongs in [{owner}]")
+        if field in values:
+            raise ConfigError(f"[{section}] give {field} or {field}_days, not both")
+        values[field] = _numeric_setting(key, _parse_float(section, key, raw))[2]
+    return values
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -124,18 +124,31 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
 
-    known = {"params", "control", "scenario"}
-    extra = set(parser.sections()) - known
+    extra = set(parser.sections()) - _NUMERIC_KEYS.keys()
     if extra:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(extra))}")
     if "params" not in parser:
         raise ConfigError("config needs a [params] section")
 
-    params = _build_params(dict(parser["params"]))
-    control = (
-        _build_control(dict(parser["control"])) if "control" in parser
-        else ControlConfig()
-    )
+    params_items = dict(parser["params"])
+    refs = {
+        key: _parse_float("params", key, raw)
+        for key in ("I0_ref", "N0_ref")
+        if (raw := params_items.pop(key, None)) is not None
+    }
+    rates = _numbers("params", params_items)
+    for key in _NUMERIC_KEYS["params"]:
+        if key not in rates:
+            also = f" (or {key}_days)" if key in _PERIOD_KEYS else ""
+            raise ConfigError(f"[params] missing required key {key}{also}")
+
+    control_items = dict(parser["control"]) if "control" in parser else {}
+    enums = {
+        key: _parse_enum(key, raw)
+        for key in _ENUM_KEYS
+        if (raw := control_items.pop(key, None)) is not None
+    }
+    control = ControlConfig(**enums, **_numbers("control", control_items))
 
     scen = dict(parser["scenario"]) if "scenario" in parser else {}
     name = scen.pop("name", path.stem)
@@ -145,17 +158,11 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         if raw is None:
             raise ConfigError(f"[scenario] missing required key {key}")
         x0_vals.append(_parse_float("scenario", key, raw))
-    kwargs = {}
-    for key in ("horizon", "dt", "steady_state_tol"):
-        raw = scen.pop(key, None)
-        if raw is not None:
-            kwargs[key] = _parse_float("scenario", key, raw)
-    _reject_unknown("scenario", scen)
 
     return ScenarioConfig(
-        params=params,
+        params=ModelParams(**rates, **refs),
         x0=StateVec(*x0_vals),
         control=control,
         name=name,
-        **kwargs,
+        **_numbers("scenario", scen),
     )

@@ -110,14 +110,13 @@ class ControlConfig:
     h_family: ReferenceProfile = ReferenceProfile.EXP_SETTLING
     law: VaccinationLaw = VaccinationLaw.SATURATED
 
-    def resolved_eps0(self, params: ModelParams) -> float:
-        if self.eps0 is None:
-            return params.mu + params.omega
-        return self.eps0
-
     def validated(self, params: ModelParams) -> "ControlConfig":
-        """Resolve defaults and enforce the configuration-time guards."""
-        eps0 = self.resolved_eps0(params)
+        """Resolve defaults and enforce the configuration-time guards.
+
+        This is the one place the guards are checked: everything that takes
+        a (cfg, params) pair validates first and then reads cfg.eps0.
+        """
+        eps0 = params.mu + params.omega if self.eps0 is None else self.eps0
         cfg = replace(self, eps0=eps0)
         if cfg.K_Rd == 0.0:
             raise ConfigError("K_Rd must be nonzero (the rate-feedback path defines K_N)")
@@ -147,7 +146,7 @@ class ControlConfig:
             raise ConfigError("the decay design needs vartheta set")
         pole = params.mu + params.omega
         if cfg.h_family is ReferenceProfile.DECAY_DESIGN and cfg.vartheta == pole:
-            raise ConfigError(
+            raise DegenerateProfileError(
                 f"the decay profile degenerates when vartheta equals mu + omega = {pole!r}"
             )
         if cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN and not cfg.vartheta > pole:
@@ -187,8 +186,9 @@ class ControlSample:
 # Per-family pieces. Each resolves its selector and constants once and
 # returns a plain-float function; make_control_fn composes them for the
 # integrator and the public helpers below wrap them for single samples.
+# Each takes a validated config, so the guards in validated() hold here.
 
-def _profile_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: float):
+def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Reference profile: profile(t, N, dN) -> (h, h_dot, R_star, R_star_dot).
 
     All profiles anchor at the initial immune count, R*(0) = r0. h_dot is
@@ -198,6 +198,7 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: float)
     sample so R_star stays at r0; its explicit time-derivative is zero.
     """
     fam = cfg.h_family
+    eps0 = cfg.eps0
     if fam is ReferenceProfile.EXP_SETTLING:
         c = cfg.c
         neg_c = -c
@@ -222,12 +223,6 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: float)
     elif fam is ReferenceProfile.DECAY_DESIGN:
         a = params.mu + params.omega
         vartheta = cfg.vartheta
-        if vartheta is None:
-            raise ConfigError("the decay profile needs vartheta set")
-        if vartheta == a:
-            raise DegenerateProfileError(
-                "decay profile degenerates when vartheta equals mu + omega"
-            )
         neg_a = -a
         neg_vartheta = -vartheta
         gap = vartheta - a
@@ -257,7 +252,7 @@ def _switched_saturated_g(g1r, nu, eps, eps0, N, I, th0, th1):
     return ((eps0 * th0 + (eps0 - nu) * th1) * N - g1r * I) / (eps0 * eps * N * (th0 + th1))
 
 
-def _modulation_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: float | None):
+def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float | None):
     """Closed-loop modulation: modulation(t, N, I) -> g.
 
     Either switched family engages the same two-branch automaton (the two
@@ -273,8 +268,7 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: flo
     """
     fam = cfg.g_family
     eps = cfg.eps
-    if fam is not ModulationFamily.ZERO and not eps > 0.0:
-        raise ConfigError(f"modulation family {fam.value!r} needs eps > 0")
+    eps0 = cfg.eps0
     nu = params.nu
     g1r = params.immune_recovery_rate
     if fam in (ModulationFamily.PROPORTIONAL_TO_RECOVERY,
@@ -300,8 +294,6 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: flo
             return _switched_interior_g(g1r, eps, eps0, N, I)
 
     elif fam is ModulationFamily.IMMUNE_DECAY_DESIGN:
-        if cfg.vartheta is None:
-            raise ConfigError("the decay design needs vartheta set")
         neg_vartheta = -cfg.vartheta
 
         def modulation(t, N, I):
@@ -336,7 +328,7 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, eps0: float, r0: flo
     return modulation
 
 
-def _gain_fn(cfg: ControlConfig, params: ModelParams, eps0: float):
+def _gain_fn(cfg: ControlConfig, params: ModelParams):
     """Scheduled gains, memoryless: gains(h, h_dot, g) -> (K_N, K_I) with
 
         K_N = -(K_R + (nu - mu) K_Rd) h - K_Rd h_dot + eps0 (1 - eps g)
@@ -344,6 +336,7 @@ def _gain_fn(cfg: ControlConfig, params: ModelParams, eps0: float):
     """
     K_Rd = cfg.K_Rd
     eps = cfg.eps
+    eps0 = cfg.eps0
     kn_h = -(cfg.K_R + (params.nu - params.mu) * K_Rd)
     ki_h = params.gamma * params.rho * K_Rd
 
@@ -353,7 +346,7 @@ def _gain_fn(cfg: ControlConfig, params: ModelParams, eps0: float):
     return gains
 
 
-def _law_fn(cfg: ControlConfig, params: ModelParams, eps0: float, saturate: bool):
+def _law_fn(cfg: ControlConfig, params: ModelParams, saturate: bool):
     """law(N, I, h, h_dot, R_star, R_star_dot, g, raw_min) -> (K_N, K_I, V_a, V).
 
     The demand is V_a = (K_N*N + K_I*I + K_R*R_star + K_Rd*R_star_dot)/(nu*N).
@@ -366,7 +359,7 @@ def _law_fn(cfg: ControlConfig, params: ModelParams, eps0: float, saturate: bool
         V = 0     if V_a < 0
         V = V_a   if V_a in [0, 1] and raw_min < 0 (reset-then-apply rule)
     """
-    gains = _gain_fn(cfg, params, eps0)
+    gains = _gain_fn(cfg, params)
     K_R = cfg.K_R
     K_Rd = cfg.K_Rd
     nu = params.nu
@@ -405,13 +398,13 @@ def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     nothing is applied (V_a = V = g = residual = 0, indicators down) but
     the gains are still evaluated with g = 0 so the schedule stays visible.
     """
-    eps0 = cfg.resolved_eps0(params)
-    profile = _profile_fn(cfg, params, eps0, r0)
+    cfg = cfg.validated(params)
+    profile = _profile_fn(cfg, params, r0)
     growth = params.nu - params.mu
     deaths = params.rho * params.gamma
 
     if cfg.law is VaccinationLaw.NONE:
-        gains = _gain_fn(cfg, params, eps0)
+        gains = _gain_fn(cfg, params)
 
         def control(t, S, E, I, R, raw_min):
             N = S + E + I + R
@@ -423,10 +416,11 @@ def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
 
         return control
 
-    modulation = _modulation_fn(cfg, params, eps0, r0)
-    law = _law_fn(cfg, params, eps0, cfg.law is VaccinationLaw.SATURATED)
+    modulation = _modulation_fn(cfg, params, r0)
+    law = _law_fn(cfg, params, cfg.law is VaccinationLaw.SATURATED)
     nu = params.nu
     eps = cfg.eps
+    eps0 = cfg.eps0
 
     def control(t, S, E, I, R, raw_min):
         N = S + E + I + R
@@ -448,10 +442,11 @@ def reference(
 ) -> ReferenceSample:
     """Reference immune target at time t for a scenario that started with
     R0 immune (profiles as in ``_profile_fn``)."""
+    cfg = cfg.validated(params)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     N = _require_population(x)
-    profile = _profile_fn(cfg, params, cfg.resolved_eps0(params), R0)
+    profile = _profile_fn(cfg, params, R0)
     return ReferenceSample(*profile(t, N, total_population_rate(params, x)))
 
 
@@ -459,7 +454,7 @@ def gain_schedule(
     cfg: ControlConfig, params: ModelParams, h: float, h_dot: float, g: float
 ) -> tuple[float, float]:
     """Scheduled gains (K_N, K_I), as in ``_gain_fn``."""
-    return _gain_fn(cfg, params, cfg.resolved_eps0(params))(h, h_dot, g)
+    return _gain_fn(cfg.validated(params), params)(h, h_dot, g)
 
 
 def g_signal(
@@ -473,11 +468,11 @@ def g_signal(
     INTERIOR_BRANCH needs both down. r0 (initial immune count) is only
     consulted by DELAYED_TRACKING_ONSET.
     """
+    cfg = cfg.validated(params)
     fam = cfg.g_family
     if fam is ModulationFamily.ZERO:
         return 0.0
-    eps0 = cfg.resolved_eps0(params)
-    modulation = _modulation_fn(cfg, params, eps0, r0)  # also checks the family's inputs
+    modulation = _modulation_fn(cfg, params, r0)  # also checks the family's inputs
     N = _require_population(x)
     g1r = params.immune_recovery_rate
     if fam is ModulationFamily.SATURATED_BRANCH:
@@ -486,7 +481,7 @@ def g_signal(
                 "the saturated branch applies only when exactly one "
                 f"indicator is up (got theta0={theta0!r}, theta1={theta1!r})"
             )
-        return _switched_saturated_g(g1r, params.nu, cfg.eps, eps0, N, x.I,
+        return _switched_saturated_g(g1r, params.nu, cfg.eps, cfg.eps0, N, x.I,
                                      1.0 if theta0 else 0.0, 1.0 if theta1 else 0.0)
     if fam is ModulationFamily.INTERIOR_BRANCH:
         if theta0 or theta1:
@@ -494,15 +489,15 @@ def g_signal(
                 "the interior branch applies only with both indicators down "
                 f"(got theta0={theta0!r}, theta1={theta1!r})"
             )
-        return _switched_interior_g(g1r, cfg.eps, eps0, N, x.I)
+        return _switched_interior_g(g1r, cfg.eps, cfg.eps0, N, x.I)
     return modulation(t, N, x.I)
 
 
 def _law_sample(cfg, params, t, x, ref, r0, saturate, raw_min) -> ControlSample:
+    cfg = cfg.validated(params)
     N = _require_population(x)
-    eps0 = cfg.resolved_eps0(params)
-    g = _modulation_fn(cfg, params, eps0, r0)(t, N, x.I)
-    law = _law_fn(cfg, params, eps0, saturate)
+    g = _modulation_fn(cfg, params, r0)(t, N, x.I)
+    law = _law_fn(cfg, params, saturate)
     k_n, k_i, v_a, v = law(N, x.I, ref.h, ref.h_dot, ref.R_star, ref.R_star_dot, g, raw_min)
     return ControlSample(
         t=t, V_a=v_a, V=v, theta0=v_a < 0.0, theta1=v_a > 1.0, g=g,
@@ -540,8 +535,8 @@ def modulation_identity_residual(
     nulls the target exactly (g = 1/eps), where both sides collapse to
     roundoff.
     """
-    eps0 = cfg.resolved_eps0(params)
-    return _identity_residual(params.nu, cfg.eps, eps0, x.N, sample.V_a, sample.g)
+    cfg = cfg.validated(params)
+    return _identity_residual(params.nu, cfg.eps, cfg.eps0, x.N, sample.V_a, sample.g)
 
 
 class TrackingCase(enum.Enum):
@@ -587,12 +582,12 @@ def tracking_bound(
     N2 is the population upper bound. CASE_I needs the run's minimum
     modulation value (g_min); CASE_VIII its maximum (g_max).
     """
+    cfg = cfg.validated(params)
     if not N2 > 0.0:
         raise ConfigError(f"N2 must be > 0, got {N2!r}")
     a = params.mu + params.omega
     if not a > 0.0:
         raise ConfigError("tracking bounds divide by mu + omega; need it > 0")
-    eps0 = cfg.resolved_eps0(params)
     g1r = params.immune_recovery_rate
 
     def bound(ratio: float, requires: str, extinct: bool = False) -> TrackingBound:
@@ -604,7 +599,7 @@ def tracking_bound(
     if case is TrackingCase.CASE_I:
         if g_min is None:
             raise ConfigError("case i needs the run minimum of the modulation signal")
-        return bound(eps0 * (1.0 - cfg.eps * g_min) / a,
+        return bound(cfg.eps0 * (1.0 - cfg.eps * g_min) / a,
                      "switched modulation, saturated branch active")
     if case is TrackingCase.CASE_II:
         return bound((params.nu + g1r) / a, "g = 1/eps")
@@ -642,6 +637,7 @@ def immune_closed_form(cfg: ControlConfig, params: ModelParams, t, R0: float):
 
     t may be a scalar or an array.
     """
+    cfg = cfg.validated(params)
     if cfg.vartheta is None:
         raise ConfigError("the decay design needs vartheta set")
     a = params.mu + params.omega
@@ -649,10 +645,9 @@ def immune_closed_form(cfg: ControlConfig, params: ModelParams, t, R0: float):
         raise ConfigError(
             f"decay design needs vartheta > mu + omega = {a!r}, got {cfg.vartheta!r}"
         )
-    eps0 = cfg.resolved_eps0(params)
     gap = cfg.vartheta - a
     tt = np.asarray(t, dtype=float)
-    out = np.exp(-a * tt) * (R0 + eps0 * (1.0 - np.exp(-gap * tt)) / gap)
+    out = np.exp(-a * tt) * (R0 + cfg.eps0 * (1.0 - np.exp(-gap * tt)) / gap)
     if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
         return float(out)
     return out
@@ -664,6 +659,7 @@ def stationary_tracking_level(cfg: ControlConfig, params: ModelParams, N: float)
 
     Equals N exactly when vartheta = eps0 + mu + omega.
     """
+    cfg = cfg.validated(params)
     if cfg.vartheta is None:
         raise ConfigError("the tracking level needs vartheta set")
     a = params.mu + params.omega
@@ -671,7 +667,7 @@ def stationary_tracking_level(cfg: ControlConfig, params: ModelParams, N: float)
         raise ConfigError(
             f"needs vartheta > mu + omega = {a!r}, got {cfg.vartheta!r}"
         )
-    return cfg.resolved_eps0(params) * N / (cfg.vartheta - a)
+    return cfg.eps0 * N / (cfg.vartheta - a)
 
 
 def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:
@@ -682,7 +678,7 @@ def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:
     above one individual; reports surface the comparison as a diagnostic
     rather than enforcing it.
     """
-    eps0 = cfg.resolved_eps0(params)
-    if not eps0 > 0.0 or not cfg.eps > 0.0:
-        raise ConfigError("ceiling needs eps > 0 and eps0 > 0")
-    return (eps0 - params.nu) / (cfg.eps * eps0)
+    cfg = cfg.validated(params)
+    if not cfg.eps > 0.0:
+        raise ConfigError("ceiling needs eps > 0")
+    return (cfg.eps0 - params.nu) / (cfg.eps * cfg.eps0)

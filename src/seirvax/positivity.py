@@ -51,19 +51,16 @@ def check_metzler(matrix, tol: float = 0.0) -> MetzlerReport:
         entries = np.asarray(matrix, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    n = entries.shape[0]
-    off_mask = ~np.eye(n, dtype=bool)
-    off_values = entries[off_mask]
-    violations = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and entries[i, j] < -tol:
-                violations.append((i, j, float(entries[i, j])))
+    off_mask = ~np.eye(entries.shape[0], dtype=bool)
+    rows, cols = np.nonzero(off_mask & (entries < -tol))  # row-major order
+    violations = tuple(
+        (int(i), int(j), float(entries[i, j])) for i, j in zip(rows, cols)
+    )
     return MetzlerReport(
         variant=variant,
         is_metzler=not violations,
-        min_offdiagonal=float(off_values.min()),
-        violating_entries=tuple(violations),
+        min_offdiagonal=float(entries[off_mask].min()),
+        violating_entries=violations,
     )
 
 

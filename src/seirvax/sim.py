@@ -77,6 +77,11 @@ class ScenarioConfig:
                 f"horizon must be at least one step, got horizon={self.horizon!r} "
                 f"with dt={self.dt!r}"
             )
+        if not math.isfinite(self.horizon / self.dt):
+            raise ConfigError(
+                f"horizon/dt must be finite, got horizon={self.horizon!r} "
+                f"with dt={self.dt!r}"
+            )
         if not (math.isfinite(self.steady_state_tol) and self.steady_state_tol > 0.0):
             raise ConfigError(
                 f"steady_state_tol must be > 0, got {self.steady_state_tol!r}"
@@ -191,10 +196,16 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     size = n_steps + 1
     # The table is the run's only storage: each step packs its row straight
     # into it, and the Trajectory columns are views of the recorded rows.
-    table = np.empty((size, _ROW.size // 8))
+    try:
+        table = np.empty((size, _ROW.size // 8))
+        reset_counts = np.zeros(size, dtype=np.int64)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(
+            f"horizon {sc.horizon!r} at dt {dt!r} needs {size:.3g} rows, "
+            f"more than can be stored: {exc}"
+        ) from None
     packed = memoryview(table).cast("B")
     row_bytes = _ROW.size
-    reset_counts = np.zeros(size, dtype=np.int64)
     reset_events: list[ResetEvent] = []
 
     S, E, I, R = sc.x0
@@ -293,17 +304,13 @@ class SteadyState:
         return (self.x_ss.E + self.x_ss.I) / self.x_ss.N
 
 
-def detect_steady_state(
-    traj: Trajectory,
-    tol: float | None = None,
-    window_days: float = STEADY_STATE_WINDOW_DAYS,
-) -> SteadyState:
+def detect_steady_state(traj: Trajectory, tol: float | None = None) -> SteadyState:
     """First window of sustained stillness, measured against population size.
 
     Scans for the earliest t_ss such that every recorded sample in
-    [t_ss, t_ss + window_days] has max_i |dx_i/dt| <= tol * N at that
-    sample. Returns the window start and the window time-average state.
-    tol defaults to the scenario's steady_state_tol. A horizon shorter
+    [t_ss, t_ss + STEADY_STATE_WINDOW_DAYS] has max_i |dx_i/dt| <= tol * N
+    at that sample. Returns the window start and the window time-average
+    state. tol defaults to the scenario's steady_state_tol. A horizon shorter
     than the window can never qualify.
     """
     n = len(traj)
@@ -311,7 +318,7 @@ def detect_steady_state(
         raise ValueError("cannot scan an empty trajectory")
     if tol is None:
         tol = traj.scenario.steady_state_tol
-    w = int(round(window_days / traj.dt))
+    w = int(round(STEADY_STATE_WINDOW_DAYS / traj.dt))
     if w < 1:
         w = 1
     if n < w + 1:

@@ -12,6 +12,7 @@ from seirvax.cli import (
     _CSV_CHUNK_ROWS,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
+    apply_sweep_value,
     main,
     read_trajectory_csv,
 )
@@ -117,6 +118,21 @@ dt = 0.01
 
 VERDICT_IDS = ("T2", "T3_necessary", "T3_integral", "T4_case1", "T4_case2")
 
+# The numeric keys that scenario files and --sweep both take, by section,
+# and the ones that also take a mean period (KEY_days = D means KEY = 1/D).
+NUMERIC_KEYS = {
+    "params": ("mu", "omega", "beta", "sigma", "gamma", "rho", "nu"),
+    "control": ("K_R", "K_Rd", "eps", "eps0", "vartheta", "c"),
+    "scenario": ("horizon", "dt", "steady_state_tol"),
+}
+PERIOD_KEYS = ("mu", "omega", "beta", "sigma", "gamma", "nu", "c")
+NUMERIC_SPELLINGS = [
+    (section, spelling)
+    for section, keys in NUMERIC_KEYS.items()
+    for key in keys
+    for spelling in ((key, key + "_days") if key in PERIOD_KEYS else (key,))
+]
+
 
 @pytest.fixture(autouse=True)
 def _no_env_out(monkeypatch):
@@ -139,6 +155,12 @@ def write_ini(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def sweep_statuses(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    return [row["status"] for row in rows]
 
 
 def assert_csv_matches(path, traj):
@@ -211,6 +233,13 @@ class TestRunArtifacts:
         traj = integrate(load_scenario(path))
         assert 1 < len(traj) < 1001
         assert_csv_matches(tmp_path / "o" / "trajectory.csv", traj)
+
+    def test_header_only_csv_reads_as_empty_columns(self, tmp_path):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(",".join(TRAJECTORY_COLUMNS) + "\r\n", encoding="utf-8")
+        data = read_trajectory_csv(path)
+        assert tuple(data) == TRAJECTORY_COLUMNS
+        assert all(col.shape == (0,) for col in data.values())
 
     def test_env_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -286,6 +315,7 @@ class TestConfigFiles:
         (lambda s: s.replace("beta = 1.66", "beta = 1.66\nbeta_days = 0.6"),
          "not both"),
         (lambda s: s.replace("law = saturated", "law = sideways"), "allowed"),
+        (lambda s: s.replace("rho = 0.1", "rho = 0.1\ndt = 0.01"), "belongs in"),
     ])
     def test_rejected_configs(self, tmp_path, capsys, mangle, needle):
         path = write_ini(tmp_path, mangle(BASE_INI))
@@ -313,7 +343,81 @@ class TestConfigFiles:
         assert "fig1-no-vaccination" in err  # available names listed
 
 
+class TestKeyTable:
+    """Scenario files and --sweep accept and reject the same numeric keys."""
+
+    @staticmethod
+    def ini_with(section, spelling, raw):
+        """BASE_INI with the key behind spelling set only through it."""
+        field = spelling.removesuffix("_days")
+        lines = [line for line in BASE_INI.splitlines()
+                 if line.partition(" = ")[0] not in (field, field + "_days")]
+        lines.insert(lines.index(f"[{section}]") + 1, f"{spelling} = {raw}")
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def assert_sweep_aborts(tmp_path, capsys, spec):
+        out = tmp_path / "s"
+        rc = main(["--preset", "fig1-no-vaccination", "--sweep", spec,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: unknown key")
+        assert not (out / "sweep.csv").exists()  # aborted before any row
+
+    @pytest.mark.parametrize("section, spelling", NUMERIC_SPELLINGS)
+    def test_file_and_sweep_set_the_same_field(self, tmp_path, section, spelling):
+        swept = apply_sweep_value(
+            load_scenario(write_ini(tmp_path, BASE_INI)), spelling, 0.5
+        )
+        from_file = load_scenario(
+            write_ini(tmp_path, self.ini_with(section, spelling, "0.5"))
+        )
+        assert from_file == swept
+        target = from_file if section == "scenario" else getattr(from_file, section)
+        field = spelling.removesuffix("_days")
+        assert getattr(target, field) == (2.0 if spelling != field else 0.5)
+
+    @pytest.mark.parametrize("key", ["rho_days", "zeta", "zeta_days", "dt_days"])
+    def test_file_and_sweep_reject_the_same_keys(self, tmp_path, capsys, key):
+        ini = BASE_INI.replace("[params]\n", f"[params]\n{key} = 4\n")
+        rc = main(["--config", str(write_ini(tmp_path, ini)),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        self.assert_sweep_aborts(tmp_path, capsys, f"{key}=1,2")
+
+    @pytest.mark.parametrize("key", ["I0_ref", "S0", "name", "law"])
+    def test_sweep_rejects_file_only_keys(self, tmp_path, capsys, key):
+        self.assert_sweep_aborts(tmp_path, capsys, f"{key}=1,2")
+
+    @pytest.mark.parametrize("section, key", [("params", "mu_days"),
+                                              ("control", "c_days")])
+    def test_zero_period_rejected_by_file_and_sweep_row(
+        self, tmp_path, capsys, section, key
+    ):
+        rc = main(["--config",
+                   str(write_ini(tmp_path, self.ini_with(section, key, "0"))),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{key} must be nonzero" in capsys.readouterr().err
+        rc = main(["--preset", "fig1-no-vaccination", "--horizon", "1",
+                   "--sweep", f"{key}=0,5", "--out", str(tmp_path)])
+        assert rc == 0
+        assert sweep_statuses(tmp_path / "sweep.csv") == ["error", "ok"]
+        assert f"{key}=0.0 failed: {key} must be nonzero" in capsys.readouterr().err
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("grid", [["--dt", "1e-300", "--horizon", "1e300"],
+                                      ["--horizon", "1e300"]])
+    def test_unstorable_grid(self, tmp_path, capsys, grid):
+        rc = main(["--preset", "fig1-no-vaccination", *grid,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_extinction(self, tmp_path):
         path = write_ini(tmp_path, COLLAPSE_INI, name="collapse.ini")
         rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
@@ -413,11 +517,14 @@ class TestSweep:
         ]:
             assert row[header.index(sweep_col)] == block[machine_key]
 
-    def test_sweep_rows_survive_per_point_failures(self, tmp_path):
+    def test_sweep_rows_survive_per_point_failures(self, tmp_path, capsys):
         rc = main(["--preset", "fig2-saturated", "--horizon", "5",
                    "--sweep", "nu=0.0,0.006666666666666667",
                    "--out", str(tmp_path)])
         assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1  # one cause line per error row
+        assert "nu=0.0" in err[0] and "nu > 0" in err[0]
         lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
         statuses = [line.split(",")[header.index("status")] for line in lines[1:]]
@@ -436,6 +543,13 @@ class TestSweep:
         header = lines[0].split(",")
         statuses = [line.split(",")[header.index("status")] for line in lines[1:]]
         assert statuses == ["ok", "error", "ok"]
+
+    def test_unstorable_grid_fails_only_its_row(self, tmp_path, capsys):
+        rc = main(["--preset", "fig1-no-vaccination",
+                   "--sweep", "horizon=1,1e300,2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert sweep_statuses(tmp_path / "sweep.csv") == ["ok", "error", "ok"]
+        assert "horizon=1e+300 failed" in capsys.readouterr().err
 
     def test_sweep_period_keys(self, tmp_path):
         rc = main(["--preset", "fig1-no-vaccination", "--horizon", "1",

@@ -23,6 +23,7 @@ from seirvax import (
     g_signal,
     gain_schedule,
     immune_closed_form,
+    make_control_fn,
     modulation_identity_residual,
     reference,
     stationary_tracking_level,
@@ -217,7 +218,7 @@ class TestClosedLoopAutomaton:
         ref = reference(cfg, params, 0.0, outbreak_x0, R0)
         s = vaccination_saturated(cfg, params, 0.0, outbreak_x0, ref)
         actual = params.nu * outbreak_x0.N * s.V_a
-        target = cfg.resolved_eps0(params) * (1.0 - cfg.eps * s.g) * outbreak_x0.N
+        target = cfg.eps0 * (1.0 - cfg.eps * s.g) * outbreak_x0.N
         assert actual == pytest.approx(108.93939393939394, rel=1e-12)
         assert target == pytest.approx(108.93939393939394, rel=1e-12)
         assert modulation_identity_residual(cfg, params, outbreak_x0, s) < 1e-12
@@ -469,6 +470,29 @@ class TestConfigValidation:
             ControlConfig(
                 g_family=ModulationFamily.IMMUNE_DECAY_DESIGN, vartheta=0.07
             ).validated(params)
+
+    def test_helpers_apply_the_same_guards(self, params, outbreak_x0):
+        # every helper validates its config first, so each rejects what
+        # validated() rejects (here a negative eps0)
+        bad = ControlConfig(eps0=-0.1)
+        ref = reference(ControlConfig(), params, 0.0, outbreak_x0, R0)
+        sample = vaccination_saturated(ControlConfig(), params, 0.0, outbreak_x0, ref)
+        calls = (
+            lambda: reference(bad, params, 0.0, outbreak_x0, R0),
+            lambda: gain_schedule(bad, params, 0.2, 0.0, 0.0),
+            lambda: g_signal(bad, params, 0.0, outbreak_x0, False, False),
+            lambda: vaccination_saturated(bad, params, 0.0, outbreak_x0, ref),
+            lambda: vaccination_unsaturated(bad, params, 0.0, outbreak_x0, ref),
+            lambda: modulation_identity_residual(bad, params, outbreak_x0, sample),
+            lambda: make_control_fn(bad, params, R0),
+            lambda: tracking_bound(TrackingCase.CASE_II, params, bad, N2=1000.0),
+            lambda: immune_closed_form(replace(bad, vartheta=0.08), params, 1.0, R0),
+            lambda: stationary_tracking_level(replace(bad, vartheta=0.08), params, 1.0),
+            lambda: decay_design_g_ceiling(bad, params),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="eps0 must be > 0"):
+                call()
 
     def test_default_eps0_resolves_to_immune_pole(self, params):
         cfg = ControlConfig().validated(params)
