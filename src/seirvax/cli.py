@@ -53,25 +53,27 @@ TRAJECTORY_COLUMNS = (
 _EXIT_BY_STATUS = {RunStatus.OK: 0, RunStatus.EXTINCT: 3, RunStatus.BLOWUP: 4}
 
 
-# Rows per csv.writerows call: whole-column tolist() would hold every cell
-# of the run as a Python object at once.
-_CSV_CHUNK_ROWS = 4096
+# Rows per write: whole-column formatting would hold every cell of the run
+# as a Python string at once.
+_CSV_CHUNK_ROWS = 1024
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
-    """Emit the run at full float precision (csv writes floats by repr,
-    which round-trips exactly)."""
+    """Emit the run at full float precision: every cell is its repr, which
+    round-trips exactly. These are the bytes csv.writer's excel dialect
+    writes (str is repr for floats and ints, no repr needs quoting, lines
+    end in CRLF), formatted a column at a time."""
     columns = (
         traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
         traj.g, traj.h, traj.r_star, traj.dn, traj.reset_counts,
         traj.theta0.astype(np.int64), traj.theta1.astype(np.int64),
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
+        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
             chunk = slice(start, start + _CSV_CHUNK_ROWS)
-            writer.writerows(zip(*(col[chunk].tolist() for col in columns)))
+            cells = [list(map(repr, col[chunk].tolist())) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:

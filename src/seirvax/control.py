@@ -118,6 +118,10 @@ class ControlConfig:
         """
         eps0 = params.mu + params.omega if self.eps0 is None else self.eps0
         cfg = replace(self, eps0=eps0)
+        for name in ("K_R", "K_Rd", "eps", "eps0", "c", "vartheta"):
+            value = getattr(cfg, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if cfg.K_Rd == 0.0:
             raise ConfigError("K_Rd must be nonzero (the rate-feedback path defines K_N)")
         if not eps0 > 0.0:
@@ -138,23 +142,35 @@ class ControlConfig:
                     "switched modulation needs eps0 > max(nu, gamma*(1-rho)) "
                     f"= {floor!r}, got eps0 = {eps0!r}"
                 )
-        needs_vartheta = (
-            cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN
-            or cfg.h_family is ReferenceProfile.DECAY_DESIGN
-        )
-        if needs_vartheta and cfg.vartheta is None:
-            raise ConfigError("the decay design needs vartheta set")
-        pole = params.mu + params.omega
-        if cfg.h_family is ReferenceProfile.DECAY_DESIGN and cfg.vartheta == pole:
+        if (
+            cfg.h_family is ReferenceProfile.DECAY_DESIGN
+            and _decay_gap(cfg, params, positive=False) == 0.0
+        ):
             raise DegenerateProfileError(
-                f"the decay profile degenerates when vartheta equals mu + omega = {pole!r}"
+                "the decay profile degenerates when vartheta equals mu + omega = "
+                f"{params.mu + params.omega!r}"
             )
-        if cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN and not cfg.vartheta > pole:
-            raise ConfigError(
-                f"decay modulation needs vartheta > mu + omega = {pole!r}, "
-                f"got {cfg.vartheta!r}"
-            )
+        if cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN:
+            _decay_gap(cfg, params)
         return cfg
+
+
+def _decay_gap(cfg: ControlConfig, params: ModelParams, positive: bool = True) -> float:
+    """vartheta - (mu + omega), the gap the decay design divides by.
+
+    vartheta must be set and, unless positive is False, above the immune
+    pole mu + omega; the decay reference profile alone needs only a nonzero
+    gap, which validated() checks.
+    """
+    if cfg.vartheta is None:
+        raise ConfigError("the decay design needs vartheta set")
+    pole = params.mu + params.omega
+    if positive and not cfg.vartheta > pole:
+        raise ConfigError(
+            f"the decay design needs vartheta > mu + omega = {pole!r}, "
+            f"got {cfg.vartheta!r}"
+        )
+    return cfg.vartheta - pole
 
 
 class ReferenceSample(NamedTuple):
@@ -638,14 +654,8 @@ def immune_closed_form(cfg: ControlConfig, params: ModelParams, t, R0: float):
     t may be a scalar or an array.
     """
     cfg = cfg.validated(params)
-    if cfg.vartheta is None:
-        raise ConfigError("the decay design needs vartheta set")
+    gap = _decay_gap(cfg, params)
     a = params.mu + params.omega
-    if not cfg.vartheta > a:
-        raise ConfigError(
-            f"decay design needs vartheta > mu + omega = {a!r}, got {cfg.vartheta!r}"
-        )
-    gap = cfg.vartheta - a
     tt = np.asarray(t, dtype=float)
     out = np.exp(-a * tt) * (R0 + cfg.eps0 * (1.0 - np.exp(-gap * tt)) / gap)
     if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
@@ -660,14 +670,7 @@ def stationary_tracking_level(cfg: ControlConfig, params: ModelParams, N: float)
     Equals N exactly when vartheta = eps0 + mu + omega.
     """
     cfg = cfg.validated(params)
-    if cfg.vartheta is None:
-        raise ConfigError("the tracking level needs vartheta set")
-    a = params.mu + params.omega
-    if not cfg.vartheta > a:
-        raise ConfigError(
-            f"needs vartheta > mu + omega = {a!r}, got {cfg.vartheta!r}"
-        )
-    return cfg.eps0 * N / (cfg.vartheta - a)
+    return cfg.eps0 * N / _decay_gap(cfg, params)
 
 
 def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:

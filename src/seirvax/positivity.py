@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DecompositionError
 from .model import (
-    COMPONENT_NAMES,
     DynamicsMatrix,
     MatrixVariant,
     ModelParams,

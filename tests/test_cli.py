@@ -331,6 +331,16 @@ class TestConfigFiles:
         assert err.startswith("error: ") and "vartheta" in err
         assert "Traceback" not in err
 
+    def test_non_finite_controller_constant_is_a_config_error(self, tmp_path, capsys):
+        ini = BASE_INI.replace("eps0 = 0.5", "eps0 = 0.5\nK_R = inf")
+        path = write_ini(tmp_path, ini)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "K_R must be finite" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.txt").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.ini")])
         assert rc == 2
@@ -532,6 +542,13 @@ class TestSweep:
         with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [len(SWEEP_COLUMNS)] * 3
+
+    def test_non_finite_controller_constant_fails_only_its_row(self, tmp_path, capsys):
+        rc = main(["--preset", "fig2-saturated", "--horizon", "5",
+                   "--sweep", "c=nan,0.2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert sweep_statuses(tmp_path / "sweep.csv") == ["error", "ok"]
+        assert "c must be finite" in capsys.readouterr().err
 
     def test_degenerate_sweep_value_becomes_error_row(self, tmp_path):
         ini = DEGENERATE_DECAY_INI.replace("vartheta = 0.2", "vartheta = 0.3")

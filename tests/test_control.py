@@ -6,6 +6,7 @@ Frozen decimals were computed independently (exact rational arithmetic
 where possible) before being asserted here.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -442,6 +443,12 @@ class TestConfigValidation:
             ).validated(params)
         # eps = 0 with the modulation off is fine
         ControlConfig(eps=0.0).validated(params)
+
+    @pytest.mark.parametrize("name", ["K_R", "K_Rd", "eps", "eps0", "c", "vartheta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constants_rejected(self, params, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            ControlConfig(**{name: value}).validated(params)
 
     def test_active_law_needs_births(self, params):
         sterile = replace(params, nu=0.0)
