@@ -363,29 +363,29 @@ def _gain_fn(cfg: ControlConfig, params: ModelParams):
 
 
 def _law_fn(cfg: ControlConfig, params: ModelParams, saturate: bool):
-    """law(N, I, h, h_dot, R_star, R_star_dot, g, raw_min) -> (K_N, K_I, V_a, V).
+    """law(N, I, h, h_dot, R_star, R_star_dot, g, negative) -> (K_N, K_I, V_a, V).
 
     The demand is V_a = (K_N*N + K_I*I + K_R*R_star + K_Rd*R_star_dot)/(nu*N).
     The saturated law applies clamp(V_a, 0, 1). The unsaturated law falls
-    back to the clamp only when the raw state had gone negative (raw_min,
-    the smallest component before any reset at this boundary, is < 0):
+    back to the clamp only when the raw state had gone negative (negative:
+    some component was < 0 before any reset at this boundary):
 
-        V = V_a   if V_a >= 0 and raw_min >= 0 (may exceed 1)
-        V = 1     if V_a > 1 and raw_min < 0
+        V = V_a   if V_a >= 0 and not negative (may exceed 1)
+        V = 1     if V_a > 1 and negative
         V = 0     if V_a < 0
-        V = V_a   if V_a in [0, 1] and raw_min < 0 (reset-then-apply rule)
+        V = V_a   if V_a in [0, 1] and negative (reset-then-apply rule)
     """
     gains = _gain_fn(cfg, params)
     K_R = cfg.K_R
     K_Rd = cfg.K_Rd
     nu = params.nu
 
-    def law(N, I, h, h_dot, R_star, R_star_dot, g, raw_min):
+    def law(N, I, h, h_dot, R_star, R_star_dot, g, negative):
         K_N, K_I = gains(h, h_dot, g)
         V_a = (K_N * N + K_I * I + K_R * R_star + K_Rd * R_star_dot) / (nu * N)
         if V_a < 0.0:
             return K_N, K_I, V_a, 0.0
-        if V_a > 1.0 and (saturate or raw_min < 0.0):
+        if V_a > 1.0 and (saturate or negative):
             return K_N, K_I, V_a, 1.0
         return K_N, K_I, V_a, V_a
 
@@ -393,26 +393,38 @@ def _law_fn(cfg: ControlConfig, params: ModelParams, saturate: bool):
 
 
 def _identity_residual(nu, eps, eps0, N, V_a, g):
-    actual = nu * N * V_a
-    target = eps0 * (1.0 - eps * g) * N
-    scale = max(abs(actual), abs(target), eps0 * N)
-    if scale == 0.0:
-        return 0.0
-    return abs(actual - target) / scale
+    """|nu*N*V_a - eps0*(1 - eps*g)*N| over max(|both sides|, eps0*N).
+
+    N, V_a and g may be floats or equal-length arrays; the result is a
+    float64 array (0-d for float inputs). A zero scale gives 0. The scale
+    is Python's max spelled with np.where, a candidate replacing the
+    running value only when it compares greater, so a nan candidate is
+    skipped where np.maximum would propagate it.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        actual = nu * N * V_a
+        target = eps0 * (1.0 - eps * g) * N
+        scale = np.abs(actual)
+        for candidate in (np.abs(target), eps0 * N):
+            scale = np.where(candidate > scale, candidate, scale)
+        return np.where(scale == 0.0, 0.0, np.abs(actual - target) / scale)
 
 
 def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Plain-float closed-loop controller for integration hot loops.
 
     Resolves profile, modulation family, law and constants once and returns
-    control(t, S, E, I, R, raw_min) -> (V_a, V, theta0, theta1, g, h, h_dot,
-    R_star, R_star_dot, K_N, K_I, residual, dN), bit-identical to the
-    public helpers (reference, the law, modulation_identity_residual,
-    total_population_rate) but building no objects. r0 is the initial
-    immune count, raw_min the smallest state component before any reset;
-    the caller keeps N above the extinction floor. Under the NONE law
-    nothing is applied (V_a = V = g = residual = 0, indicators down) but
-    the gains are still evaluated with g = 0 so the schedule stays visible.
+    control(t, N, I, negative) -> (V_a, V, g, h, h_dot, R_star, R_star_dot,
+    K_N, K_I, dN), bit-identical to the public helpers (reference, the law,
+    total_population_rate) but building no objects. N is the total
+    population at the boundary (the caller keeps it above the extinction
+    floor), I the infectious count, r0 the initial immune count and
+    negative whether some state component was < 0 before any reset. The
+    indicators (theta0 = V_a < 0, theta1 = V_a > 1) and the identity
+    residual are not evaluated here: they depend only on the returned
+    values, so a caller derives them once for a whole run. Under the NONE
+    law nothing is applied (V_a = V = g = 0) but the gains are still
+    evaluated with g = 0 so the schedule stays visible.
     """
     cfg = cfg.validated(params)
     profile = _profile_fn(cfg, params, r0)
@@ -422,30 +434,23 @@ def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     if cfg.law is VaccinationLaw.NONE:
         gains = _gain_fn(cfg, params)
 
-        def control(t, S, E, I, R, raw_min):
-            N = S + E + I + R
+        def control(t, N, I, negative):
             dN = growth * N - deaths * I
             h, h_dot, R_star, R_star_dot = profile(t, N, dN)
             K_N, K_I = gains(h, h_dot, 0.0)
-            return (0.0, 0.0, False, False, 0.0, h, h_dot, R_star, R_star_dot,
-                    K_N, K_I, 0.0, dN)
+            return 0.0, 0.0, 0.0, h, h_dot, R_star, R_star_dot, K_N, K_I, dN
 
         return control
 
     modulation = _modulation_fn(cfg, params, r0)
     law = _law_fn(cfg, params, cfg.law is VaccinationLaw.SATURATED)
-    nu = params.nu
-    eps = cfg.eps
-    eps0 = cfg.eps0
 
-    def control(t, S, E, I, R, raw_min):
-        N = S + E + I + R
+    def control(t, N, I, negative):
         dN = growth * N - deaths * I
         h, h_dot, R_star, R_star_dot = profile(t, N, dN)
         g = modulation(t, N, I)
-        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, raw_min)
-        return (V_a, V, V_a < 0.0, V_a > 1.0, g, h, h_dot, R_star, R_star_dot,
-                K_N, K_I, _identity_residual(nu, eps, eps0, N, V_a, g), dN)
+        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
+        return V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN
 
     return control
 
@@ -509,12 +514,12 @@ def g_signal(
     return modulation(t, N, x.I)
 
 
-def _law_sample(cfg, params, t, x, ref, r0, saturate, raw_min) -> ControlSample:
+def _law_sample(cfg, params, t, x, ref, r0, saturate, negative) -> ControlSample:
     cfg = cfg.validated(params)
     N = _require_population(x)
     g = _modulation_fn(cfg, params, r0)(t, N, x.I)
     law = _law_fn(cfg, params, saturate)
-    k_n, k_i, v_a, v = law(N, x.I, ref.h, ref.h_dot, ref.R_star, ref.R_star_dot, g, raw_min)
+    k_n, k_i, v_a, v = law(N, x.I, ref.h, ref.h_dot, ref.R_star, ref.R_star_dot, g, negative)
     return ControlSample(
         t=t, V_a=v_a, V=v, theta0=v_a < 0.0, theta1=v_a > 1.0, g=g,
         h=ref.h, h_dot=ref.h_dot, R_star=ref.R_star, R_star_dot=ref.R_star_dot,
@@ -527,17 +532,20 @@ def vaccination_saturated(
     ref: ReferenceSample, r0: float | None = None,
 ) -> ControlSample:
     """Clamped law: V = clamp(V_a, 0, 1)."""
-    return _law_sample(cfg, params, t, x, ref, r0, True, 0.0)
+    return _law_sample(cfg, params, t, x, ref, r0, True, False)
 
 
 def vaccination_unsaturated(
     cfg: ControlConfig, params: ModelParams, t: float, x: StateVec,
     ref: ReferenceSample, r0: float | None = None, raw_min: float | None = None,
 ) -> ControlSample:
-    """Unclamped law with positivity fallback (rules in ``_law_fn``);
-    raw_min defaults to min(x)."""
+    """Unclamped law with positivity fallback (rules in ``_law_fn``).
+
+    raw_min is the smallest state component before any reset and defaults
+    to min(x); the fallback engages when it is < 0.
+    """
     return _law_sample(cfg, params, t, x, ref, r0, False,
-                       min(x) if raw_min is None else raw_min)
+                       (min(x) if raw_min is None else raw_min) < 0.0)
 
 
 def modulation_identity_residual(
@@ -552,7 +560,7 @@ def modulation_identity_residual(
     roundoff.
     """
     cfg = cfg.validated(params)
-    return _identity_residual(params.nu, cfg.eps, cfg.eps0, x.N, sample.V_a, sample.g)
+    return float(_identity_residual(params.nu, cfg.eps, cfg.eps0, x.N, sample.V_a, sample.g))
 
 
 class TrackingCase(enum.Enum):

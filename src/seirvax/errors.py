@@ -10,7 +10,12 @@ class ConfigError(SeirvaxError):
 
 
 class SingularStateError(SeirvaxError):
-    """Total population at or below the extinction floor; dynamics undefined."""
+    """Total population at or below the extinction floor, or nan; dynamics
+    undefined. total is the offending population, when known."""
+
+    def __init__(self, message: str, total: float | None = None):
+        super().__init__(message)
+        self.total = total
 
 
 class DecompositionError(SeirvaxError):

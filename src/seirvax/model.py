@@ -104,6 +104,10 @@ class ModelParams:
         if (self.I0_ref is None) != (self.N0_ref is None):
             raise ConfigError("I0_ref and N0_ref must be set together")
         if self.I0_ref is not None:
+            for name in ("I0_ref", "N0_ref"):
+                v = getattr(self, name)
+                if not np.isfinite(v):
+                    raise ConfigError(f"{name} must be finite, got {v!r}")
             if not (self.N0_ref >= self.I0_ref > 0):
                 raise ConfigError(
                     "references must satisfy N0_ref >= I0_ref > 0, got "
@@ -130,7 +134,7 @@ def _require_population(x) -> float:
     S, E, I, R = x
     N = S + E + I + R
     if not N > N_FLOOR:
-        raise SingularStateError(f"total population {N!r} at or below floor {N_FLOOR}")
+        raise SingularStateError(f"total population {N!r} at or below floor {N_FLOOR}", N)
     return N
 
 
@@ -178,7 +182,7 @@ def make_rate_fn(params: ModelParams):
         N = S + E + I + R
         if not N > N_FLOOR:
             raise SingularStateError(
-                f"total population {N!r} at or below floor {N_FLOOR}"
+                f"total population {N!r} at or below floor {N_FLOOR}", N
             )
         incidence = beta * S * I / N
         births = nu * N

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControlConfig, make_control_fn
+from .control import ControlConfig, VaccinationLaw, _identity_residual, make_control_fn
 # Bound here only so the benchmark's tracer (perfbench/tracing.py) can look
 # up and wrap these names on this module; integrate itself goes through
 # make_control_fn, and gets its rate closure through this make_rate_fn.
@@ -168,10 +168,11 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-# Trajectory columns in the order make_control_fn returns their values.
+# Trajectory columns in the order make_control_fn returns their values. The
+# indicators theta0/theta1 and identity_residual depend only on these and
+# the state, so integrate derives them once per run after the loop.
 _CONTROL_COLUMNS = (
-    "va", "v", "theta0", "theta1", "g", "h", "h_dot", "r_star", "r_star_dot",
-    "k_n", "k_i", "identity_residual", "dn",
+    "va", "v", "g", "h", "h_dot", "r_star", "r_star_dot", "k_n", "k_i", "dn",
 )
 # One row of the run's table per recorded boundary: t, the four state
 # components, their four rates, then the control columns.
@@ -183,9 +184,9 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
     Truncation rules, checked at each boundary before recording:
     population at or below the extinction floor ends the run with status
-    EXTINCT; a non-finite component ends it with BLOWUP. A population
-    collapse inside a step (stage evaluation) also truncates as EXTINCT,
-    keeping everything recorded so far.
+    EXTINCT; a non-finite component ends it with BLOWUP. Inside a step, a
+    stage population at or below the floor truncates as EXTINCT and a nan
+    stage population as BLOWUP, keeping everything recorded so far.
     """
     sc = scenario.resolved()
     dt = sc.dt
@@ -195,7 +196,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
     size = n_steps + 1
     # The table is the run's only storage: each step packs its row straight
-    # into it, and the Trajectory columns are views of the recorded rows.
+    # into it, and the Trajectory's stored columns are views of the recorded
+    # rows.
     try:
         table = np.empty((size, _ROW.size // 8))
         reset_counts = np.zeros(size, dtype=np.int64)
@@ -233,25 +235,25 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
             halt_time = t
             break
 
-        raw_min = min(S, E, I, R)
-        if raw_min < 0.0:
+        negative = S < 0.0 or E < 0.0 or I < 0.0 or R < 0.0
+        if negative:
             (S, E, I, R), clamps = apply_reset(StateVec(S, E, I, R))
             for i, before in clamps:
                 reset_events.append(ResetEvent(
                     t=t, component=COMPONENT_NAMES[i], index=i, value_before=before
                 ))
             reset_counts[k] = len(clamps)
+            N = S + E + I + R
 
-        c = control(t, S, E, I, R, raw_min)
+        c = control(t, N, I, negative)
         V = c[1]
-        d = rate(S, E, I, R, V)
-        pack(packed, k * row_bytes, t, S, E, I, R, *d, *c)
+        d1S, d1E, d1I, d1R = rate(S, E, I, R, V)
+        pack(packed, k * row_bytes, t, S, E, I, R, d1S, d1E, d1I, d1R, *c)
         recorded = k + 1
 
         if k == n_steps:
             break
 
-        d1S, d1E, d1I, d1R = d
         try:
             d2S, d2E, d2I, d2R = rate(
                 S + half * d1S, E + half * d1E, I + half * d1I, R + half * d1R, V
@@ -262,8 +264,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
             d4S, d4E, d4I, d4R = rate(
                 S + dt * d3S, E + dt * d3E, I + dt * d3I, R + dt * d3R, V
             )
-        except SingularStateError:
-            status = RunStatus.EXTINCT
+        except SingularStateError as exc:
+            status = RunStatus.BLOWUP if math.isnan(exc.total) else RunStatus.EXTINCT
             halt_time = t + dt
             break
         S += sixth * (d1S + 2.0 * (d2S + d3S) + d4S)
@@ -272,16 +274,26 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         R += sixth * (d1R + 2.0 * (d2R + d3R) + d4R)
 
     rows = table[:recorded]
+    states = rows[:, 1:5]
     columns = {name: rows[:, j] for j, name in enumerate(_CONTROL_COLUMNS, 9)}
-    columns["theta0"] = columns["theta0"] != 0.0
-    columns["theta1"] = columns["theta1"] != 0.0
+    va = columns["va"]
+    if sc.control.law is VaccinationLaw.NONE:
+        residual = np.zeros(recorded)
+    else:
+        N = states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3]
+        residual = _identity_residual(
+            sc.params.nu, sc.control.eps, sc.control.eps0, N, va, columns["g"]
+        )
     return Trajectory(
         scenario=sc,
         status=status,
         halt_time=halt_time,
         t=rows[:, 0],
-        states=rows[:, 1:5],
+        states=states,
         rates=rows[:, 5:9],
+        theta0=va < 0.0,
+        theta1=va > 1.0,
+        identity_residual=residual,
         reset_counts=reset_counts[:recorded],
         reset_events=tuple(reset_events),
         **columns,

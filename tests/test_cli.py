@@ -341,6 +341,19 @@ class TestConfigFiles:
         assert not (out / "trajectory.csv").exists()
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("refs", ["I0_ref = inf\nN0_ref = inf",
+                                      "I0_ref = 10\nN0_ref = inf",
+                                      "I0_ref = nan\nN0_ref = 1000"])
+    def test_non_finite_reference_is_a_config_error(self, tmp_path, capsys, refs):
+        path = write_ini(tmp_path, BASE_INI.replace("nu_days = 150", f"nu_days = 150\n{refs}"))
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "_ref must be finite" in err
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "report.txt").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.ini")])
         assert rc == 2
@@ -471,6 +484,19 @@ dt = 0.01
         rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 4
 
+    def test_nan_inside_a_step_is_blowup(self, tmp_path, capsys):
+        # c < 0: the reference overflows and the stage population turns nan
+        ini = BASE_INI.replace("c_days = 5", "c = -1").replace(
+            "horizon = 2\ndt = 0.01", "horizon = 800\ndt = 0.1")
+        path = write_ini(tmp_path, ini)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == ""
+        assert len(read_trajectory_csv(out / "trajectory.csv")["t"]) == 7039
+        block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
+        assert block["status"] == "blowup"
+
 
 class TestStabilityFlag:
     def test_profile_only(self, tmp_path, monkeypatch, capsys):
@@ -549,6 +575,12 @@ class TestSweep:
         assert rc == 0
         assert sweep_statuses(tmp_path / "sweep.csv") == ["error", "ok"]
         assert "c must be finite" in capsys.readouterr().err
+
+    def test_nan_inside_a_step_is_a_blowup_row(self, tmp_path):
+        rc = main(["--preset", "fig2-saturated", "--dt", "0.1", "--horizon", "800",
+                   "--sweep", "c=-1,0.2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert sweep_statuses(tmp_path / "sweep.csv") == ["blowup", "ok"]
 
     def test_degenerate_sweep_value_becomes_error_row(self, tmp_path):
         ini = DEGENERATE_DECAY_INI.replace("vartheta = 0.2", "vartheta = 0.3")

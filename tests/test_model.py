@@ -81,8 +81,14 @@ class TestVectorField:
         dead = StateVec(0.0, 0.0, 0.0, 0.0)
         with pytest.raises(SingularStateError):
             derivative(params, dead, 0.0)
-        with pytest.raises(SingularStateError):
+        with pytest.raises(SingularStateError) as caught:
             make_rate_fn(params)(0.0, 0.0, 0.0, 0.0, 0.0)
+        assert caught.value.total == 0.0
+
+    def test_nan_population_is_singular_and_carries_its_total(self, params):
+        with pytest.raises(SingularStateError) as caught:
+            make_rate_fn(params)(1.0, math.nan, 1.0, 1.0, 0.0)
+        assert math.isnan(caught.value.total)
 
     def test_state_and_rate_containers(self, outbreak_x0):
         assert outbreak_x0.N == 1000.0
@@ -123,6 +129,15 @@ class TestParamsValidation:
             ModelParams(**kw, I0_ref=0.0, N0_ref=50.0)
         ok = ModelParams(**kw, I0_ref=50.0, N0_ref=50.0)
         assert ok.reference_infectious_fraction == 1.0
+
+    @pytest.mark.parametrize("refs", [
+        (math.inf, math.inf), (10.0, math.inf), (math.nan, 50.0), (10.0, math.nan),
+    ])
+    def test_non_finite_references_rejected(self, refs):
+        kw = dict(mu=0.1, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
+                  rho=0.1, nu=0.01)
+        with pytest.raises(ConfigError, match="must be finite"):
+            ModelParams(**kw, I0_ref=refs[0], N0_ref=refs[1])
 
     def test_reference_fraction_defaults_to_worst_case(self, params):
         assert params.reference_infectious_fraction == 1.0

@@ -101,6 +101,18 @@ class TestTruncation:
         assert traj.halt_time is not None
         assert np.all(np.isfinite(traj.states))
 
+    def test_nan_inside_a_step_is_blowup(self):
+        # c < 0 makes the settling profile grow until h overflows to -inf at
+        # t = 703.8; the demand V_a is then nan, the clamp passes it through,
+        # and the next stage population is nan: a blowup, not an extinction.
+        sc = build_preset("fig2-saturated")
+        sc = replace(sc, control=replace(sc.control, c=-1.0), dt=0.1, horizon=800.0)
+        traj = integrate(sc)
+        assert traj.status is RunStatus.BLOWUP
+        assert traj.halt_time == traj.t[-1] + sc.dt
+        assert np.isnan(traj.va[-1]) and np.isnan(traj.v[-1])
+        assert np.all(np.isfinite(traj.states)) and traj.N[-1] > 100.0
+
 
 class TestSteadyState:
     def test_constant_trajectory_settles_immediately(self, params, outbreak_x0):
