@@ -200,9 +200,10 @@ class ControlSample:
 
 # ---------------------------------------------------------------------------
 # Per-family pieces. Each resolves its selector and constants once and
-# returns a plain-float function; make_control_fn composes them for the
-# integrator and the public helpers below wrap them for single samples.
-# Each takes a validated config, so the guards in validated() hold here.
+# returns a plain-float function; control_pieces picks the triple a run
+# composes at each step boundary, and the public helpers below wrap the
+# pieces for single samples. Each takes a validated config, so the guards
+# in validated() hold here.
 
 def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Reference profile: profile(t, N, dN) -> (h, h_dot, R_star, R_star_dot).
@@ -260,6 +261,10 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     return profile
 
 
+def _no_modulation(t, N, I):
+    return 0.0
+
+
 def _switched_interior_g(g1r, eps, eps0, N, I):
     return (1.0 - g1r * I / (eps0 * N)) / eps
 
@@ -292,9 +297,7 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float | None):
         raise ConfigError("this modulation divides by nu; needs nu > 0")
 
     if fam is ModulationFamily.ZERO:
-
-        def modulation(t, N, I):
-            return 0.0
+        modulation = _no_modulation
 
     elif fam is ModulationFamily.CONSTANT_NULLING:
         nulling = 1.0 / eps
@@ -344,28 +347,17 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float | None):
     return modulation
 
 
-def _gain_fn(cfg: ControlConfig, params: ModelParams):
-    """Scheduled gains, memoryless: gains(h, h_dot, g) -> (K_N, K_I) with
+def _law_fn(cfg: ControlConfig, params: ModelParams, kind: VaccinationLaw):
+    """law(N, I, h, h_dot, R_star, R_star_dot, g, negative) -> (K_N, K_I, V_a, V).
+
+    The gains are scheduled from the sample, memoryless:
 
         K_N = -(K_R + (nu - mu) K_Rd) h - K_Rd h_dot + eps0 (1 - eps g)
         K_I = gamma rho K_Rd h
-    """
-    K_Rd = cfg.K_Rd
-    eps = cfg.eps
-    eps0 = cfg.eps0
-    kn_h = -(cfg.K_R + (params.nu - params.mu) * K_Rd)
-    ki_h = params.gamma * params.rho * K_Rd
 
-    def gains(h, h_dot, g):
-        return kn_h * h - K_Rd * h_dot + eps0 * (1.0 - eps * g), ki_h * h
-
-    return gains
-
-
-def _law_fn(cfg: ControlConfig, params: ModelParams, saturate: bool):
-    """law(N, I, h, h_dot, R_star, R_star_dot, g, negative) -> (K_N, K_I, V_a, V).
-
-    The demand is V_a = (K_N*N + K_I*I + K_R*R_star + K_Rd*R_star_dot)/(nu*N).
+    Under the NONE law nothing is applied (V_a = V = 0) and only h, h_dot
+    and g are read. Otherwise the demand is
+    V_a = (K_N*N + K_I*I + K_R*R_star + K_Rd*R_star_dot)/(nu*N).
     The saturated law applies clamp(V_a, 0, 1). The unsaturated law falls
     back to the clamp only when the raw state had gone negative (negative:
     some component was < 0 before any reset at this boundary):
@@ -375,13 +367,21 @@ def _law_fn(cfg: ControlConfig, params: ModelParams, saturate: bool):
         V = 0     if V_a < 0
         V = V_a   if V_a in [0, 1] and negative (reset-then-apply rule)
     """
-    gains = _gain_fn(cfg, params)
     K_R = cfg.K_R
     K_Rd = cfg.K_Rd
+    eps = cfg.eps
+    eps0 = cfg.eps0
     nu = params.nu
+    kn_h = -(K_R + (nu - params.mu) * K_Rd)
+    ki_h = params.gamma * params.rho * K_Rd
+    applied = kind is not VaccinationLaw.NONE
+    saturate = kind is VaccinationLaw.SATURATED
 
     def law(N, I, h, h_dot, R_star, R_star_dot, g, negative):
-        K_N, K_I = gains(h, h_dot, g)
+        K_N = kn_h * h - K_Rd * h_dot + eps0 * (1.0 - eps * g)
+        K_I = ki_h * h
+        if not applied:
+            return K_N, K_I, 0.0, 0.0
         V_a = (K_N * N + K_I * I + K_R * R_star + K_Rd * R_star_dot) / (nu * N)
         if V_a < 0.0:
             return K_N, K_I, V_a, 0.0
@@ -390,6 +390,26 @@ def _law_fn(cfg: ControlConfig, params: ModelParams, saturate: bool):
         return K_N, K_I, V_a, V_a
 
     return law
+
+
+def control_pieces(cfg: ControlConfig, params: ModelParams, r0: float):
+    """(profile, modulation, law) for one run of a validated config.
+
+    A step boundary composes them with the population rate
+    dN = (nu - mu)*N - rho*gamma*I:
+
+        h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+        g = modulation(t, N, I)
+        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
+
+    Under the NONE law the modulation is g = 0 and the configured family is
+    not consulted.
+    """
+    if cfg.law is VaccinationLaw.NONE:
+        modulation = _no_modulation
+    else:
+        modulation = _modulation_fn(cfg, params, r0)
+    return _profile_fn(cfg, params, r0), modulation, _law_fn(cfg, params, cfg.law)
 
 
 def _identity_residual(nu, eps, eps0, N, V_a, g):
@@ -411,39 +431,24 @@ def _identity_residual(nu, eps, eps0, N, V_a, g):
 
 
 def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
-    """Plain-float closed-loop controller for integration hot loops.
+    """The closed-loop controller as a single-sample function.
 
-    Resolves profile, modulation family, law and constants once and returns
-    control(t, N, I, negative) -> (V_a, V, g, h, h_dot, R_star, R_star_dot,
-    K_N, K_I, dN), bit-identical to the public helpers (reference, the law,
-    total_population_rate) but building no objects. N is the total
-    population at the boundary (the caller keeps it above the extinction
-    floor), I the infectious count, r0 the initial immune count and
-    negative whether some state component was < 0 before any reset. The
-    indicators (theta0 = V_a < 0, theta1 = V_a > 1) and the identity
+    Validates cfg and returns control(t, N, I, negative) -> (V_a, V, g, h,
+    h_dot, R_star, R_star_dot, K_N, K_I, dN), the composition of
+    ``control_pieces`` that the integrator spells out at each step
+    boundary, so its ten values equal a recorded row's control columns bit
+    for bit. N is the total population at the boundary (above the
+    extinction floor), I the infectious count, r0 the initial immune count
+    and negative whether some state component was < 0 before any reset.
+    The indicators (theta0 = V_a < 0, theta1 = V_a > 1) and the identity
     residual are not evaluated here: they depend only on the returned
-    values, so a caller derives them once for a whole run. Under the NONE
-    law nothing is applied (V_a = V = g = 0) but the gains are still
-    evaluated with g = 0 so the schedule stays visible.
+    values. Under the NONE law nothing is applied (V_a = V = g = 0) but the
+    gains are still evaluated with g = 0 so the schedule stays visible.
     """
     cfg = cfg.validated(params)
-    profile = _profile_fn(cfg, params, r0)
+    profile, modulation, law = control_pieces(cfg, params, r0)
     growth = params.nu - params.mu
     deaths = params.rho * params.gamma
-
-    if cfg.law is VaccinationLaw.NONE:
-        gains = _gain_fn(cfg, params)
-
-        def control(t, N, I, negative):
-            dN = growth * N - deaths * I
-            h, h_dot, R_star, R_star_dot = profile(t, N, dN)
-            K_N, K_I = gains(h, h_dot, 0.0)
-            return 0.0, 0.0, 0.0, h, h_dot, R_star, R_star_dot, K_N, K_I, dN
-
-        return control
-
-    modulation = _modulation_fn(cfg, params, r0)
-    law = _law_fn(cfg, params, cfg.law is VaccinationLaw.SATURATED)
 
     def control(t, N, I, negative):
         dN = growth * N - deaths * I
@@ -474,8 +479,14 @@ def reference(
 def gain_schedule(
     cfg: ControlConfig, params: ModelParams, h: float, h_dot: float, g: float
 ) -> tuple[float, float]:
-    """Scheduled gains (K_N, K_I), as in ``_gain_fn``."""
-    return _gain_fn(cfg.validated(params), params)(h, h_dot, g)
+    """Scheduled gains (K_N, K_I), as in ``_law_fn``.
+
+    Evaluated through the NONE law, which reads only h, h_dot and g and
+    never forms the demand, so nu = 0 is fine here.
+    """
+    law = _law_fn(cfg.validated(params), params, VaccinationLaw.NONE)
+    K_N, K_I, _, _ = law(None, None, h, h_dot, None, None, g, None)
+    return K_N, K_I
 
 
 def g_signal(
@@ -514,11 +525,11 @@ def g_signal(
     return modulation(t, N, x.I)
 
 
-def _law_sample(cfg, params, t, x, ref, r0, saturate, negative) -> ControlSample:
+def _law_sample(cfg, params, t, x, ref, r0, kind, negative) -> ControlSample:
     cfg = cfg.validated(params)
     N = _require_population(x)
     g = _modulation_fn(cfg, params, r0)(t, N, x.I)
-    law = _law_fn(cfg, params, saturate)
+    law = _law_fn(cfg, params, kind)
     k_n, k_i, v_a, v = law(N, x.I, ref.h, ref.h_dot, ref.R_star, ref.R_star_dot, g, negative)
     return ControlSample(
         t=t, V_a=v_a, V=v, theta0=v_a < 0.0, theta1=v_a > 1.0, g=g,
@@ -532,7 +543,7 @@ def vaccination_saturated(
     ref: ReferenceSample, r0: float | None = None,
 ) -> ControlSample:
     """Clamped law: V = clamp(V_a, 0, 1)."""
-    return _law_sample(cfg, params, t, x, ref, r0, True, False)
+    return _law_sample(cfg, params, t, x, ref, r0, VaccinationLaw.SATURATED, False)
 
 
 def vaccination_unsaturated(
@@ -544,7 +555,7 @@ def vaccination_unsaturated(
     raw_min is the smallest state component before any reset and defaults
     to min(x); the fallback engages when it is < 0.
     """
-    return _law_sample(cfg, params, t, x, ref, r0, False,
+    return _law_sample(cfg, params, t, x, ref, r0, VaccinationLaw.UNSATURATED,
                        (min(x) if raw_min is None else raw_min) < 0.0)
 
 

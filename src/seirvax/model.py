@@ -175,8 +175,10 @@ def make_rate_fn(params: ModelParams):
     nu = params.nu
     g1r = params.immune_recovery_rate
     mu_sigma = mu + sigma
-    mu_gamma = mu + gamma
-    mu_omega = mu + omega
+    # negated once here: -mu * S parses as (-mu) * S and negation is exact
+    neg_mu = -mu
+    neg_mu_gamma = -(mu + gamma)
+    neg_mu_omega = -(mu + omega)
 
     def rate(S: float, E: float, I: float, R: float, V: float):
         N = S + E + I + R
@@ -188,10 +190,10 @@ def make_rate_fn(params: ModelParams):
         births = nu * N
         vaccinated = births * V
         return (
-            -mu * S + omega * R - incidence + births - vaccinated,
+            neg_mu * S + omega * R - incidence + births - vaccinated,
             incidence - mu_sigma * E,
-            -mu_gamma * I + sigma * E,
-            -mu_omega * R + g1r * I + vaccinated,
+            neg_mu_gamma * I + sigma * E,
+            neg_mu_omega * R + g1r * I + vaccinated,
         )
 
     return rate

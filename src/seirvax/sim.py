@@ -18,10 +18,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControlConfig, VaccinationLaw, _identity_residual, make_control_fn
+from .control import ControlConfig, VaccinationLaw, _identity_residual, control_pieces
 # Bound here only so the benchmark's tracer (perfbench/tracing.py) can look
-# up and wrap these names on this module; integrate itself goes through
-# make_control_fn, and gets its rate closure through this make_rate_fn.
+# up and wrap these names on this module; integrate itself composes the
+# pieces from control_pieces at each boundary, and gets its rate closure
+# through this make_rate_fn.
 from .control import (  # noqa: F401
     gain_schedule, modulation_identity_residual, reference,
     vaccination_saturated, vaccination_unsaturated,
@@ -168,9 +169,10 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-# Trajectory columns in the order make_control_fn returns their values. The
-# indicators theta0/theta1 and identity_residual depend only on these and
-# the state, so integrate derives them once per run after the loop.
+# Trajectory columns in the order each boundary packs them (the order
+# make_control_fn returns them in). The indicators theta0/theta1 and
+# identity_residual depend only on these and the state, so integrate
+# derives them once per run after the loop.
 _CONTROL_COLUMNS = (
     "va", "v", "g", "h", "h_dot", "r_star", "r_star_dot", "k_n", "k_i", "dn",
 )
@@ -187,12 +189,20 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     EXTINCT; a non-finite component ends it with BLOWUP. Inside a step, a
     stage population at or below the floor truncates as EXTINCT and a nan
     stage population as BLOWUP, keeping everything recorded so far.
+
+    Each boundary composes the controller from ``control_pieces`` (the
+    population rate, then profile, modulation and law) and packs its 19
+    values straight into the run's table; ``make_control_fn`` is the same
+    composition for one sample.
     """
     sc = scenario.resolved()
     dt = sc.dt
     n_steps = sc.step_count()
-    rate = make_rate_fn(sc.params)
-    control = make_control_fn(sc.control, sc.params, sc.x0.R)
+    params = sc.params
+    rate = make_rate_fn(params)
+    profile, modulation, law = control_pieces(sc.control, params, sc.x0.R)
+    growth = params.nu - params.mu
+    deaths = params.rho * params.gamma
 
     size = n_steps + 1
     # The table is the run's only storage: each step packs its row straight
@@ -245,10 +255,13 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
             reset_counts[k] = len(clamps)
             N = S + E + I + R
 
-        c = control(t, N, I, negative)
-        V = c[1]
+        dN = growth * N - deaths * I
+        h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+        g = modulation(t, N, I)
+        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
         d1S, d1E, d1I, d1R = rate(S, E, I, R, V)
-        pack(packed, k * row_bytes, t, S, E, I, R, d1S, d1E, d1I, d1R, *c)
+        pack(packed, k * row_bytes, t, S, E, I, R, d1S, d1E, d1I, d1R,
+             V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN)
         recorded = k + 1
 
         if k == n_steps:
@@ -282,7 +295,7 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     else:
         N = states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3]
         residual = _identity_residual(
-            sc.params.nu, sc.control.eps, sc.control.eps0, N, va, columns["g"]
+            params.nu, sc.control.eps, sc.control.eps0, N, va, columns["g"]
         )
     return Trajectory(
         scenario=sc,

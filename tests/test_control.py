@@ -28,6 +28,7 @@ from seirvax import (
     modulation_identity_residual,
     reference,
     stationary_tracking_level,
+    total_population_rate,
     tracking_bound,
     vaccination_saturated,
     vaccination_unsaturated,
@@ -121,6 +122,32 @@ class TestGainSchedule:
         assert k_i == 0.0
         _, k_i = gain_schedule(cfg, params, 0.0, 0.0, 0.0)
         assert k_i == 0.0
+
+    def test_gains_never_form_the_demand(self, params):
+        # the gains live in the law's closure; asking for them alone must
+        # not evaluate V_a's 1/(nu*N), which raises ZeroDivisionError at
+        # nu = 0, a config the NONE law accepts
+        p = replace(params, nu=0.0)
+        cfg = ControlConfig(law=VaccinationLaw.NONE)
+        v = cfg.validated(p)
+        h, h_dot, g = 0.2, 0.01, 0.3
+        k_n, k_i = gain_schedule(cfg, p, h, h_dot, g)
+        assert k_n == (-(v.K_R + (p.nu - p.mu) * v.K_Rd) * h - v.K_Rd * h_dot
+                       + v.eps0 * (1.0 - v.eps * g))
+        assert k_i == p.gamma * p.rho * v.K_Rd * h
+
+    def test_none_law_kernel_applies_nothing(self, params, outbreak_x0):
+        # nu = 0 and a family whose modulation divides by nu: under the NONE
+        # law neither the demand nor the configured family is evaluated
+        p = replace(params, nu=0.0)
+        cfg = ControlConfig(
+            law=VaccinationLaw.NONE, g_family=ModulationFamily.PROPORTIONAL_TO_RECOVERY
+        )
+        x = outbreak_x0
+        out = make_control_fn(cfg, p, R0)(12.5, x.N, x.I, True)
+        ref = reference(cfg, p, 12.5, x, R0)
+        k_n, k_i = gain_schedule(cfg, p, ref.h, ref.h_dot, 0.0)
+        assert out == (0.0, 0.0, 0.0, *ref, k_n, k_i, total_population_rate(p, x))
 
 
 class TestModulationFamilies:

@@ -29,6 +29,8 @@ from seirvax import (
     integrate,
 )
 
+from conftest import assert_rows_match_control_fn
+
 DIGESTS = Path(__file__).parent / "data" / "control_grid_digests.json"
 
 COLUMNS = (
@@ -94,6 +96,11 @@ def test_grid_covers_every_admissible_combination(recorded):
 @pytest.mark.parametrize("key", list(SCENARIOS))
 def test_columns_match_recorded_digests(key, recorded):
     assert trajectory_digest(integrate(SCENARIOS[key])) == recorded[key]
+
+
+@pytest.mark.parametrize("key", list(SCENARIOS))
+def test_rows_match_the_single_sample_controller(key):
+    assert_rows_match_control_fn(integrate(SCENARIOS[key]))
 
 
 if __name__ == "__main__":

@@ -36,6 +36,8 @@ from seirvax import (
 )
 from seirvax.control import _identity_residual
 
+from conftest import assert_rows_match_control_fn
+
 P = BASELINE_PARAMS
 count = st.floats(0.0, 1000.0)
 
@@ -138,16 +140,20 @@ def test_derived_columns_match_the_scalar_formula(nu, eps, eps0, samples):
     assert theta1.tolist() == [va > 1.0 for _, va, _ in samples]
 
 
+# An unclamped run that resets and leaves [0, 1].
+RESETTING_RUN = ScenarioConfig(
+    params=P,
+    x0=StateVec(400.0, 150.0, 250.0, 200.0),
+    control=ControlConfig(eps0=0.5, c=0.2, law=VaccinationLaw.UNSATURATED),
+    horizon=100.0,
+    dt=0.5,
+)
+
+
 def test_run_columns_match_the_scalar_formula():
     """integrate's derived columns equal the per-row scalar formula, on an
     unclamped run that resets and leaves [0, 1]."""
-    sc = ScenarioConfig(
-        params=P,
-        x0=StateVec(400.0, 150.0, 250.0, 200.0),
-        control=ControlConfig(eps0=0.5, c=0.2, law=VaccinationLaw.UNSATURATED),
-        horizon=100.0,
-        dt=0.5,
-    )
+    sc = RESETTING_RUN
     traj = integrate(sc)
     assert traj.reset_counts.sum() > 0 and traj.theta1.any()
     cfg = traj.scenario.control
@@ -160,3 +166,12 @@ def test_run_columns_match_the_scalar_formula():
     none = integrate(replace(sc, control=replace(sc.control, law=VaccinationLaw.NONE)))
     assert not none.identity_residual.any()
     assert not (none.theta0.any() or none.theta1.any())
+
+
+def test_resetting_run_rows_match_the_single_sample_controller():
+    """integrate composes the controller inline at each boundary; on the
+    unclamped run above, rows taken after a reset (negative = True) and
+    rows above 1 equal make_control_fn's output bit for bit."""
+    traj = integrate(RESETTING_RUN)
+    assert traj.theta1.any()
+    assert assert_rows_match_control_fn(traj) > 0

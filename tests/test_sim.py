@@ -19,6 +19,7 @@ from seirvax import (
     detect_steady_state,
     integrate,
 )
+from seirvax import sim
 from seirvax.errors import ConfigError
 
 
@@ -112,6 +113,51 @@ class TestTruncation:
         assert traj.halt_time == traj.t[-1] + sc.dt
         assert np.isnan(traj.va[-1]) and np.isnan(traj.v[-1])
         assert np.all(np.isfinite(traj.states)) and traj.N[-1] > 100.0
+
+
+class TestRateContract:
+    """integrate looks its rate closure up as seirvax.sim.make_rate_fn at
+    call time and calls it four times per step, plus once at the last
+    recorded boundary; the traced benchmark counts calls through that name."""
+
+    @staticmethod
+    def count_rate_calls(monkeypatch) -> list:
+        calls = [0]
+        make_rate_fn = sim.make_rate_fn
+
+        def counting_make_rate_fn(params):
+            rate = make_rate_fn(params)
+
+            def counted(S, E, I, R, V):
+                calls[0] += 1
+                return rate(S, E, I, R, V)
+
+            return counted
+
+        monkeypatch.setattr(sim, "make_rate_fn", counting_make_rate_fn)
+        return calls
+
+    def test_complete_run(self, monkeypatch):
+        calls = self.count_rate_calls(monkeypatch)
+        sc = replace(build_preset("fig2-saturated"), horizon=20.0, dt=0.1)
+        traj = integrate(sc)
+        assert traj.status is RunStatus.OK
+        steps = len(traj) - 1
+        assert steps == sc.step_count()
+        assert calls[0] == 4 * steps + 1
+
+    def test_run_cut_inside_a_step(self, monkeypatch):
+        # the blowup of TestTruncation: after the last recorded boundary's
+        # first stage, one to three more stages run, the last one raising
+        calls = self.count_rate_calls(monkeypatch)
+        sc = build_preset("fig2-saturated")
+        sc = replace(sc, control=replace(sc.control, c=-1.0), dt=0.1, horizon=800.0)
+        traj = integrate(sc)
+        assert traj.status is RunStatus.BLOWUP
+        assert traj.halt_time == traj.t[-1] + sc.dt
+        done = 4 * (len(traj) - 1) + 1
+        assert done + 1 <= calls[0] <= done + 3
+        assert calls[0] < 4 * sc.step_count() + 1
 
 
 class TestSteadyState:
