@@ -29,7 +29,7 @@ from .errors import (
     DegenerateProfileError,
     IndicatorMismatchError,
 )
-from .model import ModelParams, StateVec, _require_population, total_population_rate
+from .model import ModelParams, StateVec, _require_population
 
 
 class VaccinationLaw(enum.Enum):
@@ -173,22 +173,12 @@ def _decay_gap(cfg: ControlConfig, params: ModelParams, positive: bool = True) -
     return cfg.vartheta - pole
 
 
-class ReferenceSample(NamedTuple):
-    h: float
-    h_dot: float
-    R_star: float
-    R_star_dot: float
+class ControlSample(NamedTuple):
+    """One evaluated control instant: the 13 control values a recorded row
+    holds, in make_control_fn's order followed by the derived three."""
 
-
-@dataclass(frozen=True)
-class ControlSample:
-    """One evaluated control instant."""
-
-    t: float
     V_a: float
     V: float
-    theta0: bool
-    theta1: bool
     g: float
     h: float
     h_dot: float
@@ -196,14 +186,18 @@ class ControlSample:
     R_star_dot: float
     K_N: float
     K_I: float
+    dN: float
+    theta0: bool
+    theta1: bool
+    identity_residual: float
 
 
 # ---------------------------------------------------------------------------
 # Per-family pieces. Each resolves its selector and constants once and
 # returns a plain-float function; control_pieces picks the triple a run
-# composes at each step boundary, and the public helpers below wrap the
-# pieces for single samples. Each takes a validated config, so the guards
-# in validated() hold here.
+# composes at each step boundary, and make_control_fn composes for one
+# sample. Each takes a validated config, so the guards in validated() hold
+# here.
 
 def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Reference profile: profile(t, N, dN) -> (h, h_dot, R_star, R_star_dot).
@@ -273,28 +267,26 @@ def _switched_saturated_g(g1r, nu, eps, eps0, N, I, th0, th1):
     return ((eps0 * th0 + (eps0 - nu) * th1) * N - g1r * I) / (eps0 * eps * N * (th0 + th1))
 
 
-def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float | None):
+def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Closed-loop modulation: modulation(t, N, I) -> g.
 
     Either switched family engages the same two-branch automaton (the two
     enum members select the same design; they differ only in which branch
-    a standalone g_signal call exposes). The interior branch implies a
-    vaccination level equal to the immune recovery inflow over nu*N; when
-    that implied level exceeds 1 the design switches to the saturated
-    branch with the upper indicator, which is self-consistent because it
-    implies a level of 1 + (inflow ratio) > 1. The lower indicator's
-    branch is unreachable from nonnegative states (the implied level is
-    never negative). r0 (initial immune count) is only consulted by
-    DELAYED_TRACKING_ONSET.
+    g_signal exposes). The interior branch implies a vaccination level
+    equal to the immune recovery inflow over nu*N; when that implied level
+    exceeds 1 the design switches to the saturated branch with the upper
+    indicator, which is self-consistent because it implies a level of
+    1 + (inflow ratio) > 1. The lower indicator's branch is unreachable
+    from nonnegative states (the implied level is never negative). r0
+    (initial immune count) is only consulted by DELAYED_TRACKING_ONSET.
+    Only an applied law builds a modulation, so validated() has already
+    checked nu > 0 for the families that divide by it.
     """
     fam = cfg.g_family
     eps = cfg.eps
     eps0 = cfg.eps0
     nu = params.nu
     g1r = params.immune_recovery_rate
-    if fam in (ModulationFamily.PROPORTIONAL_TO_RECOVERY,
-               ModulationFamily.RECOVERY_MINUS_UNIT) and not nu > 0.0:
-        raise ConfigError("this modulation divides by nu; needs nu > 0")
 
     if fam is ModulationFamily.ZERO:
         modulation = _no_modulation
@@ -319,10 +311,6 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float | None):
             return (N - math.exp(neg_vartheta * t)) / (eps * N)
 
     elif fam is ModulationFamily.DELAYED_TRACKING_ONSET:
-        if r0 is None:
-            raise ConfigError(
-                "the delayed-onset modulation needs the initial immune count r0"
-            )
         a = params.mu + params.omega
         neg_a = -a
 
@@ -441,9 +429,11 @@ def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     extinction floor), I the infectious count, r0 the initial immune count
     and negative whether some state component was < 0 before any reset.
     The indicators (theta0 = V_a < 0, theta1 = V_a > 1) and the identity
-    residual are not evaluated here: they depend only on the returned
-    values. Under the NONE law nothing is applied (V_a = V = g = 0) but the
-    gains are still evaluated with g = 0 so the schedule stays visible.
+    residual depend only on the returned values, so the closure leaves them
+    out; ``control_sample`` adds them for one sample, as ``integrate`` does
+    once per run. Under the NONE law nothing is applied (V_a = V = g = 0)
+    but the gains are still evaluated with g = 0 so the schedule stays
+    visible.
     """
     cfg = cfg.validated(params)
     profile, modulation, law = control_pieces(cfg, params, r0)
@@ -461,53 +451,49 @@ def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
 
 
 # ---------------------------------------------------------------------------
-# Public single-sample helpers: thin wrappers over the pieces above.
+# Single samples: control_sample evaluates the whole law at one state and
+# time; g_signal exposes one branch of the switched design.
 
-def reference(
-    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, R0: float
-) -> ReferenceSample:
-    """Reference immune target at time t for a scenario that started with
-    R0 immune (profiles as in ``_profile_fn``)."""
+def control_sample(
+    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, r0: float,
+    negative: bool = False,
+) -> ControlSample:
+    """The controller at one sample: one ``make_control_fn`` call plus the
+    indicators theta0 = V_a < 0, theta1 = V_a > 1 and the identity residual.
+
+    x is the (post-reset) state at time t >= 0, r0 the initial immune count
+    and negative whether some component was < 0 before the reset. The
+    identity residual is the relative gap between nu*N*V_a and
+    eps0*(1 - eps*g)*N (``_identity_residual``), 0 under the NONE law, which
+    applies nothing. On a run's own samples the result equals the recorded
+    row bit for bit.
+    """
     cfg = cfg.validated(params)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     N = _require_population(x)
-    profile = _profile_fn(cfg, params, R0)
-    return ReferenceSample(*profile(t, N, total_population_rate(params, x)))
-
-
-def gain_schedule(
-    cfg: ControlConfig, params: ModelParams, h: float, h_dot: float, g: float
-) -> tuple[float, float]:
-    """Scheduled gains (K_N, K_I), as in ``_law_fn``.
-
-    Evaluated through the NONE law, which reads only h, h_dot and g and
-    never forms the demand, so nu = 0 is fine here.
-    """
-    law = _law_fn(cfg.validated(params), params, VaccinationLaw.NONE)
-    K_N, K_I, _, _ = law(None, None, h, h_dot, None, None, g, None)
-    return K_N, K_I
+    out = make_control_fn(cfg, params, r0)(t, N, x.I, negative)
+    V_a, g = out[0], out[2]
+    if cfg.law is VaccinationLaw.NONE:
+        residual = 0.0
+    else:
+        residual = float(_identity_residual(params.nu, cfg.eps, cfg.eps0, N, V_a, g))
+    return ControlSample(*out, V_a < 0.0, V_a > 1.0, residual)
 
 
 def g_signal(
-    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec,
-    theta0: bool, theta1: bool, r0: float | None = None,
+    cfg: ControlConfig, params: ModelParams, x: StateVec, theta0: bool, theta1: bool,
 ) -> float:
-    """Evaluate the configured modulation family at one sample.
+    """The switched design's g on the branch an indicator pattern selects.
 
-    The two switched branches validate the indicator pattern they are
-    defined for: SATURATED_BRANCH needs exactly one indicator up,
-    INTERIOR_BRANCH needs both down. r0 (initial immune count) is only
-    consulted by DELAYED_TRACKING_ONSET.
+    SATURATED_BRANCH needs exactly one indicator up, INTERIOR_BRANCH needs
+    both down. A run picks the branch itself (``_modulation_fn``); every
+    other family's g is ``control_sample(...).g``.
     """
     cfg = cfg.validated(params)
-    fam = cfg.g_family
-    if fam is ModulationFamily.ZERO:
-        return 0.0
-    modulation = _modulation_fn(cfg, params, r0)  # also checks the family's inputs
     N = _require_population(x)
     g1r = params.immune_recovery_rate
-    if fam is ModulationFamily.SATURATED_BRANCH:
+    if cfg.g_family is ModulationFamily.SATURATED_BRANCH:
         if (1 if theta0 else 0) + (1 if theta1 else 0) != 1:
             raise IndicatorMismatchError(
                 "the saturated branch applies only when exactly one "
@@ -515,63 +501,16 @@ def g_signal(
             )
         return _switched_saturated_g(g1r, params.nu, cfg.eps, cfg.eps0, N, x.I,
                                      1.0 if theta0 else 0.0, 1.0 if theta1 else 0.0)
-    if fam is ModulationFamily.INTERIOR_BRANCH:
+    if cfg.g_family is ModulationFamily.INTERIOR_BRANCH:
         if theta0 or theta1:
             raise IndicatorMismatchError(
                 "the interior branch applies only with both indicators down "
                 f"(got theta0={theta0!r}, theta1={theta1!r})"
             )
         return _switched_interior_g(g1r, cfg.eps, cfg.eps0, N, x.I)
-    return modulation(t, N, x.I)
-
-
-def _law_sample(cfg, params, t, x, ref, r0, kind, negative) -> ControlSample:
-    cfg = cfg.validated(params)
-    N = _require_population(x)
-    g = _modulation_fn(cfg, params, r0)(t, N, x.I)
-    law = _law_fn(cfg, params, kind)
-    k_n, k_i, v_a, v = law(N, x.I, ref.h, ref.h_dot, ref.R_star, ref.R_star_dot, g, negative)
-    return ControlSample(
-        t=t, V_a=v_a, V=v, theta0=v_a < 0.0, theta1=v_a > 1.0, g=g,
-        h=ref.h, h_dot=ref.h_dot, R_star=ref.R_star, R_star_dot=ref.R_star_dot,
-        K_N=k_n, K_I=k_i,
+    raise ConfigError(
+        f"g_signal evaluates the switched branches only, not {cfg.g_family.value!r}"
     )
-
-
-def vaccination_saturated(
-    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec,
-    ref: ReferenceSample, r0: float | None = None,
-) -> ControlSample:
-    """Clamped law: V = clamp(V_a, 0, 1)."""
-    return _law_sample(cfg, params, t, x, ref, r0, VaccinationLaw.SATURATED, False)
-
-
-def vaccination_unsaturated(
-    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec,
-    ref: ReferenceSample, r0: float | None = None, raw_min: float | None = None,
-) -> ControlSample:
-    """Unclamped law with positivity fallback (rules in ``_law_fn``).
-
-    raw_min is the smallest state component before any reset and defaults
-    to min(x); the fallback engages when it is < 0.
-    """
-    return _law_sample(cfg, params, t, x, ref, r0, VaccinationLaw.UNSATURATED,
-                       (min(x) if raw_min is None else raw_min) < 0.0)
-
-
-def modulation_identity_residual(
-    cfg: ControlConfig, params: ModelParams, x: StateVec, sample: ControlSample
-) -> float:
-    """Relative residual of nu*N*V_a against eps0*(1 - eps*g)*N.
-
-    With the scheduled gains the two sides agree algebraically; this is the
-    controller's central self-check. The scale includes the unmodulated
-    demand eps0*N so the measure stays well conditioned when the modulation
-    nulls the target exactly (g = 1/eps), where both sides collapse to
-    roundoff.
-    """
-    cfg = cfg.validated(params)
-    return float(_identity_residual(params.nu, cfg.eps, cfg.eps0, x.N, sample.V_a, sample.g))
 
 
 class TrackingCase(enum.Enum):

@@ -149,17 +149,6 @@ def derivative(params: ModelParams, x: StateVec, V: float) -> StateRate:
     return StateRate(*make_rate_fn(params)(S, E, I, R, V))
 
 
-def total_population_rate(params: ModelParams, x: StateVec) -> float:
-    """dN/dt = (nu - mu)*N - rho*gamma*I.
-
-    The vaccination input cancels out of the total: it only moves the
-    newborn stream between compartments.
-    """
-    S, E, I, R = x
-    N = S + E + I + R
-    return (params.nu - params.mu) * N - params.rho * params.gamma * I
-
-
 def make_rate_fn(params: ModelParams):
     """Plain-float closure over the vector field for integration hot loops.
 

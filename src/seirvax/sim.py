@@ -19,14 +19,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import ControlConfig, VaccinationLaw, _identity_residual, control_pieces
-# Bound here only so the benchmark's tracer (perfbench/tracing.py) can look
-# up and wrap these names on this module; integrate itself composes the
-# pieces from control_pieces at each boundary, and gets its rate closure
-# through this make_rate_fn.
-from .control import (  # noqa: F401
-    gain_schedule, modulation_identity_residual, reference,
-    vaccination_saturated, vaccination_unsaturated,
-)
 from .errors import ConfigError, SingularStateError
 from .model import (
     COMPONENT_NAMES,
@@ -36,6 +28,12 @@ from .model import (
     make_rate_fn,
 )
 from .positivity import ResetEvent, apply_reset
+
+# The benchmark's tracer (perfbench/tracing.py) still looks these five
+# names up on this module and wraps them; nothing calls them. Retargeting
+# the tracer onto control_pieces (ROADMAP.md, item 1) removes them.
+reference = gain_schedule = modulation_identity_residual = None
+vaccination_saturated = vaccination_unsaturated = None
 
 # Days of sustained near-zero rates required before a run counts as settled.
 STEADY_STATE_WINDOW_DAYS = 30.0

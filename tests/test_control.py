@@ -2,8 +2,9 @@
 modulation families, the closed-loop branch automaton, both laws, tracking
 bounds, and the closed-form design oracles.
 
-Frozen decimals were computed independently (exact rational arithmetic
-where possible) before being asserted here.
+Single samples go through control_sample (and g_signal for one branch of
+the switched design). Frozen decimals were computed independently (exact
+rational arithmetic where possible) before being asserted here.
 """
 
 import math
@@ -20,18 +21,13 @@ from seirvax import (
     StateVec,
     TrackingCase,
     VaccinationLaw,
+    control_sample,
     decay_design_g_ceiling,
     g_signal,
-    gain_schedule,
     immune_closed_form,
     make_control_fn,
-    modulation_identity_residual,
-    reference,
     stationary_tracking_level,
-    total_population_rate,
     tracking_bound,
-    vaccination_saturated,
-    vaccination_unsaturated,
 )
 from seirvax.errors import (
     ConfigError,
@@ -56,10 +52,14 @@ def switched_config(**overrides) -> ControlConfig:
     return ControlConfig(**base)
 
 
+# Pins h = r0/N with h_dot = 0, so a sample's gains are those of a chosen h.
+LEVEL = ControlConfig(h_family=ReferenceProfile.CONSTANT_LEVEL)
+
+
 class TestReferenceProfiles:
     def test_exponential_settling_at_start(self, params, outbreak_x0):
         cfg = ControlConfig(h_family=ReferenceProfile.EXP_SETTLING, c=0.2)
-        s = reference(cfg, params, 0.0, outbreak_x0, R0)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
         assert s.h == pytest.approx(0.2, rel=1e-14)
         assert s.h_dot == pytest.approx(0.16, rel=1e-14)
         assert s.R_star == pytest.approx(200.0, rel=1e-14)
@@ -70,7 +70,7 @@ class TestReferenceProfiles:
         cfg = ControlConfig(h_family=ReferenceProfile.EXP_SETTLING, c=0.2)
         n = outbreak_x0.N
         for t in (0.0, 1.3, 10.0, 57.0):
-            s = reference(cfg, params, t, outbreak_x0, R0)
+            s = control_sample(cfg, params, t, outbreak_x0, R0)
             decay = np.exp(-0.2 * t)
             assert s.R_star == pytest.approx(
                 decay * R0 + (1.0 - decay) * n, rel=1e-14
@@ -78,13 +78,13 @@ class TestReferenceProfiles:
 
     def test_pole_matched_profile(self, params, outbreak_x0):
         cfg = ControlConfig(h_family=ReferenceProfile.POLE_MATCHED)
-        s = reference(cfg, params, 0.0, outbreak_x0, R0)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
         assert s.R_star == pytest.approx(200.0, rel=1e-14)
         assert s.h_dot == pytest.approx(0.05647058823529412, rel=1e-12)
 
     def test_decay_design_profile(self, params, outbreak_x0):
         cfg = ControlConfig(h_family=ReferenceProfile.DECAY_DESIGN, vartheta=0.08)
-        s = reference(cfg, params, 0.0, outbreak_x0, R0)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
         assert s.R_star == pytest.approx(200.0, rel=1e-14)
         assert s.h_dot == pytest.approx(-0.014047058823529413, rel=1e-12)
 
@@ -94,11 +94,10 @@ class TestReferenceProfiles:
             vartheta=params.mu + params.omega,
         )
         with pytest.raises(DegenerateProfileError):
-            reference(cfg, params, 1.0, outbreak_x0, R0)
+            control_sample(cfg, params, 1.0, outbreak_x0, R0)
 
     def test_constant_level_reanchors(self, params, outbreak_x0):
-        cfg = ControlConfig(h_family=ReferenceProfile.CONSTANT_LEVEL)
-        s = reference(cfg, params, 37.5, outbreak_x0, R0)
+        s = control_sample(LEVEL, params, 37.5, outbreak_x0, R0)
         assert s.R_star == 200.0  # exact, by construction
         assert s.h_dot == 0.0
         assert s.R_star_dot == pytest.approx(-1.7237076648841356, rel=1e-12)
@@ -106,35 +105,41 @@ class TestReferenceProfiles:
     def test_negative_time_rejected(self, params, outbreak_x0):
         cfg = ControlConfig()
         with pytest.raises(ValueError):
-            reference(cfg, params, -0.1, outbreak_x0, R0)
+            control_sample(cfg, params, -0.1, outbreak_x0, R0)
 
 
 class TestGainSchedule:
-    def test_frozen_gains(self, params):
-        cfg = ControlConfig()  # K_R = K_Rd = 1, eps0 -> mu + omega
-        k_n, k_i = gain_schedule(cfg, params, h=0.2, h_dot=0.0, g=0.0)
-        assert k_n == pytest.approx(-0.12996078431372549, rel=1e-12)
-        assert k_i == pytest.approx(0.00909090909090909, rel=1e-12)
+    def test_frozen_gains(self, params, outbreak_x0):
+        # K_R = K_Rd = 1, eps0 -> mu + omega; h = 200/1000, h_dot = 0, g = 0
+        s = control_sample(LEVEL, params, 0.0, outbreak_x0, R0)
+        assert (s.h, s.h_dot, s.g) == (0.2, 0.0, 0.0)
+        assert s.K_N == pytest.approx(-0.12996078431372549, rel=1e-12)
+        assert s.K_I == pytest.approx(0.00909090909090909, rel=1e-12)
+        # g = 1/eps nulls the eps0 term, leaving the reference feedback alone
+        nulling = replace(LEVEL, g_family=ModulationFamily.CONSTANT_NULLING, eps=2.0)
+        s = control_sample(nulling, params, 0.0, outbreak_x0, R0)
+        assert s.g == 0.5
+        assert s.K_N == -(1.0 + (params.nu - params.mu)) * 0.2
 
-    def test_infectious_gain_vanishes_without_channel(self, params):
-        cfg = ControlConfig()
-        _, k_i = gain_schedule(cfg, replace(params, rho=0.0), 0.2, 0.0, 0.0)
-        assert k_i == 0.0
-        _, k_i = gain_schedule(cfg, params, 0.0, 0.0, 0.0)
-        assert k_i == 0.0
+    def test_infectious_gain_vanishes_without_channel(self, params, outbreak_x0):
+        s = control_sample(LEVEL, replace(params, rho=0.0), 0.0, outbreak_x0, R0)
+        assert s.K_I == 0.0
+        s = control_sample(LEVEL, params, 0.0, outbreak_x0, 0.0)  # h = 0
+        assert s.K_I == 0.0
 
-    def test_gains_never_form_the_demand(self, params):
-        # the gains live in the law's closure; asking for them alone must
-        # not evaluate V_a's 1/(nu*N), which raises ZeroDivisionError at
-        # nu = 0, a config the NONE law accepts
+    def test_gains_never_form_the_demand(self, params, outbreak_x0):
+        # nu = 0 is a config the NONE law accepts; V_a's 1/(nu*N) must not
+        # be evaluated (it would raise ZeroDivisionError), while the gains
+        # are still scheduled with g = 0
         p = replace(params, nu=0.0)
         cfg = ControlConfig(law=VaccinationLaw.NONE)
         v = cfg.validated(p)
-        h, h_dot, g = 0.2, 0.01, 0.3
-        k_n, k_i = gain_schedule(cfg, p, h, h_dot, g)
-        assert k_n == (-(v.K_R + (p.nu - p.mu) * v.K_Rd) * h - v.K_Rd * h_dot
-                       + v.eps0 * (1.0 - v.eps * g))
-        assert k_i == p.gamma * p.rho * v.K_Rd * h
+        s = control_sample(cfg, p, 12.5, outbreak_x0, R0)
+        assert (s.V_a, s.V, s.g) == (0.0, 0.0, 0.0)
+        assert s.K_N == (-(v.K_R + (p.nu - p.mu) * v.K_Rd) * s.h - v.K_Rd * s.h_dot
+                         + v.eps0 * (1.0 - v.eps * 0.0))
+        assert s.K_I == p.gamma * p.rho * v.K_Rd * s.h
+        assert (s.theta0, s.theta1, s.identity_residual) == (False, False, 0.0)
 
     def test_none_law_kernel_applies_nothing(self, params, outbreak_x0):
         # nu = 0 and a family whose modulation divides by nu: under the NONE
@@ -145,85 +150,84 @@ class TestGainSchedule:
         )
         x = outbreak_x0
         out = make_control_fn(cfg, p, R0)(12.5, x.N, x.I, True)
-        ref = reference(cfg, p, 12.5, x, R0)
-        k_n, k_i = gain_schedule(cfg, p, ref.h, ref.h_dot, 0.0)
-        assert out == (0.0, 0.0, 0.0, *ref, k_n, k_i, total_population_rate(p, x))
+        s = control_sample(replace(cfg, g_family=ModulationFamily.ZERO), p, 12.5, x, R0)
+        dN = (p.nu - p.mu) * x.N - p.rho * p.gamma * x.I
+        assert out == (0.0, 0.0, 0.0, s.h, s.h_dot, s.R_star, s.R_star_dot, s.K_N, s.K_I, dN)
 
 
 class TestModulationFamilies:
     def test_zero_family(self, params, outbreak_x0):
         cfg = ControlConfig(g_family=ModulationFamily.ZERO)
-        assert g_signal(cfg, params, 0.0, outbreak_x0, False, False) == 0.0
+        assert control_sample(cfg, params, 0.0, outbreak_x0, R0).g == 0.0
 
     def test_constant_nulling(self, params, outbreak_x0):
         cfg = ControlConfig(g_family=ModulationFamily.CONSTANT_NULLING, eps=2.0)
-        assert g_signal(cfg, params, 0.0, outbreak_x0, False, False) == 0.5
+        assert control_sample(cfg, params, 0.0, outbreak_x0, R0).g == 0.5
 
     def test_interior_branch(self, params, outbreak_x0):
         cfg = switched_config()
-        g = g_signal(cfg, params, 0.0, outbreak_x0, False, False)
+        g = g_signal(cfg, params, outbreak_x0, False, False)
         assert g == pytest.approx(0.7954545454545454, rel=1e-12)
         calm = StateVec(760.0, 40.0, 0.0, 200.0)
-        assert g_signal(cfg, params, 0.0, calm, False, False) == pytest.approx(
+        assert g_signal(cfg, params, calm, False, False) == pytest.approx(
             1.0 / cfg.eps, rel=1e-14
         )
 
     def test_saturated_branch(self, params, outbreak_x0):
         cfg = switched_config(g_family=ModulationFamily.SATURATED_BRANCH)
-        upper = g_signal(cfg, params, 0.0, outbreak_x0, False, True)
+        upper = g_signal(cfg, params, outbreak_x0, False, True)
         assert upper == pytest.approx(0.7821212121212121, rel=1e-12)
-        lower = g_signal(cfg, params, 0.0, outbreak_x0, True, False)
+        lower = g_signal(cfg, params, outbreak_x0, True, False)
         assert lower == pytest.approx(0.7954545454545454, rel=1e-12)
 
     def test_indicator_pattern_enforced(self, params, outbreak_x0):
         saturated = switched_config(g_family=ModulationFamily.SATURATED_BRANCH)
         for pattern in ((False, False), (True, True)):
             with pytest.raises(IndicatorMismatchError):
-                g_signal(saturated, params, 0.0, outbreak_x0, *pattern)
+                g_signal(saturated, params, outbreak_x0, *pattern)
         interior = switched_config()
         for pattern in ((False, True), (True, False), (True, True)):
             with pytest.raises(IndicatorMismatchError):
-                g_signal(interior, params, 0.0, outbreak_x0, *pattern)
+                g_signal(interior, params, outbreak_x0, *pattern)
+        # the other families have no branches to pick
+        with pytest.raises(ConfigError, match="switched branches only"):
+            g_signal(ControlConfig(), params, outbreak_x0, False, False)
 
     def test_immune_decay_design(self, params, outbreak_x0):
         cfg = ControlConfig(
             g_family=ModulationFamily.IMMUNE_DECAY_DESIGN, vartheta=0.08
         )
-        g = g_signal(cfg, params, 0.0, outbreak_x0, False, False)
+        g = control_sample(cfg, params, 0.0, outbreak_x0, R0).g
         assert g == pytest.approx(0.999, rel=1e-14)
 
     def test_delayed_onset(self, params, outbreak_x0):
         cfg = ControlConfig(g_family=ModulationFamily.DELAYED_TRACKING_ONSET)
-        assert g_signal(cfg, params, 0.0, outbreak_x0, False, False, r0=200.0) == 0.0
-        with pytest.raises(ConfigError):
-            g_signal(cfg, params, 1.0, outbreak_x0, False, False)
+        assert control_sample(cfg, params, 0.0, outbreak_x0, 200.0).g == 0.0
         # fully immune start with the pole-matched level: nothing to add
         full = StateVec(0.0, 0.0, 0.0, 1000.0)
         for t in (0.5, 5.0, 50.0):
-            g = g_signal(cfg, params, t, full, False, False, r0=1000.0)
+            g = control_sample(cfg, params, t, full, 1000.0).g
             assert g == pytest.approx(0.0, abs=1e-12)
 
     def test_recovery_proportional_families(self, params, outbreak_x0):
         prop = ControlConfig(g_family=ModulationFamily.PROPORTIONAL_TO_RECOVERY)
-        g = g_signal(prop, params, 0.0, outbreak_x0, False, False)
+        g = control_sample(prop, params, 0.0, outbreak_x0, R0).g
         assert g == pytest.approx(15.340909090909092, rel=1e-12)
 
         shifted = ControlConfig(g_family=ModulationFamily.RECOVERY_MINUS_UNIT)
-        g = g_signal(shifted, params, 0.0, outbreak_x0, False, False)
+        g = control_sample(shifted, params, 0.0, outbreak_x0, R0).g
         assert g == pytest.approx(14.340909090909092, rel=1e-12)
 
         sterile = replace(params, nu=0.0)
         for cfg in (prop, shifted):
             with pytest.raises(ConfigError):
-                g_signal(cfg, params=sterile, t=0.0, x=outbreak_x0,
-                         theta0=False, theta1=False)
+                control_sample(cfg, params=sterile, t=0.0, x=outbreak_x0, r0=R0)
 
 
 class TestClosedLoopAutomaton:
     def test_saturated_branch_engages_on_heavy_inflow(self, params, outbreak_x0):
         cfg = switched_config().validated(params)
-        ref = reference(cfg, params, 0.0, outbreak_x0, R0)
-        s = vaccination_saturated(cfg, params, 0.0, outbreak_x0, ref)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
         assert s.V_a == pytest.approx(16.340909090909093, rel=1e-12)
         assert s.g == pytest.approx(0.7821212121212121, rel=1e-12)
         assert s.V == 1.0
@@ -234,8 +238,7 @@ class TestClosedLoopAutomaton:
     def test_interior_branch_for_light_inflow(self, params):
         cfg = switched_config().validated(params)
         x = StateVec(700.0, 50.0, 10.0, 240.0)
-        ref = reference(cfg, params, 0.0, x, R0)
-        s = vaccination_saturated(cfg, params, 0.0, x, ref)
+        s = control_sample(cfg, params, 0.0, x, R0)
         assert s.V_a == pytest.approx(0.6136363636363636, rel=1e-12)
         assert s.g == pytest.approx(0.9918181818181818, rel=1e-12)
         assert not s.theta0 and not s.theta1
@@ -243,13 +246,12 @@ class TestClosedLoopAutomaton:
 
     def test_frozen_identity_values(self, params, outbreak_x0):
         cfg = switched_config().validated(params)
-        ref = reference(cfg, params, 0.0, outbreak_x0, R0)
-        s = vaccination_saturated(cfg, params, 0.0, outbreak_x0, ref)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
         actual = params.nu * outbreak_x0.N * s.V_a
         target = cfg.eps0 * (1.0 - cfg.eps * s.g) * outbreak_x0.N
         assert actual == pytest.approx(108.93939393939394, rel=1e-12)
         assert target == pytest.approx(108.93939393939394, rel=1e-12)
-        assert modulation_identity_residual(cfg, params, outbreak_x0, s) < 1e-12
+        assert s.identity_residual < 1e-12
 
     def test_identity_across_families_and_profiles(self, params, rng):
         # nu N V_a == eps0 (1 - eps g) N must hold for every family/profile
@@ -279,12 +281,8 @@ class TestClosedLoopAutomaton:
                 for _ in range(25):
                     x = random_state(rng)
                     t = float(rng.uniform(0.0, 100.0))
-                    ref = reference(cfg, params, t, x, R0=x.R + 1.0)
-                    s = vaccination_saturated(
-                        cfg, params, t, x, ref, r0=x.R
-                    )
-                    resid = modulation_identity_residual(cfg, params, x, s)
-                    assert resid < 1e-10, (g_family, h_family, x, t)
+                    s = control_sample(cfg, params, t, x, r0=x.R + 1.0)
+                    assert s.identity_residual < 1e-10, (g_family, h_family, x, t)
 
 
 class TestVaccinationLaws:
@@ -292,16 +290,14 @@ class TestVaccinationLaws:
         cfg = ControlConfig(
             eps0=0.5, g_family=ModulationFamily.RECOVERY_MINUS_UNIT
         ).validated(params)
-        ref = reference(cfg, params, 0.0, outbreak_x0, R0)
-        s = vaccination_saturated(cfg, params, 0.0, outbreak_x0, ref)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
         assert s.V_a == pytest.approx(-1000.5681818181819, rel=1e-12)
         assert s.theta0 and not s.theta1
         assert s.V == 0.0
 
     def test_theta_flags_follow_raw_level(self, params, outbreak_x0):
         cfg = ControlConfig(eps0=2.5 * params.nu).validated(params)
-        ref = reference(cfg, params, 0.0, outbreak_x0, R0)
-        s = vaccination_saturated(cfg, params, 0.0, outbreak_x0, ref)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
         assert s.V_a == pytest.approx(2.5, rel=1e-12)
         assert s.theta1 and not s.theta0
         assert s.V == 1.0
@@ -310,8 +306,7 @@ class TestVaccinationLaws:
         cfg = ControlConfig(
             eps0=2.5 * params.nu, law=VaccinationLaw.UNSATURATED
         ).validated(params)
-        ref = reference(cfg, params, 0.0, outbreak_x0, R0)
-        s = vaccination_unsaturated(cfg, params, 0.0, outbreak_x0, ref)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
         assert s.V == pytest.approx(2.5, rel=1e-12)
         assert s.V == s.V_a
 
@@ -319,10 +314,7 @@ class TestVaccinationLaws:
         cfg = ControlConfig(
             eps0=2.5 * params.nu, law=VaccinationLaw.UNSATURATED
         ).validated(params)
-        ref = reference(cfg, params, 0.0, outbreak_x0, R0)
-        s = vaccination_unsaturated(
-            cfg, params, 0.0, outbreak_x0, ref, raw_min=-1e-6
-        )
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0, negative=True)
         assert s.V == 1.0  # demand above 1 with a reset just applied
 
     def test_unsaturated_keeps_interior_demand_after_reset(
@@ -331,10 +323,7 @@ class TestVaccinationLaws:
         cfg = ControlConfig(
             eps0=0.5 * params.nu, law=VaccinationLaw.UNSATURATED
         ).validated(params)
-        ref = reference(cfg, params, 0.0, outbreak_x0, R0)
-        s = vaccination_unsaturated(
-            cfg, params, 0.0, outbreak_x0, ref, raw_min=-1e-6
-        )
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0, negative=True)
         assert s.V_a == pytest.approx(0.5, rel=1e-12)
         assert s.V == s.V_a
 
@@ -343,11 +332,8 @@ class TestVaccinationLaws:
             eps0=0.5, g_family=ModulationFamily.RECOVERY_MINUS_UNIT,
             law=VaccinationLaw.UNSATURATED,
         ).validated(params)
-        ref = reference(cfg, params, 0.0, outbreak_x0, R0)
-        for raw_min in (None, -1e-6):
-            s = vaccination_unsaturated(
-                cfg, params, 0.0, outbreak_x0, ref, raw_min=raw_min
-            )
+        for negative in (False, True):
+            s = control_sample(cfg, params, 0.0, outbreak_x0, R0, negative)
             assert s.V_a < 0.0 and s.V == 0.0
 
 
@@ -448,7 +434,7 @@ class TestClosedFormOracles:
         assert ceiling == pytest.approx(0.9055555555555556, rel=1e-12)
         # the design's own modulation exceeds the ceiling late in the run
         x = StateVec(800.0, 0.0, 0.0, 200.0)
-        g = g_signal(cfg, params, 200.0, x, False, False)
+        g = control_sample(cfg, params, 200.0, x, R0).g
         assert g > ceiling
 
 
@@ -509,15 +495,9 @@ class TestConfigValidation:
         # every helper validates its config first, so each rejects what
         # validated() rejects (here a negative eps0)
         bad = ControlConfig(eps0=-0.1)
-        ref = reference(ControlConfig(), params, 0.0, outbreak_x0, R0)
-        sample = vaccination_saturated(ControlConfig(), params, 0.0, outbreak_x0, ref)
         calls = (
-            lambda: reference(bad, params, 0.0, outbreak_x0, R0),
-            lambda: gain_schedule(bad, params, 0.2, 0.0, 0.0),
-            lambda: g_signal(bad, params, 0.0, outbreak_x0, False, False),
-            lambda: vaccination_saturated(bad, params, 0.0, outbreak_x0, ref),
-            lambda: vaccination_unsaturated(bad, params, 0.0, outbreak_x0, ref),
-            lambda: modulation_identity_residual(bad, params, outbreak_x0, sample),
+            lambda: control_sample(bad, params, 0.0, outbreak_x0, R0),
+            lambda: g_signal(bad, params, outbreak_x0, False, False),
             lambda: make_control_fn(bad, params, R0),
             lambda: tracking_bound(TrackingCase.CASE_II, params, bad, N2=1000.0),
             lambda: immune_closed_form(replace(bad, vartheta=0.08), params, 1.0, R0),

@@ -29,7 +29,7 @@ from seirvax import (
     integrate,
 )
 
-from conftest import assert_rows_match_control_fn
+from conftest import assert_rows_match_control_sample
 
 DIGESTS = Path(__file__).parent / "data" / "control_grid_digests.json"
 
@@ -100,7 +100,7 @@ def test_columns_match_recorded_digests(key, recorded):
 
 @pytest.mark.parametrize("key", list(SCENARIOS))
 def test_rows_match_the_single_sample_controller(key):
-    assert_rows_match_control_fn(integrate(SCENARIOS[key]))
+    assert_rows_match_control_sample(integrate(SCENARIOS[key]))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from seirvax import (
     forcing_vector,
     make_rate_fn,
     reconstruct_derivative,
-    total_population_rate,
 )
 from seirvax.errors import ConfigError, SingularStateError
 
@@ -46,7 +45,9 @@ class TestVectorField:
         assert d.dR == pytest.approx(88.15, abs=6e-3)
 
     def test_population_rate_closed_form(self, params, outbreak_x0):
-        dn = total_population_rate(params, outbreak_x0)
+        # dN = (nu - mu)*N - rho*gamma*I, as the controller evaluates it
+        cfg = sx.ControlConfig(law=sx.VaccinationLaw.NONE)
+        dn = sx.control_sample(cfg, params, 0.0, outbreak_x0, outbreak_x0.R).dN
         assert dn == pytest.approx(-8.618538324420678, rel=1e-12)
         d = derivative(params, outbreak_x0, 0.0)
         assert d.dN == pytest.approx(dn, abs=1e-10)
