@@ -142,14 +142,20 @@ class ControlConfig:
                     "switched modulation needs eps0 > max(nu, gamma*(1-rho)) "
                     f"= {floor!r}, got eps0 = {eps0!r}"
                 )
-        if (
-            cfg.h_family is ReferenceProfile.DECAY_DESIGN
-            and _decay_gap(cfg, params, positive=False) == 0.0
-        ):
-            raise DegenerateProfileError(
-                "the decay profile degenerates when vartheta equals mu + omega = "
-                f"{params.mu + params.omega!r}"
-            )
+        # a negative rate turns the profile's decaying exponential into one
+        # that grows until it overflows; a zero rate holds it constant
+        if cfg.h_family is ReferenceProfile.EXP_SETTLING and cfg.c < 0.0:
+            raise ConfigError(f"the section7 profile needs c >= 0, got {cfg.c!r}")
+        if cfg.h_family is ReferenceProfile.DECAY_DESIGN:
+            if _decay_gap(cfg, params, positive=False) == 0.0:
+                raise DegenerateProfileError(
+                    "the decay profile degenerates when vartheta equals mu + omega = "
+                    f"{params.mu + params.omega!r}"
+                )
+            if cfg.vartheta < 0.0:
+                raise ConfigError(
+                    f"the theorem6_ii profile needs vartheta >= 0, got {cfg.vartheta!r}"
+                )
         if cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN:
             _decay_gap(cfg, params)
         return cfg
@@ -175,7 +181,7 @@ def _decay_gap(cfg: ControlConfig, params: ModelParams, positive: bool = True) -
 
 class ControlSample(NamedTuple):
     """One evaluated control instant: the 13 control values a recorded row
-    holds, in make_control_fn's order followed by the derived three."""
+    holds, the ten a step boundary composes followed by the derived three."""
 
     V_a: float
     V: float
@@ -194,10 +200,10 @@ class ControlSample(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Per-family pieces. Each resolves its selector and constants once and
-# returns a plain-float function; control_pieces picks the triple a run
-# composes at each step boundary, and make_control_fn composes for one
-# sample. Each takes a validated config, so the guards in validated() hold
-# here.
+# returns a plain-float function; control_pieces picks the triple that
+# integrate composes at each step boundary and control_sample composes for
+# one sample. Each takes a validated config, so the guards in validated()
+# hold here.
 
 def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Reference profile: profile(t, N, dN) -> (h, h_dot, R_star, R_star_dot).
@@ -418,36 +424,20 @@ def _identity_residual(nu, eps, eps0, N, V_a, g):
         return np.where(scale == 0.0, 0.0, np.abs(actual - target) / scale)
 
 
-def make_control_fn(cfg: ControlConfig, params: ModelParams, r0: float):
-    """The closed-loop controller as a single-sample function.
+def _derived_values(cfg: ControlConfig, params: ModelParams, N, V_a, g):
+    """(theta0, theta1, identity_residual) from a validated config and the
+    samples' population N, demand V_a and modulation g.
 
-    Validates cfg and returns control(t, N, I, negative) -> (V_a, V, g, h,
-    h_dot, R_star, R_star_dot, K_N, K_I, dN), the composition of
-    ``control_pieces`` that the integrator spells out at each step
-    boundary, so its ten values equal a recorded row's control columns bit
-    for bit. N is the total population at the boundary (above the
-    extinction floor), I the infectious count, r0 the initial immune count
-    and negative whether some state component was < 0 before any reset.
-    The indicators (theta0 = V_a < 0, theta1 = V_a > 1) and the identity
-    residual depend only on the returned values, so the closure leaves them
-    out; ``control_sample`` adds them for one sample, as ``integrate`` does
-    once per run. Under the NONE law nothing is applied (V_a = V = g = 0)
-    but the gains are still evaluated with g = 0 so the schedule stays
-    visible.
+    theta0 = V_a < 0 and theta1 = V_a > 1 flag the demand leaving [0, 1];
+    the identity residual is ``_identity_residual``, and zero under the
+    NONE law, which applies nothing. Floats give bools and a 0-d array,
+    columns give columns.
     """
-    cfg = cfg.validated(params)
-    profile, modulation, law = control_pieces(cfg, params, r0)
-    growth = params.nu - params.mu
-    deaths = params.rho * params.gamma
-
-    def control(t, N, I, negative):
-        dN = growth * N - deaths * I
-        h, h_dot, R_star, R_star_dot = profile(t, N, dN)
-        g = modulation(t, N, I)
-        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
-        return V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN
-
-    return control
+    if cfg.law is VaccinationLaw.NONE:
+        residual = np.zeros(np.shape(V_a))
+    else:
+        residual = _identity_residual(params.nu, cfg.eps, cfg.eps0, N, V_a, g)
+    return V_a < 0.0, V_a > 1.0, residual
 
 
 # ---------------------------------------------------------------------------
@@ -458,27 +448,28 @@ def control_sample(
     cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, r0: float,
     negative: bool = False,
 ) -> ControlSample:
-    """The controller at one sample: one ``make_control_fn`` call plus the
-    indicators theta0 = V_a < 0, theta1 = V_a > 1 and the identity residual.
+    """The controller at one sample, composed from ``control_pieces`` the
+    way ``integrate`` composes it at each step boundary.
 
     x is the (post-reset) state at time t >= 0, r0 the initial immune count
-    and negative whether some component was < 0 before the reset. The
-    identity residual is the relative gap between nu*N*V_a and
-    eps0*(1 - eps*g)*N (``_identity_residual``), 0 under the NONE law, which
-    applies nothing. On a run's own samples the result equals the recorded
-    row bit for bit.
+    and negative whether some component was < 0 before the reset. The ten
+    composed values are followed by ``_derived_values``: the indicators and
+    the identity residual. On a run's own samples the result equals the
+    recorded row bit for bit.
     """
     cfg = cfg.validated(params)
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     N = _require_population(x)
-    out = make_control_fn(cfg, params, r0)(t, N, x.I, negative)
-    V_a, g = out[0], out[2]
-    if cfg.law is VaccinationLaw.NONE:
-        residual = 0.0
-    else:
-        residual = float(_identity_residual(params.nu, cfg.eps, cfg.eps0, N, V_a, g))
-    return ControlSample(*out, V_a < 0.0, V_a > 1.0, residual)
+    I = x.I
+    profile, modulation, law = control_pieces(cfg, params, r0)
+    dN = (params.nu - params.mu) * N - (params.rho * params.gamma) * I
+    h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+    g = modulation(t, N, I)
+    K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
+    theta0, theta1, residual = _derived_values(cfg, params, N, V_a, g)
+    return ControlSample(V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN,
+                         theta0, theta1, float(residual))
 
 
 def g_signal(

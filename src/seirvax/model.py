@@ -223,7 +223,6 @@ class MatrixVariant(enum.Enum):
 # Canonical representation used internally; the others exist for analysis
 # and cross-checks.
 CANONICAL_VARIANT = MatrixVariant.SPLIT_DRAIN_S_GAIN_I
-CANONICAL_VARIANT_WITH_BIRTH = MatrixVariant.SPLIT_DRAIN_S_GAIN_I_WITH_BIRTH
 
 
 class ForcingForm(enum.Enum):

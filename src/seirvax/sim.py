@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControlConfig, VaccinationLaw, _identity_residual, control_pieces
+from .control import ControlConfig, _derived_values, control_pieces
 from .errors import ConfigError, SingularStateError
 from .model import (
     COMPONENT_NAMES,
@@ -167,10 +167,10 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-# Trajectory columns in the order each boundary packs them (the order
-# make_control_fn returns them in). The indicators theta0/theta1 and
-# identity_residual depend only on these and the state, so integrate
-# derives them once per run after the loop.
+# Trajectory columns in the order each boundary packs them (ControlSample's
+# order). The indicators theta0/theta1 and identity_residual depend only on
+# these and the state, so integrate derives them once per run after the loop
+# (control._derived_values).
 _CONTROL_COLUMNS = (
     "va", "v", "g", "h", "h_dot", "r_star", "r_star_dot", "k_n", "k_i", "dn",
 )
@@ -190,7 +190,7 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
     Each boundary composes the controller from ``control_pieces`` (the
     population rate, then profile, modulation and law) and packs its 19
-    values straight into the run's table; ``make_control_fn`` is the same
+    values straight into the run's table; ``control_sample`` is the same
     composition for one sample.
     """
     sc = scenario.resolved()
@@ -287,14 +287,10 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     rows = table[:recorded]
     states = rows[:, 1:5]
     columns = {name: rows[:, j] for j, name in enumerate(_CONTROL_COLUMNS, 9)}
-    va = columns["va"]
-    if sc.control.law is VaccinationLaw.NONE:
-        residual = np.zeros(recorded)
-    else:
-        N = states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3]
-        residual = _identity_residual(
-            params.nu, sc.control.eps, sc.control.eps0, N, va, columns["g"]
-        )
+    N = states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3]
+    theta0, theta1, residual = _derived_values(
+        sc.control, params, N, columns["va"], columns["g"]
+    )
     return Trajectory(
         scenario=sc,
         status=status,
@@ -302,8 +298,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         t=rows[:, 0],
         states=states,
         rates=rows[:, 5:9],
-        theta0=va < 0.0,
-        theta1=va > 1.0,
+        theta0=theta0,
+        theta1=theta1,
         identity_residual=residual,
         reset_counts=reset_counts[:recorded],
         reset_events=tuple(reset_events),

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import InconsistentVerdictError, NonUniformGridError, NotApplicableError
 from .model import ModelParams
 
+# integral_test's tolerance on the pointwise identity residual, relative to N(0).
+POINTWISE_TOL = 1e-3
+
 
 class StabilityCriterion(enum.Enum):
     # Total population nonincreasing (births at or below deaths): every
@@ -217,13 +220,14 @@ class IntegralDiagnostic:
     consistent: bool
 
 
-def integral_test(traj, params: ModelParams, pointwise_tol: float = 1e-3) -> IntegralDiagnostic:
+def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
     """Quadrature check of the population/infectious integral identity.
 
     traj must expose uniform sample times `t`, infectious counts `I`, and
     totals `N` (any Trajectory from the engine qualifies). Requires the
     growing-births regime nu > mu; otherwise NotApplicableError. Uses
-    trapezoidal quadrature on the trajectory's own grid.
+    trapezoidal quadrature on the trajectory's own grid, with the pointwise
+    tolerance POINTWISE_TOL * N(0).
     """
     if params.nu <= params.mu:
         raise NotApplicableError(
@@ -260,7 +264,7 @@ def integral_test(traj, params: ModelParams, pointwise_tol: float = 1e-3) -> Int
         * float(np.exp((params.mu - params.nu) * horizon))
         / (params.nu - params.mu)
     )
-    tol_abs = pointwise_tol * n0
+    tol_abs = POINTWISE_TOL * n0
     consistent = max_pointwise <= tol_abs and abs(residual) <= tail_bound + tol_abs
     return IntegralDiagnostic(
         horizon=horizon,
@@ -269,7 +273,7 @@ def integral_test(traj, params: ModelParams, pointwise_tol: float = 1e-3) -> Int
         residual=residual,
         max_pointwise_residual=max_pointwise,
         tail_bound=tail_bound,
-        pointwise_tol=pointwise_tol,
+        pointwise_tol=POINTWISE_TOL,
         consistent=consistent,
     )
 

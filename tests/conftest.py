@@ -1,9 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from seirvax import BASELINE_PARAMS, StateVec, control_sample
+from seirvax import BASELINE_PARAMS, StateVec, control_sample, sim
 
 
 @pytest.fixture
@@ -55,3 +56,25 @@ def assert_rows_match_control_sample(traj) -> int:
         recorded = tuple(column[k] for column in columns)
         assert pack(*recorded) == pack(*expected), (k, recorded, expected)
     return negatives
+
+
+def nan_profile_from(monkeypatch, t_nan: float) -> None:
+    """Make every run's reference profile read nan from time t_nan on.
+
+    integrate looks control_pieces up on seirvax.sim when it starts, so the
+    wrapped profile reaches the step loop: at the first boundary with
+    t >= t_nan the demand V_a is nan, the clamp passes it through to V, and
+    the next stage population is nan, a blowup inside that boundary's step.
+    """
+    pieces = sim.control_pieces
+    nans = (math.nan,) * 4
+
+    def patched(cfg, params, r0):
+        profile, modulation, law = pieces(cfg, params, r0)
+
+        def late_nan(t, N, dN):
+            return nans if t >= t_nan else profile(t, N, dN)
+
+        return late_nan, modulation, law
+
+    monkeypatch.setattr(sim, "control_pieces", patched)

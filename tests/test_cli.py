@@ -17,6 +17,8 @@ from seirvax.cli import (
     read_trajectory_csv,
 )
 
+from conftest import nan_profile_from
+
 BASE_INI = """\
 [params]
 mu_days = 255
@@ -341,6 +343,39 @@ class TestConfigFiles:
         assert not (out / "trajectory.csv").exists()
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("line, control, message", [
+        ("c_days = 5", "c = -1", "c >= 0"),
+        ("h_family = section7", "h_family = theorem6_ii\nvartheta = -1.0", "vartheta >= 0"),
+    ])
+    def test_growing_reference_is_a_config_error(self, tmp_path, capsys, line, control,
+                                                 message):
+        # a negative settling rate (section7) or decay rate (theorem6_ii)
+        # makes the reference's exponential grow until math.exp overflows
+        ini = BASE_INI.replace(line, control)
+        ini = ini.replace("horizon = 2\ndt = 0.01", "horizon = 800\ndt = 0.1")
+        path = write_ini(tmp_path, ini)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and message in err[0]
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("line, control", [
+        ("c_days = 5", "c = 0"),
+        ("h_family = section7", "h_family = theorem6_ii\nvartheta = 0"),
+    ])
+    def test_zero_reference_rate_runs(self, tmp_path, capsys, line, control):
+        ini = BASE_INI.replace(line, control)
+        path = write_ini(tmp_path, ini)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        data = read_trajectory_csv(out / "trajectory.csv")
+        assert np.all(np.isfinite(data["R_star"]))
+
     @pytest.mark.parametrize("refs", ["I0_ref = inf\nN0_ref = inf",
                                       "I0_ref = 10\nN0_ref = inf",
                                       "I0_ref = nan\nN0_ref = 1000"])
@@ -484,10 +519,11 @@ dt = 0.01
         rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 4
 
-    def test_nan_inside_a_step_is_blowup(self, tmp_path, capsys):
-        # c < 0: the reference overflows and the stage population turns nan
-        ini = BASE_INI.replace("c_days = 5", "c = -1").replace(
-            "horizon = 2\ndt = 0.01", "horizon = 800\ndt = 0.1")
+    def test_nan_inside_a_step_is_blowup(self, tmp_path, capsys, monkeypatch):
+        # the reference reads nan from t = 703.8 on and the stage population
+        # turns nan
+        nan_profile_from(monkeypatch, 703.75)
+        ini = BASE_INI.replace("horizon = 2\ndt = 0.01", "horizon = 800\ndt = 0.1")
         path = write_ini(tmp_path, ini)
         out = tmp_path / "o"
         rc = main(["--config", str(path), "--out", str(out)])
@@ -576,11 +612,22 @@ class TestSweep:
         assert sweep_statuses(tmp_path / "sweep.csv") == ["error", "ok"]
         assert "c must be finite" in capsys.readouterr().err
 
-    def test_nan_inside_a_step_is_a_blowup_row(self, tmp_path):
-        rc = main(["--preset", "fig2-saturated", "--dt", "0.1", "--horizon", "800",
-                   "--sweep", "c=-1,0.2", "--out", str(tmp_path)])
+    def test_nan_inside_a_step_is_a_blowup_row(self, tmp_path, monkeypatch):
+        # only the longer run reaches the boundary where the reference
+        # turns nan
+        nan_profile_from(monkeypatch, 703.75)
+        rc = main(["--preset", "fig2-saturated", "--dt", "0.1",
+                   "--sweep", "horizon=800,700", "--out", str(tmp_path)])
         assert rc == 0
         assert sweep_statuses(tmp_path / "sweep.csv") == ["blowup", "ok"]
+
+    def test_growing_reference_fails_only_its_row(self, tmp_path, capsys):
+        rc = main(["--preset", "fig2-saturated", "--horizon", "5",
+                   "--sweep", "c=-1,0.2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert sweep_statuses(tmp_path / "sweep.csv") == ["error", "ok"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "c >= 0" in err[0]
 
     def test_degenerate_sweep_value_becomes_error_row(self, tmp_path):
         ini = DEGENERATE_DECAY_INI.replace("vartheta = 0.2", "vartheta = 0.3")

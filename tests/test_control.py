@@ -25,7 +25,6 @@ from seirvax import (
     decay_design_g_ceiling,
     g_signal,
     immune_closed_form,
-    make_control_fn,
     stationary_tracking_level,
     tracking_bound,
 )
@@ -149,10 +148,11 @@ class TestGainSchedule:
             law=VaccinationLaw.NONE, g_family=ModulationFamily.PROPORTIONAL_TO_RECOVERY
         )
         x = outbreak_x0
-        out = make_control_fn(cfg, p, R0)(12.5, x.N, x.I, True)
+        out = control_sample(cfg, p, 12.5, x, R0, True)
         s = control_sample(replace(cfg, g_family=ModulationFamily.ZERO), p, 12.5, x, R0)
         dN = (p.nu - p.mu) * x.N - p.rho * p.gamma * x.I
-        assert out == (0.0, 0.0, 0.0, s.h, s.h_dot, s.R_star, s.R_star_dot, s.K_N, s.K_I, dN)
+        assert out == (0.0, 0.0, 0.0, s.h, s.h_dot, s.R_star, s.R_star_dot, s.K_N, s.K_I, dN,
+                       False, False, 0.0)
 
 
 class TestModulationFamilies:
@@ -491,6 +491,19 @@ class TestConfigValidation:
                 g_family=ModulationFamily.IMMUNE_DECAY_DESIGN, vartheta=0.07
             ).validated(params)
 
+    def test_reference_rates_cannot_grow(self, params):
+        # exp(-c t) and exp(-vartheta t) must not grow; a zero rate holds
+        # them at 1, and a profile that does not read the rate ignores it
+        with pytest.raises(ConfigError, match="c >= 0"):
+            ControlConfig(c=-1e-9).validated(params)
+        with pytest.raises(ConfigError, match="vartheta >= 0"):
+            ControlConfig(h_family=ReferenceProfile.DECAY_DESIGN,
+                          vartheta=-1e-9).validated(params)
+        ControlConfig(c=0.0).validated(params)
+        ControlConfig(h_family=ReferenceProfile.DECAY_DESIGN, vartheta=0.0).validated(params)
+        ControlConfig(c=-1.0, h_family=ReferenceProfile.CONSTANT_LEVEL).validated(params)
+        ControlConfig(vartheta=-1.0).validated(params)
+
     def test_helpers_apply_the_same_guards(self, params, outbreak_x0):
         # every helper validates its config first, so each rejects what
         # validated() rejects (here a negative eps0)
@@ -498,7 +511,7 @@ class TestConfigValidation:
         calls = (
             lambda: control_sample(bad, params, 0.0, outbreak_x0, R0),
             lambda: g_signal(bad, params, outbreak_x0, False, False),
-            lambda: make_control_fn(bad, params, R0),
+            lambda: control_sample(bad, params, 12.5, outbreak_x0, R0, True),
             lambda: tracking_bound(TrackingCase.CASE_II, params, bad, N2=1000.0),
             lambda: immune_closed_form(replace(bad, vartheta=0.08), params, 1.0, R0),
             lambda: stationary_tracking_level(replace(bad, vartheta=0.08), params, 1.0),

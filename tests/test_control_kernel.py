@@ -15,6 +15,7 @@ on every family, profile and law.
 import math
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,10 +29,10 @@ from seirvax import (
     ScenarioConfig,
     StateVec,
     VaccinationLaw,
+    control_sample,
     integrate,
-    make_control_fn,
 )
-from seirvax.control import _identity_residual
+from seirvax.control import _derived_values, _identity_residual
 
 from conftest import assert_rows_match_control_sample
 
@@ -81,15 +82,15 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 def test_kernel_invariants(inputs):
     cfg, x, t, r0, negative = inputs
-    out = make_control_fn(cfg, P, r0)(t, x.N, x.I, negative)
-    V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN = out
+    s = control_sample(cfg, P, t, x, r0, negative)
+    V_a, V, g, dN = s.V_a, s.V, s.g, s.dN
 
     assert dN == (P.nu - P.mu) * x.N - P.rho * P.gamma * x.I
     if cfg.law is VaccinationLaw.NONE:
-        assert (V_a, V, g) == (0.0, 0.0, 0.0)
+        assert (V_a, V, g, s.identity_residual) == (0.0, 0.0, 0.0, 0.0)
         return
     residual = _identity_residual(P.nu, cfg.eps, cfg.eps0, x.N, V_a, g)
-    assert residual < 1e-10
+    assert residual < 1e-10 and s.identity_residual == residual
     if cfg.law is VaccinationLaw.SATURATED:
         assert 0.0 <= V <= 1.0
     else:
@@ -113,17 +114,22 @@ value = st.one_of(EDGE, st.floats())
     samples=st.lists(st.tuples(value, value, value), min_size=1, max_size=12),
 )
 def test_derived_columns_match_the_scalar_formula(nu, eps, eps0, samples):
+    # _derived_values reads only law, eps and eps0 of the config and nu of
+    # the parameters, so unvalidated constants can reach it here
+    cfg = SimpleNamespace(law=VaccinationLaw.SATURATED, eps=eps, eps0=eps0)
+    params = SimpleNamespace(nu=nu)
     N, V_a, g = (np.array(col, dtype=np.float64) for col in zip(*samples))
-    residual = _identity_residual(nu, eps, eps0, N, V_a, g)
+    theta0, theta1, residual = _derived_values(cfg, params, N, V_a, g)
     assert residual.dtype == np.float64 and residual.shape == N.shape
     for k, (n, va, gk) in enumerate(samples):
         expected = reference_residual(nu, eps, eps0, n, va, gk)
         assert bits(residual[k]) == bits(expected)
-        assert bits(_identity_residual(nu, eps, eps0, n, va, gk)) == bits(expected)
-    theta0 = V_a < 0.0
-    theta1 = V_a > 1.0
+        th0, th1, one = _derived_values(cfg, params, n, va, gk)
+        assert bits(one) == bits(expected) and (th0, th1) == (va < 0.0, va > 1.0)
     assert theta0.tolist() == [va < 0.0 for _, va, _ in samples]
     assert theta1.tolist() == [va > 1.0 for _, va, _ in samples]
+    cfg.law = VaccinationLaw.NONE
+    assert _derived_values(cfg, params, N, V_a, g)[2].tolist() == [0.0] * len(samples)
 
 
 # An unclamped run that resets and leaves [0, 1].

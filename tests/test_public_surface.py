@@ -24,5 +24,6 @@ def test_single_sample_surface_is_control_sample():
     for gone in (
         "reference", "gain_schedule", "vaccination_saturated", "vaccination_unsaturated",
         "modulation_identity_residual", "ReferenceSample", "total_population_rate",
+        "make_control_fn",
     ):
         assert not hasattr(seirvax, gone), gone

@@ -22,6 +22,12 @@ from seirvax import (
 from seirvax import sim
 from seirvax.errors import ConfigError
 
+from conftest import nan_profile_from
+
+# Between the grid points 703.7 and 703.8 at dt = 0.1: the row at 703.8 is
+# the first with a nan demand.
+NAN_ONSET = 703.75
+
 
 def _plain_scenario(params, x0, **overrides) -> ScenarioConfig:
     base = dict(
@@ -102,12 +108,12 @@ class TestTruncation:
         assert traj.halt_time is not None
         assert np.all(np.isfinite(traj.states))
 
-    def test_nan_inside_a_step_is_blowup(self):
-        # c < 0 makes the settling profile grow until h overflows to -inf at
-        # t = 703.8; the demand V_a is then nan, the clamp passes it through,
-        # and the next stage population is nan: a blowup, not an extinction.
-        sc = build_preset("fig2-saturated")
-        sc = replace(sc, control=replace(sc.control, c=-1.0), dt=0.1, horizon=800.0)
+    def test_nan_inside_a_step_is_blowup(self, monkeypatch):
+        # the profile reads nan from the boundary at t = 703.8 on; the demand
+        # V_a is then nan, the clamp passes it through, and the next stage
+        # population is nan: a blowup, not an extinction.
+        nan_profile_from(monkeypatch, NAN_ONSET)
+        sc = replace(build_preset("fig2-saturated"), dt=0.1, horizon=800.0)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert traj.halt_time == traj.t[-1] + sc.dt
@@ -150,8 +156,8 @@ class TestRateContract:
         # the blowup of TestTruncation: after the last recorded boundary's
         # first stage, one to three more stages run, the last one raising
         calls = self.count_rate_calls(monkeypatch)
-        sc = build_preset("fig2-saturated")
-        sc = replace(sc, control=replace(sc.control, c=-1.0), dt=0.1, horizon=800.0)
+        nan_profile_from(monkeypatch, NAN_ONSET)
+        sc = replace(build_preset("fig2-saturated"), dt=0.1, horizon=800.0)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert traj.halt_time == traj.t[-1] + sc.dt
