@@ -5,7 +5,13 @@ Core entry points:
     integrate(scenario)               run one scenario (fixed-step RK4)
     build_preset(name)                bundled scenarios
     detect_steady_state(traj)         settled-regime search
-    standard_verdicts(params)         stability profile
+    standard_verdicts(params)         stability profile; each verdict's
+                                      hypothesis_holds is derived from its
+                                      conditions
+    make_rate_fn(params)              the vector field, as
+                                      rate(S, E, I, R, V) -> (dS, dE, dI, dR)
+    build_matrix(params, x, variant)  one of the eight 4x4 factorizations,
+                                      as a bare ndarray
     control_sample(cfg, params, ...)  the feedback law at one state and time:
                                       every control value a recorded row holds
 """
@@ -14,7 +20,6 @@ from .errors import (
     ConfigError,
     DecompositionError,
     DegenerateProfileError,
-    InconsistentVerdictError,
     IndicatorMismatchError,
     NonUniformGridError,
     NotApplicableError,
@@ -25,14 +30,11 @@ from .model import (
     CANONICAL_VARIANT,
     COMPONENT_NAMES,
     N_FLOOR,
-    DynamicsMatrix,
     ForcingForm,
     MatrixVariant,
     ModelParams,
-    StateRate,
     StateVec,
     build_matrix,
-    derivative,
     forcing_vector,
     make_rate_fn,
     reconstruct_derivative,
@@ -101,9 +103,7 @@ __all__ = [
     "ConvergenceRow",
     "DecompositionError",
     "DegenerateProfileError",
-    "DynamicsMatrix",
     "ForcingForm",
-    "InconsistentVerdictError",
     "IndicatorMismatchError",
     "IntegralDiagnostic",
     "MatrixVariant",
@@ -124,7 +124,6 @@ __all__ = [
     "SingularStateError",
     "StabilityCriterion",
     "StabilityVerdict",
-    "StateRate",
     "StateVec",
     "SteadyState",
     "TrackingBound",
@@ -142,7 +141,6 @@ __all__ = [
     "convergence_study",
     "decay_design_g_ceiling",
     "decompose_star",
-    "derivative",
     "detect_steady_state",
     "forcing_vector",
     "g_signal",

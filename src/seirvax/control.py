@@ -146,6 +146,10 @@ class ControlConfig:
         # that grows until it overflows; a zero rate holds it constant
         if cfg.h_family is ReferenceProfile.EXP_SETTLING and cfg.c < 0.0:
             raise ConfigError(f"the section7 profile needs c >= 0, got {cfg.c!r}")
+        # the pole-matched profile divides by its pole
+        pole = params.mu + params.omega
+        if cfg.h_family is ReferenceProfile.POLE_MATCHED and not pole > 0.0:
+            raise ConfigError(f"the corollary2_i profile needs mu + omega > 0, got {pole!r}")
         if cfg.h_family is ReferenceProfile.DECAY_DESIGN:
             if _decay_gap(cfg, params, positive=False) == 0.0:
                 raise DegenerateProfileError(
@@ -528,10 +532,13 @@ class TrackingBound:
 
     case: TrackingCase
     R_bar: float
-    feasible: bool
     ratio: float
     immune_extinction: bool = False
     requires: str = ""
+
+    @property
+    def feasible(self) -> bool:
+        return self.ratio <= 1.0
 
 
 def tracking_bound(
@@ -557,7 +564,7 @@ def tracking_bound(
 
     def bound(ratio: float, requires: str, extinct: bool = False) -> TrackingBound:
         return TrackingBound(
-            case=case, R_bar=ratio * N2, feasible=ratio <= 1.0, ratio=ratio,
+            case=case, R_bar=ratio * N2, ratio=ratio,
             immune_extinction=extinct, requires=requires,
         )
 
@@ -576,7 +583,7 @@ def tracking_bound(
         req = "nu = eps0, lower indicator pinned up, upper never fires"
         if g1r == 0.0:
             return TrackingBound(
-                case=case, R_bar=0.0, feasible=True, ratio=0.0,
+                case=case, R_bar=0.0, ratio=0.0,
                 immune_extinction=True, requires=req + ", no immune inflow channel",
             )
         return bound(g1r / a, req)

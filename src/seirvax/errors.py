@@ -36,7 +36,3 @@ class NonUniformGridError(SeirvaxError):
 
 class NotApplicableError(SeirvaxError):
     """Diagnostic preconditions not met for this parameter set."""
-
-
-class InconsistentVerdictError(SeirvaxError):
-    """Stability verdict whose hypothesis flag disagrees with its conditions."""

@@ -8,6 +8,11 @@ vector field degree-1 homogeneous in the state.
 The vaccination input V routes the newborn stream nu*N: a fraction V goes
 straight to the immune compartment, the rest enters the susceptibles. V may
 leave [0, 1] (the laws upstream decide whether to clamp it).
+
+make_rate_fn is the one spelling of the vector field. build_matrix and
+forcing_vector factor it as a bare 4x4 matrix times the state plus an input
+vector, eight ways (MatrixVariant, ForcingForm); reconstruct_derivative
+rebuilds it from such a pair.
 """
 
 from __future__ import annotations
@@ -40,25 +45,6 @@ class StateVec(NamedTuple):
     def N(self) -> float:
         """Total population."""
         return self.S + self.E + self.I + self.R
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
-
-class StateRate(NamedTuple):
-    """Time derivative of a StateVec (counts per day).
-
-    Kept distinct from StateVec so counts and rates do not mix silently.
-    """
-
-    dS: float
-    dE: float
-    dI: float
-    dR: float
-
-    @property
-    def dN(self) -> float:
-        return self.dS + self.dE + self.dI + self.dR
 
     def as_array(self) -> np.ndarray:
         return np.array(self, dtype=float)
@@ -138,22 +124,11 @@ def _require_population(x) -> float:
     return N
 
 
-def derivative(params: ModelParams, x: StateVec, V: float) -> StateRate:
-    """Vector field of the vaccinated SEIR system.
-
-    V is the applied vaccination signal; it is used as given and may lie
-    outside [0, 1]. Raises SingularStateError when the total population is
-    at or below the extinction floor.
-    """
-    S, E, I, R = x
-    return StateRate(*make_rate_fn(params)(S, E, I, R, V))
-
-
 def make_rate_fn(params: ModelParams):
-    """Plain-float closure over the vector field for integration hot loops.
+    """The vaccinated SEIR vector field, as a plain-float closure.
 
-    Returns rate(S, E, I, R, V) -> (dS, dE, dI, dR), the formula behind
-    ``derivative`` without NamedTuple construction per call. Raises
+    Returns rate(S, E, I, R, V) -> (dS, dE, dI, dR). V is the applied
+    vaccination signal, used as given even outside [0, 1]. Raises
     SingularStateError at or below the extinction floor.
     """
     mu = params.mu
@@ -240,21 +215,7 @@ class ForcingForm(enum.Enum):
     BIRTH_INSIDE_MATRIX = "birth-inside-matrix"
 
 
-@dataclass(frozen=True)
-class DynamicsMatrix:
-    """A 4x4 state matrix instance with the variant that produced it."""
-
-    variant: MatrixVariant
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (4, 4):
-            raise ConfigError(f"entries must be 4x4, got shape {e.shape}")
-        object.__setattr__(self, "entries", e)
-
-
-def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> DynamicsMatrix:
+def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> np.ndarray:
     """Instantaneous state matrix for the given factoring variant.
 
     Row/column order is (S, E, I, R).
@@ -286,7 +247,7 @@ def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> Dy
     if variant.includes_birth_term:
         m[0] += params.nu
 
-    return DynamicsMatrix(variant=variant, entries=m)
+    return m
 
 
 def forcing_vector(params: ModelParams, x: StateVec, V: float, form: ForcingForm) -> np.ndarray:
@@ -307,8 +268,8 @@ def reconstruct_derivative(
     V: float,
     variant: MatrixVariant,
     form: ForcingForm,
-) -> StateRate:
-    """Rebuild the vector field as matrix*state + forcing.
+) -> np.ndarray:
+    """Rebuild the vector field as matrix*state + forcing, (dS, dE, dI, dR).
 
     The birth inflow must live in exactly one place, so the matrix variant
     and the forcing form have to agree on who carries it.
@@ -319,6 +280,5 @@ def reconstruct_derivative(
             f"forcing form {form.value!r} does not pair with variant {variant.value!r}: "
             "the birth inflow would be dropped or double-counted"
         )
-    m = build_matrix(params, x, variant).entries
-    rate = m @ np.asarray(x, dtype=float) + forcing_vector(params, x, V, form)
-    return StateRate(*rate)
+    m = build_matrix(params, x, variant)
+    return m @ np.asarray(x, dtype=float) + forcing_vector(params, x, V, form)

@@ -15,11 +15,13 @@ import numpy as np
 
 from .errors import DecompositionError
 from .model import (
-    DynamicsMatrix,
+    CANONICAL_VARIANT,
+    COMPONENT_NAMES,
     MatrixVariant,
     ModelParams,
     StateVec,
     _require_population,
+    build_matrix,
 )
 
 
@@ -30,34 +32,28 @@ class MetzlerReport:
     violating_entries holds (row, col, value) triples, 0-based indices.
     """
 
-    variant: MatrixVariant | None
-    is_metzler: bool
     min_offdiagonal: float
     violating_entries: tuple[tuple[int, int, float], ...]
 
+    @property
+    def is_metzler(self) -> bool:
+        return not self.violating_entries
+
 
 def check_metzler(matrix, tol: float = 0.0) -> MetzlerReport:
-    """Scan the actual off-diagonal entries of a matrix instance.
+    """Scan the actual off-diagonal entries of a square matrix.
 
-    Accepts a DynamicsMatrix or a plain square array. Entries below -tol
-    count as violations; tol=0 is the strict definition.
+    Entries below -tol count as violations; tol=0 is the strict definition.
     """
-    variant = None
-    if isinstance(matrix, DynamicsMatrix):
-        variant = matrix.variant
-        entries = matrix.entries
-    else:
-        entries = np.asarray(matrix, dtype=float)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {entries.shape}")
+    entries = np.asarray(matrix, dtype=float)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     off_mask = ~np.eye(entries.shape[0], dtype=bool)
     rows, cols = np.nonzero(off_mask & (entries < -tol))  # row-major order
     violations = tuple(
         (int(i), int(j), float(entries[i, j])) for i, j in zip(rows, cols)
     )
     return MetzlerReport(
-        variant=variant,
-        is_metzler=not violations,
         min_offdiagonal=float(entries[off_mask].min()),
         violating_entries=violations,
     )
@@ -92,16 +88,17 @@ def decompose_star(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the canonical state matrix into constant + state-varying parts.
 
-    Returns (A_const, B) with A_const + B equal to the canonical matrix at
-    x. A_const freezes the infectious fraction at the configured reference
-    (I0_ref/N0_ref, default 1) and carries no latent-gain coupling, so its
-    eigenvalues sit on the diagonal. B collects the difference in the
-    susceptible drain, B[0,0] = beta*(ref_fraction - I/N), plus the latent
-    gain B[1,2] = beta*S/N; both are nonnegative whenever the current
-    infectious fraction stays at or below the reference.
+    Returns (A_const, B). B collects the susceptible drain's excess over
+    the configured reference fraction (I0_ref/N0_ref, default 1),
+    B[0,0] = beta*(ref_fraction - I/N), plus the latent gain
+    B[1,2] = beta*S/N; both are nonnegative whenever the current infectious
+    fraction stays at or below the reference. A_const is the canonical
+    matrix at x minus B: it freezes the infectious fraction at the
+    reference and carries no latent-gain coupling, so its eigenvalues sit
+    on the diagonal.
 
-    With include_birth the rank-one newborn shift (+nu across the first
-    row) is folded into the constant part.
+    With include_birth the canonical matrix is its birth sibling, so the
+    rank-one newborn shift (+nu across the first row) lands in A_const.
 
     Raises DecompositionError when I/N exceeds the reference fraction.
     """
@@ -114,30 +111,27 @@ def decompose_star(
             f"infectious fraction {frac!r} exceeds reference {ref!r}; "
             "the varying part would go negative"
         )
-    mu = params.mu
-    a_const = np.array(
-        [
-            [-(mu + params.beta * ref), 0.0, 0.0, params.omega],
-            [0.0, -(mu + params.sigma), 0.0, 0.0],
-            [0.0, params.sigma, -(mu + params.gamma), 0.0],
-            [0.0, 0.0, params.immune_recovery_rate, -(mu + params.omega)],
-        ]
-    )
-    if include_birth:
-        a_const[0] += params.nu
     b = np.zeros((4, 4))
     b[0, 0] = params.beta * (ref - frac)
     b[1, 2] = params.beta * S / N
+    variant = (
+        MatrixVariant.SPLIT_DRAIN_S_GAIN_I_WITH_BIRTH if include_birth
+        else CANONICAL_VARIANT
+    )
+    a_const = build_matrix(params, x, variant) - b
     return a_const, b
 
 
 @dataclass(frozen=True)
 class NonnegativityReport:
-    ok: bool
     min_value: float
     # (record index, component index) of the worst entry when violating
     first_violation: tuple[int, int] | None
     violation_count: int
+
+    @property
+    def ok(self) -> bool:
+        return self.violation_count == 0
 
 
 def monitor_nonnegativity(states, tol: float = 1e-9) -> NonnegativityReport:
@@ -157,7 +151,6 @@ def monitor_nonnegativity(states, tol: float = 1e-9) -> NonnegativityReport:
         rows, cols = np.nonzero(bad)
         first = (int(rows[0]), int(cols[0]))
     return NonnegativityReport(
-        ok=count == 0,
         min_value=min_value,
         first_violation=first,
         violation_count=count,
@@ -169,9 +162,12 @@ class ResetEvent:
     """One clamped component at a step boundary."""
 
     t: float
-    component: str
     index: int
     value_before: float
+
+    @property
+    def component(self) -> str:
+        return COMPONENT_NAMES[self.index]
 
 
 def apply_reset(x: StateVec) -> tuple[StateVec, tuple[tuple[int, float], ...]]:

@@ -89,6 +89,8 @@ class ScenarioConfig:
         for name, v in zip(COMPONENT_NAMES, x0):
             if not math.isfinite(v) or v < 0.0:
                 raise ConfigError(f"initial {name} must be finite and >= 0, got {v!r}")
+        if not math.isfinite(x0.N):
+            raise ConfigError(f"initial population total must be finite, got {x0.N!r}")
         if not x0.N > N_FLOOR:
             raise ConfigError(f"initial population {x0.N!r} is at or below the floor")
         params = self.params
@@ -247,9 +249,7 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         if negative:
             (S, E, I, R), clamps = apply_reset(StateVec(S, E, I, R))
             for i, before in clamps:
-                reset_events.append(ResetEvent(
-                    t=t, component=COMPONENT_NAMES[i], index=i, value_before=before
-                ))
+                reset_events.append(ResetEvent(t=t, index=i, value_before=before))
             reset_counts[k] = len(clamps)
             N = S + E + I + R
 
@@ -309,11 +309,14 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Outcome of the settled-regime search."""
+    """Outcome of the settled-regime search; the default is not found."""
 
-    found: bool
-    t_ss: float | None
-    x_ss: StateVec | None
+    t_ss: float | None = None
+    x_ss: StateVec | None = None
+
+    @property
+    def found(self) -> bool:
+        return self.t_ss is not None
 
     @property
     def infected_fraction(self) -> float | None:
@@ -341,17 +344,17 @@ def detect_steady_state(traj: Trajectory, tol: float | None = None) -> SteadySta
     if w < 1:
         w = 1
     if n < w + 1:
-        return SteadyState(found=False, t_ss=None, x_ss=None)
+        return SteadyState()
     still = np.abs(traj.rates).max(axis=1) <= tol * traj.N
     # Windowed all-true via prefix sums of violations.
     bad = np.concatenate(([0], np.cumsum(~still, dtype=np.int64)))
     window_bad = bad[w + 1:] - bad[: n - w]
     hits = np.nonzero(window_bad == 0)[0]
     if hits.size == 0:
-        return SteadyState(found=False, t_ss=None, x_ss=None)
+        return SteadyState()
     k = int(hits[0])
     x_ss = StateVec(*(float(v) for v in traj.states[k : k + w + 1].mean(axis=0)))
-    return SteadyState(found=True, t_ss=float(traj.t[k]), x_ss=x_ss)
+    return SteadyState(t_ss=float(traj.t[k]), x_ss=x_ss)
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,19 @@ integral diagnostic that ties the simulated population decay to the
 infectious history.
 
 Each predicate returns a StabilityVerdict carrying every inequality it
-evaluated, so reports can show exactly which condition failed. Verdict ids
+evaluated, so reports can show exactly which condition failed; whether the
+hypothesis holds is derived from those conditions, never stored. Verdict ids
 (the enum values) are stable strings used in machine-readable output.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentVerdictError, NonUniformGridError, NotApplicableError
+from .errors import NonUniformGridError, NotApplicableError
 from .model import ModelParams
 
 # integral_test's tolerance on the pointwise identity residual, relative to N(0).
@@ -52,7 +53,6 @@ class ConditionCheck:
 @dataclass(frozen=True)
 class StabilityVerdict:
     criterion: StabilityCriterion
-    hypothesis_holds: bool
     conditions: tuple[ConditionCheck, ...]
     # False when a standing assumption fails and the criterion says nothing.
     applicable: bool = True
@@ -61,13 +61,10 @@ class StabilityVerdict:
     # that can never hold for admissible rates and exist only to be shown).
     flags: tuple[ConditionCheck, ...] = ()
 
-    def __post_init__(self):
-        # hard internal consistency: the verdict is exactly its conditions
-        if self.hypothesis_holds != all(c.satisfied for c in self.conditions):
-            raise InconsistentVerdictError(
-                f"{self.criterion.value}: hypothesis_holds={self.hypothesis_holds!r} "
-                "disagrees with its conditions"
-            )
+    @property
+    def hypothesis_holds(self) -> bool:
+        """The verdict is exactly its conditions."""
+        return all(c.satisfied for c in self.conditions)
 
     @property
     def title(self) -> str:
@@ -120,7 +117,6 @@ def check_population_nonincreasing(params: ModelParams) -> StabilityVerdict:
         )
     return StabilityVerdict(
         criterion=StabilityCriterion.POPULATION_NONINCREASING,
-        hypothesis_holds=all(c.satisfied for c in conditions),
         conditions=tuple(conditions),
         notes=notes,
     )
@@ -149,7 +145,6 @@ def check_mortality_absorbs_growth(params: ModelParams) -> StabilityVerdict:
         conditions.append(_cond("rho > 0", params.rho, 0.0, False))
     return StabilityVerdict(
         criterion=StabilityCriterion.MORTALITY_ABSORBS_GROWTH,
-        hypothesis_holds=all(c.satisfied for c in conditions),
         conditions=tuple(conditions),
         applicable=applicable,
         notes=() if applicable else ("births do not exceed deaths; criterion says nothing",),
@@ -188,7 +183,6 @@ def check_unforced_boundedness(params: ModelParams, case: int) -> StabilityVerdi
     )
     return StabilityVerdict(
         criterion=criterion,
-        hypothesis_holds=all(c.satisfied for c in conditions),
         conditions=tuple(conditions),
         flags=flags,
     )
@@ -207,7 +201,8 @@ class IntegralDiagnostic:
     e^{(mu-nu)T} N(T), and should not exceed tail_bound when the run is
     consistent with boundedness. max_pointwise_residual tracks the identity
     along the whole trajectory, in absolute population units; consistency
-    compares it against pointwise_tol * N(0).
+    compares it against pointwise_tol * N(0). conditions holds the two
+    inequalities; the run is consistent when both are satisfied.
     """
 
     horizon: float
@@ -217,7 +212,26 @@ class IntegralDiagnostic:
     max_pointwise_residual: float
     tail_bound: float
     pointwise_tol: float
-    consistent: bool
+
+    @property
+    def conditions(self) -> tuple[ConditionCheck, ConditionCheck]:
+        tol_abs = self.pointwise_tol * self.lhs
+        return (
+            _cond(
+                "max pointwise identity residual <= tol*N(0)",
+                self.max_pointwise_residual, tol_abs,
+                self.max_pointwise_residual <= tol_abs,
+            ),
+            _cond(
+                "|N(0) - integral| <= tail bound + tol*N(0)",
+                abs(self.residual), self.tail_bound + tol_abs,
+                abs(self.residual) <= self.tail_bound + tol_abs,
+            ),
+        )
+
+    @property
+    def consistent(self) -> bool:
+        return all(c.satisfied for c in self.conditions)
 
 
 def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
@@ -264,8 +278,6 @@ def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
         * float(np.exp((params.mu - params.nu) * horizon))
         / (params.nu - params.mu)
     )
-    tol_abs = POINTWISE_TOL * n0
-    consistent = max_pointwise <= tol_abs and abs(residual) <= tail_bound + tol_abs
     return IntegralDiagnostic(
         horizon=horizon,
         lhs=lhs,
@@ -274,7 +286,6 @@ def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
         max_pointwise_residual=max_pointwise,
         tail_bound=tail_bound,
         pointwise_tol=POINTWISE_TOL,
-        consistent=consistent,
     )
 
 
@@ -288,28 +299,13 @@ def integral_verdict(params: ModelParams, diag: IntegralDiagnostic | None) -> St
         )
         return StabilityVerdict(
             criterion=StabilityCriterion.POPULATION_INTEGRAL_IDENTITY,
-            hypothesis_holds=False,
             conditions=conditions,
             applicable=applicable,
             notes=("no trajectory diagnostic available",),
         )
-    tol_abs = diag.pointwise_tol * diag.lhs
-    conditions = (
-        _cond(
-            "max pointwise identity residual <= tol*N(0)",
-            diag.max_pointwise_residual, tol_abs,
-            diag.max_pointwise_residual <= tol_abs,
-        ),
-        _cond(
-            "|N(0) - integral| <= tail bound + tol*N(0)",
-            abs(diag.residual), diag.tail_bound + tol_abs,
-            abs(diag.residual) <= diag.tail_bound + tol_abs,
-        ),
-    )
     return StabilityVerdict(
         criterion=StabilityCriterion.POPULATION_INTEGRAL_IDENTITY,
-        hypothesis_holds=all(c.satisfied for c in conditions),
-        conditions=conditions,
+        conditions=diag.conditions,
     )
 
 

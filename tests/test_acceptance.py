@@ -200,10 +200,10 @@ class TestMetzlerScan:
                 m = build_matrix(p, x, variant)
                 report = check_metzler(m)
                 brute = tuple(
-                    (i, j, float(m.entries[i, j]))
+                    (i, j, float(m[i, j]))
                     for i in range(4)
                     for j in range(4)
-                    if i != j and m.entries[i, j] < 0.0
+                    if i != j and m[i, j] < 0.0
                 )
                 assert report.violating_entries == brute
                 assert report.is_metzler == (not brute)
@@ -217,7 +217,7 @@ class TestIntegratorOrder:
         p = replace(BASELINE_PARAMS, beta=0.0)
         m = build_matrix(
             p, outbreak_x0, MatrixVariant.SPLIT_DRAIN_S_GAIN_I_WITH_BIRTH
-        ).entries
+        )
         horizon = 50.0
         exact = scipy.linalg.expm(m * horizon) @ outbreak_x0.as_array()
 

@@ -71,6 +71,33 @@ horizon = 2
 dt = 0.01
 """
 
+# mu = omega = 0 with eps0 given: the corollary2_i profile has no pole to
+# divide by.
+POLE_FREE_INI = """\
+[params]
+mu = 0
+omega = 0
+beta = 1.66
+sigma_days = 2.2
+gamma_days = 2.2
+rho = 0.1
+nu_days = 150
+
+[control]
+law = saturated
+g_family = zero
+h_family = corollary2_i
+eps0 = 0.5
+
+[scenario]
+S0 = 400
+E0 = 150
+I0 = 250
+R0 = 200
+horizon = 2
+dt = 0.01
+"""
+
 # Births cannot keep up with mortality: the run goes extinct partway.
 COLLAPSE_INI = """\
 [params]
@@ -389,6 +416,32 @@ class TestConfigFiles:
         assert not (out / "trajectory.csv").exists()
         assert not (out / "report.txt").exists()
 
+    @pytest.mark.parametrize("refs", ["I0_ref = 1\nN0_ref = 1", ""])
+    def test_non_finite_initial_total_is_a_config_error(self, tmp_path, capsys, refs):
+        # each component is finite, their sum is not; with the references
+        # left unset the total must not reach them as a default either
+        ini = BASE_INI.replace("nu_days = 150", f"nu_days = 150\n{refs}")
+        for name in ("S0 = 400", "E0 = 150", "I0 = 250", "R0 = 200"):
+            ini = ini.replace(name, name.split(" = ")[0] + " = 1e308")
+        path = write_ini(tmp_path, ini)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == "error: initial population total must be finite, got inf"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_pole_free_corollary2_i_is_a_config_error(self, tmp_path, capsys):
+        path = write_ini(tmp_path, POLE_FREE_INI)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "mu + omega > 0" in err[0]
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.ini")])
         assert rc == 2
@@ -628,6 +681,17 @@ class TestSweep:
         assert sweep_statuses(tmp_path / "sweep.csv") == ["error", "ok"]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "c >= 0" in err[0]
+
+    def test_pole_free_sweep_value_becomes_error_row(self, tmp_path, capsys):
+        # the base file needs a pole of its own: main resolves it first
+        ini = POLE_FREE_INI.replace("omega = 0\n", "omega = 0.0666\n")
+        path = write_ini(tmp_path, ini)
+        rc = main(["--config", str(path), "--sweep", "omega=0,0.0666",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert sweep_statuses(tmp_path / "sweep.csv") == ["error", "ok"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "mu + omega > 0" in err[0]
 
     def test_degenerate_sweep_value_becomes_error_row(self, tmp_path):
         ini = DEGENERATE_DECAY_INI.replace("vartheta = 0.2", "vartheta = 0.3")

@@ -504,6 +504,16 @@ class TestConfigValidation:
         ControlConfig(c=-1.0, h_family=ReferenceProfile.CONSTANT_LEVEL).validated(params)
         ControlConfig(vartheta=-1.0).validated(params)
 
+    def test_pole_matched_profile_needs_a_pole(self, params):
+        # corollary2_i divides by mu + omega; eps0 given explicitly keeps
+        # the eps0 > 0 guard from catching a zero pole first
+        poleless = replace(params, mu=0.0, omega=0.0)
+        cfg = ControlConfig(h_family=ReferenceProfile.POLE_MATCHED, eps0=0.5)
+        with pytest.raises(ConfigError, match="mu \\+ omega > 0"):
+            cfg.validated(poleless)
+        cfg.validated(replace(poleless, omega=1e-9))
+        ControlConfig(eps0=0.5).validated(poleless)
+
     def test_helpers_apply_the_same_guards(self, params, outbreak_x0):
         # every helper validates its config first, so each rejects what
         # validated() rejects (here a negative eps0)

@@ -11,6 +11,7 @@ that sets out to alter model output re-records it with
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,10 +25,12 @@ from seirvax import (
     ModulationFamily,
     ReferenceProfile,
     ScenarioConfig,
+    StabilityCriterion,
     StateVec,
     VaccinationLaw,
     integrate,
 )
+from seirvax.cli import build_run_report, machine_items
 
 from conftest import assert_rows_match_control_sample
 
@@ -101,6 +104,22 @@ def test_columns_match_recorded_digests(key, recorded):
 @pytest.mark.parametrize("key", list(SCENARIOS))
 def test_rows_match_the_single_sample_controller(key):
     assert_rows_match_control_sample(integrate(SCENARIOS[key]))
+
+
+VERDICT_IDS = {c.value for c in StabilityCriterion}
+
+
+@pytest.mark.parametrize("key", list(SCENARIOS))
+def test_machine_block_is_finite(key):
+    # every [machine] value is a finite number, except scenario, status and
+    # the verdicts, which read 1, 0 or na
+    items = machine_items(build_run_report(integrate(SCENARIOS[key])))
+    verdicts = {k: v for k, v in items if k in VERDICT_IDS}
+    assert set(verdicts) == VERDICT_IDS
+    assert set(verdicts.values()) <= {"0", "1", "na"}
+    for name, value in items:
+        if name not in VERDICT_IDS and name not in ("scenario", "status"):
+            assert math.isfinite(float(value)), (name, value)
 
 
 if __name__ == "__main__":

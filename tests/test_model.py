@@ -16,7 +16,6 @@ from seirvax import (
     ModelParams,
     StateVec,
     build_matrix,
-    derivative,
     forcing_vector,
     make_rate_fn,
     reconstruct_derivative,
@@ -30,73 +29,70 @@ BASE_FORMS = (ForcingForm.VACCINE_PLUS_BIRTH_VECTOR, ForcingForm.BIRTH_ROUTED_CO
 
 class TestVectorField:
     def test_hand_computed_rates_at_outbreak_state(self, params, outbreak_x0):
-        d = derivative(params, outbreak_x0, 0.0)
-        assert d.dS == pytest.approx(-147.5686274509804, rel=1e-12)
-        assert d.dE == pytest.approx(97.22994652406418, rel=1e-12)
-        assert d.dI == pytest.approx(-46.4349376114082, rel=1e-12)
-        assert d.dR == pytest.approx(88.15508021390374, rel=1e-12)
+        dS, dE, dI, dR = make_rate_fn(params)(*outbreak_x0, 0.0)
+        assert dS == pytest.approx(-147.5686274509804, rel=1e-12)
+        assert dE == pytest.approx(97.22994652406418, rel=1e-12)
+        assert dI == pytest.approx(-46.4349376114082, rel=1e-12)
+        assert dR == pytest.approx(88.15508021390374, rel=1e-12)
 
     def test_two_decimal_reference_values(self, params, outbreak_x0):
         # coarse cross-check against independently rounded figures
-        d = derivative(params, outbreak_x0, 0.0)
-        assert d.dS == pytest.approx(-147.57, abs=5e-3)
-        assert d.dE == pytest.approx(97.23, abs=5e-3)
-        assert d.dI == pytest.approx(-46.43, abs=5e-3)
-        assert d.dR == pytest.approx(88.15, abs=6e-3)
+        dS, dE, dI, dR = make_rate_fn(params)(*outbreak_x0, 0.0)
+        assert dS == pytest.approx(-147.57, abs=5e-3)
+        assert dE == pytest.approx(97.23, abs=5e-3)
+        assert dI == pytest.approx(-46.43, abs=5e-3)
+        assert dR == pytest.approx(88.15, abs=6e-3)
 
     def test_population_rate_closed_form(self, params, outbreak_x0):
         # dN = (nu - mu)*N - rho*gamma*I, as the controller evaluates it
         cfg = sx.ControlConfig(law=sx.VaccinationLaw.NONE)
         dn = sx.control_sample(cfg, params, 0.0, outbreak_x0, outbreak_x0.R).dN
         assert dn == pytest.approx(-8.618538324420678, rel=1e-12)
-        d = derivative(params, outbreak_x0, 0.0)
-        assert d.dN == pytest.approx(dn, abs=1e-10)
+        d = make_rate_fn(params)(*outbreak_x0, 0.0)
+        assert sum(d) == pytest.approx(dn, abs=1e-10)
 
     def test_vaccination_routes_newborns_without_changing_total(
         self, params, outbreak_x0
     ):
         births = params.nu * outbreak_x0.N
-        d0 = derivative(params, outbreak_x0, 0.0)
-        d1 = derivative(params, outbreak_x0, 1.0)
-        assert d1.dS - d0.dS == pytest.approx(-births, rel=1e-12)
-        assert d1.dR - d0.dR == pytest.approx(births, rel=1e-12)
-        assert d1.dE == d0.dE and d1.dI == d0.dI
-        assert d1.dN == pytest.approx(d0.dN, abs=1e-10)
+        rate = make_rate_fn(params)
+        dS0, dE0, dI0, dR0 = d0 = rate(*outbreak_x0, 0.0)
+        dS1, dE1, dI1, dR1 = d1 = rate(*outbreak_x0, 1.0)
+        assert dS1 - dS0 == pytest.approx(-births, rel=1e-12)
+        assert dR1 - dR0 == pytest.approx(births, rel=1e-12)
+        assert dE1 == dE0 and dI1 == dI0
+        assert sum(d1) == pytest.approx(sum(d0), abs=1e-10)
 
     def test_degree_one_homogeneity(self, params, outbreak_x0):
-        d1 = derivative(params, outbreak_x0, 0.37)
+        rate = make_rate_fn(params)
+        d1 = rate(*outbreak_x0, 0.37)
         for lam in (0.125, 3.0, 41.5):
-            scaled = StateVec(*(lam * v for v in outbreak_x0))
-            dl = derivative(params, scaled, 0.37)
+            dl = rate(*(lam * v for v in outbreak_x0), 0.37)
             for a, b in zip(dl, d1):
                 assert a == pytest.approx(lam * b, rel=1e-12)
 
-    def test_rate_closure_matches_derivative(self, params, rng):
-        rate = make_rate_fn(params)
-        for _ in range(200):
-            x = random_state(rng)
-            v = float(rng.uniform(-0.5, 1.5))
-            assert rate(*x, v) == tuple(derivative(params, x, v))
-
     def test_zero_population_is_singular(self, params):
-        dead = StateVec(0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(SingularStateError):
-            derivative(params, dead, 0.0)
         with pytest.raises(SingularStateError) as caught:
             make_rate_fn(params)(0.0, 0.0, 0.0, 0.0, 0.0)
         assert caught.value.total == 0.0
+        with pytest.raises(SingularStateError):
+            build_matrix(params, StateVec(0.0, 0.0, 0.0, 0.0), sx.CANONICAL_VARIANT)
 
     def test_nan_population_is_singular_and_carries_its_total(self, params):
         with pytest.raises(SingularStateError) as caught:
             make_rate_fn(params)(1.0, math.nan, 1.0, 1.0, 0.0)
         assert math.isnan(caught.value.total)
 
-    def test_state_and_rate_containers(self, outbreak_x0):
+    def test_state_and_rate_containers(self, params, outbreak_x0):
         assert outbreak_x0.N == 1000.0
         arr = outbreak_x0.as_array()
         assert arr.dtype == float and arr.shape == (4,)
-        r = sx.StateRate(1.0, 2.0, 3.0, -4.0)
-        assert r.dN == 2.0
+        # a rate is a plain (dS, dE, dI, dR) tuple, summing to dN
+        d = make_rate_fn(params)(1.0, 2.0, 3.0, 4.0, 0.0)
+        assert type(d) is tuple and len(d) == 4
+        assert sum(d) == pytest.approx(
+            (params.nu - params.mu) * 10.0 - params.rho * params.gamma * 3.0, rel=1e-12
+        )
 
 
 class TestParamsValidation:
@@ -160,14 +156,15 @@ class TestMatrixRepresentations:
             [0.0, 0.45454545454545453, -0.4584670231729055, 0.0],
             [0.0, 0.0, 0.4090909090909091, -0.07058823529411765],
         ])
-        np.testing.assert_allclose(m.entries, expected, rtol=1e-12, atol=0.0)
+        assert isinstance(m, np.ndarray) and m.shape == (4, 4)
+        np.testing.assert_allclose(m, expected, rtol=1e-12, atol=0.0)
 
     def test_bilinear_attribution_placement(self, params, outbreak_x0):
         foi = params.beta * outbreak_x0.I / outbreak_x0.N  # 0.415
         contact = params.beta * outbreak_x0.S / outbreak_x0.N  # 0.664
-        a1 = build_matrix(params, outbreak_x0, MatrixVariant.BILINEAR_VIA_S).entries
-        a2 = build_matrix(params, outbreak_x0, MatrixVariant.BILINEAR_VIA_I).entries
-        a3 = build_matrix(params, outbreak_x0, MatrixVariant.SPLIT_DRAIN_I_GAIN_S).entries
+        a1 = build_matrix(params, outbreak_x0, MatrixVariant.BILINEAR_VIA_S)
+        a2 = build_matrix(params, outbreak_x0, MatrixVariant.BILINEAR_VIA_I)
+        a3 = build_matrix(params, outbreak_x0, MatrixVariant.SPLIT_DRAIN_I_GAIN_S)
         # drain in the S column, gain from the S column
         assert a1[0, 0] == pytest.approx(-(params.mu + foi), rel=1e-14)
         assert a1[1, 0] == pytest.approx(foi, rel=1e-14)
@@ -188,8 +185,8 @@ class TestMatrixRepresentations:
             if variant.includes_birth_term:
                 continue
             sibling = MatrixVariant(variant.value + "_0")
-            base = build_matrix(params, outbreak_x0, variant).entries
-            lifted = build_matrix(params, outbreak_x0, sibling).entries
+            base = build_matrix(params, outbreak_x0, variant)
+            lifted = build_matrix(params, outbreak_x0, sibling)
             diff = lifted - base
             np.testing.assert_allclose(diff[0], params.nu, rtol=1e-14)
             np.testing.assert_allclose(diff[1:], 0.0, atol=0.0)
@@ -197,7 +194,7 @@ class TestMatrixRepresentations:
     def test_zero_transmission_makes_mixed_variants_metzler(self, outbreak_x0):
         p = ModelParams(mu=0.01, omega=0.05, beta=0.0, sigma=0.4, gamma=0.4,
                         rho=0.2, nu=0.005)
-        m = build_matrix(p, outbreak_x0, MatrixVariant.BILINEAR_VIA_I).entries
+        m = build_matrix(p, outbreak_x0, MatrixVariant.BILINEAR_VIA_I)
         off = m[~np.eye(4, dtype=bool)]
         assert off.min() >= 0.0
 
@@ -206,7 +203,7 @@ class TestMatrixRepresentations:
         for _ in range(1000):
             x = random_state(rng)
             v = float(rng.uniform(-0.2, 1.2))
-            d = np.array(derivative(params, x, v))
+            d = np.array(make_rate_fn(params)(*x, v))
             scale = np.maximum(1.0, np.abs(d))
             for variant in MatrixVariant:
                 forms = (
@@ -215,9 +212,7 @@ class TestMatrixRepresentations:
                     else BASE_FORMS
                 )
                 for form in forms:
-                    rebuilt = np.array(
-                        reconstruct_derivative(params, x, v, variant, form)
-                    )
+                    rebuilt = reconstruct_derivative(params, x, v, variant, form)
                     assert np.all(np.abs(rebuilt - d) <= 1e-10 * scale)
 
     def test_variant_form_pairing_enforced(self, params, outbreak_x0):

@@ -27,3 +27,13 @@ def test_single_sample_surface_is_control_sample():
         "make_control_fn",
     ):
         assert not hasattr(seirvax, gone), gone
+
+
+def test_model_records_restate_nothing():
+    # make_rate_fn is the one vector field, build_matrix returns a bare
+    # array, and a verdict's flag is derived from its conditions
+    assert {"make_rate_fn", "build_matrix", "StabilityVerdict"} <= set(seirvax.__all__)
+    for gone in ("derivative", "StateRate", "DynamicsMatrix", "InconsistentVerdictError"):
+        assert not hasattr(seirvax, gone), gone
+        for module in (seirvax.model, seirvax.errors, seirvax.stability):
+            assert not hasattr(module, gone), (module.__name__, gone)

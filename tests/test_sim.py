@@ -12,6 +12,7 @@ from seirvax import (
     RunStatus,
     ScenarioConfig,
     StateVec,
+    SteadyState,
     Trajectory,
     VaccinationLaw,
     build_preset,
@@ -193,6 +194,7 @@ class TestSteadyState:
         ss = detect_steady_state(integrate(sc))
         assert not ss.found and ss.t_ss is None and ss.x_ss is None
         assert ss.infected_fraction is None
+        assert ss == SteadyState()
 
     def test_growing_population_never_settles(self):
         # total population climbs ~0.3% per day, far above the tolerance
@@ -283,6 +285,12 @@ class TestScenarioValidation:
             _plain_scenario(params, StateVec(0.0, 0.0, 0.0, 0.0)).resolved()
         with pytest.raises(ConfigError):
             _plain_scenario(params, StateVec(float("nan"), 0.0, 0.0, 10.0)).resolved()
+        # every component is finite but their sum overflows; the check comes
+        # before the references default to that total
+        huge = StateVec(1e308, 1e308, 1e308, 1e308)
+        for p in (params, params.with_references(1.0, 1.0)):
+            with pytest.raises(ConfigError, match="initial population total must be finite"):
+                _plain_scenario(p, huge).resolved()
 
     def test_resolved_fills_references_and_gains(self, params, outbreak_x0):
         sc = ScenarioConfig(params=params, x0=outbreak_x0).resolved()

@@ -18,11 +18,7 @@ from seirvax import (
     integral_verdict,
     standard_verdicts,
 )
-from seirvax.errors import (
-    InconsistentVerdictError,
-    NonUniformGridError,
-    NotApplicableError,
-)
+from seirvax.errors import NonUniformGridError, NotApplicableError
 
 
 def _by_name(verdict, name):
@@ -164,11 +160,20 @@ class TestIntegralIdentity:
         diag = IntegralDiagnostic(
             horizon=100.0, lhs=1000.0, rhs=990.0, residual=10.0,
             max_pointwise_residual=0.5, tail_bound=50.0, pointwise_tol=1e-3,
-            consistent=True,
         )
+        assert diag.consistent
         verdict = integral_verdict(params, diag)
         assert verdict.criterion.value == "T3_integral"
         assert verdict.hypothesis_holds and verdict.applicable
+        assert verdict.conditions == diag.conditions
+        pointwise, horizon = diag.conditions
+        assert (pointwise.lhs, pointwise.rhs) == (0.5, 1.0)
+        assert (horizon.lhs, horizon.rhs) == (10.0, 51.0)
+        # either inequality alone breaks consistency and the verdict
+        for broken in (replace(diag, max_pointwise_residual=1.5),
+                       replace(diag, residual=-51.5)):
+            assert not broken.consistent
+            assert not integral_verdict(params, broken).hypothesis_holds
 
     def test_verdict_without_diagnostic(self, params):
         verdict = integral_verdict(params, None)
@@ -194,14 +199,31 @@ class TestStandardVerdicts:
         diag = IntegralDiagnostic(
             horizon=1.0, lhs=1.0, rhs=1.0, residual=0.0,
             max_pointwise_residual=0.0, tail_bound=1.0, pointwise_tol=1e-3,
-            consistent=True,
         )
         verdicts = standard_verdicts(params, diag)
         assert verdicts[2].hypothesis_holds
 
-    def test_inconsistent_verdict_raises(self, params):
+    def test_hypothesis_holds_is_all_conditions(self, params):
+        diags = (
+            None,
+            IntegralDiagnostic(
+                horizon=1.0, lhs=1.0, rhs=1.0, residual=0.0,
+                max_pointwise_residual=0.0, tail_bound=1.0, pointwise_tol=1e-3,
+            ),
+            IntegralDiagnostic(
+                horizon=1.0, lhs=1.0, rhs=0.0, residual=1.0,
+                max_pointwise_residual=0.0, tail_bound=0.0, pointwise_tol=1e-3,
+            ),
+        )
+        for p in (params, replace(params, nu=params.mu), replace(params, mu=0.0)):
+            for diag in diags:
+                for v in standard_verdicts(p, diag):
+                    assert v.hypothesis_holds == all(
+                        c.satisfied for c in v.conditions
+                    ), v.criterion
+        # the flag is derived, so a verdict cannot be built disagreeing with it
         verdict = standard_verdicts(params)[0]
-        with pytest.raises(InconsistentVerdictError):
+        with pytest.raises(TypeError):
             StabilityVerdict(
                 criterion=verdict.criterion,
                 hypothesis_holds=not verdict.hypothesis_holds,
