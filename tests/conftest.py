@@ -1,10 +1,18 @@
+import hashlib
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seirvax import BASELINE_PARAMS, StateVec, control_sample, sim
+from seirvax.cli import build_run_report, render_report
+
+# sha256 of the whole report.txt text of every bundled preset ("presets")
+# and of every control-grid combination ("grid"); re-recorded with
+#     PYTHONPATH=src python tests/test_artifacts.py
+REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 
 
 @pytest.fixture
@@ -56,6 +64,11 @@ def assert_rows_match_control_sample(traj) -> int:
         recorded = tuple(column[k] for column in columns)
         assert pack(*recorded) == pack(*expected), (k, recorded, expected)
     return negatives
+
+
+def report_sha256(traj) -> str:
+    """sha256 of the report.txt text the CLI writes for this run."""
+    return hashlib.sha256(render_report(build_run_report(traj)).encode("utf-8")).hexdigest()
 
 
 def nan_profile_from(monkeypatch, t_nan: float) -> None:

@@ -2,8 +2,13 @@
 
 ``perfbench/digests.json`` holds the sha256 of each preset's
 trajectory.csv and of the ``[machine]`` block of its report.txt (from the
-``[machine]`` line to the end of the file). Every change that does not set
-out to alter model output must reproduce them exactly.
+``[machine]`` line to the end of the file); ``data/report_digests.json``
+holds the sha256 of the whole report.txt, human section included. Every
+change that does not set out to alter model output must reproduce them
+exactly. A change that sets out to alter the report re-records the latter
+(presets and control grid) with
+
+    PYTHONPATH=src python tests/test_artifacts.py
 """
 
 import hashlib
@@ -12,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from seirvax import preset_names
+from seirvax import build_preset, integrate, preset_names
 from seirvax.cli import main
+
+from conftest import REPORT_DIGESTS, report_sha256
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 MACHINE_MARKER = b"[machine]\n"
@@ -42,3 +49,21 @@ def test_preset_artifacts_match_recorded_digests(name, tmp_path, monkeypatch):
     assert hashlib.sha256(csv_bytes).hexdigest() == want["trajectory_csv"]
     report = (tmp_path / "report.txt").read_bytes()
     assert machine_block_sha256(report) == want["machine_block"]
+    whole = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))["presets"][name]
+    assert hashlib.sha256(report).hexdigest() == whole
+
+
+def record_reports() -> dict:
+    from test_control_grid import SCENARIOS
+
+    return {
+        "presets": {name: report_sha256(integrate(build_preset(name))) for name in preset_names()},
+        "grid": {key: report_sha256(integrate(sc)) for key, sc in SCENARIOS.items()},
+    }
+
+
+if __name__ == "__main__":
+    REPORT_DIGESTS.write_text(
+        json.dumps(record_reports(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {REPORT_DIGESTS}")

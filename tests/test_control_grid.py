@@ -32,7 +32,7 @@ from seirvax import (
 )
 from seirvax.cli import build_run_report, machine_items
 
-from conftest import assert_rows_match_control_sample
+from conftest import REPORT_DIGESTS, assert_rows_match_control_sample, report_sha256
 
 DIGESTS = Path(__file__).parent / "data" / "control_grid_digests.json"
 
@@ -120,6 +120,12 @@ def test_machine_block_is_finite(key):
     for name, value in items:
         if name not in VERDICT_IDS and name not in ("scenario", "status"):
             assert math.isfinite(float(value)), (name, value)
+
+
+@pytest.mark.parametrize("key", list(SCENARIOS))
+def test_whole_report_matches_recorded_digest(key):
+    recorded = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))["grid"]
+    assert report_sha256(integrate(SCENARIOS[key])) == recorded[key]
 
 
 if __name__ == "__main__":
