@@ -89,57 +89,43 @@ def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Everything report.txt is rendered from."""
+    """Everything report.txt is rendered from: the run and its three
+    analyses. Name, status, grid, tolerance and terminal state are read off
+    the run and its scenario."""
 
-    scenario_name: str
-    status: RunStatus
-    horizon: float
-    dt: float
-    steady_state_tol: float
+    traj: Trajectory
     steady_state: SteadyState
-    terminal_t: float
-    terminal_state: StateVec
-    terminal_infected_fraction: float
-    verdicts: tuple[StabilityVerdict, ...]
     integral: IntegralDiagnostic | None
-    identity_max_residual: float
-    reset_count: int
-    decay_g_max: float | None = None
-    decay_g_ceiling: float | None = None
+    verdicts: tuple[StabilityVerdict, ...]
+
+    @property
+    def identity_max_residual(self) -> float:
+        return float(self.traj.identity_residual.max(initial=0.0))
+
+    @property
+    def reset_count(self) -> int:
+        return int(self.traj.reset_counts.sum())
+
+    @property
+    def decay_g(self) -> tuple[float, float] | None:
+        """(max modulation, sufficiency ceiling) under the decay design."""
+        sc = self.traj.scenario
+        if sc.control.g_family is not ModulationFamily.IMMUNE_DECAY_DESIGN:
+            return None
+        return float(self.traj.g.max()), decay_design_g_ceiling(sc.control, sc.params)
 
 
 def build_run_report(traj: Trajectory) -> RunReport:
-    sc = traj.scenario
+    params = traj.scenario.params
     ss = detect_steady_state(traj)
-    terminal = traj.terminal_state()
     diag = None
     # a run cut short inside its first step has no grid to integrate over
     if len(traj) >= 2:
         try:
-            diag = integral_test(traj, sc.params)
+            diag = integral_test(traj, params)
         except NotApplicableError:
             pass
-    decay_g_max = decay_ceiling = None
-    if sc.control.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN:
-        decay_g_max = float(traj.g.max())
-        decay_ceiling = decay_design_g_ceiling(sc.control, sc.params)
-    return RunReport(
-        scenario_name=sc.name,
-        status=traj.status,
-        horizon=sc.horizon,
-        dt=sc.dt,
-        steady_state_tol=sc.steady_state_tol,
-        steady_state=ss,
-        terminal_t=float(traj.t[-1]),
-        terminal_state=terminal,
-        terminal_infected_fraction=(terminal.E + terminal.I) / terminal.N,
-        verdicts=standard_verdicts(sc.params, diag),
-        integral=diag,
-        identity_max_residual=float(traj.identity_residual.max(initial=0.0)),
-        reset_count=int(traj.reset_counts.sum()),
-        decay_g_max=decay_g_max,
-        decay_g_ceiling=decay_ceiling,
-    )
+    return RunReport(traj, ss, diag, standard_verdicts(params, diag))
 
 
 def _fmt_state(x: StateVec) -> str:
@@ -170,12 +156,15 @@ def _verdict_lines(v: StabilityVerdict) -> list[str]:
 
 
 def render_report(rep: RunReport) -> str:
+    traj = rep.traj
+    sc = traj.scenario
+    terminal = traj.terminal_state()
     out = []
-    out.append(f"scenario: {rep.scenario_name}")
-    out.append(f"status: {rep.status.value}")
+    out.append(f"scenario: {sc.name}")
+    out.append(f"status: {traj.status.value}")
     out.append(
-        f"grid: horizon {rep.horizon:g} days, dt {rep.dt:g} "
-        f"(last recorded t = {rep.terminal_t:g})"
+        f"grid: horizon {sc.horizon:g} days, dt {sc.dt:g} "
+        f"(last recorded t = {traj.t[-1]:g})"
     )
     out.append("")
     ss = rep.steady_state
@@ -184,19 +173,17 @@ def render_report(rep: RunReport) -> str:
         out.append(
             f"  found at t = {ss.t_ss:.6g} days "
             f"(sustained {STEADY_STATE_WINDOW_DAYS:g}-day window, "
-            f"tol {rep.steady_state_tol:g}*N)"
+            f"tol {sc.steady_state_tol:g}*N)"
         )
         out.append(f"  {_fmt_state(ss.x_ss)}")
         out.append(f"  infected fraction (E+I)/N = {ss.infected_fraction:.6g}")
     else:
         out.append(
-            f"  not reached within the horizon (tol {rep.steady_state_tol:g}*N)"
+            f"  not reached within the horizon (tol {sc.steady_state_tol:g}*N)"
         )
-    out.append(f"terminal state at t = {rep.terminal_t:g}:")
-    out.append(f"  {_fmt_state(rep.terminal_state)}")
-    out.append(
-        f"  infected fraction (E+I)/N = {rep.terminal_infected_fraction:.6g}"
-    )
+    out.append(f"terminal state at t = {traj.t[-1]:g}:")
+    out.append(f"  {_fmt_state(terminal)}")
+    out.append(f"  infected fraction (E+I)/N = {terminal.infected_fraction:.6g}")
     out.append("")
     out.append("stability profile:")
     for v in rep.verdicts:
@@ -223,13 +210,12 @@ def render_report(rep: RunReport) -> str:
         f"{rep.identity_max_residual:.6g}"
     )
     out.append(f"  boundary resets fired: {rep.reset_count}")
-    if rep.decay_g_ceiling is not None:
+    if (decay := rep.decay_g) is not None:
+        g_max, ceiling = decay
         out.append("decay-design diagnostics:")
         out.append(
-            f"  modulation max {rep.decay_g_max:.6g} vs sufficiency ceiling "
-            f"{rep.decay_g_ceiling:.6g} "
-            f"({'within' if rep.decay_g_max <= rep.decay_g_ceiling else 'exceeds'}; "
-            "informational)"
+            f"  modulation max {g_max:.6g} vs sufficiency ceiling {ceiling:.6g} "
+            f"({'within' if g_max <= ceiling else 'exceeds'}; informational)"
         )
     out.append("")
     out.append("[machine]")
@@ -239,29 +225,29 @@ def render_report(rep: RunReport) -> str:
     return "\n".join(out)
 
 
+def _state_items(suffix: str, x: StateVec) -> list[tuple[str, str]]:
+    """The S/E/I/R/N keys of one state, e.g. S_end .. N_end."""
+    return [(f"{name}_{suffix}", repr(v)) for name, v in zip("SEIRN", (*x, x.N))]
+
+
 def machine_items(rep: RunReport) -> list[tuple[str, str]]:
-    items: list[tuple[str, str]] = [
-        ("scenario", rep.scenario_name),
-        ("status", rep.status.value),
-        ("horizon", repr(rep.horizon)),
-        ("dt", repr(rep.dt)),
-        ("steady_state_found", "1" if rep.steady_state.found else "0"),
-    ]
+    traj = rep.traj
+    sc = traj.scenario
     ss = rep.steady_state
+    terminal = traj.terminal_state()
+    items: list[tuple[str, str]] = [
+        ("scenario", sc.name),
+        ("status", traj.status.value),
+        ("horizon", repr(sc.horizon)),
+        ("dt", repr(sc.dt)),
+        ("steady_state_found", "1" if ss.found else "0"),
+    ]
     if ss.found:
         items.append(("t_ss", repr(ss.t_ss)))
-        for name, val in zip(("S_ss", "E_ss", "I_ss", "R_ss"), ss.x_ss):
-            items.append((name, repr(val)))
-        items.append(("N_ss", repr(ss.x_ss.N)))
+        items.extend(_state_items("ss", ss.x_ss))
         items.append(("infected_fraction_ss", repr(ss.infected_fraction)))
-    for name, val in zip(
-        ("S_end", "E_end", "I_end", "R_end"), rep.terminal_state
-    ):
-        items.append((name, repr(val)))
-    items.append(("N_end", repr(rep.terminal_state.N)))
-    items.append(
-        ("terminal_infected_fraction", repr(rep.terminal_infected_fraction))
-    )
+    items.extend(_state_items("end", terminal))
+    items.append(("terminal_infected_fraction", repr(terminal.infected_fraction)))
     for v in rep.verdicts:
         value = ("1" if v.hypothesis_holds else "0") if v.applicable else "na"
         items.append((v.criterion.value, value))
@@ -273,9 +259,8 @@ def machine_items(rep: RunReport) -> list[tuple[str, str]]:
         items.append(("integral_consistent", "1" if rep.integral.consistent else "0"))
     items.append(("identity_max_residual", repr(rep.identity_max_residual)))
     items.append(("reset_count", str(rep.reset_count)))
-    if rep.decay_g_ceiling is not None:
-        items.append(("decay_g_max", repr(rep.decay_g_max)))
-        items.append(("decay_g_ceiling", repr(rep.decay_g_ceiling)))
+    if (decay := rep.decay_g) is not None:
+        items.extend(zip(("decay_g_max", "decay_g_ceiling"), map(repr, decay)))
     return items
 
 
@@ -448,18 +433,18 @@ def main(argv=None) -> int:
         write_trajectory_csv(traj, csv_path)
         report_path.write_text(render_report(report), encoding="utf-8")
         ss = report.steady_state
+        sc = traj.scenario
         if ss.found:
             print(
-                f"{resolved.name}: status {traj.status.value}; settled at "
+                f"{sc.name}: status {traj.status.value}; settled at "
                 f"t = {ss.t_ss:.4g} with infected fraction "
                 f"{ss.infected_fraction:.4g}"
             )
         else:
             print(
-                f"{resolved.name}: status {traj.status.value}; no settled regime "
-                f"within {resolved.horizon:g} days "
-                f"(terminal infected fraction "
-                f"{report.terminal_infected_fraction:.4g})"
+                f"{sc.name}: status {traj.status.value}; no settled regime "
+                f"within {sc.horizon:g} days (terminal infected fraction "
+                f"{traj.terminal_state().infected_fraction:.4g})"
             )
         print(f"wrote {csv_path} and {report_path}")
         return _EXIT_BY_STATUS[traj.status]

@@ -46,6 +46,11 @@ class StateVec(NamedTuple):
         """Total population."""
         return self.S + self.E + self.I + self.R
 
+    @property
+    def infected_fraction(self) -> float:
+        """(E + I)/N."""
+        return (self.E + self.I) / self.N
+
     def as_array(self) -> np.ndarray:
         return np.array(self, dtype=float)
 

@@ -188,7 +188,9 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     population at or below the extinction floor ends the run with status
     EXTINCT; a non-finite component ends it with BLOWUP. Inside a step, a
     stage population at or below the floor truncates as EXTINCT and a nan
-    stage population as BLOWUP, keeping everything recorded so far.
+    stage population as BLOWUP, keeping everything recorded so far. The
+    last boundary takes no step, so a non-finite demand V recorded there
+    ends the run with BLOWUP at the time that step would have reached.
 
     Each boundary composes the controller from ``control_pieces`` (the
     population rate, then profile, modulation and law) and packs its 19
@@ -284,6 +286,10 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         I += sixth * (d1I + 2.0 * (d2I + d3I) + d4I)
         R += sixth * (d1R + 2.0 * (d2R + d3R) + d4R)
 
+    if status is RunStatus.OK and not isfinite(V):
+        status = RunStatus.BLOWUP
+        halt_time = t + dt
+
     rows = table[:recorded]
     states = rows[:, 1:5]
     columns = {name: rows[:, j] for j, name in enumerate(_CONTROL_COLUMNS, 9)}
@@ -321,25 +327,22 @@ class SteadyState:
     @property
     def infected_fraction(self) -> float | None:
         """(E + I)/N at the settled state, None when not found."""
-        if not self.found:
-            return None
-        return (self.x_ss.E + self.x_ss.I) / self.x_ss.N
+        return self.x_ss.infected_fraction if self.found else None
 
 
-def detect_steady_state(traj: Trajectory, tol: float | None = None) -> SteadyState:
+def detect_steady_state(traj: Trajectory) -> SteadyState:
     """First window of sustained stillness, measured against population size.
 
     Scans for the earliest t_ss such that every recorded sample in
     [t_ss, t_ss + STEADY_STATE_WINDOW_DAYS] has max_i |dx_i/dt| <= tol * N
-    at that sample. Returns the window start and the window time-average
-    state. tol defaults to the scenario's steady_state_tol. A horizon shorter
-    than the window can never qualify.
+    at that sample, tol being the scenario's steady_state_tol. Returns the
+    window start and the window time-average state. A horizon shorter than
+    the window can never qualify.
     """
     n = len(traj)
     if n == 0:
         raise ValueError("cannot scan an empty trajectory")
-    if tol is None:
-        tol = traj.scenario.steady_state_tol
+    tol = traj.scenario.steady_state_tol
     w = int(round(STEADY_STATE_WINDOW_DAYS / traj.dt))
     if w < 1:
         w = 1

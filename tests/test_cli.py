@@ -586,6 +586,15 @@ dt = 0.01
         block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
         assert block["status"] == "blowup"
 
+    def test_nan_on_the_final_boundary_is_blowup(self, tmp_path, monkeypatch):
+        # the last boundary, 703.8, reads the nan and takes no step
+        nan_profile_from(monkeypatch, 703.75)
+        rc = main(["--preset", "fig2-saturated", "--dt", "0.1", "--horizon", "703.8",
+                   "--out", str(tmp_path)])
+        assert rc == 4
+        block = machine_block((tmp_path / "report.txt").read_text(encoding="utf-8"))
+        assert block["status"] == "blowup"
+
 
 class TestStabilityFlag:
     def test_profile_only(self, tmp_path, monkeypatch, capsys):

@@ -6,8 +6,12 @@ combination, including the families no bundled preset exercises. A change
 that sets out to alter model output re-records it with
 
     PYTHONPATH=src python tests/test_control_grid.py
+
+Scaling the population by a power of two scales such a run exactly, bit
+for bit, unless a formula of the run carries an absolute unit.
 """
 
+import functools
 import hashlib
 import itertools
 import json
@@ -17,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seirvax import (
     BASELINE_PARAMS,
@@ -28,7 +34,9 @@ from seirvax import (
     StabilityCriterion,
     StateVec,
     VaccinationLaw,
+    build_preset,
     integrate,
+    preset_names,
 )
 from seirvax.cli import build_run_report, machine_items
 
@@ -126,6 +134,93 @@ def test_machine_block_is_finite(key):
 def test_whole_report_matches_recorded_digest(key):
     recorded = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))["grid"]
     assert report_sha256(integrate(SCENARIOS[key])) == recorded[key]
+
+
+# Columns in people; every other column is a rate, a fraction, a time or a
+# count.
+SCALED = ("states", "rates", "dn", "r_star", "r_star_dot")
+
+# Formulas that carry an absolute unit (one individual), so a run that
+# evaluates them does not scale with its population.
+ABSOLUTE_UNIT = {
+    ModulationFamily.IMMUNE_DECAY_DESIGN: "the decay design's g = (N - e^{-vartheta t})/(eps N)",
+    ReferenceProfile.DECAY_DESIGN: "the theorem6_ii profile's eps0*(slow - fast)/gap",
+}
+
+
+def absolute_unit_formulas(sc: ScenarioConfig) -> list[str]:
+    # the none law evaluates no modulation (g = 0)
+    used = [sc.control.h_family]
+    if sc.control.law is not VaccinationLaw.NONE:
+        used.append(sc.control.g_family)
+    return [ABSOLUTE_UNIT[f] for f in used if f in ABSOLUTE_UNIT]
+
+
+def scaled(sc: ScenarioConfig, lam: float) -> ScenarioConfig:
+    """sc with its population, and the references when set, times lam."""
+    params = sc.params
+    if params.I0_ref is not None:
+        params = params.with_references(lam * params.I0_ref, lam * params.N0_ref)
+    return replace(sc, params=params, x0=StateVec(*(lam * v for v in sc.x0)))
+
+
+@functools.cache
+def base_run(key: str):
+    return integrate(SCENARIOS[key])
+
+
+def not_equivariant(base, run, lam: float) -> list[str]:
+    """Columns of run (and status) that are not base's, times lam for the
+    columns in people, bit for bit."""
+    bad = [
+        name for name in COLUMNS
+        if getattr(run, name).tobytes()
+        != (lam * getattr(base, name) if name in SCALED else getattr(base, name)).tobytes()
+    ]
+    return bad + ["status"] * (run.status is not base.status)
+
+
+def test_thirty_combinations_carry_an_absolute_unit():
+    assert sum(bool(absolute_unit_formulas(sc)) for sc in SCENARIOS.values()) == 30
+
+
+# lam = 2**k keeps the grid's population of 1000 between about 1 and 1e6,
+# far from N_FLOOR and from overflow
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(k=st.integers(-10, 10).filter(bool))
+def test_population_scale_is_equivariant(k):
+    lam = 2.0**k
+    for key, sc in SCENARIOS.items():
+        bad = not_equivariant(base_run(key), integrate(scaled(sc, lam)), lam)
+        units = absolute_unit_formulas(sc)
+        if units:
+            assert bad, (
+                f"{key} now scales with its population at lam = {lam!r}, although "
+                f"{' and '.join(units)} carries an absolute unit"
+            )
+        else:
+            assert not bad, (key, lam, bad)
+
+
+# [machine] keys in people
+KEYS_IN_PEOPLE = {f"{c}_{at}" for c in "SEIRN" for at in ("ss", "end")} | {
+    "integral_max_pointwise_residual"
+}
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in preset_names() if not absolute_unit_formulas(build_preset(n))]
+)
+def test_machine_block_scales_with_the_population(name):
+    sc = replace(build_preset(name), horizon=100.0)
+    base = machine_items(build_run_report(integrate(sc)))
+    run = machine_items(build_run_report(integrate(scaled(sc, 4.0))))
+    assert [k for k, _ in run] == [k for k, _ in base]
+    for (key, want), (_, got) in zip(base, run):
+        if key in KEYS_IN_PEOPLE:
+            assert float(got) == 4.0 * float(want), key
+        else:
+            assert got == want, key
 
 
 if __name__ == "__main__":

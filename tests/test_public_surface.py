@@ -4,7 +4,11 @@ Guards deletions against a stale export: a name left in ``__all__`` after
 its definition is gone would break ``from seirvax import *``.
 """
 
+from dataclasses import fields
+from inspect import signature
+
 import seirvax
+from seirvax.cli import RunReport
 
 
 def test_every_exported_name_resolves_once():
@@ -37,3 +41,12 @@ def test_model_records_restate_nothing():
         assert not hasattr(seirvax, gone), gone
         for module in (seirvax.model, seirvax.errors, seirvax.stability):
             assert not hasattr(module, gone), (module.__name__, gone)
+
+
+def test_run_report_keeps_the_run_and_its_analyses():
+    # everything else report.txt shows is read off the run, and the
+    # scenario's steady_state_tol is the only steady-state tolerance
+    assert [f.name for f in fields(RunReport)] == [
+        "traj", "steady_state", "integral", "verdicts",
+    ]
+    assert list(signature(seirvax.detect_steady_state).parameters) == ["traj"]

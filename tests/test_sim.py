@@ -121,6 +121,25 @@ class TestTruncation:
         assert np.isnan(traj.va[-1]) and np.isnan(traj.v[-1])
         assert np.all(np.isfinite(traj.states)) and traj.N[-1] > 100.0
 
+    def test_nan_on_the_final_boundary_is_blowup(self, monkeypatch):
+        # 703.8 is the last boundary, which takes no step: the run still
+        # ends exactly as the longer run that steps into the nan does
+        nan_profile_from(monkeypatch, NAN_ONSET)
+        base = replace(build_preset("fig2-saturated"), dt=0.1)
+        short = integrate(replace(base, horizon=703.8))
+        full = integrate(replace(base, horizon=800.0))
+        assert full.status is RunStatus.BLOWUP
+        assert (short.status, short.halt_time, len(short)) == (
+            full.status, full.halt_time, len(full)
+        )
+        assert len(short) == 7039 and np.isnan(short.v[-1])
+        for name in (
+            "t", "states", "rates", "dn", "va", "v", "g", "h", "h_dot", "r_star",
+            "r_star_dot", "k_n", "k_i", "theta0", "theta1", "identity_residual",
+            "reset_counts",
+        ):
+            assert getattr(short, name).tobytes() == getattr(full, name).tobytes(), name
+
 
 class TestRateContract:
     """integrate looks its rate closure up as seirvax.sim.make_rate_fn at
