@@ -39,6 +39,7 @@ from .sim import (
     integrate,
 )
 from .stability import (
+    POINTWISE_TOL,
     IntegralDiagnostic,
     StabilityVerdict,
     integral_test,
@@ -196,7 +197,7 @@ def render_report(rep: RunReport) -> str:
         d = rep.integral
         out.append(
             f"  max pointwise residual {d.max_pointwise_residual:.6g} "
-            f"(tol {d.pointwise_tol:g} relative)"
+            f"(tol {POINTWISE_TOL:g} relative)"
         )
         out.append(
             f"  horizon residual {d.residual:.6g} vs remaining-mass bound "

@@ -130,13 +130,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     if "params" not in parser:
         raise ConfigError("config needs a [params] section")
 
-    params_items = dict(parser["params"])
-    refs = {
-        key: _parse_float("params", key, raw)
-        for key in ("I0_ref", "N0_ref")
-        if (raw := params_items.pop(key, None)) is not None
-    }
-    rates = _numbers("params", params_items)
+    rates = _numbers("params", dict(parser["params"]))
     for key in _NUMERIC_KEYS["params"]:
         if key not in rates:
             also = f" (or {key}_days)" if key in _PERIOD_KEYS else ""
@@ -160,7 +154,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         x0_vals.append(_parse_float("scenario", key, raw))
 
     return ScenarioConfig(
-        params=ModelParams(**rates, **refs),
+        params=ModelParams(**rates),
         x0=StateVec(*x0_vals),
         control=control,
         name=name,

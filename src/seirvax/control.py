@@ -116,7 +116,7 @@ class ControlConfig:
         This is the one place the guards are checked: everything that takes
         a (cfg, params) pair validates first and then reads cfg.eps0.
         """
-        eps0 = params.mu + params.omega if self.eps0 is None else self.eps0
+        eps0 = params.immune_pole if self.eps0 is None else self.eps0
         cfg = replace(self, eps0=eps0)
         for name in ("K_R", "K_Rd", "eps", "eps0", "c", "vartheta"):
             value = getattr(cfg, name)
@@ -147,14 +147,13 @@ class ControlConfig:
         if cfg.h_family is ReferenceProfile.EXP_SETTLING and cfg.c < 0.0:
             raise ConfigError(f"the section7 profile needs c >= 0, got {cfg.c!r}")
         # the pole-matched profile divides by its pole
-        pole = params.mu + params.omega
+        pole = params.immune_pole
         if cfg.h_family is ReferenceProfile.POLE_MATCHED and not pole > 0.0:
             raise ConfigError(f"the corollary2_i profile needs mu + omega > 0, got {pole!r}")
         if cfg.h_family is ReferenceProfile.DECAY_DESIGN:
             if _decay_gap(cfg, params, positive=False) == 0.0:
                 raise DegenerateProfileError(
-                    "the decay profile degenerates when vartheta equals mu + omega = "
-                    f"{params.mu + params.omega!r}"
+                    f"the decay profile degenerates when vartheta equals mu + omega = {pole!r}"
                 )
             if cfg.vartheta < 0.0:
                 raise ConfigError(
@@ -174,7 +173,7 @@ def _decay_gap(cfg: ControlConfig, params: ModelParams, positive: bool = True) -
     """
     if cfg.vartheta is None:
         raise ConfigError("the decay design needs vartheta set")
-    pole = params.mu + params.omega
+    pole = params.immune_pole
     if positive and not cfg.vartheta > pole:
         raise ConfigError(
             f"the decay design needs vartheta > mu + omega = {pole!r}, "
@@ -231,7 +230,7 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
             return h, h_dot, h * N, h_dot * N + h * dN
 
     elif fam is ReferenceProfile.POLE_MATCHED:
-        a = params.mu + params.omega
+        a = params.immune_pole
         neg_a = -a
         a_r0 = a * r0
 
@@ -242,7 +241,7 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
             return h, h_dot, h * N, h_dot * N + h * dN
 
     elif fam is ReferenceProfile.DECAY_DESIGN:
-        a = params.mu + params.omega
+        a = params.immune_pole
         vartheta = cfg.vartheta
         neg_a = -a
         neg_vartheta = -vartheta
@@ -321,7 +320,7 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float):
             return (N - math.exp(neg_vartheta * t)) / (eps * N)
 
     elif fam is ModulationFamily.DELAYED_TRACKING_ONSET:
-        a = params.mu + params.omega
+        a = params.immune_pole
         neg_a = -a
 
         def modulation(t, N, I):
@@ -557,7 +556,7 @@ def tracking_bound(
     cfg = cfg.validated(params)
     if not N2 > 0.0:
         raise ConfigError(f"N2 must be > 0, got {N2!r}")
-    a = params.mu + params.omega
+    a = params.immune_pole
     if not a > 0.0:
         raise ConfigError("tracking bounds divide by mu + omega; need it > 0")
     g1r = params.immune_recovery_rate
@@ -611,7 +610,7 @@ def immune_closed_form(cfg: ControlConfig, params: ModelParams, t, R0: float):
     """
     cfg = cfg.validated(params)
     gap = _decay_gap(cfg, params)
-    a = params.mu + params.omega
+    a = params.immune_pole
     tt = np.asarray(t, dtype=float)
     out = np.exp(-a * tt) * (R0 + cfg.eps0 * (1.0 - np.exp(-gap * tt)) / gap)
     if np.isscalar(t) or getattr(t, "ndim", 1) == 0:

@@ -18,7 +18,7 @@ rebuilds it from such a pair.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +57,7 @@ class StateVec(NamedTuple):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Epidemiological rates (all per day) plus decomposition references.
+    """Epidemiological rates (all per day).
 
     mu      death rate unrelated to the infection
     omega   rate of immunity loss
@@ -66,11 +66,6 @@ class ModelParams:
     gamma   inverse infective period
     rho     per-capita probability of death from the infection
     nu      newborn/vaccination stream rate
-
-    I0_ref / N0_ref are the constant references used by the
-    constant-plus-varying matrix split (``decompose_star``). When left unset
-    the split uses a reference infectious fraction of 1, the worst case, so
-    any admissible state satisfies the feasibility constraint.
     """
 
     mu: float
@@ -80,8 +75,6 @@ class ModelParams:
     gamma: float
     rho: float
     nu: float
-    I0_ref: float | None = None
-    N0_ref: float | None = None
 
     def __post_init__(self):
         for name in ("mu", "omega", "beta", "sigma", "gamma", "rho", "nu"):
@@ -92,18 +85,6 @@ class ModelParams:
                 raise ConfigError(f"{name} must be >= 0, got {v!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError(f"rho must be in [0, 1], got {self.rho!r}")
-        if (self.I0_ref is None) != (self.N0_ref is None):
-            raise ConfigError("I0_ref and N0_ref must be set together")
-        if self.I0_ref is not None:
-            for name in ("I0_ref", "N0_ref"):
-                v = getattr(self, name)
-                if not np.isfinite(v):
-                    raise ConfigError(f"{name} must be finite, got {v!r}")
-            if not (self.N0_ref >= self.I0_ref > 0):
-                raise ConfigError(
-                    "references must satisfy N0_ref >= I0_ref > 0, got "
-                    f"I0_ref={self.I0_ref!r}, N0_ref={self.N0_ref!r}"
-                )
 
     @property
     def immune_recovery_rate(self) -> float:
@@ -111,14 +92,9 @@ class ModelParams:
         return self.gamma * (1.0 - self.rho)
 
     @property
-    def reference_infectious_fraction(self) -> float:
-        """I0_ref/N0_ref, defaulting to the worst case 1."""
-        if self.I0_ref is None:
-            return 1.0
-        return self.I0_ref / self.N0_ref
-
-    def with_references(self, I0_ref: float, N0_ref: float) -> "ModelParams":
-        return replace(self, I0_ref=I0_ref, N0_ref=N0_ref)
+    def immune_pole(self) -> float:
+        """mu + omega, the rate at which the immune compartment drains."""
+        return self.mu + self.omega
 
 
 def _require_population(x) -> float:
@@ -147,7 +123,7 @@ def make_rate_fn(params: ModelParams):
     # negated once here: -mu * S parses as (-mu) * S and negation is exact
     neg_mu = -mu
     neg_mu_gamma = -(mu + gamma)
-    neg_mu_omega = -(mu + omega)
+    neg_mu_omega = -params.immune_pole
 
     def rate(S: float, E: float, I: float, R: float, V: float):
         N = S + E + I + R
@@ -233,7 +209,7 @@ def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> np
 
     m = np.zeros((4, 4))
     m[2] = (0.0, params.sigma, -(mu + params.gamma), 0.0)
-    m[3] = (0.0, 0.0, params.immune_recovery_rate, -(mu + params.omega))
+    m[3] = (0.0, 0.0, params.immune_recovery_rate, -params.immune_pole)
 
     base = variant.base
     if base is MatrixVariant.BILINEAR_VIA_S:

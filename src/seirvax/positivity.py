@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError
+from .errors import ConfigError, DecompositionError
 from .model import (
     CANONICAL_VARIANT,
     COMPONENT_NAMES,
@@ -84,12 +84,16 @@ def metzler_parameter_criterion(params: ModelParams, variant: MatrixVariant) -> 
 
 
 def decompose_star(
-    params: ModelParams, x: StateVec, include_birth: bool = False
+    params: ModelParams,
+    x: StateVec,
+    ref_fraction: float = 1.0,
+    include_birth: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split the canonical state matrix into constant + state-varying parts.
 
     Returns (A_const, B). B collects the susceptible drain's excess over
-    the configured reference fraction (I0_ref/N0_ref, default 1),
+    the reference infectious fraction ref_fraction (default 1, the worst
+    case, which every admissible state satisfies),
     B[0,0] = beta*(ref_fraction - I/N), plus the latent gain
     B[1,2] = beta*S/N; both are nonnegative whenever the current infectious
     fraction stays at or below the reference. A_const is the canonical
@@ -100,19 +104,21 @@ def decompose_star(
     With include_birth the canonical matrix is its birth sibling, so the
     rank-one newborn shift (+nu across the first row) lands in A_const.
 
-    Raises DecompositionError when I/N exceeds the reference fraction.
+    Raises ConfigError unless 0 < ref_fraction <= 1, and
+    DecompositionError when I/N exceeds ref_fraction.
     """
+    if not 0.0 < ref_fraction <= 1.0:
+        raise ConfigError(f"ref_fraction must be in (0, 1], got {ref_fraction!r}")
     S, E, I, R = x
     N = _require_population(x)
-    ref = params.reference_infectious_fraction
     frac = I / N
-    if frac > ref + 1e-12:
+    if frac > ref_fraction + 1e-12:
         raise DecompositionError(
-            f"infectious fraction {frac!r} exceeds reference {ref!r}; "
+            f"infectious fraction {frac!r} exceeds reference {ref_fraction!r}; "
             "the varying part would go negative"
         )
     b = np.zeros((4, 4))
-    b[0, 0] = params.beta * (ref - frac)
+    b[0, 0] = params.beta * (ref_fraction - frac)
     b[1, 2] = params.beta * S / N
     variant = (
         MatrixVariant.SPLIT_DRAIN_S_GAIN_I_WITH_BIRTH if include_birth

@@ -63,12 +63,8 @@ class ScenarioConfig:
     name: str = "custom"
 
     def resolved(self) -> "ScenarioConfig":
-        """Validate and fill derived defaults.
-
-        Unset decomposition references default to the initial total
-        population (reference infectious fraction 1, the worst case), and
-        the controller resolves eps0 and checks its guards.
-        """
+        """Validate the grid and the initial state; the controller resolves
+        eps0 and checks its guards. params is returned unchanged."""
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be a positive number, got {self.dt!r}")
         if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
@@ -93,11 +89,8 @@ class ScenarioConfig:
             raise ConfigError(f"initial population total must be finite, got {x0.N!r}")
         if not x0.N > N_FLOOR:
             raise ConfigError(f"initial population {x0.N!r} is at or below the floor")
-        params = self.params
-        if params.I0_ref is None:
-            params = params.with_references(x0.N, x0.N)
-        control = self.control.validated(params)
-        return replace(self, params=params, x0=x0, control=control)
+        control = self.control.validated(self.params)
+        return replace(self, x0=x0, control=control)
 
     def step_count(self) -> int:
         return max(1, int(round(self.horizon / self.dt)))
@@ -189,8 +182,9 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     EXTINCT; a non-finite component ends it with BLOWUP. Inside a step, a
     stage population at or below the floor truncates as EXTINCT and a nan
     stage population as BLOWUP, keeping everything recorded so far. The
-    last boundary takes no step, so a non-finite demand V recorded there
-    ends the run with BLOWUP at the time that step would have reached.
+    first boundary t_k that records a non-finite demand V_a ends the run
+    with BLOWUP at t_k + dt, the time its step would have reached; rows and
+    reset events after t_k are dropped.
 
     Each boundary composes the controller from ``control_pieces`` (the
     population rate, then profile, modulation and law) and packs its 19
@@ -286,9 +280,16 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         I += sixth * (d1I + 2.0 * (d2I + d3I) + d4I)
         R += sixth * (d1R + 2.0 * (d2R + d3R) + d4R)
 
-    if status is RunStatus.OK and not isfinite(V):
+    # a non-finite demand V_a (column 9) at boundary k ends the run there,
+    # rows after k dropped: a nan one feeds a nan step anyway, an infinite
+    # one can clamp to a finite V and run on
+    blown = np.flatnonzero(~np.isfinite(table[:recorded, 9]))
+    if blown.size:
+        recorded = int(blown[0]) + 1
+        t_k = float(table[recorded - 1, 0])
         status = RunStatus.BLOWUP
-        halt_time = t + dt
+        halt_time = t_k + dt
+        reset_events = [e for e in reset_events if e.t <= t_k]
 
     rows = table[:recorded]
     states = rows[:, 1:5]

@@ -201,21 +201,23 @@ class IntegralDiagnostic:
     e^{(mu-nu)T} N(T), and should not exceed tail_bound when the run is
     consistent with boundedness. max_pointwise_residual tracks the identity
     along the whole trajectory, in absolute population units; consistency
-    compares it against pointwise_tol * N(0). conditions holds the two
+    compares it against POINTWISE_TOL * N(0). conditions holds the two
     inequalities; the run is consistent when both are satisfied.
     """
 
     horizon: float
     lhs: float
     rhs: float
-    residual: float
     max_pointwise_residual: float
     tail_bound: float
-    pointwise_tol: float
+
+    @property
+    def residual(self) -> float:
+        return self.lhs - self.rhs
 
     @property
     def conditions(self) -> tuple[ConditionCheck, ConditionCheck]:
-        tol_abs = self.pointwise_tol * self.lhs
+        tol_abs = POINTWISE_TOL * self.lhs
         return (
             _cond(
                 "max pointwise identity residual <= tol*N(0)",
@@ -269,9 +271,6 @@ def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
     max_pointwise = float(np.abs(pointwise).max())
 
     horizon = float(t[-1])
-    lhs = n0
-    rhs = float(rhs_t[-1])
-    residual = lhs - rhs
     i_max = float(i_pop.max(initial=0.0))
     tail_bound = (
         params.rho * params.gamma * i_max
@@ -280,12 +279,10 @@ def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
     )
     return IntegralDiagnostic(
         horizon=horizon,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
+        lhs=n0,
+        rhs=float(rhs_t[-1]),
         max_pointwise_residual=max_pointwise,
         tail_bound=tail_bound,
-        pointwise_tol=POINTWISE_TOL,
     )
 
 

@@ -407,20 +407,20 @@ class TestConfigFiles:
                                       "I0_ref = 10\nN0_ref = inf",
                                       "I0_ref = nan\nN0_ref = 1000"])
     def test_non_finite_reference_is_a_config_error(self, tmp_path, capsys, refs):
+        # the decomposition references are no parameters: like any key
+        # outside the key table they are rejected, whatever their value
         path = write_ini(tmp_path, BASE_INI.replace("nu_days = 150", f"nu_days = 150\n{refs}"))
         out = tmp_path / "o"
         rc = main(["--config", str(path), "--out", str(out)])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "_ref must be finite" in err
-        assert not (out / "trajectory.csv").exists()
-        assert not (out / "report.txt").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: [params] unknown key 'I0_ref'; numeric keys:")
+        assert not out.exists() or list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("refs", ["I0_ref = 1\nN0_ref = 1", ""])
-    def test_non_finite_initial_total_is_a_config_error(self, tmp_path, capsys, refs):
-        # each component is finite, their sum is not; with the references
-        # left unset the total must not reach them as a default either
-        ini = BASE_INI.replace("nu_days = 150", f"nu_days = 150\n{refs}")
+    def test_non_finite_initial_total_is_a_config_error(self, tmp_path, capsys):
+        # each component is finite, their sum is not
+        ini = BASE_INI
         for name in ("S0 = 400", "E0 = 150", "I0 = 250", "R0 = 200"):
             ini = ini.replace(name, name.split(" = ")[0] + " = 1e308")
         path = write_ini(tmp_path, ini)
@@ -488,7 +488,8 @@ class TestKeyTable:
         field = spelling.removesuffix("_days")
         assert getattr(target, field) == (2.0 if spelling != field else 0.5)
 
-    @pytest.mark.parametrize("key", ["rho_days", "zeta", "zeta_days", "dt_days"])
+    @pytest.mark.parametrize("key", ["rho_days", "zeta", "zeta_days", "dt_days",
+                                     "I0_ref", "N0_ref"])
     def test_file_and_sweep_reject_the_same_keys(self, tmp_path, capsys, key):
         ini = BASE_INI.replace("[params]\n", f"[params]\n{key} = 4\n")
         rc = main(["--config", str(write_ini(tmp_path, ini)),
@@ -497,6 +498,7 @@ class TestKeyTable:
         assert key in capsys.readouterr().err
         self.assert_sweep_aborts(tmp_path, capsys, f"{key}=1,2")
 
+    # I0_ref is a key neither a file nor a sweep accepts
     @pytest.mark.parametrize("key", ["I0_ref", "S0", "name", "law"])
     def test_sweep_rejects_file_only_keys(self, tmp_path, capsys, key):
         self.assert_sweep_aborts(tmp_path, capsys, f"{key}=1,2")
@@ -585,6 +587,22 @@ dt = 0.01
         assert len(read_trajectory_csv(out / "trajectory.csv")["t"]) == 7039
         block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
         assert block["status"] == "blowup"
+
+    def test_infinite_demand_is_blowup(self, tmp_path, capsys):
+        # eps0 = 1e308 overflows the first demand to inf, which the
+        # saturated law would clamp to 1 and run on
+        ini = BASE_INI.replace("g_family = eq33b", "g_family = zero")
+        ini = ini.replace("eps0 = 0.5", "eps0 = 1e308")
+        ini = ini.replace("dt = 0.01", "dt = 0.1")
+        out = tmp_path / "o"
+        rc = main(["--config", str(write_ini(tmp_path, ini)), "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == ""
+        data = read_trajectory_csv(out / "trajectory.csv")
+        assert data["t"].tolist() == [0.0] and data["V_a"].tolist() == [np.inf]
+        block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
+        assert block["status"] == "blowup"
+        assert block["identity_max_residual"] == "nan"
 
     def test_nan_on_the_final_boundary_is_blowup(self, tmp_path, monkeypatch):
         # the last boundary, 703.8, reads the nan and takes no step
@@ -690,6 +708,20 @@ class TestSweep:
         assert sweep_statuses(tmp_path / "sweep.csv") == ["error", "ok"]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "c >= 0" in err[0]
+
+    @pytest.mark.parametrize("family", ["corollary2_ii", "custom_case_a"])
+    def test_infinite_demand_row_is_blowup(self, tmp_path, capsys, family):
+        ini = BASE_INI.replace("g_family = eq33b", f"g_family = {family}")
+        ini = ini.replace("dt = 0.01", "dt = 0.1")
+        rc = main(["--config", str(write_ini(tmp_path, ini)),
+                   "--sweep", "eps0=1e306,0.5", "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["blowup", "ok"]
+        assert rows[0]["identity_max_residual"] == "nan"
+        assert float(rows[1]["identity_max_residual"]) < 1e-12
 
     def test_pole_free_sweep_value_becomes_error_row(self, tmp_path, capsys):
         # the base file needs a pole of its own: main resolves it first

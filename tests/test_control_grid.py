@@ -157,11 +157,8 @@ def absolute_unit_formulas(sc: ScenarioConfig) -> list[str]:
 
 
 def scaled(sc: ScenarioConfig, lam: float) -> ScenarioConfig:
-    """sc with its population, and the references when set, times lam."""
-    params = sc.params
-    if params.I0_ref is not None:
-        params = params.with_references(lam * params.I0_ref, lam * params.N0_ref)
-    return replace(sc, params=params, x0=StateVec(*(lam * v for v in sc.x0)))
+    """sc with its population times lam."""
+    return replace(sc, x0=StateVec(*(lam * v for v in sc.x0)))
 
 
 @functools.cache

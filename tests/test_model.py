@@ -112,39 +112,19 @@ class TestParamsValidation:
             ModelParams(mu=math.nan, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
                         rho=0.1, nu=0.01)
 
-    def test_references_must_come_together(self, params):
-        with pytest.raises(ConfigError):
-            ModelParams(mu=0.1, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
-                        rho=0.1, nu=0.01, I0_ref=10.0)
-
-    def test_reference_ordering_enforced(self):
-        kw = dict(mu=0.1, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
-                  rho=0.1, nu=0.01)
-        with pytest.raises(ConfigError):
-            ModelParams(**kw, I0_ref=100.0, N0_ref=50.0)
-        with pytest.raises(ConfigError):
-            ModelParams(**kw, I0_ref=0.0, N0_ref=50.0)
-        ok = ModelParams(**kw, I0_ref=50.0, N0_ref=50.0)
-        assert ok.reference_infectious_fraction == 1.0
-
-    @pytest.mark.parametrize("refs", [
-        (math.inf, math.inf), (10.0, math.inf), (math.nan, 50.0), (10.0, math.nan),
-    ])
-    def test_non_finite_references_rejected(self, refs):
-        kw = dict(mu=0.1, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
-                  rho=0.1, nu=0.01)
-        with pytest.raises(ConfigError, match="must be finite"):
-            ModelParams(**kw, I0_ref=refs[0], N0_ref=refs[1])
-
-    def test_reference_fraction_defaults_to_worst_case(self, params):
-        assert params.reference_infectious_fraction == 1.0
-        scaled = params.with_references(250.0, 1000.0)
-        assert scaled.reference_infectious_fraction == 0.25
-
     def test_immune_recovery_rate(self, params):
         assert params.immune_recovery_rate == pytest.approx(
             0.4090909090909091, rel=1e-14
         )
+
+    def test_immune_pole(self, params, outbreak_x0):
+        assert params.immune_pole == params.mu + params.omega
+        # the R row's diagonal, in the rate closure and in every factoring
+        R_only = StateVec(0.0, 0.0, 0.0, 1.0)
+        assert make_rate_fn(params)(*R_only, 0.0)[3] == -params.immune_pole
+        for variant in MatrixVariant:
+            m = build_matrix(params, outbreak_x0, variant)
+            assert m[3, 3] == -params.immune_pole
 
 
 class TestMatrixRepresentations:

@@ -1,6 +1,9 @@
 """Metzler scans, the parameter-level criterion, the constant/varying
 split, and the nonnegativity machinery."""
 
+import math
+from inspect import signature
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from seirvax import (
     metzler_parameter_criterion,
     monitor_nonnegativity,
 )
-from seirvax.errors import DecompositionError
+from seirvax.errors import ConfigError, DecompositionError
 
 from conftest import random_state
 
@@ -155,13 +158,37 @@ class TestConstantVaryingSplit:
         np.testing.assert_allclose(a_const + b, lifted, rtol=1e-12, atol=1e-15)
 
     def test_reference_fraction_bound(self, params, outbreak_x0):
-        tight = params.with_references(100.0, 1000.0)
         with pytest.raises(DecompositionError):
-            decompose_star(tight, outbreak_x0)  # I/N = 0.25 > 0.1
+            decompose_star(params, outbreak_x0, ref_fraction=0.1)  # I/N = 0.25
         calm = StateVec(700.0, 100.0, 100.0, 100.0)  # I/N = 0.1 exactly
-        a_const, b = decompose_star(tight, calm)
+        a_const, b = decompose_star(params, calm, ref_fraction=0.1)
         assert b[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert a_const[0, 0] == pytest.approx(-(params.mu + 0.166), rel=1e-12)
+
+    @pytest.mark.parametrize("ref_fraction", [math.nan, math.inf, 0.0, 1.5])
+    def test_ref_fraction_must_lie_in_unit_interval(self, params, outbreak_x0, ref_fraction):
+        with pytest.raises(ConfigError, match=r"ref_fraction must be in \(0, 1\]"):
+            decompose_star(params, outbreak_x0, ref_fraction=ref_fraction)
+
+    def test_ref_fraction_defaults_to_worst_case(self, params, outbreak_x0):
+        # the default is the fraction 1 every admissible state satisfies,
+        # and it is what an unset pair of references used to give: x0.N/x0.N
+        assert signature(decompose_star).parameters["ref_fraction"].default == 1.0
+        S, E, I, R = outbreak_x0
+        N = outbreak_x0.N
+        for include_birth in (False, True):
+            a_const, b = decompose_star(params, outbreak_x0, include_birth=include_birth)
+            old_default = decompose_star(
+                params, outbreak_x0, N / N, include_birth=include_birth
+            )
+            expected_b = np.zeros((4, 4))
+            expected_b[0, 0] = params.beta * (1.0 - I / N)
+            expected_b[1, 2] = params.beta * S / N
+            assert np.array_equal(b, expected_b)
+            for got, old in zip((a_const, b), old_default):
+                assert np.array_equal(got, old)
+        # the worst case admits an everyone-infectious state
+        decompose_star(params, StateVec(0.0, 0.0, 10.0, 0.0))
 
 
 class TestNonnegativityTools:

@@ -50,3 +50,22 @@ def test_run_report_keeps_the_run_and_its_analyses():
         "traj", "steady_state", "integral", "verdicts",
     ]
     assert list(signature(seirvax.detect_steady_state).parameters) == ["traj"]
+
+
+def test_model_params_are_the_seven_rates():
+    # the decomposition's reference fraction is decompose_star's argument
+    assert [f.name for f in fields(seirvax.ModelParams)] == [
+        "mu", "omega", "beta", "sigma", "gamma", "rho", "nu",
+    ]
+    for gone in ("I0_ref", "N0_ref", "with_references", "reference_infectious_fraction"):
+        assert not hasattr(seirvax.ModelParams, gone), gone
+    assert list(signature(seirvax.decompose_star).parameters) == [
+        "params", "x", "ref_fraction", "include_birth",
+    ]
+
+
+def test_integral_diagnostic_stores_no_derived_value():
+    # residual is lhs - rhs, and the pointwise tolerance is POINTWISE_TOL
+    assert [f.name for f in fields(seirvax.IntegralDiagnostic)] == [
+        "horizon", "lhs", "rhs", "max_pointwise_residual", "tail_bound",
+    ]

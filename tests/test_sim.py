@@ -121,6 +121,18 @@ class TestTruncation:
         assert np.isnan(traj.va[-1]) and np.isnan(traj.v[-1])
         assert np.all(np.isfinite(traj.states)) and traj.N[-1] > 100.0
 
+    def test_infinite_demand_is_blowup(self, params, outbreak_x0):
+        # eps0 = 1e308 overflows the demand at t = 0 to inf; the saturated
+        # law clamps it to V = 1, which would run on to the horizon
+        sc = ScenarioConfig(
+            params=params, x0=outbreak_x0,
+            control=ControlConfig(eps0=1e308), horizon=2.0, dt=0.1,
+        )
+        traj = integrate(sc)
+        assert traj.status is RunStatus.BLOWUP
+        assert (len(traj), traj.halt_time) == (1, 0.1)
+        assert traj.va[0] == np.inf and traj.v[0] == 1.0
+
     def test_nan_on_the_final_boundary_is_blowup(self, monkeypatch):
         # 703.8 is the last boundary, which takes no step: the run still
         # ends exactly as the longer run that steps into the nan does
@@ -258,6 +270,41 @@ class TestResets:
         assert fired.any()
         assert np.all(traj.v[fired & (traj.va > 1.0)] == 1.0)
 
+    def test_infinite_demand_drops_later_rows_and_resets(self, params, monkeypatch):
+        sc = ScenarioConfig(
+            params=params,
+            x0=StateVec(100.0, 0.0, 0.0, 900.0),
+            control=ControlConfig(eps0=5.0, law=VaccinationLaw.UNSATURATED),
+            horizon=5.0,
+            dt=0.01,
+        )
+        clean = integrate(sc)
+        # one boundary between the first and the last reset reads R_star =
+        # -inf: the demand is -inf there and applies V = 0, so the loop
+        # itself would run on and keep resetting
+        k = 250
+        t_k = float(clean.t[k])
+        assert clean.reset_events[0].t < t_k < clean.reset_events[-1].t
+        pieces = sim.control_pieces
+
+        def patched(cfg, p, r0):
+            profile, modulation, law = pieces(cfg, p, r0)
+
+            def spiked(t, N, dN):
+                h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+                return h, h_dot, (-np.inf if t == t_k else R_star), R_star_dot
+
+            return spiked, modulation, law
+
+        monkeypatch.setattr(sim, "control_pieces", patched)
+        traj = integrate(sc)
+        assert traj.status is RunStatus.BLOWUP
+        assert (len(traj), traj.halt_time) == (k + 1, t_k + sc.dt)
+        assert traj.va[k] == -np.inf and traj.v[k] == 0.0
+        assert traj.states.tobytes() == clean.states[: k + 1].tobytes()
+        assert traj.reset_events == tuple(e for e in clean.reset_events if e.t <= t_k)
+        assert np.array_equal(traj.reset_counts, clean.reset_counts[: k + 1])
+
     def test_saturated_presets_never_reset(self):
         for name in ("fig2-saturated", "constant-population-check"):
             traj = integrate(build_preset(name))
@@ -304,22 +351,16 @@ class TestScenarioValidation:
             _plain_scenario(params, StateVec(0.0, 0.0, 0.0, 0.0)).resolved()
         with pytest.raises(ConfigError):
             _plain_scenario(params, StateVec(float("nan"), 0.0, 0.0, 10.0)).resolved()
-        # every component is finite but their sum overflows; the check comes
-        # before the references default to that total
+        # every component is finite but their sum overflows
         huge = StateVec(1e308, 1e308, 1e308, 1e308)
-        for p in (params, params.with_references(1.0, 1.0)):
-            with pytest.raises(ConfigError, match="initial population total must be finite"):
-                _plain_scenario(p, huge).resolved()
+        with pytest.raises(ConfigError, match="initial population total must be finite"):
+            _plain_scenario(params, huge).resolved()
 
-    def test_resolved_fills_references_and_gains(self, params, outbreak_x0):
+    def test_resolved_fills_gains_and_keeps_params(self, params, outbreak_x0):
         sc = ScenarioConfig(params=params, x0=outbreak_x0).resolved()
-        assert sc.params.I0_ref == outbreak_x0.N
-        assert sc.params.N0_ref == outbreak_x0.N
+        assert sc.params is params
         assert sc.control.eps0 == pytest.approx(0.07058823529411765, rel=1e-14)
-        # already-set references are left alone
-        custom = replace(params, I0_ref=50.0, N0_ref=500.0)
-        sc = ScenarioConfig(params=custom, x0=outbreak_x0).resolved()
-        assert sc.params.I0_ref == 50.0
+        assert sc.control.eps0 == params.immune_pole
 
     def test_step_count(self, params, outbreak_x0):
         assert _plain_scenario(params, outbreak_x0).step_count() == 10

@@ -158,10 +158,10 @@ class TestIntegralIdentity:
 
     def test_verdict_from_diagnostic(self, params):
         diag = IntegralDiagnostic(
-            horizon=100.0, lhs=1000.0, rhs=990.0, residual=10.0,
-            max_pointwise_residual=0.5, tail_bound=50.0, pointwise_tol=1e-3,
+            horizon=100.0, lhs=1000.0, rhs=990.0,
+            max_pointwise_residual=0.5, tail_bound=50.0,
         )
-        assert diag.consistent
+        assert diag.consistent and diag.residual == 10.0
         verdict = integral_verdict(params, diag)
         assert verdict.criterion.value == "T3_integral"
         assert verdict.hypothesis_holds and verdict.applicable
@@ -171,7 +171,7 @@ class TestIntegralIdentity:
         assert (horizon.lhs, horizon.rhs) == (10.0, 51.0)
         # either inequality alone breaks consistency and the verdict
         for broken in (replace(diag, max_pointwise_residual=1.5),
-                       replace(diag, residual=-51.5)):
+                       replace(diag, rhs=1051.5)):  # residual -51.5
             assert not broken.consistent
             assert not integral_verdict(params, broken).hypothesis_holds
 
@@ -197,8 +197,8 @@ class TestStandardVerdicts:
 
     def test_diagnostic_threaded_through(self, params):
         diag = IntegralDiagnostic(
-            horizon=1.0, lhs=1.0, rhs=1.0, residual=0.0,
-            max_pointwise_residual=0.0, tail_bound=1.0, pointwise_tol=1e-3,
+            horizon=1.0, lhs=1.0, rhs=1.0,
+            max_pointwise_residual=0.0, tail_bound=1.0,
         )
         verdicts = standard_verdicts(params, diag)
         assert verdicts[2].hypothesis_holds
@@ -207,12 +207,12 @@ class TestStandardVerdicts:
         diags = (
             None,
             IntegralDiagnostic(
-                horizon=1.0, lhs=1.0, rhs=1.0, residual=0.0,
-                max_pointwise_residual=0.0, tail_bound=1.0, pointwise_tol=1e-3,
+                horizon=1.0, lhs=1.0, rhs=1.0,
+                max_pointwise_residual=0.0, tail_bound=1.0,
             ),
             IntegralDiagnostic(
-                horizon=1.0, lhs=1.0, rhs=0.0, residual=1.0,
-                max_pointwise_residual=0.0, tail_bound=0.0, pointwise_tol=1e-3,
+                horizon=1.0, lhs=1.0, rhs=0.0,
+                max_pointwise_residual=0.0, tail_bound=0.0,
             ),
         )
         for p in (params, replace(params, nu=params.mu), replace(params, mu=0.0)):
