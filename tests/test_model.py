@@ -112,6 +112,15 @@ class TestParamsValidation:
             ModelParams(mu=math.nan, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
                         rho=0.1, nu=0.01)
 
+    @pytest.mark.parametrize("refs", [
+        (math.inf, math.inf), (10.0, math.inf), (math.nan, 50.0), (10.0, math.nan),
+    ])
+    def test_non_finite_references_rejected(self, params, outbreak_x0, refs):
+        # a reference pair enters only as its fraction I0_ref/N0_ref; a
+        # non-finite pair gives nan or 0, which decompose_star refuses
+        with pytest.raises(ConfigError, match=r"ref_fraction must be in \(0, 1\]"):
+            sx.decompose_star(params, outbreak_x0, ref_fraction=refs[0] / refs[1])
+
     def test_immune_recovery_rate(self, params):
         assert params.immune_recovery_rate == pytest.approx(
             0.4090909090909091, rel=1e-14
