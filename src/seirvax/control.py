@@ -11,7 +11,7 @@ modulation signal. Saturation indicators flag V_a leaving [0, 1]; the
 saturated law clamps, the unsaturated law applies V_a raw and relies on
 state resets for positivity.
 
-Family/profile selector values ("eq33a", "section7", ...) are stable ids
+Family/profile selector values ("eq33b", "section7", ...) are stable ids
 used in config files and reports; the Python names describe behavior.
 """
 
@@ -43,11 +43,9 @@ class ModulationFamily(enum.Enum):
 
     ZERO                       g = 0: vaccination level pinned at eps0/nu.
     CONSTANT_NULLING           g = 1/eps: modulated level exactly zero.
-    SATURATED_BRANCH           closed form for samples where an indicator
-                               is up (V_a outside [0,1]).
-    INTERIOR_BRANCH            closed form for samples with V_a in [0,1];
-                               together with SATURATED_BRANCH this forms
-                               one switched design (see closed-loop notes).
+    SWITCHED                   one switched design: the interior branch
+                               (eq. 33b) while V_a lands in [0,1], the
+                               saturated branch (eq. 33a) otherwise.
     IMMUNE_DECAY_DESIGN        g = (N - e^{-vartheta t})/(eps N): drives
                                the immune level along an exponential decay
                                with a known closed form.
@@ -59,18 +57,11 @@ class ModulationFamily(enum.Enum):
 
     ZERO = "zero"
     CONSTANT_NULLING = "constant_inv_eps"
-    SATURATED_BRANCH = "eq33a"
-    INTERIOR_BRANCH = "eq33b"
+    SWITCHED = "eq33b"
     IMMUNE_DECAY_DESIGN = "eq43_theorem6"
     DELAYED_TRACKING_ONSET = "corollary2_ii"
     PROPORTIONAL_TO_RECOVERY = "custom_case_a"
     RECOVERY_MINUS_UNIT = "custom_case_b"
-
-
-_SWITCHED_FAMILIES = (
-    ModulationFamily.SATURATED_BRANCH,
-    ModulationFamily.INTERIOR_BRANCH,
-)
 
 
 class ReferenceProfile(enum.Enum):
@@ -135,7 +126,7 @@ class ControlConfig:
             )
         if cfg.law is not VaccinationLaw.NONE and not params.nu > 0.0:
             raise ConfigError("an active vaccination law needs nu > 0 (it scales 1/(nu N))")
-        if cfg.g_family in _SWITCHED_FAMILIES:
+        if cfg.g_family is ModulationFamily.SWITCHED:
             floor = max(params.nu, params.immune_recovery_rate)
             if not eps0 > floor:
                 raise ConfigError(
@@ -161,6 +152,12 @@ class ControlConfig:
                 )
         if cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN:
             _decay_gap(cfg, params)
+            # the sufficiency ceiling a report quotes divides by eps*eps0
+            if cfg.eps * eps0 == 0.0:
+                raise ConfigError(
+                    f"the eq43_theorem6 design needs eps*eps0 > 0, got eps = {cfg.eps!r} "
+                    f"and eps0 = {eps0!r}, whose product underflows to 0"
+                )
         return cfg
 
 
@@ -279,9 +276,7 @@ def _switched_saturated_g(g1r, nu, eps, eps0, N, I, th0, th1):
 def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Closed-loop modulation: modulation(t, N, I) -> g.
 
-    Either switched family engages the same two-branch automaton (the two
-    enum members select the same design; they differ only in which branch
-    g_signal exposes). The interior branch implies a vaccination level
+    The switched design's interior branch implies a vaccination level
     equal to the immune recovery inflow over nu*N; when that implied level
     exceeds 1 the design switches to the saturated branch with the upper
     indicator, which is self-consistent because it implies a level of
@@ -306,7 +301,7 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float):
         def modulation(t, N, I):
             return nulling
 
-    elif fam in _SWITCHED_FAMILIES:
+    elif fam is ModulationFamily.SWITCHED:
 
         def modulation(t, N, I):
             if g1r * I / (nu * N) > 1.0:
@@ -344,7 +339,7 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     return modulation
 
 
-def _law_fn(cfg: ControlConfig, params: ModelParams, kind: VaccinationLaw):
+def _law_fn(cfg: ControlConfig, params: ModelParams):
     """law(N, I, h, h_dot, R_star, R_star_dot, g, negative) -> (K_N, K_I, V_a, V).
 
     The gains are scheduled from the sample, memoryless:
@@ -371,8 +366,8 @@ def _law_fn(cfg: ControlConfig, params: ModelParams, kind: VaccinationLaw):
     nu = params.nu
     kn_h = -(K_R + (nu - params.mu) * K_Rd)
     ki_h = params.gamma * params.rho * K_Rd
-    applied = kind is not VaccinationLaw.NONE
-    saturate = kind is VaccinationLaw.SATURATED
+    applied = cfg.law is not VaccinationLaw.NONE
+    saturate = cfg.law is VaccinationLaw.SATURATED
 
     def law(N, I, h, h_dot, R_star, R_star_dot, g, negative):
         K_N = kn_h * h - K_Rd * h_dot + eps0 * (1.0 - eps * g)
@@ -399,14 +394,16 @@ def control_pieces(cfg: ControlConfig, params: ModelParams, r0: float):
         g = modulation(t, N, I)
         K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
 
-    Under the NONE law the modulation is g = 0 and the configured family is
-    not consulted.
+    A divisor that underflows to 0.0 raises ZeroDivisionError; the boundary
+    then records nan for all nine values, a non-finite demand. Under the
+    NONE law the modulation is g = 0 and the configured family is not
+    consulted.
     """
     if cfg.law is VaccinationLaw.NONE:
         modulation = _no_modulation
     else:
         modulation = _modulation_fn(cfg, params, r0)
-    return _profile_fn(cfg, params, r0), modulation, _law_fn(cfg, params, cfg.law)
+    return _profile_fn(cfg, params, r0), modulation, _law_fn(cfg, params)
 
 
 def _identity_residual(nu, eps, eps0, N, V_a, g):
@@ -445,7 +442,7 @@ def _derived_values(cfg: ControlConfig, params: ModelParams, N, V_a, g):
 
 # ---------------------------------------------------------------------------
 # Single samples: control_sample evaluates the whole law at one state and
-# time; g_signal exposes one branch of the switched design.
+# time; g_signal evaluates the switched design on a given branch.
 
 def control_sample(
     cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, r0: float,
@@ -467,9 +464,12 @@ def control_sample(
     I = x.I
     profile, modulation, law = control_pieces(cfg, params, r0)
     dN = (params.nu - params.mu) * N - (params.rho * params.gamma) * I
-    h, h_dot, R_star, R_star_dot = profile(t, N, dN)
-    g = modulation(t, N, I)
-    K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
+    try:
+        h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+        g = modulation(t, N, I)
+        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
+    except ZeroDivisionError:
+        h = h_dot = R_star = R_star_dot = g = K_N = K_I = V_a = V = math.nan
     theta0, theta1, residual = _derived_values(cfg, params, N, V_a, g)
     return ControlSample(V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN,
                          theta0, theta1, float(residual))
@@ -478,33 +478,29 @@ def control_sample(
 def g_signal(
     cfg: ControlConfig, params: ModelParams, x: StateVec, theta0: bool, theta1: bool,
 ) -> float:
-    """The switched design's g on the branch an indicator pattern selects.
+    """The switched design's g on the branch an indicator pattern selects:
+    the interior branch (eq. 33b) with both indicators down, the saturated
+    branch (eq. 33a) with the one indicator up. Both up selects no branch.
 
-    SATURATED_BRANCH needs exactly one indicator up, INTERIOR_BRANCH needs
-    both down. A run picks the branch itself (``_modulation_fn``); every
-    other family's g is ``control_sample(...).g``.
+    A run picks the branch itself (``_modulation_fn``); every other
+    family's g is ``control_sample(...).g``.
     """
     cfg = cfg.validated(params)
     N = _require_population(x)
+    if cfg.g_family is not ModulationFamily.SWITCHED:
+        raise ConfigError(
+            f"g_signal evaluates the switched branches only, not {cfg.g_family.value!r}"
+        )
     g1r = params.immune_recovery_rate
-    if cfg.g_family is ModulationFamily.SATURATED_BRANCH:
-        if (1 if theta0 else 0) + (1 if theta1 else 0) != 1:
-            raise IndicatorMismatchError(
-                "the saturated branch applies only when exactly one "
-                f"indicator is up (got theta0={theta0!r}, theta1={theta1!r})"
-            )
+    if theta0 and theta1:
+        raise IndicatorMismatchError(
+            "no branch applies with both indicators up "
+            f"(got theta0={theta0!r}, theta1={theta1!r})"
+        )
+    if theta0 or theta1:
         return _switched_saturated_g(g1r, params.nu, cfg.eps, cfg.eps0, N, x.I,
                                      1.0 if theta0 else 0.0, 1.0 if theta1 else 0.0)
-    if cfg.g_family is ModulationFamily.INTERIOR_BRANCH:
-        if theta0 or theta1:
-            raise IndicatorMismatchError(
-                "the interior branch applies only with both indicators down "
-                f"(got theta0={theta0!r}, theta1={theta1!r})"
-            )
-        return _switched_interior_g(g1r, cfg.eps, cfg.eps0, N, x.I)
-    raise ConfigError(
-        f"g_signal evaluates the switched branches only, not {cfg.g_family.value!r}"
-    )
+    return _switched_interior_g(g1r, cfg.eps, cfg.eps0, N, x.I)
 
 
 class TrackingCase(enum.Enum):
@@ -637,6 +633,6 @@ def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:
     rather than enforcing it.
     """
     cfg = cfg.validated(params)
-    if not cfg.eps > 0.0:
-        raise ConfigError("ceiling needs eps > 0")
+    if not cfg.eps * cfg.eps0 > 0.0:
+        raise ConfigError("ceiling needs eps*eps0 > 0")
     return (cfg.eps0 - params.nu) / (cfg.eps * cfg.eps0)

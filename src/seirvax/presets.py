@@ -11,7 +11,6 @@ disease-free so the immune compartment follows its design in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .control import (
     ControlConfig,
@@ -41,133 +40,98 @@ DISEASE_FREE_X0 = StateVec(S=800.0, E=0.0, I=0.0, R=200.0)
 OUTBREAK_SS_TOL = 1e-3
 
 
-def _no_vaccination() -> ScenarioConfig:
-    return ScenarioConfig(
-        name="fig1-no-vaccination",
-        params=BASELINE_PARAMS,
-        x0=OUTBREAK_X0,
-        control=ControlConfig(law=VaccinationLaw.NONE),
-        horizon=600.0,
-        dt=0.01,
-        steady_state_tol=OUTBREAK_SS_TOL,
-    )
+# Births balance deaths and nobody dies of the infection, so N stays
+# constant to integration accuracy.
+BALANCED_PARAMS = replace(BASELINE_PARAMS, nu=BASELINE_PARAMS.mu, rho=0.0)
 
-
-def _switched_control(law: VaccinationLaw, name: str) -> ScenarioConfig:
-    # eps0 must dominate both nu and the immune recovery rate (~0.409) for
-    # the switched modulation; it cancels from the applied signal.
-    return ScenarioConfig(
-        name=name,
-        params=BASELINE_PARAMS,
-        x0=OUTBREAK_X0,
-        control=ControlConfig(
-            eps0=0.5,
-            g_family=ModulationFamily.INTERIOR_BRANCH,
-            h_family=ReferenceProfile.EXP_SETTLING,
-            c=0.2,
-            law=law,
-        ),
-        horizon=600.0,
-        dt=0.01,
-        steady_state_tol=OUTBREAK_SS_TOL,
-    )
-
-
-def _saturated_outbreak() -> ScenarioConfig:
-    return _switched_control(VaccinationLaw.SATURATED, "fig2-saturated")
-
-
-def _unsaturated_outbreak() -> ScenarioConfig:
-    return _switched_control(VaccinationLaw.UNSATURATED, "fig3-unsaturated")
-
-
-def _constant_population_check() -> ScenarioConfig:
-    # Births balance deaths and nobody dies of the infection, so N must
-    # stay constant to integration accuracy. Used as a conservation probe.
-    params = replace(BASELINE_PARAMS, nu=BASELINE_PARAMS.mu, rho=0.0)
-    return ScenarioConfig(
-        name="constant-population-check",
-        params=params,
-        x0=OUTBREAK_X0,
-        control=ControlConfig(
-            g_family=ModulationFamily.ZERO,
-            h_family=ReferenceProfile.EXP_SETTLING,
-            law=VaccinationLaw.SATURATED,
-        ),
-        horizon=100.0,
-        dt=0.01,
-    )
-
-
-def _immune_decay() -> ScenarioConfig:
-    # Disease-free start; the decay design drives the immune level along a
-    # known closed form while the clamp stays inactive.
-    return ScenarioConfig(
-        name="immune-decay",
-        params=BASELINE_PARAMS,
-        x0=DISEASE_FREE_X0,
-        control=ControlConfig(
-            vartheta=0.08,
-            g_family=ModulationFamily.IMMUNE_DECAY_DESIGN,
-            h_family=ReferenceProfile.DECAY_DESIGN,
-            law=VaccinationLaw.SATURATED,
-        ),
-        horizon=200.0,
-        dt=0.01,
-    )
-
-
-def _disease_free_tracking() -> ScenarioConfig:
-    # Pole-matched reference with births balancing deaths: the immune
-    # population reproduces h*N exactly and converges to the whole
-    # population. The raw signal sits far above 1, so the law must be the
-    # unclamped one.
-    params = replace(BASELINE_PARAMS, nu=BASELINE_PARAMS.mu, rho=0.0)
-    return ScenarioConfig(
-        name="disease-free-tracking",
-        params=params,
-        x0=DISEASE_FREE_X0,
-        control=ControlConfig(
-            g_family=ModulationFamily.ZERO,
-            h_family=ReferenceProfile.POLE_MATCHED,
-            law=VaccinationLaw.UNSATURATED,
-        ),
-        horizon=600.0,
-        dt=0.01,
-    )
+# eps0 must dominate both nu and the immune recovery rate (~0.409) for the
+# switched modulation; it cancels from the applied signal.
+_FIG2 = ScenarioConfig(
+    name="fig2-saturated",
+    params=BASELINE_PARAMS,
+    x0=OUTBREAK_X0,
+    control=ControlConfig(
+        eps0=0.5, c=0.2, g_family=ModulationFamily.SWITCHED,
+        h_family=ReferenceProfile.EXP_SETTLING, law=VaccinationLaw.SATURATED,
+    ),
+    horizon=600.0,
+    dt=0.01,
+    steady_state_tol=OUTBREAK_SS_TOL,
+)
 
 
 @dataclass(frozen=True)
 class PresetEntry:
     description: str
-    build: Callable[[], ScenarioConfig]
+    scenario: ScenarioConfig
 
 
 PRESETS: dict[str, PresetEntry] = {
-    "fig1-no-vaccination": PresetEntry(
-        "uncontrolled outbreak: 600-day endemic settling with no vaccination",
-        _no_vaccination,
-    ),
-    "fig2-saturated": PresetEntry(
-        "outbreak under the clamped feedback law with the switched modulation",
-        _saturated_outbreak,
-    ),
-    "fig3-unsaturated": PresetEntry(
-        "same controller unclamped, relying on boundary resets for positivity",
-        _unsaturated_outbreak,
-    ),
-    "constant-population-check": PresetEntry(
-        "births balance deaths, no disease mortality: N must stay constant",
-        _constant_population_check,
-    ),
-    "immune-decay": PresetEntry(
-        "disease-free run whose immune level follows the exponential-decay design",
-        _immune_decay,
-    ),
-    "disease-free-tracking": PresetEntry(
-        "disease-free run tracking the pole-matched immune reference exactly",
-        _disease_free_tracking,
-    ),
+    entry.scenario.name: entry
+    for entry in (
+        PresetEntry(
+            "uncontrolled outbreak: 600-day endemic settling with no vaccination",
+            replace(_FIG2, name="fig1-no-vaccination",
+                    control=ControlConfig(law=VaccinationLaw.NONE)),
+        ),
+        PresetEntry(
+            "outbreak under the clamped feedback law with the switched modulation",
+            _FIG2,
+        ),
+        PresetEntry(
+            "same controller unclamped, relying on boundary resets for positivity",
+            replace(_FIG2, name="fig3-unsaturated",
+                    control=replace(_FIG2.control, law=VaccinationLaw.UNSATURATED)),
+        ),
+        PresetEntry(
+            "births balance deaths, no disease mortality: N must stay constant",
+            ScenarioConfig(
+                name="constant-population-check",
+                params=BALANCED_PARAMS,
+                x0=OUTBREAK_X0,
+                control=ControlConfig(
+                    g_family=ModulationFamily.ZERO, h_family=ReferenceProfile.EXP_SETTLING,
+                    law=VaccinationLaw.SATURATED,
+                ),
+                horizon=100.0,
+                dt=0.01,
+            ),
+        ),
+        # Disease-free start; the decay design drives the immune level along
+        # a known closed form while the clamp stays inactive.
+        PresetEntry(
+            "disease-free run whose immune level follows the exponential-decay design",
+            ScenarioConfig(
+                name="immune-decay",
+                params=BASELINE_PARAMS,
+                x0=DISEASE_FREE_X0,
+                control=ControlConfig(
+                    vartheta=0.08, g_family=ModulationFamily.IMMUNE_DECAY_DESIGN,
+                    h_family=ReferenceProfile.DECAY_DESIGN, law=VaccinationLaw.SATURATED,
+                ),
+                horizon=200.0,
+                dt=0.01,
+            ),
+        ),
+        # Pole-matched reference with births balancing deaths: the immune
+        # population reproduces h*N exactly and converges to the whole
+        # population. The raw signal sits far above 1, so the law must be
+        # the unclamped one.
+        PresetEntry(
+            "disease-free run tracking the pole-matched immune reference exactly",
+            ScenarioConfig(
+                name="disease-free-tracking",
+                params=BALANCED_PARAMS,
+                x0=DISEASE_FREE_X0,
+                control=ControlConfig(
+                    g_family=ModulationFamily.ZERO, h_family=ReferenceProfile.POLE_MATCHED,
+                    law=VaccinationLaw.UNSATURATED,
+                ),
+                horizon=600.0,
+                dt=0.01,
+            ),
+        ),
+    )
 }
 
 
@@ -181,4 +145,4 @@ def build_preset(name: str) -> ScenarioConfig:
     except KeyError:
         known = ", ".join(PRESETS)
         raise KeyError(f"unknown preset {name!r}; available: {known}") from None
-    return entry.build()
+    return entry.scenario

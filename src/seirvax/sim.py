@@ -184,7 +184,9 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     stage population as BLOWUP, keeping everything recorded so far. The
     first boundary t_k that records a non-finite demand V_a ends the run
     with BLOWUP at t_k + dt, the time its step would have reached; rows and
-    reset events after t_k are dropped.
+    reset events after t_k are dropped. A divisor that underflows to 0.0
+    while the boundary composes its controller records nan for the nine
+    composed control values, such a demand.
 
     Each boundary composes the controller from ``control_pieces`` (the
     population rate, then profile, modulation and law) and packs its 19
@@ -250,9 +252,12 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
             N = S + E + I + R
 
         dN = growth * N - deaths * I
-        h, h_dot, R_star, R_star_dot = profile(t, N, dN)
-        g = modulation(t, N, I)
-        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
+        try:
+            h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+            g = modulation(t, N, I)
+            K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
+        except ZeroDivisionError:
+            h = h_dot = R_star = R_star_dot = g = K_N = K_I = V_a = V = math.nan
         d1S, d1E, d1I, d1R = rate(S, E, I, R, V)
         pack(packed, k * row_bytes, t, S, E, I, R, d1S, d1E, d1I, d1R,
              V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN)

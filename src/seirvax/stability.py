@@ -205,7 +205,6 @@ class IntegralDiagnostic:
     inequalities; the run is consistent when both are satisfied.
     """
 
-    horizon: float
     lhs: float
     rhs: float
     max_pointwise_residual: float
@@ -270,15 +269,13 @@ def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
     pointwise = weight * n_pop - (n0 - rhs_t)
     max_pointwise = float(np.abs(pointwise).max())
 
-    horizon = float(t[-1])
     i_max = float(i_pop.max(initial=0.0))
     tail_bound = (
         params.rho * params.gamma * i_max
-        * float(np.exp((params.mu - params.nu) * horizon))
+        * float(np.exp((params.mu - params.nu) * float(t[-1])))
         / (params.nu - params.mu)
     )
     return IntegralDiagnostic(
-        horizon=horizon,
         lhs=n0,
         rhs=float(rhs_t[-1]),
         max_pointwise_residual=max_pointwise,

@@ -442,6 +442,25 @@ class TestConfigFiles:
         assert err[0].startswith("error: ") and "mu + omega > 0" in err[0]
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("control, message", [
+        pytest.param("g_family = eq33a",
+                     "error: [control] g_family = 'eq33a'; allowed values: zero, "
+                     "constant_inv_eps, eq33b, eq43_theorem6, corollary2_ii, "
+                     "custom_case_a, custom_case_b", id="eq33a"),
+        # the decay design's ceiling divides by eps*eps0 = 0.5*5e-324 = 0.0
+        pytest.param("g_family = eq43_theorem6\nvartheta = 0.08\neps = 5e-324",
+                     "error: the eq43_theorem6 design needs eps*eps0 > 0, got eps = 5e-324 "
+                     "and eps0 = 0.5, whose product underflows to 0",
+                     id="eq43_theorem6-underflow"),
+    ])
+    def test_rejected_modulation_writes_nothing(self, tmp_path, capsys, control, message):
+        path = write_ini(tmp_path, BASE_INI.replace("g_family = eq33b", control))
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.ini")])
         assert rc == 2
@@ -604,6 +623,36 @@ dt = 0.01
         assert block["status"] == "blowup"
         assert block["identity_max_residual"] == "nan"
 
+    # (scenario file edits, rows recorded): a divisor underflows to 0.0 on
+    # the last recorded row
+    @pytest.mark.parametrize("edits, rows", [
+        pytest.param({"eps0 = 0.5": "eps0 = 0.5\neps = 5e-324"}, 1, id="eq33b-eps0*eps"),
+        pytest.param({"g_family = eq33b": "g_family = custom_case_a\neps = 5e-324"}, 1,
+                     id="custom_case_a-eps*nu"),
+        pytest.param({"g_family = eq33b": "g_family = custom_case_a\neps = 1e-300",
+                      "nu_days = 150": "nu = 1e-30"}, 1, id="custom_case_a-eps_nu*N"),
+        pytest.param({"g_family = eq33b": "g_family = corollary2_ii",
+                      "eps0 = 0.5": "eps0 = 5e-324"}, 2, id="corollary2_ii-eps0*settled"),
+        pytest.param({"g_family = eq33b": "g_family = zero", "nu_days = 150": "nu = 5e-324",
+                      "S0 = 400": "S0 = 0.4", "E0 = 150": "E0 = 0", "I0 = 250": "I0 = 0",
+                      "R0 = 200": "R0 = 0"}, 1, id="zero-nu*N"),
+    ])
+    def test_underflowed_divisor_is_blowup(self, tmp_path, capsys, edits, rows):
+        ini = BASE_INI.replace("dt = 0.01", "dt = 0.1")
+        for old, new in edits.items():
+            assert old in ini
+            ini = ini.replace(old, new)
+        out = tmp_path / "o"
+        rc = main(["--config", str(write_ini(tmp_path, ini)), "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == ""
+        data = read_trajectory_csv(out / "trajectory.csv")
+        assert len(data["t"]) == rows
+        assert np.isnan(data["V_a"][-1]) and np.isnan(data["V"][-1])
+        block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
+        assert block["status"] == "blowup"
+        assert block["identity_max_residual"] == "nan"
+
     def test_nan_on_the_final_boundary_is_blowup(self, tmp_path, monkeypatch):
         # the last boundary, 703.8, reads the nan and takes no step
         nan_profile_from(monkeypatch, 703.75)
@@ -709,12 +758,19 @@ class TestSweep:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "c >= 0" in err[0]
 
-    @pytest.mark.parametrize("family", ["corollary2_ii", "custom_case_a"])
-    def test_infinite_demand_row_is_blowup(self, tmp_path, capsys, family):
+    @pytest.mark.parametrize("family, spec", [
+        pytest.param("corollary2_ii", "eps0=1e306,0.5", id="corollary2_ii"),
+        pytest.param("custom_case_a", "eps0=1e306,0.5", id="custom_case_a"),
+        # the first value makes a divisor underflow to 0.0
+        pytest.param("eq33b", "eps=5e-324,1", id="eq33b-underflow"),
+        pytest.param("corollary2_ii", "eps0=5e-324,0.5", id="corollary2_ii-underflow"),
+        pytest.param("custom_case_a", "eps=5e-324,1", id="custom_case_a-underflow"),
+    ])
+    def test_infinite_demand_row_is_blowup(self, tmp_path, capsys, family, spec):
         ini = BASE_INI.replace("g_family = eq33b", f"g_family = {family}")
         ini = ini.replace("dt = 0.01", "dt = 0.1")
         rc = main(["--config", str(write_ini(tmp_path, ini)),
-                   "--sweep", "eps0=1e306,0.5", "--out", str(tmp_path)])
+                   "--sweep", spec, "--out", str(tmp_path)])
         assert rc == 0
         assert capsys.readouterr().err == ""
         with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:

@@ -42,7 +42,7 @@ R0 = 200.0
 def switched_config(**overrides) -> ControlConfig:
     base = dict(
         eps0=0.5,
-        g_family=ModulationFamily.INTERIOR_BRANCH,
+        g_family=ModulationFamily.SWITCHED,
         h_family=ReferenceProfile.EXP_SETTLING,
         c=0.2,
         law=VaccinationLaw.SATURATED,
@@ -165,6 +165,7 @@ class TestModulationFamilies:
         assert control_sample(cfg, params, 0.0, outbreak_x0, R0).g == 0.5
 
     def test_interior_branch(self, params, outbreak_x0):
+        # both indicators down select eq. 33b
         cfg = switched_config()
         g = g_signal(cfg, params, outbreak_x0, False, False)
         assert g == pytest.approx(0.7954545454545454, rel=1e-12)
@@ -174,21 +175,22 @@ class TestModulationFamilies:
         )
 
     def test_saturated_branch(self, params, outbreak_x0):
-        cfg = switched_config(g_family=ModulationFamily.SATURATED_BRANCH)
+        # exactly one indicator up selects eq. 33a with that indicator
+        cfg = switched_config()
         upper = g_signal(cfg, params, outbreak_x0, False, True)
         assert upper == pytest.approx(0.7821212121212121, rel=1e-12)
         lower = g_signal(cfg, params, outbreak_x0, True, False)
         assert lower == pytest.approx(0.7954545454545454, rel=1e-12)
+        # the closed loop's own branch at this state is the upper one
+        assert upper == control_sample(cfg, params, 0.0, outbreak_x0, R0).g
 
     def test_indicator_pattern_enforced(self, params, outbreak_x0):
-        saturated = switched_config(g_family=ModulationFamily.SATURATED_BRANCH)
-        for pattern in ((False, False), (True, True)):
-            with pytest.raises(IndicatorMismatchError):
-                g_signal(saturated, params, outbreak_x0, *pattern)
-        interior = switched_config()
-        for pattern in ((False, True), (True, False), (True, True)):
-            with pytest.raises(IndicatorMismatchError):
-                g_signal(interior, params, outbreak_x0, *pattern)
+        # only both indicators up names no branch
+        cfg = switched_config()
+        with pytest.raises(IndicatorMismatchError, match="both indicators up"):
+            g_signal(cfg, params, outbreak_x0, True, True)
+        for pattern in ((False, False), (False, True), (True, False)):
+            assert math.isfinite(g_signal(cfg, params, outbreak_x0, *pattern))
         # the other families have no branches to pick
         with pytest.raises(ConfigError, match="switched branches only"):
             g_signal(ControlConfig(), params, outbreak_x0, False, False)
@@ -222,6 +224,18 @@ class TestModulationFamilies:
         for cfg in (prop, shifted):
             with pytest.raises(ConfigError):
                 control_sample(cfg, params=sterile, t=0.0, x=outbreak_x0, r0=R0)
+
+
+class TestUnderflow:
+    def test_underflowed_divisor_gives_the_nan_sample(self, params, outbreak_x0):
+        # the saturated branch divides by eps0*eps*N, and 0.5*5e-324 is 0.0:
+        # every composed value but dN is nan, as integrate records it
+        cfg = switched_config(eps=5e-324)
+        s = control_sample(cfg, params, 0.0, outbreak_x0, R0)
+        dN = control_sample(switched_config(), params, 0.0, outbreak_x0, R0).dN
+        assert s.dN == dN and not (s.theta0 or s.theta1)
+        composed = s[:9] + (s.identity_residual,)
+        assert all(math.isnan(v) for v in composed), s
 
 
 class TestClosedLoopAutomaton:
@@ -260,7 +274,7 @@ class TestClosedLoopAutomaton:
         g_families = (
             ModulationFamily.ZERO,
             ModulationFamily.CONSTANT_NULLING,
-            ModulationFamily.INTERIOR_BRANCH,
+            ModulationFamily.SWITCHED,
             ModulationFamily.IMMUNE_DECAY_DESIGN,
             ModulationFamily.DELAYED_TRACKING_ONSET,
             ModulationFamily.PROPORTIONAL_TO_RECOVERY,
@@ -490,6 +504,18 @@ class TestConfigValidation:
             ControlConfig(
                 g_family=ModulationFamily.IMMUNE_DECAY_DESIGN, vartheta=0.07
             ).validated(params)
+
+    def test_decay_design_needs_a_nonzero_eps_eps0(self, params):
+        # the ceiling a report quotes divides by eps*eps0; 0.5*5e-324
+        # underflows to 0.0 although each factor is > 0
+        decay = ControlConfig(g_family=ModulationFamily.IMMUNE_DECAY_DESIGN, vartheta=0.08)
+        for eps, eps0 in ((5e-324, 0.5), (1e-200, 1e-200)):
+            with pytest.raises(ConfigError, match=r"eps\*eps0 > 0"):
+                replace(decay, eps=eps, eps0=eps0).validated(params)
+        replace(decay, eps=5e-324, eps0=1.0).validated(params)
+        # the ceiling itself applies the same guard to any family
+        with pytest.raises(ConfigError, match=r"eps\*eps0 > 0"):
+            decay_design_g_ceiling(ControlConfig(eps=5e-324, eps0=0.5), params)
 
     def test_reference_rates_cannot_grow(self, params):
         # exp(-c t) and exp(-vartheta t) must not grow; a zero rate holds

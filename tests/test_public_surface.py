@@ -9,6 +9,7 @@ from inspect import signature
 
 import seirvax
 from seirvax.cli import RunReport
+from seirvax.presets import PresetEntry
 
 
 def test_every_exported_name_resolves_once():
@@ -65,7 +66,35 @@ def test_model_params_are_the_seven_rates():
 
 
 def test_integral_diagnostic_stores_no_derived_value():
-    # residual is lhs - rhs, and the pointwise tolerance is POINTWISE_TOL
+    # residual is lhs - rhs, the pointwise tolerance is POINTWISE_TOL, and
+    # the horizon is the run's last sample time
     assert [f.name for f in fields(seirvax.IntegralDiagnostic)] == [
-        "horizon", "lhs", "rhs", "max_pointwise_residual", "tail_bound",
+        "lhs", "rhs", "max_pointwise_residual", "tail_bound",
     ]
+
+
+def test_one_selector_per_controller_behaviour():
+    # the switched design is one family; its branch comes from the indicators
+    assert [m.value for m in seirvax.ModulationFamily] == [
+        "zero", "constant_inv_eps", "eq33b", "eq43_theorem6", "corollary2_ii",
+        "custom_case_a", "custom_case_b",
+    ]
+    assert seirvax.ModulationFamily("eq33b") is seirvax.ModulationFamily.SWITCHED
+    for gone in ("SATURATED_BRANCH", "INTERIOR_BRANCH"):
+        assert not hasattr(seirvax.ModulationFamily, gone), gone
+    assert not hasattr(seirvax.control, "_SWITCHED_FAMILIES")
+    assert list(signature(seirvax.control._law_fn).parameters) == ["cfg", "params"]
+
+
+def test_presets_are_values():
+    # each entry holds its scenario, keyed by the scenario's own name
+    assert [f.name for f in fields(PresetEntry)] == ["description", "scenario"]
+    for name, entry in seirvax.PRESETS.items():
+        assert entry.scenario.name == name
+        assert seirvax.build_preset(name) is entry.scenario
+    for gone in (
+        "_no_vaccination", "_switched_control", "_saturated_outbreak",
+        "_unsaturated_outbreak", "_constant_population_check", "_immune_decay",
+        "_disease_free_tracking",
+    ):
+        assert not hasattr(seirvax.presets, gone), gone

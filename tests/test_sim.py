@@ -9,6 +9,7 @@ import pytest
 from seirvax import (
     ControlConfig,
     ModelParams,
+    ModulationFamily,
     RunStatus,
     ScenarioConfig,
     StateVec,
@@ -23,7 +24,7 @@ from seirvax import (
 from seirvax import sim
 from seirvax.errors import ConfigError
 
-from conftest import nan_profile_from
+from conftest import assert_rows_match_control_sample, nan_profile_from
 
 # Between the grid points 703.7 and 703.8 at dt = 0.1: the row at 703.8 is
 # the first with a nan demand.
@@ -132,6 +133,39 @@ class TestTruncation:
         assert traj.status is RunStatus.BLOWUP
         assert (len(traj), traj.halt_time) == (1, 0.1)
         assert traj.va[0] == np.inf and traj.v[0] == 1.0
+
+    # (g_family, control constants, rates, start, boundary k whose divisor
+    # underflows); at t = 0 corollary2_ii returns g = 0 without dividing
+    @pytest.mark.parametrize("family, constants, rates, x0, k", [
+        pytest.param("eq33b", dict(eps0=0.5, eps=5e-324), {}, None, 0, id="eq33b-eps0*eps"),
+        pytest.param("custom_case_a", dict(eps=5e-324), {}, None, 0, id="custom_case_a-eps*nu"),
+        pytest.param("custom_case_a", dict(eps=1e-300), dict(nu=1e-30), None, 0,
+                     id="custom_case_a-eps_nu*N"),
+        pytest.param("corollary2_ii", dict(eps0=5e-324), {}, None, 1,
+                     id="corollary2_ii-eps0*settled"),
+        pytest.param("zero", {}, dict(nu=5e-324), StateVec(0.4, 0.0, 0.0, 0.0), 0,
+                     id="zero-nu*N"),
+    ])
+    def test_underflowed_divisor_is_blowup(self, params, outbreak_x0, family, constants,
+                                           rates, x0, k):
+        # a divisor that underflows to 0.0 records nan for the boundary's
+        # composed control values, a non-finite demand
+        sc = ScenarioConfig(
+            params=replace(params, **rates), x0=x0 or outbreak_x0,
+            control=ControlConfig(g_family=ModulationFamily(family), **constants),
+            horizon=2.0, dt=0.1,
+        )
+        traj = integrate(sc)
+        assert traj.status is RunStatus.BLOWUP
+        assert (len(traj), traj.halt_time) == (k + 1, traj.t[k] + 0.1)
+        assert np.all(np.isfinite(traj.va[:k]))
+        for name in ("va", "v", "g", "h", "h_dot", "r_star", "r_star_dot", "k_n", "k_i",
+                     "identity_residual"):
+            assert np.isnan(getattr(traj, name)[k]), name
+        assert np.isfinite(traj.dn[k]) and not (traj.theta0[k] or traj.theta1[k])
+        assert traj.reset_events == ()
+        # control_sample returns the same nan sample, bit for bit
+        assert_rows_match_control_sample(traj)
 
     def test_nan_on_the_final_boundary_is_blowup(self, monkeypatch):
         # 703.8 is the last boundary, which takes no step: the run still

@@ -158,7 +158,7 @@ class TestIntegralIdentity:
 
     def test_verdict_from_diagnostic(self, params):
         diag = IntegralDiagnostic(
-            horizon=100.0, lhs=1000.0, rhs=990.0,
+            lhs=1000.0, rhs=990.0,
             max_pointwise_residual=0.5, tail_bound=50.0,
         )
         assert diag.consistent and diag.residual == 10.0
@@ -197,7 +197,7 @@ class TestStandardVerdicts:
 
     def test_diagnostic_threaded_through(self, params):
         diag = IntegralDiagnostic(
-            horizon=1.0, lhs=1.0, rhs=1.0,
+            lhs=1.0, rhs=1.0,
             max_pointwise_residual=0.0, tail_bound=1.0,
         )
         verdicts = standard_verdicts(params, diag)
@@ -207,11 +207,11 @@ class TestStandardVerdicts:
         diags = (
             None,
             IntegralDiagnostic(
-                horizon=1.0, lhs=1.0, rhs=1.0,
+                lhs=1.0, rhs=1.0,
                 max_pointwise_residual=0.0, tail_bound=1.0,
             ),
             IntegralDiagnostic(
-                horizon=1.0, lhs=1.0, rhs=0.0,
+                lhs=1.0, rhs=0.0,
                 max_pointwise_residual=0.0, tail_bound=0.0,
             ),
         )
