@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .config import load_scenario, numeric_key, with_numeric
 from .control import (
@@ -59,11 +60,27 @@ _EXIT_BY_STATUS = {RunStatus.OK: 0, RunStatus.EXTINCT: 3, RunStatus.BLOWUP: 4}
 _CSV_CHUNK_ROWS = 1024
 
 
+def _csv_cells(values: np.ndarray) -> list[str]:
+    """repr of every value, through orjson's shortest round-trip formatter.
+
+    Shortest round-trip digits are unique, so orjson's text is repr's
+    wherever both print plain decimals: zero and 1e-4 <= |x| < 1e16. The
+    other cells (non-finite, which orjson writes as null, and the values
+    repr writes with an exponent) are formatted with repr itself.
+    """
+    items = values.tolist()
+    cells = orjson.dumps(items)[1:-1].decode().split(",")
+    a = np.abs(values)
+    for i in np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (values == 0.0))).tolist():
+        cells[i] = repr(items[i])
+    return cells
+
+
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Emit the run at full float precision: every cell is its repr, which
     round-trips exactly. These are the bytes csv.writer's excel dialect
     writes (str is repr for floats and ints, no repr needs quoting, lines
-    end in CRLF), formatted a column at a time."""
+    end in CRLF), formatted a column chunk at a time by ``_csv_cells``."""
     columns = (
         traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
         traj.g, traj.h, traj.r_star, traj.dn, traj.reset_counts,
@@ -73,7 +90,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
             chunk = slice(start, start + _CSV_CHUNK_ROWS)
-            cells = [list(map(repr, col[chunk].tolist())) for col in columns]
+            cells = [_csv_cells(col[chunk]) for col in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

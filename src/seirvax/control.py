@@ -481,6 +481,7 @@ def g_signal(
     """The switched design's g on the branch an indicator pattern selects:
     the interior branch (eq. 33b) with both indicators down, the saturated
     branch (eq. 33a) with the one indicator up. Both up selects no branch.
+    A divisor that underflows to 0.0 gives nan, as a run records it.
 
     A run picks the branch itself (``_modulation_fn``); every other
     family's g is ``control_sample(...).g``.
@@ -497,10 +498,13 @@ def g_signal(
             "no branch applies with both indicators up "
             f"(got theta0={theta0!r}, theta1={theta1!r})"
         )
-    if theta0 or theta1:
-        return _switched_saturated_g(g1r, params.nu, cfg.eps, cfg.eps0, N, x.I,
-                                     1.0 if theta0 else 0.0, 1.0 if theta1 else 0.0)
-    return _switched_interior_g(g1r, cfg.eps, cfg.eps0, N, x.I)
+    try:
+        if theta0 or theta1:
+            return _switched_saturated_g(g1r, params.nu, cfg.eps, cfg.eps0, N, x.I,
+                                         1.0 if theta0 else 0.0, 1.0 if theta1 else 0.0)
+        return _switched_interior_g(g1r, cfg.eps, cfg.eps0, N, x.I)
+    except ZeroDivisionError:
+        return math.nan
 
 
 class TrackingCase(enum.Enum):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import math
 import struct
@@ -7,7 +8,12 @@ import numpy as np
 import pytest
 
 from seirvax import BASELINE_PARAMS, StateVec, control_sample, sim
-from seirvax.cli import build_run_report, render_report
+from seirvax.cli import (
+    _CSV_CHUNK_ROWS,
+    TRAJECTORY_COLUMNS,
+    build_run_report,
+    render_report,
+)
 
 # sha256 of the whole report.txt text of every bundled preset ("presets")
 # and of every control-grid combination ("grid"); re-recorded with
@@ -64,6 +70,22 @@ def assert_rows_match_control_sample(traj) -> int:
         recorded = tuple(column[k] for column in columns)
         assert pack(*recorded) == pack(*expected), (k, recorded, expected)
     return negatives
+
+
+def reference_write(traj, path) -> None:
+    """trajectory.csv as csv.writer (excel dialect) writes it, the
+    formulation the file format was first defined by."""
+    columns = (
+        traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
+        traj.g, traj.h, traj.r_star, traj.dn, traj.reset_counts,
+        traj.theta0.astype(np.int64), traj.theta1.astype(np.int64),
+    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRAJECTORY_COLUMNS)
+        for start in range(0, len(traj), _CSV_CHUNK_ROWS):
+            chunk = slice(start, start + _CSV_CHUNK_ROWS)
+            writer.writerows(zip(*(col[chunk].tolist() for col in columns)))
 
 
 def report_sha256(traj) -> str:

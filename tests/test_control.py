@@ -237,6 +237,14 @@ class TestUnderflow:
         composed = s[:9] + (s.identity_residual,)
         assert all(math.isnan(v) for v in composed), s
 
+    def test_underflowed_divisor_gives_a_nan_branch(self, params, outbreak_x0):
+        # both saturated patterns divide by eps0*eps*N: nan, the g that
+        # control_sample and integrate record at this state
+        cfg = switched_config(eps=5e-324)
+        for pattern in ((False, True), (True, False)):
+            assert math.isnan(g_signal(cfg, params, outbreak_x0, *pattern)), pattern
+        assert math.isnan(control_sample(cfg, params, 0.0, outbreak_x0, R0).g)
+
 
 class TestClosedLoopAutomaton:
     def test_saturated_branch_engages_on_heavy_inflow(self, params, outbreak_x0):

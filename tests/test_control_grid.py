@@ -8,7 +8,10 @@ that sets out to alter model output re-records it with
     PYTHONPATH=src python tests/test_control_grid.py
 
 Scaling the population by a power of two scales such a run exactly, bit
-for bit, unless a formula of the run carries an absolute unit.
+for bit, unless a formula of the run carries an absolute unit. Each run's
+trajectory.csv equals the csv.writer reference byte for byte; about a
+quarter of the combinations write values below 1e-4, which take the
+writer's repr path.
 """
 
 import functools
@@ -38,9 +41,14 @@ from seirvax import (
     integrate,
     preset_names,
 )
-from seirvax.cli import build_run_report, machine_items
+from seirvax.cli import build_run_report, machine_items, write_trajectory_csv
 
-from conftest import REPORT_DIGESTS, assert_rows_match_control_sample, report_sha256
+from conftest import (
+    REPORT_DIGESTS,
+    assert_rows_match_control_sample,
+    reference_write,
+    report_sha256,
+)
 
 DIGESTS = Path(__file__).parent / "data" / "control_grid_digests.json"
 
@@ -112,6 +120,15 @@ def test_columns_match_recorded_digests(key, recorded):
 @pytest.mark.parametrize("key", list(SCENARIOS))
 def test_rows_match_the_single_sample_controller(key):
     assert_rows_match_control_sample(integrate(SCENARIOS[key]))
+
+
+@pytest.mark.parametrize("key", list(SCENARIOS))
+def test_trajectory_csv_matches_csv_writer_reference(key, tmp_path):
+    traj = integrate(SCENARIOS[key])
+    write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+    reference_write(traj, tmp_path / "reference.csv")
+    written = (tmp_path / "trajectory.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
 
 
 VERDICT_IDS = {c.value for c in StabilityCriterion}

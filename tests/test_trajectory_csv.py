@@ -1,13 +1,14 @@
 """trajectory.csv writer against a csv.writer reference, byte for byte.
 
-write_trajectory_csv formats each column with repr and joins the cells
-itself. The reference below is the csv.writer (excel dialect) formulation
-the file format was first defined by; the two must agree on every row count
-around the chunk boundary and on every float that formats unusually
-(signed zero, subnormals, exponent forms, infinities, nan).
+write_trajectory_csv formats each column chunk with orjson, re-formats with
+repr the cells outside zero and 1e-4 <= |x| < 1e16, and joins the cells
+itself. The reference (conftest.reference_write) is the csv.writer (excel
+dialect) formulation the file format was first defined by; the two must
+agree on every row count around the chunk boundary, on both sides of each
+edge of that range, and on every float that formats unusually (signed
+zero, subnormals, exponent forms, infinities, nan).
 """
 
-import csv
 import math
 
 import numpy as np
@@ -16,25 +17,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seirvax import build_preset
-from seirvax.cli import _CSV_CHUNK_ROWS, TRAJECTORY_COLUMNS, write_trajectory_csv
+from seirvax.cli import _CSV_CHUNK_ROWS, write_trajectory_csv
 from seirvax.sim import RunStatus, Trajectory
 
-
-def reference_write(traj, path):
-    columns = (
-        traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
-        traj.g, traj.h, traj.r_star, traj.dn, traj.reset_counts,
-        traj.theta0.astype(np.int64), traj.theta1.astype(np.int64),
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            chunk = slice(start, start + _CSV_CHUNK_ROWS)
-            writer.writerows(zip(*(col[chunk].tolist() for col in columns)))
+from conftest import reference_write
 
 
-SPECIALS = (-0.0, 5e-324, 1e-05, 1e16, 1e300, math.inf, -math.inf, math.nan)
+# the last five bound the range orjson formats: just below and at 1e-4, just
+# below 1e16 (1e16 itself is above it), then two large values inside it
+SPECIALS = (
+    -0.0, 5e-324, 1e-05, 1e16, 1e300, math.inf, -math.inf, math.nan,
+    math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e16, 0), 1e15, 2.0**53 + 2,
+)
 ROW_COUNTS = (
     1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
     2 * _CSV_CHUNK_ROWS + 3,
@@ -49,7 +43,8 @@ def trajectories(draw):
     n = draw(st.sampled_from(ROW_COUNTS))
     floats = [draw(hnp.arrays(np.float64, n, elements=cell, fill=cell))
               for _ in range(N_FLOAT_COLUMNS)]
-    # every special value lands in some column even for a single row
+    # every special value lands in some column; a single row has room for
+    # the first eleven, both sides of each range edge among them
     for j, col in enumerate(floats):
         for k in range(min(n, len(SPECIALS))):
             col[k] = SPECIALS[(j + k) % len(SPECIALS)]
