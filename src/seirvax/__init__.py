@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     DecompositionError,
     DegenerateProfileError,
-    IndicatorMismatchError,
     NonUniformGridError,
     NotApplicableError,
     SeirvaxError,
@@ -71,7 +70,6 @@ from .control import (
     VaccinationLaw,
     control_sample,
     decay_design_g_ceiling,
-    g_signal,
     immune_closed_form,
     stationary_tracking_level,
     tracking_bound,
@@ -104,7 +102,6 @@ __all__ = [
     "DecompositionError",
     "DegenerateProfileError",
     "ForcingForm",
-    "IndicatorMismatchError",
     "IntegralDiagnostic",
     "MatrixVariant",
     "MetzlerReport",
@@ -143,7 +140,6 @@ __all__ = [
     "decompose_star",
     "detect_steady_state",
     "forcing_vector",
-    "g_signal",
     "immune_closed_form",
     "integral_test",
     "integral_verdict",

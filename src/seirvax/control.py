@@ -24,11 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateProfileError,
-    IndicatorMismatchError,
-)
+from .errors import ConfigError, DegenerateProfileError
 from .model import ModelParams, StateVec, _require_population
 
 
@@ -43,9 +39,10 @@ class ModulationFamily(enum.Enum):
 
     ZERO                       g = 0: vaccination level pinned at eps0/nu.
     CONSTANT_NULLING           g = 1/eps: modulated level exactly zero.
-    SWITCHED                   one switched design: the interior branch
-                               (eq. 33b) while V_a lands in [0,1], the
-                               saturated branch (eq. 33a) otherwise.
+    SWITCHED                   one switched design with two branches:
+                               the interior branch (eq. 33b) while V_a
+                               lands in [0,1], the saturated branch
+                               (eq. 33a with the upper indicator) otherwise.
     IMMUNE_DECAY_DESIGN        g = (N - e^{-vartheta t})/(eps N): drives
                                the immune level along an exponential decay
                                with a known closed form.
@@ -265,24 +262,19 @@ def _no_modulation(t, N, I):
     return 0.0
 
 
-def _switched_interior_g(g1r, eps, eps0, N, I):
-    return (1.0 - g1r * I / (eps0 * N)) / eps
-
-
-def _switched_saturated_g(g1r, nu, eps, eps0, N, I, th0, th1):
-    return ((eps0 * th0 + (eps0 - nu) * th1) * N - g1r * I) / (eps0 * eps * N * (th0 + th1))
-
-
 def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Closed-loop modulation: modulation(t, N, I) -> g.
 
-    The switched design's interior branch implies a vaccination level
-    equal to the immune recovery inflow over nu*N; when that implied level
-    exceeds 1 the design switches to the saturated branch with the upper
-    indicator, which is self-consistent because it implies a level of
-    1 + (inflow ratio) > 1. The lower indicator's branch is unreachable
-    from nonnegative states (the implied level is never negative). r0
-    (initial immune count) is only consulted by DELAYED_TRACKING_ONSET.
+    The switched design's two branches are both spelled here. The
+    interior branch (eq. 33b), g = (1 - g1r*I/(eps0*N))/eps, implies a
+    vaccination level equal to the immune recovery inflow over nu*N; when
+    that implied level exceeds 1 the design switches to the saturated
+    branch, eq. 33a with the upper indicator,
+    g = ((eps0 - nu)*N - g1r*I)/(eps0*eps*N), which is self-consistent
+    because it implies a level of 1 + (inflow ratio) > 1. Eq. 33a with the
+    lower indicator is (eps0*N - g1r*I)/(eps0*eps*N), eq. 33b rewritten,
+    so there is no third branch. r0 (initial immune count) is only
+    consulted by DELAYED_TRACKING_ONSET.
     Only an applied law builds a modulation, so validated() has already
     checked nu > 0 for the families that divide by it.
     """
@@ -305,8 +297,8 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float):
 
         def modulation(t, N, I):
             if g1r * I / (nu * N) > 1.0:
-                return _switched_saturated_g(g1r, nu, eps, eps0, N, I, 0.0, 1.0)
-            return _switched_interior_g(g1r, eps, eps0, N, I)
+                return ((eps0 - nu) * N - g1r * I) / (eps0 * eps * N)
+            return (1.0 - g1r * I / (eps0 * N)) / eps
 
     elif fam is ModulationFamily.IMMUNE_DECAY_DESIGN:
         neg_vartheta = -cfg.vartheta
@@ -442,7 +434,7 @@ def _derived_values(cfg: ControlConfig, params: ModelParams, N, V_a, g):
 
 # ---------------------------------------------------------------------------
 # Single samples: control_sample evaluates the whole law at one state and
-# time; g_signal evaluates the switched design on a given branch.
+# time, the switched design's g on the branch that state selects included.
 
 def control_sample(
     cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, r0: float,
@@ -458,7 +450,7 @@ def control_sample(
     recorded row bit for bit.
     """
     cfg = cfg.validated(params)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     N = _require_population(x)
     I = x.I
@@ -473,38 +465,6 @@ def control_sample(
     theta0, theta1, residual = _derived_values(cfg, params, N, V_a, g)
     return ControlSample(V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN,
                          theta0, theta1, float(residual))
-
-
-def g_signal(
-    cfg: ControlConfig, params: ModelParams, x: StateVec, theta0: bool, theta1: bool,
-) -> float:
-    """The switched design's g on the branch an indicator pattern selects:
-    the interior branch (eq. 33b) with both indicators down, the saturated
-    branch (eq. 33a) with the one indicator up. Both up selects no branch.
-    A divisor that underflows to 0.0 gives nan, as a run records it.
-
-    A run picks the branch itself (``_modulation_fn``); every other
-    family's g is ``control_sample(...).g``.
-    """
-    cfg = cfg.validated(params)
-    N = _require_population(x)
-    if cfg.g_family is not ModulationFamily.SWITCHED:
-        raise ConfigError(
-            f"g_signal evaluates the switched branches only, not {cfg.g_family.value!r}"
-        )
-    g1r = params.immune_recovery_rate
-    if theta0 and theta1:
-        raise IndicatorMismatchError(
-            "no branch applies with both indicators up "
-            f"(got theta0={theta0!r}, theta1={theta1!r})"
-        )
-    try:
-        if theta0 or theta1:
-            return _switched_saturated_g(g1r, params.nu, cfg.eps, cfg.eps0, N, x.I,
-                                         1.0 if theta0 else 0.0, 1.0 if theta1 else 0.0)
-        return _switched_interior_g(g1r, cfg.eps, cfg.eps0, N, x.I)
-    except ZeroDivisionError:
-        return math.nan
 
 
 class TrackingCase(enum.Enum):

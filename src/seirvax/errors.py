@@ -22,10 +22,6 @@ class DecompositionError(SeirvaxError):
     """Constant/varying split infeasible: reference infectious fraction exceeded."""
 
 
-class IndicatorMismatchError(SeirvaxError):
-    """Modulation family evaluated with indicator flags outside its applicable case."""
-
-
 class DegenerateProfileError(SeirvaxError):
     """Reference profile parameters collapse the formula (zero denominator)."""
 

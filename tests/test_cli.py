@@ -1,11 +1,16 @@
 """Command-line behavior: artifacts, report content, config parsing,
 overrides, sweeps, and exit codes. Everything runs main() in-process."""
 
+import contextlib
 import csv
+import io
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seirvax import build_preset, integrate, load_scenario, preset_names
 from seirvax.cli import (
@@ -161,6 +166,21 @@ NUMERIC_SPELLINGS = [
     for key in keys
     for spelling in ((key, key + "_days") if key in PERIOD_KEYS else (key,))
 ]
+
+
+@st.composite
+def sweep_specs(draw):
+    """A numeric key (or its _days spelling) and 1-3 values, drawn from the
+    edge values and arbitrary floats. The grid keys' arbitrary draws keep a
+    run of the 2-day, dt = 0.1 base to at most 200 steps; their edge values
+    still reach the non-finite and unstorable grid errors."""
+    _, key = draw(st.sampled_from(NUMERIC_SPELLINGS))
+    arbitrary = {"horizon": st.floats(max_value=20.0),
+                 "dt": st.floats(min_value=0.01)}.get(key, st.floats())
+    edges = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0,
+                             1e300, 1e-300, 5e-324, 1e308])
+    values = draw(st.lists(st.one_of(edges, arbitrary), min_size=1, max_size=3))
+    return key, values
 
 
 @pytest.fixture(autouse=True)
@@ -814,6 +834,35 @@ class TestSweep:
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3
+
+    @settings(derandomize=True, max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=sweep_specs())
+    def test_generated_sweep_values_end_in_a_row_each(self, tmp_path, spec):
+        # every value runs to a status or fails its own row with one cause
+        # line; nothing escapes main (tmp_path is shared: each example
+        # rewrites sweep.csv before reading it)
+        key, values = spec
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["--preset", "fig2-saturated", "--horizon", "2", "--dt", "0.1",
+                       "--sweep", f"{key}={','.join(map(repr, values))}",
+                       "--out", str(tmp_path)])
+        assert rc == 0
+        with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == SWEEP_COLUMNS
+        assert [len(row) for row in rows] == [len(SWEEP_COLUMNS)] * len(values)
+        assert [row[:2] for row in rows] == [[key, repr(v)] for v in values]
+        failed = []
+        for row in rows:
+            assert row[2] in ("ok", "extinct", "blowup", "error"), row
+            if row[2] == "error":
+                assert row[3:] == [""] * (len(SWEEP_COLUMNS) - 3), row
+                failed.append(f"sweep row {key}={row[1]} failed: ")
+        lines = err.getvalue().splitlines()
+        assert len(lines) == len(failed)
+        assert all(line.startswith(cause) for line, cause in zip(lines, failed)), lines
 
     @pytest.mark.parametrize("spec", ["zeta=1,2", "beta=", "beta"])
     def test_rejected_sweep_specs(self, tmp_path, capsys, spec):

@@ -2,9 +2,10 @@
 modulation families, the closed-loop branch automaton, both laws, tracking
 bounds, and the closed-form design oracles.
 
-Single samples go through control_sample (and g_signal for one branch of
-the switched design). Frozen decimals were computed independently (exact
-rational arithmetic where possible) before being asserted here.
+Single samples go through control_sample, the switched design's g on the
+branch the sampled state selects included. Frozen decimals were computed
+independently (exact rational arithmetic where possible) before being
+asserted here.
 """
 
 import math
@@ -18,21 +19,19 @@ from seirvax import (
     ModelParams,
     ModulationFamily,
     ReferenceProfile,
+    RunStatus,
     StateVec,
     TrackingCase,
     VaccinationLaw,
+    build_preset,
     control_sample,
     decay_design_g_ceiling,
-    g_signal,
     immune_closed_form,
+    integrate,
     stationary_tracking_level,
     tracking_bound,
 )
-from seirvax.errors import (
-    ConfigError,
-    DegenerateProfileError,
-    IndicatorMismatchError,
-)
+from seirvax.errors import ConfigError, DegenerateProfileError
 
 from conftest import random_state
 
@@ -106,6 +105,12 @@ class TestReferenceProfiles:
         with pytest.raises(ValueError):
             control_sample(cfg, params, -0.1, outbreak_x0, R0)
 
+    def test_nan_time_rejected(self, params, outbreak_x0):
+        # nan compares false against 0 both ways: the guard must not let it
+        # through to a sample of nan profile, gains and demand
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            control_sample(switched_config(), params, math.nan, outbreak_x0, R0)
+
 
 class TestGainSchedule:
     def test_frozen_gains(self, params, outbreak_x0):
@@ -164,36 +169,13 @@ class TestModulationFamilies:
         cfg = ControlConfig(g_family=ModulationFamily.CONSTANT_NULLING, eps=2.0)
         assert control_sample(cfg, params, 0.0, outbreak_x0, R0).g == 0.5
 
-    def test_interior_branch(self, params, outbreak_x0):
-        # both indicators down select eq. 33b
+    def test_interior_branch(self, params):
+        # with no infectious inflow the interior branch (eq. 33b) is 1/eps
         cfg = switched_config()
-        g = g_signal(cfg, params, outbreak_x0, False, False)
-        assert g == pytest.approx(0.7954545454545454, rel=1e-12)
         calm = StateVec(760.0, 40.0, 0.0, 200.0)
-        assert g_signal(cfg, params, calm, False, False) == pytest.approx(
-            1.0 / cfg.eps, rel=1e-14
-        )
-
-    def test_saturated_branch(self, params, outbreak_x0):
-        # exactly one indicator up selects eq. 33a with that indicator
-        cfg = switched_config()
-        upper = g_signal(cfg, params, outbreak_x0, False, True)
-        assert upper == pytest.approx(0.7821212121212121, rel=1e-12)
-        lower = g_signal(cfg, params, outbreak_x0, True, False)
-        assert lower == pytest.approx(0.7954545454545454, rel=1e-12)
-        # the closed loop's own branch at this state is the upper one
-        assert upper == control_sample(cfg, params, 0.0, outbreak_x0, R0).g
-
-    def test_indicator_pattern_enforced(self, params, outbreak_x0):
-        # only both indicators up names no branch
-        cfg = switched_config()
-        with pytest.raises(IndicatorMismatchError, match="both indicators up"):
-            g_signal(cfg, params, outbreak_x0, True, True)
-        for pattern in ((False, False), (False, True), (True, False)):
-            assert math.isfinite(g_signal(cfg, params, outbreak_x0, *pattern))
-        # the other families have no branches to pick
-        with pytest.raises(ConfigError, match="switched branches only"):
-            g_signal(ControlConfig(), params, outbreak_x0, False, False)
+        s = control_sample(cfg, params, 0.0, calm, R0)
+        assert not (s.theta0 or s.theta1)
+        assert s.g == 1.0 / cfg.eps
 
     def test_immune_decay_design(self, params, outbreak_x0):
         cfg = ControlConfig(
@@ -236,14 +218,6 @@ class TestUnderflow:
         assert s.dN == dN and not (s.theta0 or s.theta1)
         composed = s[:9] + (s.identity_residual,)
         assert all(math.isnan(v) for v in composed), s
-
-    def test_underflowed_divisor_gives_a_nan_branch(self, params, outbreak_x0):
-        # both saturated patterns divide by eps0*eps*N: nan, the g that
-        # control_sample and integrate record at this state
-        cfg = switched_config(eps=5e-324)
-        for pattern in ((False, True), (True, False)):
-            assert math.isnan(g_signal(cfg, params, outbreak_x0, *pattern)), pattern
-        assert math.isnan(control_sample(cfg, params, 0.0, outbreak_x0, R0).g)
 
 
 class TestClosedLoopAutomaton:
@@ -383,6 +357,24 @@ class TestTrackingBounds:
         assert b.ratio == 0.0 and b.R_bar == 0.0 and b.feasible
         with pytest.raises(ConfigError):
             tracking_bound(TrackingCase.CASE_I, params, cfg, N2=1000.0)
+
+    def test_saturated_branch_case_holds_on_a_switched_run(self, params):
+        # case i's context: fig2's switched design with slower recovery and
+        # faster waning, where the bound is feasible; the saturated branch
+        # (upper indicator up, implied level above 1) is active on every row
+        p = replace(params, gamma=0.05, omega=0.2)
+        scenario = replace(build_preset("fig2-saturated"), params=p, horizon=3000.0, dt=0.1)
+        traj = integrate(scenario)
+        assert traj.status is RunStatus.OK and len(traj.t) == 30001
+        assert traj.theta1.all()
+        assert (p.immune_recovery_rate * traj.I / (p.nu * traj.N) > 1.0).all()
+        N2 = float(traj.N.max())
+        b = tracking_bound(TrackingCase.CASE_I, p, scenario.control, N2=N2,
+                           g_min=float(traj.g.min()))
+        assert b.feasible
+        # the bound's ratio (0.189) against the tail peak of R/N2 (0.0313)
+        tail = traj.R[len(traj.t) - len(traj.t) // 5:]
+        assert b.ratio >= tail.max() / N2
 
     def test_full_mortality_extinguishes_immune_compartment(self, params):
         lethal = replace(params, rho=1.0)
@@ -554,7 +546,6 @@ class TestConfigValidation:
         bad = ControlConfig(eps0=-0.1)
         calls = (
             lambda: control_sample(bad, params, 0.0, outbreak_x0, R0),
-            lambda: g_signal(bad, params, outbreak_x0, False, False),
             lambda: control_sample(bad, params, 12.5, outbreak_x0, R0, True),
             lambda: tracking_bound(TrackingCase.CASE_II, params, bad, N2=1000.0),
             lambda: immune_closed_form(replace(bad, vartheta=0.08), params, 1.0, R0),

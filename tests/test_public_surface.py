@@ -32,6 +32,12 @@ def test_single_sample_surface_is_control_sample():
         "make_control_fn",
     ):
         assert not hasattr(seirvax, gone), gone
+    # the switched design's two branches are spelled once, in _modulation_fn
+    for gone in (
+        "g_signal", "IndicatorMismatchError", "_switched_interior_g", "_switched_saturated_g",
+    ):
+        for module in (seirvax, seirvax.control, seirvax.errors):
+            assert not hasattr(module, gone), (module.__name__, gone)
 
 
 def test_model_records_restate_nothing():
