@@ -16,6 +16,7 @@ import csv
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -55,43 +56,65 @@ TRAJECTORY_COLUMNS = (
 _EXIT_BY_STATUS = {RunStatus.OK: 0, RunStatus.EXTINCT: 3, RunStatus.BLOWUP: 4}
 
 
-# Rows per write: whole-column formatting would hold every cell of the run
-# as a Python string at once.
+# Rows per write: whole-run formatting would hold every row of the run as a
+# Python bytes object at once.
 _CSV_CHUNK_ROWS = 1024
 
 
-def _csv_cells(values: np.ndarray) -> list[str]:
-    """repr of every value, through orjson's shortest round-trip formatter.
-
-    Shortest round-trip digits are unique, so orjson's text is repr's
-    wherever both print plain decimals: zero and 1e-4 <= |x| < 1e16. The
-    other cells (non-finite, which orjson writes as null, and the values
-    repr writes with an exponent) are formatted with repr itself.
-    """
-    items = values.tolist()
-    cells = orjson.dumps(items)[1:-1].decode().split(",")
+def _plain(values: np.ndarray) -> np.ndarray:
+    """Where orjson's shortest round-trip digits are repr's text: zero and
+    1e-4 <= |x| < 1e16."""
     a = np.abs(values)
-    for i in np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (values == 0.0))).tolist():
-        cells[i] = repr(items[i])
+    return ((a >= 1e-4) & (a < 1e16)) | (values == 0.0)
+
+
+def _csv_cells(values: np.ndarray) -> list[bytes]:
+    """repr of every value of one column: orjson's text on the plain cells,
+    repr itself on the others (non-finite, which orjson writes as null, and
+    the values repr writes with an exponent)."""
+    items = values.tolist()
+    cells = orjson.dumps(items)[1:-1].split(b",")
+    for i in np.flatnonzero(~_plain(values)).tolist():
+        cells[i] = repr(items[i]).encode()
     return cells
+
+
+def _csv_rows(block: np.ndarray) -> list[bytes]:
+    """Each row of a 2-D block, its cells comma-joined, from one dump of
+    orjson's numpy path (the digits of its float path)."""
+    dumped = orjson.dumps(np.ascontiguousarray(block), option=orjson.OPT_SERIALIZE_NUMPY)
+    return dumped[2:-2].split(b"],[")
 
 
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Emit the run at full float precision: every cell is its repr, which
-    round-trips exactly. These are the bytes csv.writer's excel dialect
-    writes (str is repr for floats and ints, no repr needs quoting, lines
-    end in CRLF), formatted a column chunk at a time by ``_csv_cells``."""
-    columns = (
+    round-trips exactly, in the bytes csv.writer's excel dialect writes (str
+    is repr for floats and ints, no repr needs quoting, lines end in CRLF).
+    Per chunk of rows, each run of adjacent float columns that is plain on
+    every row is one ``_csv_rows`` block, any other column goes cell by cell
+    through ``_csv_cells``, and the int columns are one more block."""
+    floats = (
         traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
-        traj.g, traj.h, traj.r_star, traj.dn, traj.reset_counts,
-        traj.theta0.astype(np.int64), traj.theta1.astype(np.int64),
+        traj.g, traj.h, traj.r_star, traj.dn,
     )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS) + "\r\n")
+    flags = (traj.reset_counts, traj.theta0, traj.theta1)
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRAJECTORY_COLUMNS).encode() + b"\r\n")
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
             chunk = slice(start, start + _CSV_CHUNK_ROWS)
-            cells = [_csv_cells(col[chunk]) for col in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            block = np.column_stack([col[chunk] for col in floats])
+            pieces = []
+            j = 0
+            for plain, run in groupby(_plain(block).all(axis=0).tolist()):
+                end = j + len(list(run))
+                if plain:
+                    pieces.append(_csv_rows(block[:, j:end]))
+                else:
+                    pieces.extend(_csv_cells(block[:, k]) for k in range(j, end))
+                j = end
+            ints = np.column_stack([col[chunk] for col in flags]).astype(np.int64)
+            pieces.append(_csv_rows(ints))
+            fh.write(b"\r\n".join(map(b",".join, zip(*pieces))) + b"\r\n")
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:

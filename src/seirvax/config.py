@@ -119,10 +119,13 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+        # configparser puts the file, line and offending text on lines of
+        # their own; the CLI's error is one line
+        folded = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"malformed config {path}: {folded}") from exc
 
     extra = set(parser.sections()) - _NUMERIC_KEYS.keys()
     if extra:

@@ -486,6 +486,30 @@ class TestConfigFiles:
         assert rc == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, prefix, needles", [
+        pytest.param(b"\xff\xfe[params]\nbeta=1\n", "cannot read config",
+                     ["'utf-8' codec can't decode byte 0xff in position 0"], id="not-utf-8"),
+        # configparser spreads these over several lines: file, line, text
+        pytest.param(b"beta=1\n", "malformed config",
+                     ["no section headers", "bad.ini', line: 1 ", r"'beta=1\n'"],
+                     id="no-section-header"),
+        pytest.param(b"[params]\nbeta\n", "malformed config",
+                     ["bad.ini' [line  2]: ", r"'beta\n'"], id="no-equals-sign"),
+    ])
+    def test_unparsable_file_is_a_one_line_config_error(self, tmp_path, capsys, content,
+                                                        prefix, needles):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(content)
+        out = tmp_path / "o"
+        rc = main(["--config", str(path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {prefix} {path}: ")
+        for needle in needles:
+            assert needle in err[0]
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_unknown_preset(self, capsys):
         rc = main(["--preset", "figure-nine"])
         assert rc == 2

@@ -376,6 +376,27 @@ class TestTrackingBounds:
         tail = traj.R[len(traj.t) - len(traj.t) // 5:]
         assert b.ratio >= tail.max() / N2
 
+    def test_nulled_modulation_cases_hold_on_a_run(self, params):
+        # cases ii and iii's context: g = 1/eps on fig2's switched preset
+        # with slower recovery and faster waning, where both bounds are
+        # feasible; case iii also needs the upper indicator never up
+        p = replace(params, gamma=0.05, omega=0.2)
+        base = build_preset("fig2-saturated")
+        control = replace(base.control, g_family=ModulationFamily.CONSTANT_NULLING)
+        scenario = replace(base, params=p, control=control, horizon=3000.0, dt=0.1)
+        traj = integrate(scenario)
+        assert traj.status is RunStatus.OK
+        assert (traj.g == 1.0 / control.eps).all()
+        assert not traj.theta1.any()
+        N2 = float(traj.N.max())
+        tail = traj.R[len(traj.t) - len(traj.t) // 5:]
+        # the bounds' ratios (case ii 0.253, case iii 0.221) against the
+        # tail peak of R/N2 (0.020)
+        for case in (TrackingCase.CASE_II, TrackingCase.CASE_III):
+            b = tracking_bound(case, p, control, N2=N2)
+            assert b.feasible
+            assert b.ratio >= tail.max() / N2
+
     def test_full_mortality_extinguishes_immune_compartment(self, params):
         lethal = replace(params, rho=1.0)
         cfg = ControlConfig(eps0=0.5).validated(lethal)

@@ -1,12 +1,17 @@
 """trajectory.csv writer against a csv.writer reference, byte for byte.
 
-write_trajectory_csv formats each column chunk with orjson, re-formats with
-repr the cells outside zero and 1e-4 <= |x| < 1e16, and joins the cells
-itself. The reference (conftest.reference_write) is the csv.writer (excel
-dialect) formulation the file format was first defined by; the two must
-agree on every row count around the chunk boundary, on both sides of each
-edge of that range, and on every float that formats unusually (signed
-zero, subnormals, exponent forms, infinities, nan).
+write_trajectory_csv stacks each chunk's float columns into one block. A run
+of adjacent columns that is plain (zero or 1e-4 <= |x| < 1e16) on every row
+of the chunk is formatted by one orjson dump of that run; any other column
+goes cell by cell, orjson first and repr for the cells outside that range.
+The int columns are one more block. The reference
+(conftest.reference_write) is the csv.writer (excel dialect) formulation
+the file format was first defined by; the two must agree on every row count
+around the chunk boundary, on both sides of each edge of that range, on
+every float that formats unusually (signed zero, subnormals, exponent
+forms, infinities, nan), and on both paths in one file: some columns are
+drawn from the plain range only, and one of them leaves it in one chunk
+only, so it switches path at a chunk boundary.
 """
 
 import math
@@ -36,18 +41,39 @@ ROW_COUNTS = (
 # t, S, E, I, R, dN, V_a, V, g, h, R_star (N is the row sum of S, E, I, R)
 N_FLOAT_COLUMNS = 11
 cell = st.one_of(st.sampled_from(SPECIALS), st.floats())
+# values both orjson and repr print as plain decimals, edges included
+plain_cell = st.one_of(
+    st.sampled_from((0.0, -0.0, 1e-4, -1e-4, math.nextafter(1e16, 0), 1e15, 2.0**53 + 2)),
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(-1e16, -1e-4, exclude_min=True),
+)
+OUTSIDE_PLAIN = (5e-324, 1e-05, math.nextafter(1e-4, 0), 1e16, -1e300, math.inf, math.nan)
 
 
 @st.composite
 def trajectories(draw):
     n = draw(st.sampled_from(ROW_COUNTS))
-    floats = [draw(hnp.arrays(np.float64, n, elements=cell, fill=cell))
-              for _ in range(N_FLOAT_COLUMNS)]
-    # every special value lands in some column; a single row has room for
-    # the first eleven, both sides of each range edge among them
-    for j, col in enumerate(floats):
-        for k in range(min(n, len(SPECIALS))):
-            col[k] = SPECIALS[(j + k) % len(SPECIALS)]
+    # at least one float column is drawn from the plain range only and at
+    # least one from every float
+    plain = draw(st.lists(st.booleans(), min_size=N_FLOAT_COLUMNS,
+                          max_size=N_FLOAT_COLUMNS).filter(lambda p: 0 < sum(p) < N_FLOAT_COLUMNS))
+    floats = []
+    for j, is_plain in enumerate(plain):
+        elements = plain_cell if is_plain else cell
+        col = draw(hnp.arrays(np.float64, n, elements=elements, fill=elements))
+        # a mixed column of 13 rows or more holds every special value; a
+        # single row holds one per mixed column
+        if not is_plain:
+            for k in range(min(n, len(SPECIALS))):
+                col[k] = SPECIALS[(j + k) % len(SPECIALS)]
+        floats.append(col)
+    # one plain column leaves the range in a single chunk: it is formatted
+    # cell by cell there and in a block in every other chunk
+    if n > _CSV_CHUNK_ROWS:
+        switching = floats[draw(st.sampled_from([j for j, p in enumerate(plain) if p]))]
+        first = draw(st.integers(0, (n - 1) // _CSV_CHUNK_ROWS)) * _CSV_CHUNK_ROWS
+        row = draw(st.integers(first, min(n, first + _CSV_CHUNK_ROWS) - 1))
+        switching[row] = draw(st.sampled_from(OUTSIDE_PLAIN))
     counts = st.integers(0, 4)
     reset_counts = draw(hnp.arrays(np.int64, n, elements=counts, fill=counts))
     reset_counts[-1] = draw(st.integers(1, 4))
