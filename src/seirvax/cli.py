@@ -410,10 +410,7 @@ def _resolve_out_dir(arg_out: str | None) -> Path:
 
 def _load_base_scenario(args) -> ScenarioConfig:
     if args.preset:
-        try:
-            scenario = build_preset(args.preset)
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0])) from None
+        scenario = build_preset(args.preset)
     elif args.config:
         scenario = load_scenario(args.config)
     else:

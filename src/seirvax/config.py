@@ -117,7 +117,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (K_R vs k_r)
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig skips a leading byte-order mark, as some editors write one
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -197,10 +197,11 @@ class ControlSample(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Per-family pieces. Each resolves its selector and constants once and
-# returns a plain-float function; control_pieces picks the triple that
-# integrate composes at each step boundary and control_sample composes for
-# one sample. Each takes a validated config, so the guards in validated()
-# hold here.
+# returns a plain-float function; boundary_fn composes the profile and the
+# modulation with the population rate, the gains and the law into the one
+# closure that integrate calls at each step boundary and control_sample
+# calls for one sample. Each takes a validated config, so the guards in
+# validated() hold here.
 
 def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Reference profile: profile(t, N, dN) -> (h, h_dot, R_star, R_star_dot).
@@ -331,17 +332,22 @@ def _modulation_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     return modulation
 
 
-def _law_fn(cfg: ControlConfig, params: ModelParams):
-    """law(N, I, h, h_dot, R_star, R_star_dot, g, negative) -> (K_N, K_I, V_a, V).
+def boundary_fn(cfg: ControlConfig, params: ModelParams, r0: float):
+    """boundary(t, N, I, negative) -> the ten values a step boundary records.
 
-    The gains are scheduled from the sample, memoryless:
+    The values come in row order, (V_a, V, g, h, h_dot, R_star, R_star_dot,
+    K_N, K_I, dN), for a validated config and the run's initial immune
+    count r0; ``integrate`` calls the closure at every boundary and
+    ``control_sample`` at one sample. It composes the population rate
+    dN = (nu - mu)*N - rho*gamma*I, the reference profile, the modulation
+    (g = 0 under the NONE law, the configured family not consulted) and
+    the gains, scheduled from the sample and memoryless:
 
         K_N = -(K_R + (nu - mu) K_Rd) h - K_Rd h_dot + eps0 (1 - eps g)
         K_I = gamma rho K_Rd h
 
-    Under the NONE law nothing is applied (V_a = V = 0) and only h, h_dot
-    and g are read. Otherwise the demand is
-    V_a = (K_N*N + K_I*I + K_R*R_star + K_Rd*R_star_dot)/(nu*N).
+    Under the NONE law nothing is applied (V_a = V = 0). Otherwise the
+    demand is V_a = (K_N*N + K_I*I + K_R*R_star + K_Rd*R_star_dot)/(nu*N).
     The saturated law applies clamp(V_a, 0, 1). The unsaturated law falls
     back to the clamp only when the raw state had gone negative (negative:
     some component was < 0 before any reset at this boundary):
@@ -350,52 +356,47 @@ def _law_fn(cfg: ControlConfig, params: ModelParams):
         V = 1     if V_a > 1 and negative
         V = 0     if V_a < 0
         V = V_a   if V_a in [0, 1] and negative (reset-then-apply rule)
+
+    A divisor that underflows to 0.0 raises ZeroDivisionError; the boundary
+    then gives nan for the nine composed values, a non-finite demand, and
+    keeps the finite dN.
     """
+    applied = cfg.law is not VaccinationLaw.NONE
+    profile = _profile_fn(cfg, params, r0)
+    modulation = _modulation_fn(cfg, params, r0) if applied else _no_modulation
+    growth = params.nu - params.mu
+    deaths = params.rho * params.gamma
     K_R = cfg.K_R
     K_Rd = cfg.K_Rd
     eps = cfg.eps
     eps0 = cfg.eps0
     nu = params.nu
-    kn_h = -(K_R + (nu - params.mu) * K_Rd)
-    ki_h = params.gamma * params.rho * K_Rd
-    applied = cfg.law is not VaccinationLaw.NONE
+    kn_h = -(K_R + growth * K_Rd)
+    ki_h = deaths * K_Rd
     saturate = cfg.law is VaccinationLaw.SATURATED
 
-    def law(N, I, h, h_dot, R_star, R_star_dot, g, negative):
-        K_N = kn_h * h - K_Rd * h_dot + eps0 * (1.0 - eps * g)
-        K_I = ki_h * h
-        if not applied:
-            return K_N, K_I, 0.0, 0.0
-        V_a = (K_N * N + K_I * I + K_R * R_star + K_Rd * R_star_dot) / (nu * N)
-        if V_a < 0.0:
-            return K_N, K_I, V_a, 0.0
-        if V_a > 1.0 and (saturate or negative):
-            return K_N, K_I, V_a, 1.0
-        return K_N, K_I, V_a, V_a
+    def boundary(t, N, I, negative):
+        dN = growth * N - deaths * I
+        try:
+            h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+            g = modulation(t, N, I)
+            K_N = kn_h * h - K_Rd * h_dot + eps0 * (1.0 - eps * g)
+            K_I = ki_h * h
+            if not applied:
+                V_a = V = 0.0
+            else:
+                V_a = (K_N * N + K_I * I + K_R * R_star + K_Rd * R_star_dot) / (nu * N)
+                if V_a < 0.0:
+                    V = 0.0
+                elif V_a > 1.0 and (saturate or negative):
+                    V = 1.0
+                else:
+                    V = V_a
+        except ZeroDivisionError:
+            return (math.nan,) * 9 + (dN,)
+        return V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN
 
-    return law
-
-
-def control_pieces(cfg: ControlConfig, params: ModelParams, r0: float):
-    """(profile, modulation, law) for one run of a validated config.
-
-    A step boundary composes them with the population rate
-    dN = (nu - mu)*N - rho*gamma*I:
-
-        h, h_dot, R_star, R_star_dot = profile(t, N, dN)
-        g = modulation(t, N, I)
-        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
-
-    A divisor that underflows to 0.0 raises ZeroDivisionError; the boundary
-    then records nan for all nine values, a non-finite demand. Under the
-    NONE law the modulation is g = 0 and the configured family is not
-    consulted.
-    """
-    if cfg.law is VaccinationLaw.NONE:
-        modulation = _no_modulation
-    else:
-        modulation = _modulation_fn(cfg, params, r0)
-    return _profile_fn(cfg, params, r0), modulation, _law_fn(cfg, params)
+    return boundary
 
 
 def _identity_residual(nu, eps, eps0, N, V_a, g):
@@ -440,8 +441,8 @@ def control_sample(
     cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, r0: float,
     negative: bool = False,
 ) -> ControlSample:
-    """The controller at one sample, composed from ``control_pieces`` the
-    way ``integrate`` composes it at each step boundary.
+    """The controller at one sample: the ``boundary_fn`` closure that
+    ``integrate`` calls at each step boundary, called once.
 
     x is the (post-reset) state at time t >= 0, r0 the initial immune count
     and negative whether some component was < 0 before the reset. The ten
@@ -453,18 +454,9 @@ def control_sample(
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t!r}")
     N = _require_population(x)
-    I = x.I
-    profile, modulation, law = control_pieces(cfg, params, r0)
-    dN = (params.nu - params.mu) * N - (params.rho * params.gamma) * I
-    try:
-        h, h_dot, R_star, R_star_dot = profile(t, N, dN)
-        g = modulation(t, N, I)
-        K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
-    except ZeroDivisionError:
-        h = h_dot = R_star = R_star_dot = g = K_N = K_I = V_a = V = math.nan
-    theta0, theta1, residual = _derived_values(cfg, params, N, V_a, g)
-    return ControlSample(V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN,
-                         theta0, theta1, float(residual))
+    values = boundary_fn(cfg, params, r0)(t, N, x.I, negative)
+    theta0, theta1, residual = _derived_values(cfg, params, N, values[0], values[2])
+    return ControlSample(*values, theta0, theta1, float(residual))
 
 
 class TrackingCase(enum.Enum):

@@ -18,6 +18,7 @@ from .control import (
     ReferenceProfile,
     VaccinationLaw,
 )
+from .errors import ConfigError
 from .model import ModelParams, StateVec
 from .sim import ScenarioConfig
 
@@ -140,9 +141,10 @@ def preset_names() -> tuple[str, ...]:
 
 
 def build_preset(name: str) -> ScenarioConfig:
+    """The named preset's scenario; an unknown name is a ConfigError."""
     try:
         entry = PRESETS[name]
     except KeyError:
         known = ", ".join(PRESETS)
-        raise KeyError(f"unknown preset {name!r}; available: {known}") from None
+        raise ConfigError(f"unknown preset {name!r}; available: {known}") from None
     return entry.scenario

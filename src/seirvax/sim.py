@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControlConfig, _derived_values, control_pieces
+from .control import ControlConfig, _derived_values, boundary_fn
 from .errors import ConfigError, SingularStateError
 from .model import (
     COMPONENT_NAMES,
@@ -31,7 +31,7 @@ from .positivity import ResetEvent, apply_reset
 
 # The benchmark's tracer (perfbench/tracing.py) still looks these five
 # names up on this module and wraps them; nothing calls them. Retargeting
-# the tracer onto control_pieces (ROADMAP.md, item 1) removes them.
+# the tracer onto the boundary_fn closure (ROADMAP.md, item 1) removes them.
 reference = gain_schedule = modulation_identity_residual = None
 vaccination_saturated = vaccination_unsaturated = None
 
@@ -188,19 +188,17 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     while the boundary composes its controller records nan for the nine
     composed control values, such a demand.
 
-    Each boundary composes the controller from ``control_pieces`` (the
-    population rate, then profile, modulation and law) and packs its 19
-    values straight into the run's table; ``control_sample`` is the same
-    composition for one sample.
+    Each boundary calls the run's ``boundary_fn`` closure for its ten
+    control values and packs them, with t, the state and its rates, straight
+    into the run's table; ``control_sample`` calls the same closure for one
+    sample.
     """
     sc = scenario.resolved()
     dt = sc.dt
     n_steps = sc.step_count()
     params = sc.params
     rate = make_rate_fn(params)
-    profile, modulation, law = control_pieces(sc.control, params, sc.x0.R)
-    growth = params.nu - params.mu
-    deaths = params.rho * params.gamma
+    boundary = boundary_fn(sc.control, params, sc.x0.R)
 
     size = n_steps + 1
     # The table is the run's only storage: each step packs its row straight
@@ -251,13 +249,7 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
             reset_counts[k] = len(clamps)
             N = S + E + I + R
 
-        dN = growth * N - deaths * I
-        try:
-            h, h_dot, R_star, R_star_dot = profile(t, N, dN)
-            g = modulation(t, N, I)
-            K_N, K_I, V_a, V = law(N, I, h, h_dot, R_star, R_star_dot, g, negative)
-        except ZeroDivisionError:
-            h = h_dot = R_star = R_star_dot = g = K_N = K_I = V_a = V = math.nan
+        V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN = boundary(t, N, I, negative)
         d1S, d1E, d1I, d1R = rate(S, E, I, R, V)
         pack(packed, k * row_bytes, t, S, E, I, R, d1S, d1E, d1I, d1R,
              V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN)

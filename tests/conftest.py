@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seirvax import BASELINE_PARAMS, StateVec, control_sample, sim
+from seirvax import BASELINE_PARAMS, StateVec, control, control_sample
 from seirvax.cli import (
     _CSV_CHUNK_ROWS,
     TRAJECTORY_COLUMNS,
@@ -96,20 +96,21 @@ def report_sha256(traj) -> str:
 def nan_profile_from(monkeypatch, t_nan: float) -> None:
     """Make every run's reference profile read nan from time t_nan on.
 
-    integrate looks control_pieces up on seirvax.sim when it starts, so the
-    wrapped profile reaches the step loop: at the first boundary with
-    t >= t_nan the demand V_a is nan, the clamp passes it through to V, and
-    the next stage population is nan, a blowup inside that boundary's step.
+    boundary_fn looks _profile_fn up on seirvax.control when it builds the
+    closure, so the wrapped profile reaches integrate's step loop: at the
+    first boundary with t >= t_nan the demand V_a is nan, the clamp passes
+    it through to V, and the next stage population is nan, a blowup inside
+    that boundary's step.
     """
-    pieces = sim.control_pieces
+    profile_fn = control._profile_fn
     nans = (math.nan,) * 4
 
     def patched(cfg, params, r0):
-        profile, modulation, law = pieces(cfg, params, r0)
+        profile = profile_fn(cfg, params, r0)
 
         def late_nan(t, N, dN):
             return nans if t >= t_nan else profile(t, N, dN)
 
-        return late_nan, modulation, law
+        return late_nan
 
-    monkeypatch.setattr(sim, "control_pieces", patched)
+    monkeypatch.setattr(control, "_profile_fn", patched)

@@ -21,6 +21,7 @@ from seirvax.cli import (
     main,
     read_trajectory_csv,
 )
+from seirvax.errors import ConfigError
 
 from conftest import nan_profile_from
 
@@ -510,11 +511,29 @@ class TestConfigFiles:
             assert needle in err[0]
         assert not out.exists() or list(out.iterdir()) == []
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # some editors save UTF-8 with a leading byte-order mark; the file
+        # must run exactly as the same text without it
+        outputs = []
+        for prefix, folder in ((b"", "plain"), (b"\xef\xbb\xbf", "bom")):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "scenario.ini"
+            path.write_bytes(prefix + BASE_INI.encode("utf-8"))
+            out = tmp_path / folder / "o"
+            assert main(["--config", str(path), "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("trajectory.csv", "report.txt")])
+        assert outputs[0] == outputs[1]
+
     def test_unknown_preset(self, capsys):
         rc = main(["--preset", "figure-nine"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "fig1-no-vaccination" in err  # available names listed
+
+    def test_unknown_preset_is_a_config_error_in_the_library(self):
+        with pytest.raises(ConfigError, match=r"unknown preset 'figure-nine'; available: "):
+            build_preset("figure-nine")
 
 
 class TestKeyTable:

@@ -89,7 +89,10 @@ def test_one_selector_per_controller_behaviour():
     for gone in ("SATURATED_BRANCH", "INTERIOR_BRANCH"):
         assert not hasattr(seirvax.ModulationFamily, gone), gone
     assert not hasattr(seirvax.control, "_SWITCHED_FAMILIES")
-    assert list(signature(seirvax.control._law_fn).parameters) == ["cfg", "params"]
+    # one closure composes the population rate, profile, modulation and law
+    assert list(signature(seirvax.control.boundary_fn).parameters) == ["cfg", "params", "r0"]
+    for gone in ("control_pieces", "_law_fn"):
+        assert not hasattr(seirvax.control, gone), gone
 
 
 def test_presets_are_values():

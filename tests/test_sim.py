@@ -21,7 +21,7 @@ from seirvax import (
     detect_steady_state,
     integrate,
 )
-from seirvax import sim
+from seirvax import control, sim
 from seirvax.errors import ConfigError
 
 from conftest import assert_rows_match_control_sample, nan_profile_from
@@ -319,18 +319,18 @@ class TestResets:
         k = 250
         t_k = float(clean.t[k])
         assert clean.reset_events[0].t < t_k < clean.reset_events[-1].t
-        pieces = sim.control_pieces
+        profile_fn = control._profile_fn
 
         def patched(cfg, p, r0):
-            profile, modulation, law = pieces(cfg, p, r0)
+            profile = profile_fn(cfg, p, r0)
 
             def spiked(t, N, dN):
                 h, h_dot, R_star, R_star_dot = profile(t, N, dN)
                 return h, h_dot, (-np.inf if t == t_k else R_star), R_star_dot
 
-            return spiked, modulation, law
+            return spiked
 
-        monkeypatch.setattr(sim, "control_pieces", patched)
+        monkeypatch.setattr(control, "_profile_fn", patched)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert (len(traj), traj.halt_time) == (k + 1, t_k + sc.dt)
