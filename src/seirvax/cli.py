@@ -69,14 +69,9 @@ def _plain(values: np.ndarray) -> np.ndarray:
 
 
 def _csv_cells(values: np.ndarray) -> list[bytes]:
-    """repr of every value of one column: orjson's text on the plain cells,
-    repr itself on the others (non-finite, which orjson writes as null, and
-    the values repr writes with an exponent)."""
-    items = values.tolist()
-    cells = orjson.dumps(items)[1:-1].split(b",")
-    for i in np.flatnonzero(~_plain(values)).tolist():
-        cells[i] = repr(items[i]).encode()
-    return cells
+    """repr of every value of one column: a list's repr joins its items'
+    reprs with ", ", and no float's repr holds a comma."""
+    return repr(values.tolist())[1:-1].encode().split(b", ")
 
 
 def _csv_rows(block: np.ndarray) -> list[bytes]:
@@ -91,8 +86,9 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     round-trips exactly, in the bytes csv.writer's excel dialect writes (str
     is repr for floats and ints, no repr needs quoting, lines end in CRLF).
     Per chunk of rows, each run of adjacent float columns that is plain on
-    every row is one ``_csv_rows`` block, any other column goes cell by cell
-    through ``_csv_cells``, and the int columns are one more block."""
+    every row is one ``_csv_rows`` block, any other column is one repr of
+    the column through ``_csv_cells``, and the int columns are one more
+    block."""
     floats = (
         traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
         traj.g, traj.h, traj.r_star, traj.dn,
@@ -330,17 +326,14 @@ def parse_sweep_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     return key, values
 
 
-def apply_sweep_value(
-    scenario: ScenarioConfig, key: str, value: float
-) -> ScenarioConfig:
-    """scenario with one numeric key (as in a scenario file) set to value."""
-    return with_numeric(scenario, key, value)
+# perfbench's sweep workload sets its values under this name
+apply_sweep_value = with_numeric
 
 
 def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
     """One sweep.csv row; its cells are the run's [machine] values."""
     try:
-        traj = integrate(apply_sweep_value(scenario, key, value))
+        traj = integrate(with_numeric(scenario, key, value))
         rep = build_run_report(traj)
     except SeirvaxError as exc:
         print(f"sweep row {key}={value!r} failed: {exc}", file=sys.stderr)
@@ -349,11 +342,12 @@ def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
     return [key, repr(value)] + [cells.get(col, "") for col in SWEEP_COLUMNS[2:]]
 
 
-def run_sweep(scenario: ScenarioConfig, spec: str, out_dir: Path) -> Path:
-    """One run per grid value, merged in grid order; failures become rows."""
+def run_sweep(scenario: ScenarioConfig, spec: str, arg_out: str | None) -> Path:
+    """One run per grid value, merged in grid order; failures become rows.
+    A bad spec is refused before the output directory is made."""
     key, values = parse_sweep_spec(spec)
     numeric_key(key)  # reject an unknown key before any run starts
-    path = out_dir / "sweep.csv"
+    path = _resolve_out_dir(arg_out) / "sweep.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_COLUMNS)
@@ -415,10 +409,9 @@ def _load_base_scenario(args) -> ScenarioConfig:
         scenario = load_scenario(args.config)
     else:
         raise ConfigError("nothing to run: give --preset or --config (or --list-presets)")
-    if args.dt is not None:
-        scenario = replace(scenario, dt=args.dt)
-    if args.horizon is not None:
-        scenario = replace(scenario, horizon=args.horizon)
+    for key in ("dt", "horizon"):
+        if (value := getattr(args, key)) is not None:
+            scenario = with_numeric(scenario, key, value)
     if args.law is not None:
         scenario = replace(
             scenario,
@@ -457,14 +450,14 @@ def main(argv=None) -> int:
             _print_stability_profile(resolved.params)
             return 0
 
-        out_dir = _resolve_out_dir(args.out)
-
         if args.sweep:
-            path = run_sweep(scenario, args.sweep, out_dir)
+            path = run_sweep(scenario, args.sweep, args.out)
             print(f"wrote {path}")
             return 0
 
         traj = integrate(scenario)
+        # made after the run, so a grid too large to store makes no directory
+        out_dir = _resolve_out_dir(args.out)
         report = build_run_report(traj)
         csv_path = out_dir / "trajectory.csv"
         report_path = out_dir / "report.txt"

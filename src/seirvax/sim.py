@@ -96,14 +96,15 @@ class ScenarioConfig:
         return max(1, int(round(self.horizon / self.dt)))
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Columnar record of one run.
 
     states[k] is the state the step was taken from (post-reset), and all
     control columns were evaluated on exactly that state at t[k]. status
     explains early truncation; halt_time is the first grid time that could
-    not be recorded (None for a complete run).
+    not be recorded (None for a complete run). A run compares and hashes by
+    identity, as its columns are arrays.
     """
 
     scenario: ScenarioConfig

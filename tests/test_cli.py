@@ -1,10 +1,12 @@
 """Command-line behavior: artifacts, report content, config parsing,
 overrides, sweeps, and exit codes. Everything runs main() in-process."""
 
+import configparser
 import contextlib
 import csv
 import io
 import math
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -12,15 +14,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seirvax import build_preset, integrate, load_scenario, preset_names
+from seirvax import (
+    ModulationFamily,
+    ReferenceProfile,
+    VaccinationLaw,
+    build_preset,
+    integrate,
+    load_scenario,
+    preset_names,
+)
 from seirvax.cli import (
     _CSV_CHUNK_ROWS,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
-    apply_sweep_value,
+    build_run_report,
     main,
     read_trajectory_csv,
 )
+from seirvax.config import with_numeric
 from seirvax.errors import ConfigError
 
 from conftest import nan_profile_from
@@ -184,6 +195,54 @@ def sweep_specs(draw):
     return key, values
 
 
+# Hypothesis favours a list's first entries: the finite values come first,
+# so that edited files run (and blow up or go extinct) as well as fail.
+EDGE_VALUES = (1e300, 1e-300, 5e-324, 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)
+# Each enum key's valid values, and spellings that no enum accepts.
+ENUM_VALUES = {
+    "law": tuple(m.value for m in VaccinationLaw),
+    "g_family": tuple(m.value for m in ModulationFamily),
+    "h_family": tuple(m.value for m in ReferenceProfile),
+}
+BAD_ENUM_VALUES = ("", "sideways", "EQ33B", "0")
+
+
+@st.composite
+def scenario_files(draw):
+    """BASE_INI with up to three edits: a section dropped, a key dropped or
+    moved to another section, an enum key set to a valid or an invalid
+    value, or a numeric value set to an edge value. The horizon is never
+    dropped alone: the default horizon is 600 days."""
+    base = configparser.ConfigParser(interpolation=None)
+    base.optionxform = str
+    base.read_string(BASE_INI)
+    names = base.sections()
+    owner = {key: name for name in names for key in base[name]}
+    raws = {key: raw for name in names for key, raw in base[name].items()}
+    present = set(names)
+    edits = st.sampled_from(("number", "enum", "move", "drop", "section"))
+    for edit in draw(st.lists(edits, max_size=3)):
+        if edit == "section":
+            present.discard(draw(st.sampled_from(names)))
+        elif edit == "drop":
+            raws.pop(draw(st.sampled_from([k for k in raws if k != "horizon"])))
+        elif edit == "move":
+            key = draw(st.sampled_from(list(raws)))
+            owner[key] = draw(st.sampled_from([n for n in names if n != owner[key]]))
+        elif edit == "enum":
+            key = draw(st.sampled_from(list(ENUM_VALUES)))
+            raws[key] = draw(st.sampled_from(ENUM_VALUES[key] + BAD_ENUM_VALUES))
+        else:
+            key = draw(st.sampled_from([k for k in owner if k not in ENUM_VALUES]))
+            raws[key] = repr(draw(st.sampled_from(EDGE_VALUES)))
+    return "".join(
+        f"[{name}]\n"
+        + "".join(f"{key} = {raw}\n" for key, raw in raws.items() if owner[key] == name)
+        for name in names
+        if name in present
+    )
+
+
 @pytest.fixture(autouse=True)
 def _no_env_out(monkeypatch):
     monkeypatch.delenv("SEIRVAX_OUT", raising=False)
@@ -283,6 +342,13 @@ class TestRunArtifacts:
         traj = integrate(load_scenario(path))
         assert 1 < len(traj) < 1001
         assert_csv_matches(tmp_path / "o" / "trajectory.csv", traj)
+
+    def test_run_reports_hash_and_compare(self):
+        sc = replace(build_preset("fig1-no-vaccination"), horizon=2.0)
+        a, b = (build_run_report(integrate(sc)) for _ in range(2))
+        assert hash(a) == hash(a)
+        assert a == a
+        assert a != b  # two runs of one scenario are two runs
 
     def test_header_only_csv_reads_as_empty_columns(self, tmp_path):
         path = tmp_path / "trajectory.csv"
@@ -525,6 +591,27 @@ class TestConfigFiles:
                             for name in ("trajectory.csv", "report.txt")])
         assert outputs[0] == outputs[1]
 
+    @settings(derandomize=True, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=scenario_files())
+    def test_generated_scenario_files_end_in_an_exit_code(self, tmp_path, text):
+        # every file runs to a status or is refused with one error line and
+        # no output directory; nothing escapes main (tmp_path is shared:
+        # each example clears its output directory first)
+        path = write_ini(tmp_path, text)
+        out = tmp_path / "o"
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["--config", str(path), "--out", str(out)])
+        assert rc in (0, 2, 3, 4)
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert not out.exists()
+        else:
+            assert (out / "trajectory.csv").is_file() and (out / "report.txt").is_file()
+
     def test_unknown_preset(self, capsys):
         rc = main(["--preset", "figure-nine"])
         assert rc == 2
@@ -555,11 +642,11 @@ class TestKeyTable:
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: unknown key")
-        assert not (out / "sweep.csv").exists()  # aborted before any row
+        assert not out.exists()  # aborted before any row
 
     @pytest.mark.parametrize("section, spelling", NUMERIC_SPELLINGS)
     def test_file_and_sweep_set_the_same_field(self, tmp_path, section, spelling):
-        swept = apply_sweep_value(
+        swept = with_numeric(
             load_scenario(write_ini(tmp_path, BASE_INI)), spelling, 0.5
         )
         from_file = load_scenario(
@@ -606,12 +693,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("grid", [["--dt", "1e-300", "--horizon", "1e300"],
                                       ["--horizon", "1e300"]])
     def test_unstorable_grid(self, tmp_path, capsys, grid):
-        rc = main(["--preset", "fig1-no-vaccination", *grid,
-                   "--out", str(tmp_path)])
+        out = tmp_path / "o"
+        rc = main(["--preset", "fig1-no-vaccination", *grid, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "trajectory.csv").exists()
+        assert not out.exists()
 
     def test_extinction(self, tmp_path):
         path = write_ini(tmp_path, COLLAPSE_INI, name="collapse.ini")
@@ -909,7 +996,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("spec", ["zeta=1,2", "beta=", "beta"])
     def test_rejected_sweep_specs(self, tmp_path, capsys, spec):
-        rc = main(["--preset", "fig1-no-vaccination", "--sweep", spec,
-                   "--out", str(tmp_path)])
+        out = tmp_path / "o"
+        rc = main(["--preset", "fig1-no-vaccination", "--sweep", spec, "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()

@@ -397,6 +397,73 @@ class TestTrackingBounds:
             assert b.feasible
             assert b.ratio >= tail.max() / N2
 
+    @staticmethod
+    def birth_matched_run(params, family):
+        """fig2's preset with slower recovery and faster waning, eps0 = nu
+        and the given modulation, for 3000 days at dt = 0.1: the context of
+        cases iv to viii, where their bounds are feasible. Returns the rates,
+        the control, the run, N2 and the tail peak of R/N2."""
+        p = replace(params, gamma=0.05, omega=0.2)
+        base = build_preset("fig2-saturated")
+        control = replace(base.control, g_family=family, eps0=p.nu)
+        scenario = replace(base, params=p, control=control, horizon=3000.0, dt=0.1)
+        traj = integrate(scenario)
+        assert traj.status is RunStatus.OK and len(traj.t) == 30001
+        N2 = float(traj.N.max())
+        tail = traj.R[len(traj.t) - len(traj.t) // 5:]
+        return p, control, traj, N2, tail.max() / N2
+
+    def assert_bound_holds(self, case, p, control, N2, peak, **extremes):
+        b = tracking_bound(case, p, control, N2=N2, **extremes)
+        assert b.feasible and not b.immune_extinction
+        assert b.ratio >= peak
+        return b
+
+    def test_nulled_demand_cases_hold_on_a_birth_matched_run(self, params):
+        # case iv: nu = eps0 and g = 1/eps, so the demand eps0*(1 - eps*g)/nu
+        # is 0 and both indicators are down; the lower one, V_a < 0, reads the
+        # sign of the composed demand's rounding residue (|V_a| < 1e-13), so
+        # the pattern is asserted on the demand itself
+        p, control, traj, N2, peak = self.birth_matched_run(
+            params, ModulationFamily.CONSTANT_NULLING)
+        assert (traj.g == 1.0 / control.eps).all()
+        assert not traj.theta1.any()
+        assert np.abs(traj.va).max() < 1e-13
+        # the bounds' ratios (case iv 0.221, case viii with g_max = 1/eps
+        # 0.286) against the tail peak of R/N2 (0.020)
+        self.assert_bound_holds(TrackingCase.CASE_IV, p, control, N2, peak)
+        self.assert_bound_holds(TrackingCase.CASE_VIII, p, control, N2, peak,
+                                g_max=float(traj.g.max()))
+
+    def test_pinned_lower_indicator_case_holds_on_a_birth_matched_run(self, params):
+        # case v: g = gamma*(1-rho)*I/(eps*nu*N) with nu = eps0 puts the
+        # demand at 1 - gamma*(1-rho)*I/(nu*N), below 0 on every row here
+        p, control, traj, N2, peak = self.birth_matched_run(
+            params, ModulationFamily.PROPORTIONAL_TO_RECOVERY)
+        assert traj.theta0.all()
+        assert not traj.theta1.any()
+        # the bounds' ratios (case v 0.221, case viii 0.414) against the tail
+        # peak of R/N2 (0.020)
+        self.assert_bound_holds(TrackingCase.CASE_V, p, control, N2, peak)
+        self.assert_bound_holds(TrackingCase.CASE_VIII, p, control, N2, peak,
+                                g_max=float(traj.g.max()))
+
+    def test_unmodulated_cases_hold_on_a_birth_matched_run(self, params):
+        # case vi: nu = eps0 and g = 0, so the demand is eps0/nu = 1 and the
+        # lower indicator never fires. Case vii asks for the same context
+        # with the lower indicator pinned up, which g = 0 rules out: its
+        # demand eps0/nu is positive for every admissible eps0 and nu, so
+        # no run can build case vii's context and it has no run check
+        p, control, traj, N2, peak = self.birth_matched_run(params, ModulationFamily.ZERO)
+        assert (traj.g == 0.0).all()
+        assert not traj.theta0.any()
+        # the bounds' ratios (cases vi and viii with g_max = 0, 0.253)
+        # against the tail peak of R/N2 (0.031)
+        vi = self.assert_bound_holds(TrackingCase.CASE_VI, p, control, N2, peak)
+        viii = self.assert_bound_holds(TrackingCase.CASE_VIII, p, control, N2, peak,
+                                       g_max=float(traj.g.max()))
+        assert viii.ratio == vi.ratio
+
     def test_full_mortality_extinguishes_immune_compartment(self, params):
         lethal = replace(params, rho=1.0)
         cfg = ControlConfig(eps0=0.5).validated(lethal)

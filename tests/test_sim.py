@@ -68,6 +68,14 @@ class TestGridAndRecording:
         assert np.array_equal(a.va, b.va)
         assert np.array_equal(a.identity_residual, b.identity_residual)
 
+    def test_runs_compare_by_identity(self, params, outbreak_x0):
+        # the columns are arrays: field-wise equality would raise on them
+        sc = _plain_scenario(params, outbreak_x0)
+        a = integrate(sc)
+        assert a == a
+        assert a != integrate(sc)
+        assert hash(a) == hash(a)
+
     def test_terminal_state(self, params, outbreak_x0):
         traj = integrate(_plain_scenario(params, outbreak_x0))
         assert traj.terminal_state() == traj.state(len(traj) - 1)
