@@ -399,37 +399,28 @@ def boundary_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     return boundary
 
 
-def _identity_residual(nu, eps, eps0, N, V_a, g):
-    """|nu*N*V_a - eps0*(1 - eps*g)*N| over max(|both sides|, eps0*N).
-
-    N, V_a and g may be floats or equal-length arrays; the result is a
-    float64 array (0-d for float inputs). A zero scale gives 0. The scale
-    is Python's max spelled with np.where, a candidate replacing the
-    running value only when it compares greater, so a nan candidate is
-    skipped where np.maximum would propagate it.
-    """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        actual = nu * N * V_a
-        target = eps0 * (1.0 - eps * g) * N
-        scale = np.abs(actual)
-        for candidate in (np.abs(target), eps0 * N):
-            scale = np.where(candidate > scale, candidate, scale)
-        return np.where(scale == 0.0, 0.0, np.abs(actual - target) / scale)
-
-
 def _derived_values(cfg: ControlConfig, params: ModelParams, N, V_a, g):
     """(theta0, theta1, identity_residual) from a validated config and the
     samples' population N, demand V_a and modulation g.
 
-    theta0 = V_a < 0 and theta1 = V_a > 1 flag the demand leaving [0, 1];
-    the identity residual is ``_identity_residual``, and zero under the
-    NONE law, which applies nothing. Floats give bools and a 0-d array,
-    columns give columns.
+    theta0 = V_a < 0 and theta1 = V_a > 1 flag the demand leaving [0, 1].
+    The identity residual is |nu*N*V_a - eps0*(1 - eps*g)*N| over
+    max(|both sides|, eps0*N), 0 for a zero scale, and zero under the NONE
+    law, which applies nothing. The scale is Python's max spelled with
+    np.where, a candidate replacing the running value only when it compares
+    greater, so a nan candidate is skipped where np.maximum would propagate
+    it. Floats give bools and a 0-d array, columns give columns.
     """
     if cfg.law is VaccinationLaw.NONE:
         residual = np.zeros(np.shape(V_a))
     else:
-        residual = _identity_residual(params.nu, cfg.eps, cfg.eps0, N, V_a, g)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            actual = params.nu * N * V_a
+            target = cfg.eps0 * (1.0 - cfg.eps * g) * N
+            scale = np.abs(actual)
+            for candidate in (np.abs(target), cfg.eps0 * N):
+                scale = np.where(candidate > scale, candidate, scale)
+            residual = np.where(scale == 0.0, 0.0, np.abs(actual - target) / scale)
     return V_a < 0.0, V_a > 1.0, residual
 
 

@@ -102,14 +102,12 @@ class Trajectory:
 
     states[k] is the state the step was taken from (post-reset), and all
     control columns were evaluated on exactly that state at t[k]. status
-    explains early truncation; halt_time is the first grid time that could
-    not be recorded (None for a complete run). A run compares and hashes by
-    identity, as its columns are arrays.
+    explains early truncation. A run compares and hashes by identity, as
+    its columns are arrays.
     """
 
     scenario: ScenarioConfig
     status: RunStatus
-    halt_time: float | None
     t: np.ndarray
     states: np.ndarray
     rates: np.ndarray
@@ -156,6 +154,11 @@ class Trajectory:
     def dt(self) -> float:
         return self.scenario.dt
 
+    @property
+    def halt_time(self) -> float | None:
+        """The first grid time not recorded, len(self)*dt; None when OK."""
+        return None if self.status is RunStatus.OK else len(self) * self.dt
+
     def state(self, k: int) -> StateVec:
         return StateVec(*(float(v) for v in self.states[k]))
 
@@ -178,16 +181,16 @@ _ROW = struct.Struct(f"{9 + len(_CONTROL_COLUMNS)}d")
 def integrate(scenario: ScenarioConfig) -> Trajectory:
     """Run one scenario to its horizon (or early truncation).
 
-    Truncation rules, checked at each boundary before recording:
-    population at or below the extinction floor ends the run with status
-    EXTINCT; a non-finite component ends it with BLOWUP. Inside a step, a
-    stage population at or below the floor truncates as EXTINCT and a nan
-    stage population as BLOWUP, keeping everything recorded so far. The
-    first boundary t_k that records a non-finite demand V_a ends the run
-    with BLOWUP at t_k + dt, the time its step would have reached; rows and
-    reset events after t_k are dropped. A divisor that underflows to 0.0
-    while the boundary composes its controller records nan for the nine
-    composed control values, such a demand.
+    Truncation rules, each ending the loop where it fires and keeping
+    everything recorded so far: at a boundary, before recording, population
+    at or below the extinction floor ends the run with status EXTINCT and a
+    non-finite component with BLOWUP; a boundary that records a non-finite
+    demand V_a ends it with BLOWUP before its step; inside a step, a stage
+    population at or below the floor ends it as EXTINCT and a nan stage
+    population as BLOWUP. A divisor that underflows to 0.0 while the
+    boundary composes its controller records nan for the nine composed
+    control values, such a demand. The run's halt_time is then the first
+    grid time not recorded.
 
     Each boundary calls the run's ``boundary_fn`` closure for its ten
     control values and packs them, with t, the state and its rates, straight
@@ -219,7 +222,6 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
     S, E, I, R = sc.x0
     status = RunStatus.OK
-    halt_time: float | None = None
     recorded = 0
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -235,11 +237,9 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
             isfinite(S) and isfinite(E) and isfinite(I) and isfinite(R)
         ):
             status = RunStatus.BLOWUP
-            halt_time = t
             break
         if not N > N_FLOOR:
             status = RunStatus.EXTINCT
-            halt_time = t
             break
 
         negative = S < 0.0 or E < 0.0 or I < 0.0 or R < 0.0
@@ -255,7 +255,11 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         pack(packed, k * row_bytes, t, S, E, I, R, d1S, d1E, d1I, d1R,
              V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN)
         recorded = k + 1
-
+        # a non-finite demand ends the run here: a nan one would feed a nan
+        # step anyway, an infinite one can clamp to a finite V and run on
+        if V_a - V_a != 0.0:
+            status = RunStatus.BLOWUP
+            break
         if k == n_steps:
             break
 
@@ -271,23 +275,11 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
             )
         except SingularStateError as exc:
             status = RunStatus.BLOWUP if math.isnan(exc.total) else RunStatus.EXTINCT
-            halt_time = t + dt
             break
         S += sixth * (d1S + 2.0 * (d2S + d3S) + d4S)
         E += sixth * (d1E + 2.0 * (d2E + d3E) + d4E)
         I += sixth * (d1I + 2.0 * (d2I + d3I) + d4I)
         R += sixth * (d1R + 2.0 * (d2R + d3R) + d4R)
-
-    # a non-finite demand V_a (column 9) at boundary k ends the run there,
-    # rows after k dropped: a nan one feeds a nan step anyway, an infinite
-    # one can clamp to a finite V and run on
-    blown = np.flatnonzero(~np.isfinite(table[:recorded, 9]))
-    if blown.size:
-        recorded = int(blown[0]) + 1
-        t_k = float(table[recorded - 1, 0])
-        status = RunStatus.BLOWUP
-        halt_time = t_k + dt
-        reset_events = [e for e in reset_events if e.t <= t_k]
 
     rows = table[:recorded]
     states = rows[:, 1:5]
@@ -299,7 +291,6 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     return Trajectory(
         scenario=sc,
         status=status,
-        halt_time=halt_time,
         t=rows[:, 0],
         states=states,
         rates=rows[:, 5:9],

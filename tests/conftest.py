@@ -99,8 +99,7 @@ def nan_profile_from(monkeypatch, t_nan: float) -> None:
     boundary_fn looks _profile_fn up on seirvax.control when it builds the
     closure, so the wrapped profile reaches integrate's step loop: at the
     first boundary with t >= t_nan the demand V_a is nan, the clamp passes
-    it through to V, and the next stage population is nan, a blowup inside
-    that boundary's step.
+    it through to V, and that boundary ends the run a blowup.
     """
     profile_fn = control._profile_fn
     nans = (math.nan,) * 4

@@ -700,6 +700,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, under_a_file, needle", [
+        pytest.param(["--preset", "fig1-no-vaccination", "--horizon", "1"], True,
+                     "not writable", id="unwritable-out"),
+        pytest.param([], False, "nothing to run", id="no-preset-or-config"),
+    ])
+    def test_usage_errors_write_nothing(self, tmp_path, capsys, source, under_a_file,
+                                        needle):
+        # a directory under a regular file cannot be made, not even by root
+        parent = tmp_path
+        if under_a_file:
+            parent = tmp_path / "file"
+            parent.write_text("", encoding="utf-8")
+        out = parent / "o"
+        rc = main([*source, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+        assert not out.exists()
+
     def test_extinction(self, tmp_path):
         path = write_ini(tmp_path, COLLAPSE_INI, name="collapse.ini")
         rc = main(["--config", str(path), "--out", str(tmp_path / "o")])
@@ -744,8 +763,7 @@ dt = 0.01
         assert rc == 4
 
     def test_nan_inside_a_step_is_blowup(self, tmp_path, capsys, monkeypatch):
-        # the reference reads nan from t = 703.8 on and the stage population
-        # turns nan
+        # the reference, and so the demand, reads nan from t = 703.8 on
         nan_profile_from(monkeypatch, 703.75)
         ini = BASE_INI.replace("horizon = 2\ndt = 0.01", "horizon = 800\ndt = 0.1")
         path = write_ini(tmp_path, ini)
@@ -994,10 +1012,11 @@ class TestSweep:
         assert len(lines) == len(failed)
         assert all(line.startswith(cause) for line, cause in zip(lines, failed)), lines
 
-    @pytest.mark.parametrize("spec", ["zeta=1,2", "beta=", "beta"])
+    @pytest.mark.parametrize("spec", ["zeta=1,2", "beta=", "beta", "beta=a,1"])
     def test_rejected_sweep_specs(self, tmp_path, capsys, spec):
         out = tmp_path / "o"
         rc = main(["--preset", "fig1-no-vaccination", "--sweep", spec, "--out", str(out)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()

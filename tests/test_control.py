@@ -490,6 +490,14 @@ class TestTrackingBounds:
         with pytest.raises(ConfigError):
             tracking_bound(TrackingCase.CASE_II, params, cfg, N2=0.0)
 
+    def test_pole_free_params_are_a_config_error(self, params):
+        # every bound divides by mu + omega; eps0 is given, so resolving the
+        # controller itself does not divide by it
+        pole_free = replace(params, mu=0.0, omega=0.0)
+        cfg = ControlConfig(eps0=0.5)
+        with pytest.raises(ConfigError, match="mu \\+ omega"):
+            tracking_bound(TrackingCase.CASE_II, pole_free, cfg, N2=1000.0)
+
 
 class TestClosedFormOracles:
     def test_immune_decay_closed_form(self, params):

@@ -32,7 +32,7 @@ from seirvax import (
     control_sample,
     integrate,
 )
-from seirvax.control import _derived_values, _identity_residual
+from seirvax.control import _derived_values
 
 from conftest import assert_rows_match_control_sample
 
@@ -89,7 +89,7 @@ def test_kernel_invariants(inputs):
     if cfg.law is VaccinationLaw.NONE:
         assert (V_a, V, g, s.identity_residual) == (0.0, 0.0, 0.0, 0.0)
         return
-    residual = _identity_residual(P.nu, cfg.eps, cfg.eps0, x.N, V_a, g)
+    residual = _derived_values(cfg, P, x.N, V_a, g)[2]
     assert residual < 1e-10 and s.identity_residual == residual
     if cfg.law is VaccinationLaw.SATURATED:
         assert 0.0 <= V <= 1.0

@@ -41,6 +41,14 @@ def _plain_scenario(params, x0, **overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
+def _collapsing_scenario() -> ScenarioConfig:
+    """mu = 1000 empties the population within the first day, the stage
+    that crosses the floor ending the run inside its step."""
+    p = ModelParams(mu=1000.0, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
+                    rho=0.1, nu=0.0)
+    return _plain_scenario(p, StateVec(1.0, 0.0, 0.0, 0.0), horizon=1.0, dt=0.001)
+
+
 class TestGridAndRecording:
     def test_grid_layout(self, params, outbreak_x0):
         traj = integrate(_plain_scenario(params, outbreak_x0))
@@ -99,13 +107,10 @@ class TestInvariants:
 
 class TestTruncation:
     def test_extinction(self):
-        p = ModelParams(mu=1000.0, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
-                        rho=0.1, nu=0.0)
-        sc = _plain_scenario(p, StateVec(1.0, 0.0, 0.0, 0.0),
-                             horizon=1.0, dt=0.001)
+        sc = _collapsing_scenario()
         traj = integrate(sc)
         assert traj.status is RunStatus.EXTINCT
-        assert traj.halt_time is not None
+        assert traj.halt_time == len(traj) * sc.dt
         assert len(traj) < sc.step_count() + 1
         assert np.all(traj.N > 1e-12)
 
@@ -115,18 +120,18 @@ class TestTruncation:
         sc = _plain_scenario(p, outbreak_x0, horizon=2.0, dt=0.01)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
-        assert traj.halt_time is not None
+        assert traj.halt_time == len(traj) * sc.dt
         assert np.all(np.isfinite(traj.states))
 
     def test_nan_inside_a_step_is_blowup(self, monkeypatch):
         # the profile reads nan from the boundary at t = 703.8 on; the demand
-        # V_a is then nan, the clamp passes it through, and the next stage
-        # population is nan: a blowup, not an extinction.
+        # V_a is then nan and the clamp passes it through, so that boundary
+        # ends the run a blowup, before its step makes a nan stage population
         nan_profile_from(monkeypatch, NAN_ONSET)
         sc = replace(build_preset("fig2-saturated"), dt=0.1, horizon=800.0)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
-        assert traj.halt_time == traj.t[-1] + sc.dt
+        assert traj.halt_time == len(traj) * sc.dt
         assert np.isnan(traj.va[-1]) and np.isnan(traj.v[-1])
         assert np.all(np.isfinite(traj.states)) and traj.N[-1] > 100.0
 
@@ -165,7 +170,7 @@ class TestTruncation:
         )
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
-        assert (len(traj), traj.halt_time) == (k + 1, traj.t[k] + 0.1)
+        assert (len(traj), traj.halt_time) == (k + 1, (k + 1) * 0.1)
         assert np.all(np.isfinite(traj.va[:k]))
         for name in ("va", "v", "g", "h", "h_dot", "r_star", "r_star_dot", "k_n", "k_i",
                      "identity_residual"):
@@ -174,6 +179,28 @@ class TestTruncation:
         assert traj.reset_events == ()
         # control_sample returns the same nan sample, bit for bit
         assert_rows_match_control_sample(traj)
+
+    def test_rate_pushes_the_next_boundary_to_extinction(self, params, monkeypatch):
+        # only the step's last stage moves: dS = -6*N/dt takes S from 1 to 0
+        # in one step, so the boundary at t = 0.1 reads N = 0 and ends the run
+        calls = TestRateContract.count_rate_calls(
+            monkeypatch, lambda n, d: (-60.0, 0.0, 0.0, 0.0) if n == 4 else (0.0,) * 4
+        )
+        sc = _plain_scenario(params, StateVec(1.0, 0.0, 0.0, 0.0), dt=0.1)
+        traj = integrate(sc)
+        assert traj.status is RunStatus.EXTINCT
+        assert (len(traj), traj.halt_time, calls[0]) == (1, 0.1, 4)
+
+    def test_nan_stage_population_is_blowup(self, params, outbreak_x0, monkeypatch):
+        # a nan second-stage rate makes the third stage's population nan;
+        # the demand stays finite, so the step itself ends the run
+        nan = float("nan")
+        calls = TestRateContract.count_rate_calls(
+            monkeypatch, lambda n, d: (nan, 0.0, 0.0, 0.0) if n == 6 else d
+        )
+        traj = integrate(_plain_scenario(params, outbreak_x0))
+        assert traj.status is RunStatus.BLOWUP
+        assert (len(traj), traj.halt_time, calls[0]) == (2, 0.2, 7)
 
     def test_nan_on_the_final_boundary_is_blowup(self, monkeypatch):
         # 703.8 is the last boundary, which takes no step: the run still
@@ -201,7 +228,9 @@ class TestRateContract:
     recorded boundary; the traced benchmark counts calls through that name."""
 
     @staticmethod
-    def count_rate_calls(monkeypatch) -> list:
+    def count_rate_calls(monkeypatch, edit=None) -> list:
+        """Count integrate's rate calls; edit(n, d), when given, returns the
+        n-th call's rates in place of the true ones d."""
         calls = [0]
         make_rate_fn = sim.make_rate_fn
 
@@ -210,7 +239,8 @@ class TestRateContract:
 
             def counted(S, E, I, R, V):
                 calls[0] += 1
-                return rate(S, E, I, R, V)
+                d = rate(S, E, I, R, V)
+                return d if edit is None else edit(calls[0], d)
 
             return counted
 
@@ -227,17 +257,26 @@ class TestRateContract:
         assert calls[0] == 4 * steps + 1
 
     def test_run_cut_inside_a_step(self, monkeypatch):
-        # the blowup of TestTruncation: after the last recorded boundary's
-        # first stage, one to three more stages run, the last one raising
+        # after the last recorded boundary's first stage, one to three more
+        # stages run, the last one raising
+        calls = self.count_rate_calls(monkeypatch)
+        sc = _collapsing_scenario()
+        traj = integrate(sc)
+        assert traj.status is RunStatus.EXTINCT
+        assert traj.halt_time == len(traj) * sc.dt
+        done = 4 * (len(traj) - 1) + 1
+        assert done + 1 <= calls[0] <= done + 3
+        assert calls[0] < 4 * sc.step_count() + 1
+
+    def test_run_cut_by_a_nan_demand(self, monkeypatch):
+        # the boundary that records the nan demand takes no step: its one
+        # rate call is the run's last
         calls = self.count_rate_calls(monkeypatch)
         nan_profile_from(monkeypatch, NAN_ONSET)
         sc = replace(build_preset("fig2-saturated"), dt=0.1, horizon=800.0)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
-        assert traj.halt_time == traj.t[-1] + sc.dt
-        done = 4 * (len(traj) - 1) + 1
-        assert done + 1 <= calls[0] <= done + 3
-        assert calls[0] < 4 * sc.step_count() + 1
+        assert calls[0] == 4 * (len(traj) - 1) + 1
 
 
 class TestSteadyState:
@@ -248,7 +287,7 @@ class TestSteadyState:
         sc = _plain_scenario(params, outbreak_x0, horizon=40.0, dt=1.0).resolved()
         zeros = np.zeros(n)
         traj = Trajectory(
-            scenario=sc, status=RunStatus.OK, halt_time=None,
+            scenario=sc, status=RunStatus.OK,
             t=np.arange(n) * 1.0,
             states=np.tile(outbreak_x0.as_array(), (n, 1)),
             rates=np.zeros((n, 4)),
@@ -341,7 +380,7 @@ class TestResets:
         monkeypatch.setattr(control, "_profile_fn", patched)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
-        assert (len(traj), traj.halt_time) == (k + 1, t_k + sc.dt)
+        assert (len(traj), traj.halt_time) == (k + 1, (k + 1) * sc.dt)
         assert traj.va[k] == -np.inf and traj.v[k] == 0.0
         assert traj.states.tobytes() == clean.states[: k + 1].tobytes()
         assert traj.reset_events == tuple(e for e in clean.reset_events if e.t <= t_k)

@@ -82,7 +82,7 @@ def trajectories(draw):
     unused = np.zeros(n)
     return Trajectory(
         scenario=build_preset("fig2-saturated"), status=RunStatus.OK,
-        halt_time=None, t=t, states=np.column_stack((S, E, I, R)),
+        t=t, states=np.column_stack((S, E, I, R)),
         rates=np.zeros((n, 4)), dn=dn, va=va, v=v, g=g, h=h, h_dot=unused,
         r_star=r_star, r_star_dot=unused, k_n=unused, k_i=unused,
         theta0=theta0, theta1=theta1, identity_residual=unused,
