@@ -48,6 +48,8 @@ from .stability import (
     standard_verdicts,
 )
 
+# trajectory.csv's header: the first twelve are Trajectory's attributes of
+# those names, reset_flag is its reset_counts.
 TRAJECTORY_COLUMNS = (
     "t", "S", "E", "I", "R", "N", "V_a", "V", "g", "h", "R_star", "dN",
     "reset_flag", "theta0", "theta1",
@@ -89,10 +91,7 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     every row is one ``_csv_rows`` block, any other column is one repr of
     the column through ``_csv_cells``, and the int columns are one more
     block."""
-    floats = (
-        traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
-        traj.g, traj.h, traj.r_star, traj.dn,
-    )
+    floats = [getattr(traj, name) for name in TRAJECTORY_COLUMNS[:12]]
     flags = (traj.reset_counts, traj.theta0, traj.theta1)
     with open(path, "wb") as fh:
         fh.write(",".join(TRAJECTORY_COLUMNS).encode() + b"\r\n")

@@ -139,7 +139,10 @@ class ControlConfig:
         if cfg.h_family is ReferenceProfile.POLE_MATCHED and not pole > 0.0:
             raise ConfigError(f"the corollary2_i profile needs mu + omega > 0, got {pole!r}")
         if cfg.h_family is ReferenceProfile.DECAY_DESIGN:
-            if _decay_gap(cfg, params, positive=False) == 0.0:
+            # the decay profile alone needs only a nonzero gap
+            if cfg.vartheta is None:
+                raise ConfigError("the decay design needs vartheta set")
+            if cfg.vartheta == pole:
                 raise DegenerateProfileError(
                     f"the decay profile degenerates when vartheta equals mu + omega = {pole!r}"
                 )
@@ -158,17 +161,15 @@ class ControlConfig:
         return cfg
 
 
-def _decay_gap(cfg: ControlConfig, params: ModelParams, positive: bool = True) -> float:
+def _decay_gap(cfg: ControlConfig, params: ModelParams) -> float:
     """vartheta - (mu + omega), the gap the decay design divides by.
 
-    vartheta must be set and, unless positive is False, above the immune
-    pole mu + omega; the decay reference profile alone needs only a nonzero
-    gap, which validated() checks.
+    vartheta must be set and above the immune pole mu + omega.
     """
     if cfg.vartheta is None:
         raise ConfigError("the decay design needs vartheta set")
     pole = params.immune_pole
-    if positive and not cfg.vartheta > pole:
+    if not cfg.vartheta > pole:
         raise ConfigError(
             f"the decay design needs vartheta > mu + omega = {pole!r}, "
             f"got {cfg.vartheta!r}"

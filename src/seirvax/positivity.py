@@ -44,6 +44,7 @@ def check_metzler(matrix, tol: float = 0.0) -> MetzlerReport:
     """Scan the actual off-diagonal entries of a square matrix.
 
     Entries below -tol count as violations; tol=0 is the strict definition.
+    A 1x1 or 0x0 matrix has no off-diagonal entry: Metzler, minimum inf.
     """
     entries = np.asarray(matrix, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -54,7 +55,7 @@ def check_metzler(matrix, tol: float = 0.0) -> MetzlerReport:
         (int(i), int(j), float(entries[i, j])) for i, j in zip(rows, cols)
     )
     return MetzlerReport(
-        min_offdiagonal=float(entries[off_mask].min()),
+        min_offdiagonal=float(entries[off_mask].min(initial=np.inf)),
         violating_entries=violations,
     )
 

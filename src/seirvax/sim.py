@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControlConfig, _derived_values, boundary_fn
+from .control import ControlConfig, ControlSample, _derived_values, boundary_fn
 from .errors import ConfigError, SingularStateError
 from .model import (
     COMPONENT_NAMES,
@@ -101,9 +101,11 @@ class Trajectory:
     """Columnar record of one run.
 
     states[k] is the state the step was taken from (post-reset), and all
-    control columns were evaluated on exactly that state at t[k]. status
-    explains early truncation. A run compares and hashes by identity, as
-    its columns are arrays.
+    control columns were evaluated on exactly that state at t[k]. The
+    control columns are ControlSample's fields, in its order and under its
+    names, which trajectory.csv's header shares. status explains early
+    truncation. A run compares and hashes by identity, as its columns are
+    arrays.
     """
 
     scenario: ScenarioConfig
@@ -111,16 +113,16 @@ class Trajectory:
     t: np.ndarray
     states: np.ndarray
     rates: np.ndarray
-    dn: np.ndarray
-    va: np.ndarray
-    v: np.ndarray
+    V_a: np.ndarray
+    V: np.ndarray
     g: np.ndarray
     h: np.ndarray
     h_dot: np.ndarray
-    r_star: np.ndarray
-    r_star_dot: np.ndarray
-    k_n: np.ndarray
-    k_i: np.ndarray
+    R_star: np.ndarray
+    R_star_dot: np.ndarray
+    K_N: np.ndarray
+    K_I: np.ndarray
+    dN: np.ndarray
     theta0: np.ndarray
     theta1: np.ndarray
     identity_residual: np.ndarray
@@ -166,16 +168,12 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-# Trajectory columns in the order each boundary packs them (ControlSample's
-# order). The indicators theta0/theta1 and identity_residual depend only on
-# these and the state, so integrate derives them once per run after the loop
-# (control._derived_values).
-_CONTROL_COLUMNS = (
-    "va", "v", "g", "h", "h_dot", "r_star", "r_star_dot", "k_n", "k_i", "dn",
-)
 # One row of the run's table per recorded boundary: t, the four state
-# components, their four rates, then the control columns.
-_ROW = struct.Struct(f"{9 + len(_CONTROL_COLUMNS)}d")
+# components, their four rates, then the ten control values the boundary
+# composes, in ControlSample's field order. The indicators theta0/theta1 and
+# identity_residual depend only on these and the state, so integrate derives
+# them once per run after the loop (control._derived_values).
+_ROW = struct.Struct("19d")
 
 
 def integrate(scenario: ScenarioConfig) -> Trajectory:
@@ -195,7 +193,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     Each boundary calls the run's ``boundary_fn`` closure for its ten
     control values and packs them, with t, the state and its rates, straight
     into the run's table; ``control_sample`` calls the same closure for one
-    sample.
+    sample. The Trajectory's control columns are views of that table, named
+    by ControlSample's first ten fields.
     """
     sc = scenario.resolved()
     dt = sc.dt
@@ -283,10 +282,10 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
     rows = table[:recorded]
     states = rows[:, 1:5]
-    columns = {name: rows[:, j] for j, name in enumerate(_CONTROL_COLUMNS, 9)}
+    columns = {name: rows[:, j] for j, name in enumerate(ControlSample._fields[:10], 9)}
     N = states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3]
     theta0, theta1, residual = _derived_values(
-        sc.control, params, N, columns["va"], columns["g"]
+        sc.control, params, N, columns["V_a"], columns["g"]
     )
     return Trajectory(
         scenario=sc,

@@ -2,12 +2,15 @@ import csv
 import hashlib
 import math
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seirvax import BASELINE_PARAMS, StateVec, control, control_sample
+from seirvax import (
+    BASELINE_PARAMS, ControlSample, StateVec, Trajectory, control, control_sample,
+)
 from seirvax.cli import (
     _CSV_CHUNK_ROWS,
     TRAJECTORY_COLUMNS,
@@ -44,10 +47,11 @@ def random_state(rng, scale=800.0) -> StateVec:
             return x
 
 
-# Trajectory control columns in ControlSample's field order.
-CONTROL_COLUMNS = (
-    "va", "v", "g", "h", "h_dot", "r_star", "r_star_dot", "k_n", "k_i", "dn",
-    "theta0", "theta1", "identity_residual",
+# Every array column of a run, in field order: each Trajectory field but
+# the scenario, the status and the reset events.
+RECORDED_COLUMNS = tuple(
+    f.name for f in fields(Trajectory)
+    if f.name not in ("scenario", "status", "reset_events")
 )
 
 
@@ -60,8 +64,8 @@ def assert_rows_match_control_sample(traj) -> int:
     compared with negative_k true.
     """
     sc = traj.scenario
-    pack = struct.Struct(f"{len(CONTROL_COLUMNS)}d").pack
-    columns = [getattr(traj, name).tolist() for name in CONTROL_COLUMNS]
+    pack = struct.Struct(f"{len(ControlSample._fields)}d").pack
+    columns = [getattr(traj, name).tolist() for name in ControlSample._fields]
     negatives = 0
     for k, (t, x) in enumerate(zip(traj.t.tolist(), traj.states.tolist())):
         negative = bool(traj.reset_counts[k] > 0)
@@ -72,14 +76,17 @@ def assert_rows_match_control_sample(traj) -> int:
     return negatives
 
 
+def csv_column(traj, name: str) -> np.ndarray:
+    """The column of traj that trajectory.csv's column name holds, as the
+    file writes it: reset_flag is reset_counts, an indicator is 0 or 1."""
+    column = traj.reset_counts if name == "reset_flag" else getattr(traj, name)
+    return column.astype(np.int64) if column.dtype == np.bool_ else column
+
+
 def reference_write(traj, path) -> None:
     """trajectory.csv as csv.writer (excel dialect) writes it, the
     formulation the file format was first defined by."""
-    columns = (
-        traj.t, traj.S, traj.E, traj.I, traj.R, traj.N, traj.va, traj.v,
-        traj.g, traj.h, traj.r_star, traj.dn, traj.reset_counts,
-        traj.theta0.astype(np.int64), traj.theta1.astype(np.int64),
-    )
+    columns = [csv_column(traj, name) for name in TRAJECTORY_COLUMNS]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)

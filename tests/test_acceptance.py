@@ -86,7 +86,7 @@ class TestConservationAndPositivity:
         traj = preset_runs["constant-population-check"]
         drift = np.abs(traj.N / traj.N[0] - 1.0).max()
         assert drift < 1e-8
-        assert traj.v.min() >= 0.0 and traj.v.max() <= 1.0
+        assert traj.V.min() >= 0.0 and traj.V.max() <= 1.0
 
     def test_states_stay_nonnegative_without_resets(self, preset_runs):
         # criterion 4, preset part
@@ -175,7 +175,7 @@ class TestReferenceTracking:
         # everywhere and ends at essentially full population coverage
         traj = preset_runs["disease-free-tracking"]
         assert traj.status is RunStatus.OK
-        rel = np.abs(traj.R - traj.r_star) / traj.r_star
+        rel = np.abs(traj.R - traj.R_star) / traj.R_star
         assert rel.max() < 1e-6
         assert traj.R[-1] / traj.N[-1] >= 0.999
 

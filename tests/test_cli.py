@@ -34,7 +34,7 @@ from seirvax.cli import (
 from seirvax.config import with_numeric
 from seirvax.errors import ConfigError
 
-from conftest import nan_profile_from
+from conftest import csv_column, nan_profile_from
 
 BASE_INI = """\
 [params]
@@ -275,19 +275,9 @@ def sweep_statuses(path):
 def assert_csv_matches(path, traj):
     """trajectory.csv holds every recorded column of traj bit for bit."""
     data = read_trajectory_csv(path)
-    assert np.array_equal(data["t"], traj.t)
-    for i, name in enumerate("SEIR"):
-        assert np.array_equal(data[name], traj.states[:, i])
-    assert np.array_equal(data["N"], traj.N)
-    assert np.array_equal(data["V_a"], traj.va)
-    assert np.array_equal(data["V"], traj.v)
-    assert np.array_equal(data["g"], traj.g)
-    assert np.array_equal(data["h"], traj.h)
-    assert np.array_equal(data["R_star"], traj.r_star)
-    assert np.array_equal(data["dN"], traj.dn)
-    assert np.array_equal(data["reset_flag"], traj.reset_counts)
-    assert np.array_equal(data["theta0"], traj.theta0)
-    assert np.array_equal(data["theta1"], traj.theta1)
+    assert tuple(data) == TRAJECTORY_COLUMNS
+    for name in TRAJECTORY_COLUMNS:
+        assert np.array_equal(data[name], csv_column(traj, name)), name
 
 
 class TestListing:

@@ -428,7 +428,7 @@ class TestTrackingBounds:
             params, ModulationFamily.CONSTANT_NULLING)
         assert (traj.g == 1.0 / control.eps).all()
         assert not traj.theta1.any()
-        assert np.abs(traj.va).max() < 1e-13
+        assert np.abs(traj.V_a).max() < 1e-13
         # the bounds' ratios (case iv 0.221, case viii with g_max = 1/eps
         # 0.286) against the tail peak of R/N2 (0.020)
         self.assert_bound_holds(TrackingCase.CASE_IV, p, control, N2, peak)

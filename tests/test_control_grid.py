@@ -44,6 +44,7 @@ from seirvax import (
 from seirvax.cli import build_run_report, machine_items, write_trajectory_csv
 
 from conftest import (
+    RECORDED_COLUMNS,
     REPORT_DIGESTS,
     assert_rows_match_control_sample,
     reference_write,
@@ -51,12 +52,6 @@ from conftest import (
 )
 
 DIGESTS = Path(__file__).parent / "data" / "control_grid_digests.json"
-
-COLUMNS = (
-    "t", "states", "rates", "dn", "va", "v", "g", "h", "h_dot", "r_star",
-    "r_star_dot", "k_n", "k_i", "theta0", "theta1", "identity_residual",
-    "reset_counts",
-)
 
 # Outbreak start on a coarse grid: 200 steps over 100 days, long enough for
 # the switched design to change branch and for the unclamped law to reset.
@@ -90,7 +85,7 @@ def _sha(arr: np.ndarray) -> str:
 
 
 def trajectory_digest(traj) -> dict:
-    out = {name: _sha(getattr(traj, name)) for name in COLUMNS}
+    out = {name: _sha(getattr(traj, name)) for name in RECORDED_COLUMNS}
     out["status"] = traj.status.value
     out["reset_events"] = hashlib.sha256(
         repr([(e.t, e.index, e.value_before) for e in traj.reset_events]).encode()
@@ -155,7 +150,7 @@ def test_whole_report_matches_recorded_digest(key):
 
 # Columns in people; every other column is a rate, a fraction, a time or a
 # count.
-SCALED = ("states", "rates", "dn", "r_star", "r_star_dot")
+SCALED = ("states", "rates", "R_star", "R_star_dot", "dN")
 
 # Formulas that carry an absolute unit (one individual), so a run that
 # evaluates them does not scale with its population.
@@ -187,7 +182,7 @@ def not_equivariant(base, run, lam: float) -> list[str]:
     """Columns of run (and status) that are not base's, times lam for the
     columns in people, bit for bit."""
     bad = [
-        name for name in COLUMNS
+        name for name in RECORDED_COLUMNS
         if getattr(run, name).tobytes()
         != (lam * getattr(base, name) if name in SCALED else getattr(base, name)).tobytes()
     ]

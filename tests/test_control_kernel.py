@@ -151,7 +151,7 @@ def test_run_columns_match_the_scalar_formula():
     cfg = traj.scenario.control
     for k in range(len(traj)):
         N = traj.state(k).N
-        va, g = float(traj.va[k]), float(traj.g[k])
+        va, g = float(traj.V_a[k]), float(traj.g[k])
         assert bits(traj.identity_residual[k]) == bits(
             reference_residual(P.nu, cfg.eps, cfg.eps0, N, va, g))
         assert (traj.theta0[k], traj.theta1[k]) == (va < 0.0, va > 1.0)

@@ -43,6 +43,13 @@ class TestMetzlerScan:
         assert not check_metzler(m).is_metzler
         assert check_metzler(m, tol=1e-9).is_metzler
 
+    @pytest.mark.parametrize("m", [[[1.0]], np.zeros((0, 0))], ids=["1x1", "0x0"])
+    def test_no_offdiagonal_entry_is_metzler(self, m):
+        report = check_metzler(m)
+        assert report.is_metzler
+        assert report.min_offdiagonal == math.inf
+        assert report.violating_entries == ()
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             check_metzler(np.zeros((2, 3)))

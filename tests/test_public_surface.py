@@ -8,7 +8,7 @@ from dataclasses import fields
 from inspect import signature
 
 import seirvax
-from seirvax.cli import RunReport
+from seirvax.cli import TRAJECTORY_COLUMNS, RunReport
 from seirvax.presets import PresetEntry
 
 
@@ -107,3 +107,18 @@ def test_presets_are_values():
         "_disease_free_tracking",
     ):
         assert not hasattr(seirvax.presets, gone), gone
+
+
+def test_run_columns_share_the_control_sample_names():
+    # a run's control columns are ControlSample's fields in its order, and
+    # trajectory.csv's float columns are run attributes of the same names
+    names = [f.name for f in fields(seirvax.Trajectory)]
+    start = names.index("rates") + 1
+    assert names[start:start + len(seirvax.ControlSample._fields)] == list(
+        seirvax.ControlSample._fields
+    )
+    for name in TRAJECTORY_COLUMNS[:12]:
+        assert hasattr(seirvax.Trajectory, name) or name in names, name
+    for gone in ("va", "v", "r_star", "r_star_dot", "k_n", "k_i", "dn"):
+        assert gone not in names and not hasattr(seirvax.Trajectory, gone), gone
+    assert not hasattr(seirvax.sim, "_CONTROL_COLUMNS")

@@ -8,6 +8,7 @@ import pytest
 
 from seirvax import (
     ControlConfig,
+    ControlSample,
     ModelParams,
     ModulationFamily,
     RunStatus,
@@ -24,7 +25,7 @@ from seirvax import (
 from seirvax import control, sim
 from seirvax.errors import ConfigError
 
-from conftest import assert_rows_match_control_sample, nan_profile_from
+from conftest import RECORDED_COLUMNS, assert_rows_match_control_sample, nan_profile_from
 
 # Between the grid points 703.7 and 703.8 at dt = 0.1: the row at 703.8 is
 # the first with a nan demand.
@@ -62,9 +63,9 @@ class TestGridAndRecording:
         traj = integrate(_plain_scenario(params, outbreak_x0, horizon=5.0))
         p = traj.scenario.params
         expected = (p.nu - p.mu) * traj.N - p.rho * p.gamma * traj.I
-        np.testing.assert_allclose(traj.dn, expected, rtol=1e-13)
+        np.testing.assert_allclose(traj.dN, expected, rtol=1e-13)
         np.testing.assert_allclose(
-            traj.dn, traj.rates.sum(axis=1), rtol=0.0, atol=1e-10 * traj.N.max()
+            traj.dN, traj.rates.sum(axis=1), rtol=0.0, atol=1e-10 * traj.N.max()
         )
 
     def test_determinism(self, params, outbreak_x0):
@@ -73,7 +74,7 @@ class TestGridAndRecording:
         b = integrate(sc)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.rates, b.rates)
-        assert np.array_equal(a.va, b.va)
+        assert np.array_equal(a.V_a, b.V_a)
         assert np.array_equal(a.identity_residual, b.identity_residual)
 
     def test_runs_compare_by_identity(self, params, outbreak_x0):
@@ -96,7 +97,7 @@ class TestInvariants:
         assert traj.status is RunStatus.OK
         drift = np.abs(traj.N / traj.N[0] - 1.0).max()
         assert drift < 1e-8
-        assert traj.v.min() >= 0.0 and traj.v.max() <= 1.0
+        assert traj.V.min() >= 0.0 and traj.V.max() <= 1.0
 
     def test_disease_free_compartments_stay_exactly_zero(self):
         traj = integrate(build_preset("immune-decay"))
@@ -132,7 +133,7 @@ class TestTruncation:
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert traj.halt_time == len(traj) * sc.dt
-        assert np.isnan(traj.va[-1]) and np.isnan(traj.v[-1])
+        assert np.isnan(traj.V_a[-1]) and np.isnan(traj.V[-1])
         assert np.all(np.isfinite(traj.states)) and traj.N[-1] > 100.0
 
     def test_infinite_demand_is_blowup(self, params, outbreak_x0):
@@ -145,7 +146,7 @@ class TestTruncation:
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert (len(traj), traj.halt_time) == (1, 0.1)
-        assert traj.va[0] == np.inf and traj.v[0] == 1.0
+        assert traj.V_a[0] == np.inf and traj.V[0] == 1.0
 
     # (g_family, control constants, rates, start, boundary k whose divisor
     # underflows); at t = 0 corollary2_ii returns g = 0 without dividing
@@ -171,11 +172,10 @@ class TestTruncation:
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert (len(traj), traj.halt_time) == (k + 1, (k + 1) * 0.1)
-        assert np.all(np.isfinite(traj.va[:k]))
-        for name in ("va", "v", "g", "h", "h_dot", "r_star", "r_star_dot", "k_n", "k_i",
-                     "identity_residual"):
+        assert np.all(np.isfinite(traj.V_a[:k]))
+        for name in ControlSample._fields[:9] + ("identity_residual",):
             assert np.isnan(getattr(traj, name)[k]), name
-        assert np.isfinite(traj.dn[k]) and not (traj.theta0[k] or traj.theta1[k])
+        assert np.isfinite(traj.dN[k]) and not (traj.theta0[k] or traj.theta1[k])
         assert traj.reset_events == ()
         # control_sample returns the same nan sample, bit for bit
         assert_rows_match_control_sample(traj)
@@ -213,12 +213,8 @@ class TestTruncation:
         assert (short.status, short.halt_time, len(short)) == (
             full.status, full.halt_time, len(full)
         )
-        assert len(short) == 7039 and np.isnan(short.v[-1])
-        for name in (
-            "t", "states", "rates", "dn", "va", "v", "g", "h", "h_dot", "r_star",
-            "r_star_dot", "k_n", "k_i", "theta0", "theta1", "identity_residual",
-            "reset_counts",
-        ):
+        assert len(short) == 7039 and np.isnan(short.V[-1])
+        for name in RECORDED_COLUMNS:
             assert getattr(short, name).tobytes() == getattr(full, name).tobytes(), name
 
 
@@ -291,8 +287,8 @@ class TestSteadyState:
             t=np.arange(n) * 1.0,
             states=np.tile(outbreak_x0.as_array(), (n, 1)),
             rates=np.zeros((n, 4)),
-            dn=zeros, va=zeros, v=zeros, g=zeros, h=zeros, h_dot=zeros,
-            r_star=zeros, r_star_dot=zeros, k_n=zeros, k_i=zeros,
+            V_a=zeros, V=zeros, g=zeros, h=zeros, h_dot=zeros,
+            R_star=zeros, R_star_dot=zeros, K_N=zeros, K_I=zeros, dN=zeros,
             theta0=np.zeros(n, dtype=bool), theta1=np.zeros(n, dtype=bool),
             identity_residual=zeros, reset_counts=np.zeros(n, dtype=np.int64),
             reset_events=(),
@@ -349,7 +345,7 @@ class TestResets:
         # a reset boundary with demand above 1 pins the applied level at 1
         fired = traj.reset_counts > 0
         assert fired.any()
-        assert np.all(traj.v[fired & (traj.va > 1.0)] == 1.0)
+        assert np.all(traj.V[fired & (traj.V_a > 1.0)] == 1.0)
 
     def test_infinite_demand_drops_later_rows_and_resets(self, params, monkeypatch):
         sc = ScenarioConfig(
@@ -381,7 +377,7 @@ class TestResets:
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert (len(traj), traj.halt_time) == (k + 1, (k + 1) * sc.dt)
-        assert traj.va[k] == -np.inf and traj.v[k] == 0.0
+        assert traj.V_a[k] == -np.inf and traj.V[k] == 0.0
         assert traj.states.tobytes() == clean.states[: k + 1].tobytes()
         assert traj.reset_events == tuple(e for e in clean.reset_events if e.t <= t_k)
         assert np.array_equal(traj.reset_counts, clean.reset_counts[: k + 1])

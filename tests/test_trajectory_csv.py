@@ -78,13 +78,13 @@ def trajectories(draw):
     reset_counts = draw(hnp.arrays(np.int64, n, elements=counts, fill=counts))
     reset_counts[-1] = draw(st.integers(1, 4))
     theta0, theta1 = (draw(hnp.arrays(np.bool_, n)) for _ in range(2))
-    t, S, E, I, R, dn, va, v, g, h, r_star = floats
+    t, S, E, I, R, dN, V_a, V, g, h, R_star = floats
     unused = np.zeros(n)
     return Trajectory(
         scenario=build_preset("fig2-saturated"), status=RunStatus.OK,
         t=t, states=np.column_stack((S, E, I, R)),
-        rates=np.zeros((n, 4)), dn=dn, va=va, v=v, g=g, h=h, h_dot=unused,
-        r_star=r_star, r_star_dot=unused, k_n=unused, k_i=unused,
+        rates=np.zeros((n, 4)), V_a=V_a, V=V, g=g, h=h, h_dot=unused,
+        R_star=R_star, R_star_dot=unused, K_N=unused, K_I=unused, dN=dN,
         theta0=theta0, theta1=theta1, identity_residual=unused,
         reset_counts=reset_counts, reset_events=(),
     )
