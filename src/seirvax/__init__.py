@@ -20,7 +20,6 @@ from .errors import (
     ConfigError,
     DecompositionError,
     DegenerateProfileError,
-    NonUniformGridError,
     NotApplicableError,
     SeirvaxError,
     SingularStateError,
@@ -40,13 +39,11 @@ from .model import (
 )
 from .positivity import (
     MetzlerReport,
-    NonnegativityReport,
     ResetEvent,
     apply_reset,
     check_metzler,
     decompose_star,
     metzler_parameter_criterion,
-    monitor_nonnegativity,
 )
 from .stability import (
     ConditionCheck,
@@ -108,8 +105,6 @@ __all__ = [
     "ModelParams",
     "ModulationFamily",
     "N_FLOOR",
-    "NonUniformGridError",
-    "NonnegativityReport",
     "NotApplicableError",
     "PRESETS",
     "ReferenceProfile",
@@ -147,7 +142,6 @@ __all__ = [
     "load_scenario",
     "make_rate_fn",
     "metzler_parameter_criterion",
-    "monitor_nonnegativity",
     "preset_names",
     "reconstruct_derivative",
     "stationary_tracking_level",

@@ -154,13 +154,10 @@ class RunReport:
 def build_run_report(traj: Trajectory) -> RunReport:
     params = traj.scenario.params
     ss = detect_steady_state(traj)
-    diag = None
-    # a run cut short inside its first step has no grid to integrate over
-    if len(traj) >= 2:
-        try:
-            diag = integral_test(traj, params)
-        except NotApplicableError:
-            pass
+    try:
+        diag = integral_test(traj)
+    except NotApplicableError:
+        diag = None
     return RunReport(traj, ss, diag, standard_verdicts(params, diag))
 
 

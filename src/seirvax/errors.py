@@ -26,9 +26,5 @@ class DegenerateProfileError(SeirvaxError):
     """Reference profile parameters collapse the formula (zero denominator)."""
 
 
-class NonUniformGridError(SeirvaxError):
-    """Diagnostic requires uniformly spaced trajectory samples."""
-
-
 class NotApplicableError(SeirvaxError):
     """Diagnostic preconditions not met for this parameter set."""

@@ -203,8 +203,9 @@ def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> np
     """
     S, E, I, R = x
     N = _require_population(x)
-    foi = params.beta * I / N  # force of infection, multiplies S
-    contact = params.beta * S / N  # contact drain, multiplies I
+    # fractions first: S/N <= 1 exactly, so contact never rounds above beta
+    foi = params.beta * (I / N)  # force of infection, multiplies S
+    contact = params.beta * (S / N)  # contact drain, multiplies I
     mu = params.mu
 
     m = np.zeros((4, 4))

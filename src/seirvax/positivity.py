@@ -1,5 +1,5 @@
 """Nonnegativity machinery: Metzler checks, constant/varying matrix split,
-runtime monitoring, and the reset rule that clamps negative populations.
+and the reset rule that clamps negative populations.
 
 A matrix is Metzler when every off-diagonal entry is nonnegative; linear
 systems driven by such matrices (plus nonnegative forcing) keep nonnegative
@@ -40,17 +40,17 @@ class MetzlerReport:
         return not self.violating_entries
 
 
-def check_metzler(matrix, tol: float = 0.0) -> MetzlerReport:
+def check_metzler(matrix) -> MetzlerReport:
     """Scan the actual off-diagonal entries of a square matrix.
 
-    Entries below -tol count as violations; tol=0 is the strict definition.
+    Every negative off-diagonal entry is a violation (the strict definition).
     A 1x1 or 0x0 matrix has no off-diagonal entry: Metzler, minimum inf.
     """
     entries = np.asarray(matrix, dtype=float)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     off_mask = ~np.eye(entries.shape[0], dtype=bool)
-    rows, cols = np.nonzero(off_mask & (entries < -tol))  # row-major order
+    rows, cols = np.nonzero(off_mask & (entries < 0.0))  # row-major order
     violations = tuple(
         (int(i), int(j), float(entries[i, j])) for i, j in zip(rows, cols)
     )
@@ -120,48 +120,13 @@ def decompose_star(
         )
     b = np.zeros((4, 4))
     b[0, 0] = params.beta * (ref_fraction - frac)
-    b[1, 2] = params.beta * S / N
+    b[1, 2] = params.beta * (S / N)
     variant = (
         MatrixVariant.SPLIT_DRAIN_S_GAIN_I_WITH_BIRTH if include_birth
         else CANONICAL_VARIANT
     )
     a_const = build_matrix(params, x, variant) - b
     return a_const, b
-
-
-@dataclass(frozen=True)
-class NonnegativityReport:
-    min_value: float
-    # (record index, component index) of the worst entry when violating
-    first_violation: tuple[int, int] | None
-    violation_count: int
-
-    @property
-    def ok(self) -> bool:
-        return self.violation_count == 0
-
-
-def monitor_nonnegativity(states, tol: float = 1e-9) -> NonnegativityReport:
-    """Check recorded states for components below -tol.
-
-    Integration roundoff smaller than tol is not a violation. states is
-    anything ndarray-like with shape (n, 4).
-    """
-    arr = np.asarray(states, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    min_value = float(arr.min()) if arr.size else 0.0
-    bad = arr < -tol
-    count = int(bad.any(axis=1).sum())
-    first = None
-    if count:
-        rows, cols = np.nonzero(bad)
-        first = (int(rows[0]), int(cols[0]))
-    return NonnegativityReport(
-        min_value=min_value,
-        first_violation=first,
-        violation_count=count,
-    )
 
 
 @dataclass(frozen=True)

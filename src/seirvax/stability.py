@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUniformGridError, NotApplicableError
+from .errors import NotApplicableError
 from .model import ModelParams
 
 # integral_test's tolerance on the pointwise identity residual, relative to N(0).
@@ -235,15 +235,17 @@ class IntegralDiagnostic:
         return all(c.satisfied for c in self.conditions)
 
 
-def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
+def integral_test(traj) -> IntegralDiagnostic:
     """Quadrature check of the population/infectious integral identity.
 
-    traj must expose uniform sample times `t`, infectious counts `I`, and
-    totals `N` (any Trajectory from the engine qualifies). Requires the
-    growing-births regime nu > mu; otherwise NotApplicableError. Uses
-    trapezoidal quadrature on the trajectory's own grid, with the pointwise
-    tolerance POINTWISE_TOL * N(0).
+    Reads the run's own rates (`traj.scenario.params`) and step (`traj.dt`)
+    with its sample times `t`, infectious counts `I` and totals `N`, which
+    lie on the uniform grid t_k = k*dt as every Trajectory's do. Requires
+    the growing-births regime nu > mu and at least two samples; otherwise
+    NotApplicableError. Uses trapezoidal quadrature on that grid, with the
+    pointwise tolerance POINTWISE_TOL * N(0).
     """
+    params = traj.scenario.params
     if params.nu <= params.mu:
         raise NotApplicableError(
             "integral identity check requires nu > mu "
@@ -253,11 +255,8 @@ def integral_test(traj, params: ModelParams) -> IntegralDiagnostic:
     i_pop = np.asarray(traj.I, dtype=float)
     n_pop = np.asarray(traj.N, dtype=float)
     if t.size < 2:
-        raise NonUniformGridError("need at least two samples")
-    steps = np.diff(t)
-    dt = steps[0]
-    if not np.allclose(steps, dt, rtol=0.0, atol=1e-9 * max(dt, 1e-12)):
-        raise NonUniformGridError("trajectory samples are not uniformly spaced")
+        raise NotApplicableError("integral identity check needs at least two samples")
+    dt = traj.dt
 
     n0 = float(n_pop[0])
     weight = np.exp((params.mu - params.nu) * t)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from seirvax import (
     BASELINE_PARAMS, ControlSample, StateVec, Trajectory, control, control_sample,
@@ -37,6 +38,11 @@ def outbreak_x0():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def rate(lo, hi):
+    """Hypothesis strategy for finite floats in [lo, hi]."""
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 def random_state(rng, scale=800.0) -> StateVec:

@@ -123,7 +123,7 @@ class TestPopulationIntegral:
     def test_pointwise_identity_and_quadrature_order(self, preset_runs):
         # criterion 6: trapezoid check of the weighted-population identity
         traj = preset_runs["fig1-no-vaccination"]
-        diag = integral_test(traj, traj.scenario.params)
+        diag = integral_test(traj)
         assert diag.max_pointwise_residual / traj.N[0] < 1e-3
         assert diag.consistent
 
@@ -132,7 +132,7 @@ class TestPopulationIntegral:
             coarse = integrate(
                 replace(build_preset("fig1-no-vaccination"), dt=dt)
             )
-            d = integral_test(coarse, coarse.scenario.params)
+            d = integral_test(coarse)
             maxima.append(d.max_pointwise_residual)
         maxima.append(diag.max_pointwise_residual)
         # second-order quadrature: each halving buys at least a factor 2

@@ -30,6 +30,7 @@ from seirvax.cli import (
     build_run_report,
     main,
     read_trajectory_csv,
+    write_trajectory_csv,
 )
 from seirvax.config import with_numeric
 from seirvax.errors import ConfigError
@@ -332,6 +333,25 @@ class TestRunArtifacts:
         traj = integrate(load_scenario(path))
         assert 1 < len(traj) < 1001
         assert_csv_matches(tmp_path / "o" / "trajectory.csv", traj)
+
+    def test_csv_round_trip_keeps_every_bit_but_a_nans_sign(self, tmp_path):
+        # eps0 = 1e308 overflows the first demand: one blowup row whose V_a,
+        # V and g are nan; the file writes repr's "nan" for either sign, so
+        # those cells read back as nan and every other cell bit for bit
+        sc = with_numeric(build_preset("fig2-saturated"), "eps0", 1e308)
+        traj = integrate(replace(sc, horizon=2.0, dt=0.1))
+        assert traj.status.value == "blowup" and len(traj) == 1
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, path)
+        data = read_trajectory_csv(path)
+        nan_columns = ("V_a", "V", "g")
+        for name in TRAJECTORY_COLUMNS:
+            written = csv_column(traj, name).astype(float)
+            if name in nan_columns:
+                assert np.isnan(written).all() and np.isnan(data[name]).all(), name
+            else:
+                assert not np.isnan(written).any(), name
+                assert data[name].tobytes() == written.tobytes(), name
 
     def test_run_reports_hash_and_compare(self):
         sc = replace(build_preset("fig1-no-vaccination"), horizon=2.0)

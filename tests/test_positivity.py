@@ -6,6 +6,8 @@ from inspect import signature
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seirvax import (
     ForcingForm,
@@ -19,11 +21,30 @@ from seirvax import (
     forcing_vector,
     make_rate_fn,
     metzler_parameter_criterion,
-    monitor_nonnegativity,
 )
 from seirvax.errors import ConfigError, DecompositionError
 
-from conftest import random_state
+from conftest import random_state, rate
+
+
+@st.composite
+def rate_sets(draw):
+    """The seven rates, with the criterion's edges beta = 0, nu = beta and
+    nu > beta drawn often."""
+    beta = draw(st.one_of(st.just(0.0), rate(0.0, 2.0)))
+    nu = draw(st.one_of(st.just(beta), rate(0.0, 2.0), rate(0.0, 1.0).map(lambda d: beta + d)))
+    return ModelParams(
+        mu=draw(rate(0.0, 0.1)), omega=draw(rate(0.0, 1.0)), beta=beta,
+        sigma=draw(rate(0.0, 1.0)), gamma=draw(rate(0.0, 1.0)), rho=draw(rate(0.0, 1.0)),
+        nu=nu,
+    )
+
+
+# nonnegative components, each often exactly zero, with a total above 1
+_component = st.one_of(st.just(0.0), rate(0.0, 1000.0))
+admissible_states = st.builds(StateVec, _component, _component, _component, _component).filter(
+    lambda x: x.N > 1.0
+)
 
 
 class TestMetzlerScan:
@@ -38,10 +59,9 @@ class TestMetzlerScan:
         assert report.violating_entries == ((1, 2, -0.3),)
         assert report.min_offdiagonal == -0.3
 
-    def test_tolerance_absorbs_roundoff(self):
+    def test_roundoff_below_zero_is_a_violation(self):
         m = np.array([[-1.0, -1e-12], [0.0, -1.0]])
         assert not check_metzler(m).is_metzler
-        assert check_metzler(m, tol=1e-9).is_metzler
 
     @pytest.mark.parametrize("m", [[[1.0]], np.zeros((0, 0))], ids=["1x1", "0x0"])
     def test_no_offdiagonal_entry_is_metzler(self, m):
@@ -107,6 +127,33 @@ class TestParameterCriterion:
             else:
                 report = check_metzler(build_matrix(params, worst, variant))
                 assert not report.is_metzler
+
+    def test_nu_equal_to_beta_keeps_the_corner_metzler(self):
+        # beta*S/N taken left to right is 0.1*3/3 = 0.1 + 1 ulp, which made
+        # nu - beta*S/N negative at S = N although the criterion holds
+        p = ModelParams(mu=0.0, omega=0.0, beta=0.1, sigma=0.0, gamma=0.0, rho=0.0, nu=0.1)
+        variant = MatrixVariant.BILINEAR_VIA_I_WITH_BIRTH
+        assert metzler_parameter_criterion(p, variant)
+        m = build_matrix(p, StateVec(3.0, 0.0, 0.0, 0.0), variant)
+        assert m[0, 2] == 0.0
+        assert check_metzler(m).is_metzler
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(params=rate_sets(), states=st.lists(admissible_states, min_size=1, max_size=4))
+    def test_criterion_agrees_with_the_scan_on_generated_rates(self, params, states):
+        # True: every drawn state and the all-susceptible corner of its
+        # population give a Metzler matrix; False: each corner is a witness
+        corners = [StateVec(x.N, 0.0, 0.0, 0.0) for x in states]
+        for variant in MatrixVariant:
+            if metzler_parameter_criterion(params, variant):
+                for x in (*states, *corners):
+                    report = check_metzler(build_matrix(params, x, variant))
+                    assert report.is_metzler, (variant, x, report.violating_entries)
+            else:
+                for x in corners:
+                    assert not check_metzler(build_matrix(params, x, variant)).is_metzler, (
+                        variant, x,
+                    )
 
 
 class TestConstantVaryingSplit:
@@ -199,24 +246,6 @@ class TestConstantVaryingSplit:
 
 
 class TestNonnegativityTools:
-    def test_monitor_clean_and_dirty(self):
-        clean = np.array([[1.0, 0.0, 2.0, 3.0], [0.5, -1e-12, 0.1, 0.2]])
-        report = monitor_nonnegativity(clean)
-        assert report.ok and report.violation_count == 0
-        assert report.first_violation is None
-        assert report.min_value == -1e-12
-
-        dirty = np.array([[1.0, 0.0, 2.0, 3.0], [0.5, -1e-6, 0.1, -2e-6]])
-        report = monitor_nonnegativity(dirty)
-        assert not report.ok
-        assert report.violation_count == 1  # one bad record
-        assert report.first_violation == (1, 1)
-        assert report.min_value == -2e-6
-
-    def test_monitor_accepts_single_state(self):
-        report = monitor_nonnegativity([1.0, 2.0, 3.0, -0.5], tol=1e-9)
-        assert not report.ok and report.first_violation == (0, 3)
-
     def test_reset_clamps_to_exact_zero(self):
         x = StateVec(1.0, -0.5, 0.0, -1e-14)
         cleaned, clamps = apply_reset(x)

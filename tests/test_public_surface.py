@@ -122,3 +122,14 @@ def test_run_columns_share_the_control_sample_names():
     for gone in ("va", "v", "r_star", "r_star_dot", "k_n", "k_i", "dn"):
         assert gone not in names and not hasattr(seirvax.Trajectory, gone), gone
     assert not hasattr(seirvax.sim, "_CONTROL_COLUMNS")
+
+
+def test_positivity_and_integral_analyses_take_only_their_subject():
+    # the run already records states after the reset and carries its own
+    # params and step; the Metzler definition is strict
+    for gone in ("monitor_nonnegativity", "NonnegativityReport", "NonUniformGridError"):
+        assert gone not in seirvax.__all__, gone
+        for module in (seirvax, seirvax.positivity, seirvax.errors):
+            assert not hasattr(module, gone), (module.__name__, gone)
+    assert list(signature(seirvax.integral_test).parameters) == ["traj"]
+    assert list(signature(seirvax.check_metzler).parameters) == ["matrix"]

@@ -24,14 +24,10 @@ from seirvax import (
 )
 from seirvax.cli import TRAJECTORY_COLUMNS, read_trajectory_csv, write_trajectory_csv
 
-from conftest import csv_column
+from conftest import csv_column, rate
 
 # unit round-off of a double
 U = 2.0**-53
-
-
-def rate(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 @st.composite

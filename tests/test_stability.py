@@ -18,7 +18,7 @@ from seirvax import (
     integral_verdict,
     standard_verdicts,
 )
-from seirvax.errors import NonUniformGridError, NotApplicableError
+from seirvax.errors import NotApplicableError
 
 
 def _by_name(verdict, name):
@@ -124,32 +124,29 @@ def _synthetic_unforced_decay(params, horizon=50.0, dt=0.05):
     t = np.arange(0.0, horizon + 0.5 * dt, dt)
     n0 = 1000.0
     n = n0 * np.exp((params.nu - params.mu) * t)
-    return SimpleNamespace(t=t, I=np.zeros_like(t), N=n)
+    return SimpleNamespace(
+        t=t, I=np.zeros_like(t), N=n, dt=dt, scenario=SimpleNamespace(params=params)
+    )
 
 
 class TestIntegralIdentity:
     def test_requires_growing_births(self, params):
-        traj = _synthetic_unforced_decay(params)
+        traj = _synthetic_unforced_decay(replace(params, nu=params.mu))
         with pytest.raises(NotApplicableError):
-            integral_test(traj, replace(params, nu=params.mu))
+            integral_test(traj)
 
-    def test_grid_validation(self, params):
-        with pytest.raises(NonUniformGridError):
-            integral_test(
-                SimpleNamespace(t=[0.0], I=[0.0], N=[1.0]), params
-            )
-        with pytest.raises(NonUniformGridError):
-            integral_test(
-                SimpleNamespace(t=[0.0, 0.1, 0.3], I=[0.0] * 3, N=[1.0] * 3),
-                params,
-            )
+    def test_requires_two_samples(self, params):
+        traj = _synthetic_unforced_decay(params, horizon=0.0)
+        assert len(traj.t) == 1
+        with pytest.raises(NotApplicableError, match="two samples"):
+            integral_test(traj)
 
     def test_disease_free_growth_is_flagged_inconsistent(self, params):
         # With I identically zero the weighted population is exactly
         # conserved pointwise, yet the horizon residual equals N(0) while
         # the tail bound is zero: unbounded growth is correctly refused.
         traj = _synthetic_unforced_decay(params)
-        diag = integral_test(traj, params)
+        diag = integral_test(traj)
         assert diag.rhs == 0.0
         assert diag.max_pointwise_residual == pytest.approx(0.0, abs=1e-9)
         assert diag.residual == pytest.approx(1000.0, rel=1e-12)
