@@ -158,6 +158,11 @@ class ControlConfig:
                     f"the eq43_theorem6 design needs eps*eps0 > 0, got eps = {cfg.eps!r} "
                     f"and eps0 = {eps0!r}, whose product underflows to 0"
                 )
+            if not math.isfinite((eps0 - params.nu) / (cfg.eps * eps0)):
+                raise ConfigError(
+                    f"the eq43_theorem6 design needs a finite ceiling (eps0 - nu)/(eps*eps0), "
+                    f"got eps = {cfg.eps!r} and eps0 = {eps0!r}, whose ceiling overflows"
+                )
         return cfg
 
 

@@ -11,9 +11,9 @@ class ConfigError(SeirvaxError):
 
 class SingularStateError(SeirvaxError):
     """Total population at or below the extinction floor, or nan; dynamics
-    undefined. total is the offending population, when known."""
+    undefined. total is the offending population."""
 
-    def __init__(self, message: str, total: float | None = None):
+    def __init__(self, message: str, total: float):
         super().__init__(message)
         self.total = total
 

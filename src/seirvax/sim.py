@@ -180,15 +180,14 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     """Run one scenario to its horizon (or early truncation).
 
     Truncation rules, each ending the loop where it fires and keeping
-    everything recorded so far: at a boundary, before recording, population
-    at or below the extinction floor ends the run with status EXTINCT and a
-    non-finite component with BLOWUP; a boundary that records a non-finite
-    demand V_a ends it with BLOWUP before its step; inside a step, a stage
-    population at or below the floor ends it as EXTINCT and a nan stage
-    population as BLOWUP. A divisor that underflows to 0.0 while the
-    boundary composes its controller records nan for the nine composed
-    control values, such a demand. The run's halt_time is then the first
-    grid time not recorded.
+    everything recorded so far. One rule reads the population total, at a
+    boundary before recording and at every RK4 stage: a non-finite total
+    ends the run with status BLOWUP, a finite total at or below the
+    extinction floor with EXTINCT. A boundary that records a non-finite
+    demand V_a ends it with BLOWUP before its step. A divisor that
+    underflows to 0.0 while the boundary composes its controller records
+    nan for the nine composed control values, such a demand. The run's
+    halt_time is then the first grid time not recorded.
 
     Each boundary calls the run's ``boundary_fn`` closure for its ten
     control values and packs them, with t, the state and its rates, straight
@@ -225,16 +224,11 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     half = 0.5 * dt
     sixth = dt / 6.0
     pack = _ROW.pack_into
-    isfinite = math.isfinite
 
     for k in range(size):
         t = k * dt
         N = S + E + I + R
-        # a finite total implies finite components, so the per-component
-        # check only runs when something already went non-finite
-        if N - N != 0.0 and not (
-            isfinite(S) and isfinite(E) and isfinite(I) and isfinite(R)
-        ):
+        if N - N != 0.0:
             status = RunStatus.BLOWUP
             break
         if not N > N_FLOOR:
@@ -273,7 +267,7 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
                 S + dt * d3S, E + dt * d3E, I + dt * d3I, R + dt * d3R, V
             )
         except SingularStateError as exc:
-            status = RunStatus.BLOWUP if math.isnan(exc.total) else RunStatus.EXTINCT
+            status = RunStatus.EXTINCT if math.isfinite(exc.total) else RunStatus.BLOWUP
             break
         S += sixth * (d1S + 2.0 * (d2S + d3S) + d4S)
         E += sixth * (d1E + 2.0 * (d2E + d3E) + d4E)

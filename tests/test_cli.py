@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from seirvax import (
@@ -213,10 +213,12 @@ def scenario_files(draw):
     """BASE_INI with up to three edits: a section dropped, a key dropped or
     moved to another section, an enum key set to a valid or an invalid
     value, or a numeric value set to an edge value. The horizon is never
-    dropped alone: the default horizon is 600 days."""
+    dropped alone: the default horizon is 600 days. vartheta is set, so
+    that the eq43_theorem6 and theorem6_ii edits run."""
     base = configparser.ConfigParser(interpolation=None)
     base.optionxform = str
     base.read_string(BASE_INI)
+    base["control"]["vartheta"] = "0.08"
     names = base.sections()
     owner = {key: name for name in names for key in base[name]}
     raws = {key: raw for name in names for key, raw in base[name].items()}
@@ -604,6 +606,9 @@ class TestConfigFiles:
     @settings(derandomize=True, max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=scenario_files())
+    # the decay design and profile, which few draws reach
+    @example(text=BASE_INI.replace("eq33b", "eq43_theorem6\nvartheta = 0.08"))
+    @example(text=BASE_INI.replace("section7", "theorem6_ii\nvartheta = 0.08"))
     def test_generated_scenario_files_end_in_an_exit_code(self, tmp_path, text):
         # every file runs to a status or is refused with one error line and
         # no output directory; nothing escapes main (tmp_path is shared:
@@ -621,6 +626,14 @@ class TestConfigFiles:
             assert not out.exists()
         else:
             assert (out / "trajectory.csv").is_file() and (out / "report.txt").is_file()
+            block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
+            assert block["status"] == {0: "ok", 3: "extinct", 4: "blowup"}[rc]
+            # README's non-finite rule: only these two fields may read nan or
+            # inf, and only under blowup; the verdicts read 1, 0 or na
+            loose = ("identity_max_residual", "decay_g_max") if rc == 4 else ()
+            for key, value in block.items():
+                if key not in ("scenario", "status", *loose) and value != "na":
+                    assert math.isfinite(float(value)), (key, value)
 
     def test_unknown_preset(self, capsys):
         rc = main(["--preset", "figure-nine"])

@@ -31,6 +31,7 @@ from seirvax import (
     stationary_tracking_level,
     tracking_bound,
 )
+from seirvax.cli import build_run_report, machine_items
 from seirvax.errors import ConfigError, DegenerateProfileError
 
 from conftest import random_state
@@ -608,10 +609,39 @@ class TestConfigValidation:
         for eps, eps0 in ((5e-324, 0.5), (1e-200, 1e-200)):
             with pytest.raises(ConfigError, match=r"eps\*eps0 > 0"):
                 replace(decay, eps=eps, eps0=eps0).validated(params)
-        replace(decay, eps=5e-324, eps0=1.0).validated(params)
+        # eps*eps0 = 5e-324 is nonzero, but (eps0 - nu)/5e-324 overflows
+        with pytest.raises(ConfigError, match="finite ceiling"):
+            replace(decay, eps=5e-324, eps0=1.0).validated(params)
+        replace(decay, eps=1e-300, eps0=1.0).validated(params)
         # the ceiling itself applies the same guard to any family
         with pytest.raises(ConfigError, match=r"eps\*eps0 > 0"):
             decay_design_g_ceiling(ControlConfig(eps=5e-324, eps0=0.5), params)
+
+    def test_decay_design_needs_a_finite_ceiling(self):
+        # eps*eps0 is nonzero, but the ceiling (eps0 - nu)/(eps*eps0) is
+        # inf; the run used to end blowup quoting decay_g_max = nan against
+        # decay_g_ceiling = inf
+        base = build_preset("immune-decay")
+        sc = replace(base, x0=StateVec(1e-3, 0.0, 0.0, 0.0),
+                     control=replace(base.control, eps=1e-322), horizon=2.0, dt=0.1)
+        with pytest.raises(ConfigError, match=r"finite ceiling .* eps = 1e-322"):
+            integrate(sc)
+
+    def test_non_finite_decay_modulation_is_blowup(self):
+        # the ceiling is finite, but g = (N - 1)/(eps*N) overflows to -inf
+        # at t = 0; the demand is then non-finite, so the run ends blowup at
+        # that boundary, and decay_g_max joins identity_max_residual as the
+        # only non-finite [machine] fields
+        base = build_preset("immune-decay")
+        sc = replace(base, x0=StateVec(1e-6, 0.0, 0.0, 0.0),
+                     control=replace(base.control, eps=1e-305), horizon=2.0, dt=0.1)
+        traj = integrate(sc)
+        assert (traj.status, len(traj), traj.g[0]) == (RunStatus.BLOWUP, 1, -np.inf)
+        items = dict(machine_items(build_run_report(traj)))
+        assert items["decay_g_max"] == "-inf"
+        assert {k for k, v in items.items() if v in ("nan", "inf", "-inf")} == {
+            "identity_max_residual", "decay_g_max"
+        }
 
     def test_reference_rates_cannot_grow(self, params):
         # exp(-c t) and exp(-vartheta t) must not grow; a zero rate holds

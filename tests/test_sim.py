@@ -24,12 +24,18 @@ from seirvax import (
 )
 from seirvax import control, sim
 from seirvax.errors import ConfigError
+from seirvax.presets import BALANCED_PARAMS
 
 from conftest import RECORDED_COLUMNS, assert_rows_match_control_sample, nan_profile_from
 
 # Between the grid points 703.7 and 703.8 at dt = 0.1: the row at 703.8 is
 # the first with a nan demand.
 NAN_ONSET = 703.75
+
+# Births at nu = 500 outrun every loss: a run's total overflows within two
+# days at dt = 0.01.
+RUNAWAY_PARAMS = ModelParams(mu=0.01, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
+                             rho=0.1, nu=500.0)
 
 
 def _plain_scenario(params, x0, **overrides) -> ScenarioConfig:
@@ -116,9 +122,7 @@ class TestTruncation:
         assert np.all(traj.N > 1e-12)
 
     def test_blowup(self, outbreak_x0):
-        p = ModelParams(mu=0.01, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
-                        rho=0.1, nu=500.0)
-        sc = _plain_scenario(p, outbreak_x0, horizon=2.0, dt=0.01)
+        sc = _plain_scenario(RUNAWAY_PARAMS, outbreak_x0, horizon=2.0, dt=0.01)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert traj.halt_time == len(traj) * sc.dt
@@ -190,6 +194,27 @@ class TestTruncation:
         traj = integrate(sc)
         assert traj.status is RunStatus.EXTINCT
         assert (len(traj), traj.halt_time, calls[0]) == (1, 0.1, 4)
+
+    def test_overflowed_total_at_a_boundary_is_blowup(self, params, monkeypatch):
+        # the last stage takes S and R to 1e308 each: both are finite, but
+        # their sum overflows, so the boundary at t = 10 ends the run
+        TestRateContract.count_rate_calls(
+            monkeypatch, lambda n, d: (6e307, 0.0, 0.0, 6e307) if n == 4 else (0.0,) * 4
+        )
+        sc = _plain_scenario(params, StateVec(1.0, 0.0, 0.0, 1.0), horizon=30.0, dt=10.0)
+        traj = integrate(sc)
+        assert traj.status is RunStatus.BLOWUP
+        assert len(traj) == 1 and np.isfinite(traj.N).all()
+
+    def test_negative_infinite_stage_total_is_blowup(self, params, monkeypatch):
+        # the third stage's rates send the fourth stage's S and R to -inf:
+        # a non-finite total is a blowup, although it is below the floor
+        calls = TestRateContract.count_rate_calls(
+            monkeypatch, lambda n, d: (-1e308, 0.0, 0.0, -1e308) if n == 3 else (0.0,) * 4
+        )
+        sc = _plain_scenario(params, StateVec(1.0, 0.0, 0.0, 1.0), horizon=30.0, dt=10.0)
+        traj = integrate(sc)
+        assert (traj.status, len(traj), calls[0]) == (RunStatus.BLOWUP, 1, 4)
 
     def test_nan_stage_population_is_blowup(self, params, outbreak_x0, monkeypatch):
         # a nan second-stage rate makes the third stage's population nan;
@@ -275,27 +300,44 @@ class TestRateContract:
         assert calls[0] == 4 * (len(traj) - 1) + 1
 
 
+def _motionless(params, x0, n) -> Trajectory:
+    """A hand-built record of n rows one day apart, all holding x0 with
+    zero rates."""
+    sc = _plain_scenario(params, x0, horizon=40.0, dt=1.0).resolved()
+    zeros = np.zeros(n)
+    return Trajectory(
+        scenario=sc, status=RunStatus.OK,
+        t=np.arange(n) * 1.0,
+        states=np.tile(x0.as_array(), (n, 1)),
+        rates=np.zeros((n, 4)),
+        V_a=zeros, V=zeros, g=zeros, h=zeros, h_dot=zeros,
+        R_star=zeros, R_star_dot=zeros, K_N=zeros, K_I=zeros, dN=zeros,
+        theta0=np.zeros(n, dtype=bool), theta1=np.zeros(n, dtype=bool),
+        identity_residual=zeros, reset_counts=np.zeros(n, dtype=np.int64),
+        reset_events=(),
+    )
+
+
 class TestSteadyState:
     def test_constant_trajectory_settles_immediately(self, params, outbreak_x0):
-        # hand-built motionless record: the detector must anchor at t = 0
-        # and average the window down to the constant state exactly
-        n = 41
-        sc = _plain_scenario(params, outbreak_x0, horizon=40.0, dt=1.0).resolved()
-        zeros = np.zeros(n)
-        traj = Trajectory(
-            scenario=sc, status=RunStatus.OK,
-            t=np.arange(n) * 1.0,
-            states=np.tile(outbreak_x0.as_array(), (n, 1)),
-            rates=np.zeros((n, 4)),
-            V_a=zeros, V=zeros, g=zeros, h=zeros, h_dot=zeros,
-            R_star=zeros, R_star_dot=zeros, K_N=zeros, K_I=zeros, dN=zeros,
-            theta0=np.zeros(n, dtype=bool), theta1=np.zeros(n, dtype=bool),
-            identity_residual=zeros, reset_counts=np.zeros(n, dtype=np.int64),
-            reset_events=(),
-        )
-        ss = detect_steady_state(traj)
+        # the detector must anchor at t = 0 and average the window down to
+        # the constant state exactly
+        ss = detect_steady_state(_motionless(params, outbreak_x0, 41))
         assert ss.found and ss.t_ss == 0.0
         assert ss.x_ss == outbreak_x0
+
+    def test_empty_trajectory_is_refused(self, params, outbreak_x0):
+        with pytest.raises(ValueError, match="empty trajectory"):
+            detect_steady_state(_motionless(params, outbreak_x0, 0))
+
+    def test_step_longer_than_the_window(self):
+        # round(30/100) = 0, so the window is one step; the balanced,
+        # disease-free start never moves and settles at t = 0
+        x0 = StateVec(1000.0, 0.0, 0.0, 0.0)
+        sc = _plain_scenario(BALANCED_PARAMS, x0, horizon=1000.0, dt=100.0)
+        ss = detect_steady_state(integrate(sc))
+        assert ss.found and ss.t_ss == 0.0
+        assert ss.x_ss == x0
 
     def test_window_longer_than_run(self):
         sc = replace(build_preset("constant-population-check"), horizon=20.0)
@@ -408,6 +450,12 @@ class TestConvergence:
             convergence_study(sc, [0.01, 0.01])
         with pytest.raises(ConfigError):
             convergence_study(sc, [0.01, -0.1])
+
+    def test_ladder_with_a_run_that_ends_early(self, outbreak_x0):
+        # the coarsest run goes first and already blows up
+        sc = _plain_scenario(RUNAWAY_PARAMS, outbreak_x0, horizon=2.0)
+        with pytest.raises(ConfigError, match=r"dt=0\.01 ended early with status 'blowup'"):
+            convergence_study(sc, [0.005, 0.01])
 
 
 class TestScenarioValidation:
