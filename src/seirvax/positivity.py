@@ -9,6 +9,7 @@ this model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,13 +144,14 @@ class ResetEvent:
 
 
 def apply_reset(x: StateVec) -> tuple[StateVec, tuple[tuple[int, float], ...]]:
-    """Clamp negative components to exactly zero.
+    """Clamp finite negative components to exactly zero; a -inf one is
+    left for the run's total to read as a blowup.
 
     Returns the clamped state and (component index, value before) pairs for
-    each component that was negative; empty tuple means nothing fired.
+    each clamped component; empty tuple means nothing fired.
     """
-    clamps = tuple((i, v) for i, v in enumerate(x) if v < 0.0)
+    clamps = tuple((i, v) for i, v in enumerate(x) if -math.inf < v < 0.0)
     if not clamps:
         return x, ()
-    cleaned = StateVec(*(0.0 if v < 0.0 else v for v in x))
+    cleaned = StateVec(*(0.0 if -math.inf < v < 0.0 else v for v in x))
     return cleaned, clamps

@@ -3,10 +3,10 @@
 Classic fourth-order Runge-Kutta on a uniform grid t_k = k*dt. The
 vaccination signal is evaluated once per step boundary from the current
 state and held constant across the step (zero-order hold), so control
-values line up exactly with recorded samples. Negative state components
-are clamped to zero at every boundary before the control is evaluated;
-under the clamped law these resets never fire in practice, under the
-unclamped law they are the positivity mechanism.
+values line up exactly with recorded samples. Finite negative components
+are clamped to zero at every boundary before its total is summed; under
+the clamped law these resets never fire in practice, under the unclamped
+law they are the positivity mechanism.
 """
 
 from __future__ import annotations
@@ -100,18 +100,19 @@ class ScenarioConfig:
 class Trajectory:
     """Columnar record of one run.
 
-    states[k] is the state the step was taken from (post-reset), and all
-    control columns were evaluated on exactly that state at t[k]. The
-    control columns are ControlSample's fields, in its order and under its
-    names, which trajectory.csv's header shares. status explains early
-    truncation. A run compares and hashes by identity, as its columns are
-    arrays.
+    states[k] is the state the step was taken from (post-reset) and N[k]
+    its total, and all control columns were evaluated on exactly that
+    state at t[k]. The control columns are ControlSample's fields, in its
+    order and under its names, which trajectory.csv's header shares.
+    status explains early truncation. A run compares and hashes by
+    identity, as its columns are arrays.
     """
 
     scenario: ScenarioConfig
     status: RunStatus
     t: np.ndarray
     states: np.ndarray
+    N: np.ndarray
     rates: np.ndarray
     V_a: np.ndarray
     V: np.ndarray
@@ -149,10 +150,6 @@ class Trajectory:
         return self.states[:, 3]
 
     @property
-    def N(self) -> np.ndarray:
-        return self.states.sum(axis=1)
-
-    @property
     def dt(self) -> float:
         return self.scenario.dt
 
@@ -168,32 +165,34 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-# One row of the run's table per recorded boundary: t, the four state
-# components, their four rates, then the ten control values the boundary
+# One row of the run's table per recorded boundary: t, the state S, E, I, R,
+# its total N, its four rates, then the ten control values the boundary
 # composes, in ControlSample's field order. The indicators theta0/theta1 and
-# identity_residual depend only on these and the state, so integrate derives
-# them once per run after the loop (control._derived_values).
-_ROW = struct.Struct("19d")
+# identity_residual depend only on these, so integrate derives them once
+# per run after the loop (control._derived_values).
+_ROW = struct.Struct("20d")
 
 
 def integrate(scenario: ScenarioConfig) -> Trajectory:
     """Run one scenario to its horizon (or early truncation).
 
     Truncation rules, each ending the loop where it fires and keeping
-    everything recorded so far. One rule reads the population total, at a
-    boundary before recording and at every RK4 stage: a non-finite total
-    ends the run with status BLOWUP, a finite total at or below the
-    extinction floor with EXTINCT. A boundary that records a non-finite
-    demand V_a ends it with BLOWUP before its step. A divisor that
-    underflows to 0.0 while the boundary composes its controller records
-    nan for the nine composed control values, such a demand. The run's
-    halt_time is then the first grid time not recorded.
+    everything recorded so far. One rule reads the population total: a
+    non-finite total ends the run with status BLOWUP, a finite total at or
+    below the extinction floor with EXTINCT. Every RK4 stage applies it to
+    its own total, and a boundary to the one total it sums, records and
+    composes its controller from, after its reset and before keeping that
+    reset's events. A boundary that records a non-finite demand V_a ends it
+    with BLOWUP before its step. A divisor that underflows to 0.0 while the
+    boundary composes its controller records nan for the nine composed
+    control values, such a demand. The run's halt_time is then the first
+    grid time not recorded.
 
     Each boundary calls the run's ``boundary_fn`` closure for its ten
-    control values and packs them, with t, the state and its rates, straight
-    into the run's table; ``control_sample`` calls the same closure for one
-    sample. The Trajectory's control columns are views of that table, named
-    by ControlSample's first ten fields.
+    control values and packs them, with t, the state, N and its rates,
+    straight into the run's table; ``control_sample`` calls the same closure
+    for one sample. The Trajectory's control columns are views of that
+    table, named by ControlSample's first ten fields.
     """
     sc = scenario.resolved()
     dt = sc.dt
@@ -227,6 +226,9 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
     for k in range(size):
         t = k * dt
+        negative = S < 0.0 or E < 0.0 or I < 0.0 or R < 0.0
+        if negative:
+            (S, E, I, R), clamps = apply_reset(StateVec(S, E, I, R))
         N = S + E + I + R
         if N - N != 0.0:
             status = RunStatus.BLOWUP
@@ -234,18 +236,13 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         if not N > N_FLOOR:
             status = RunStatus.EXTINCT
             break
-
-        negative = S < 0.0 or E < 0.0 or I < 0.0 or R < 0.0
         if negative:
-            (S, E, I, R), clamps = apply_reset(StateVec(S, E, I, R))
-            for i, before in clamps:
-                reset_events.append(ResetEvent(t=t, index=i, value_before=before))
+            reset_events.extend(ResetEvent(t, i, before) for i, before in clamps)
             reset_counts[k] = len(clamps)
-            N = S + E + I + R
 
         V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN = boundary(t, N, I, negative)
         d1S, d1E, d1I, d1R = rate(S, E, I, R, V)
-        pack(packed, k * row_bytes, t, S, E, I, R, d1S, d1E, d1I, d1R,
+        pack(packed, k * row_bytes, t, S, E, I, R, N, d1S, d1E, d1I, d1R,
              V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN)
         recorded = k + 1
         # a non-finite demand ends the run here: a nan one would feed a nan
@@ -275,9 +272,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         R += sixth * (d1R + 2.0 * (d2R + d3R) + d4R)
 
     rows = table[:recorded]
-    states = rows[:, 1:5]
-    columns = {name: rows[:, j] for j, name in enumerate(ControlSample._fields[:10], 9)}
-    N = states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3]
+    N = rows[:, 5]
+    columns = {name: rows[:, j] for j, name in enumerate(ControlSample._fields[:10], 10)}
     theta0, theta1, residual = _derived_values(
         sc.control, params, N, columns["V_a"], columns["g"]
     )
@@ -285,8 +281,9 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         scenario=sc,
         status=status,
         t=rows[:, 0],
-        states=states,
-        rates=rows[:, 5:9],
+        states=rows[:, 1:5],
+        N=N,
+        rates=rows[:, 6:10],
         theta0=theta0,
         theta1=theta1,
         identity_residual=residual,

@@ -150,7 +150,7 @@ def test_whole_report_matches_recorded_digest(key):
 
 # Columns in people; every other column is a rate, a fraction, a time or a
 # count.
-SCALED = ("states", "rates", "R_star", "R_star_dot", "dN")
+SCALED = ("states", "N", "rates", "R_star", "R_star_dot", "dN")
 
 # Formulas that carry an absolute unit (one individual), so a run that
 # evaluates them does not scale with its population.

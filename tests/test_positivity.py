@@ -253,6 +253,14 @@ class TestNonnegativityTools:
         assert cleaned.E == 0.0 and cleaned.R == 0.0
         assert clamps == ((1, -0.5), (3, -1e-14))
 
+    def test_reset_leaves_negative_infinity(self):
+        # only finite negatives are clamped: -inf is no rounding excursion,
+        # and the run's total reads it as a blowup
+        x = StateVec(1.0, -np.inf, -2.0, 0.0)
+        cleaned, clamps = apply_reset(x)
+        assert cleaned == StateVec(1.0, -np.inf, 0.0, 0.0)
+        assert clamps == ((2, -2.0),)
+
     def test_reset_noop_passthrough(self):
         x = StateVec(1.0, 0.0, 2.0, 3.0)
         cleaned, clamps = apply_reset(x)

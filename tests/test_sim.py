@@ -206,6 +206,34 @@ class TestTruncation:
         assert traj.status is RunStatus.BLOWUP
         assert len(traj) == 1 and np.isfinite(traj.N).all()
 
+    def test_overflowed_total_after_a_reset_is_blowup(self, params, monkeypatch):
+        # the last stage lands on S = R = 1e308, E = -1e308: the raw sum is
+        # finite, but the reset zeroes E and the total it records would
+        # overflow, so the boundary at t = 10 ends the run and fires nothing
+        TestRateContract.count_rate_calls(
+            monkeypatch,
+            lambda n, d: (6e307, -6e307, 0.0, 6e307) if n == 4 else (0.0,) * 4,
+        )
+        sc = _plain_scenario(params, StateVec(1.0, 0.0, 0.0, 1.0), horizon=30.0, dt=10.0)
+        traj = integrate(sc)
+        assert (traj.status, len(traj)) == (RunStatus.BLOWUP, 1)
+        assert np.isfinite(traj.N).all()
+        assert traj.reset_events == ()
+
+    def test_negative_infinite_component_at_a_boundary_is_blowup(self, params,
+                                                                 monkeypatch):
+        # the last stage lands on S = -inf and E = -2: the reset clamps E
+        # only, the total stays -inf and ends the run, and no event is kept
+        # for the boundary it did not record
+        TestRateContract.count_rate_calls(
+            monkeypatch,
+            lambda n, d: (-np.inf, -1.2, 0.0, 0.0) if n == 4 else (0.0,) * 4,
+        )
+        sc = _plain_scenario(params, StateVec(1.0, 0.0, 0.0, 1.0), horizon=30.0, dt=10.0)
+        traj = integrate(sc)
+        assert (traj.status, len(traj)) == (RunStatus.BLOWUP, 1)
+        assert traj.reset_events == () and int(traj.reset_counts.sum()) == 0
+
     def test_negative_infinite_stage_total_is_blowup(self, params, monkeypatch):
         # the third stage's rates send the fourth stage's S and R to -inf:
         # a non-finite total is a blowup, although it is below the floor
@@ -309,6 +337,7 @@ def _motionless(params, x0, n) -> Trajectory:
         scenario=sc, status=RunStatus.OK,
         t=np.arange(n) * 1.0,
         states=np.tile(x0.as_array(), (n, 1)),
+        N=np.full(n, x0.S + x0.E + x0.I + x0.R),
         rates=np.zeros((n, 4)),
         V_a=zeros, V=zeros, g=zeros, h=zeros, h_dot=zeros,
         R_star=zeros, R_star_dot=zeros, K_N=zeros, K_I=zeros, dN=zeros,
@@ -423,6 +452,23 @@ class TestResets:
         assert traj.states.tobytes() == clean.states[: k + 1].tobytes()
         assert traj.reset_events == tuple(e for e in clean.reset_events if e.t <= t_k)
         assert np.array_equal(traj.reset_counts, clean.reset_counts[: k + 1])
+
+    def test_reset_lifts_a_total_below_the_floor(self, params, monkeypatch):
+        # the last stage lands on S = -5, R = 3: the raw sum -2 is below the
+        # floor, but the boundary judges the clamped state, whose total is 3,
+        # so it records that row with its one reset and runs on
+        TestRateContract.count_rate_calls(
+            monkeypatch, lambda n, d: (-3.6, 0.0, 0.0, 1.2) if n == 4 else (0.0,) * 4
+        )
+        sc = _plain_scenario(params, StateVec(1.0, 0.0, 0.0, 1.0), horizon=30.0, dt=10.0)
+        traj = integrate(sc)
+        assert (traj.status, len(traj)) == (RunStatus.OK, 4)
+        (event,) = traj.reset_events
+        assert (event.t, event.component) == (10.0, "S")
+        assert event.value_before == pytest.approx(-5.0, abs=1e-12)
+        assert traj.state(1) == StateVec(0.0, 0.0, 0.0, traj.R[1])
+        assert traj.N[1] == traj.S[1] + traj.E[1] + traj.I[1] + traj.R[1] == traj.R[1]
+        assert list(traj.reset_counts) == [0, 1, 0, 0]
 
     def test_saturated_presets_never_reset(self):
         for name in ("fig2-saturated", "constant-population-check"):
