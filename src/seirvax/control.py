@@ -412,21 +412,38 @@ def _derived_values(cfg: ControlConfig, params: ModelParams, N, V_a, g):
     theta0 = V_a < 0 and theta1 = V_a > 1 flag the demand leaving [0, 1].
     The identity residual is |nu*N*V_a - eps0*(1 - eps*g)*N| over
     max(|both sides|, eps0*N), 0 for a zero scale, and zero under the NONE
-    law, which applies nothing. The scale is Python's max spelled with
-    np.where, a candidate replacing the running value only when it compares
-    greater, so a nan candidate is skipped where np.maximum would propagate
-    it. Floats give bools and a 0-d array, columns give columns.
+    law, which applies nothing. The scale is Python's max: a candidate is
+    copied over the running value only where it compares greater, so a nan
+    candidate is skipped where np.maximum would propagate it. Every step
+    writes into preallocated buffers, two float and one bool scratch beside
+    the residual, the same code for columns and for floats (0-d buffers).
+    Floats give bools and a 0-d array, columns give columns.
     """
-    if cfg.law is VaccinationLaw.NONE:
-        residual = np.zeros(np.shape(V_a))
-    else:
+    residual = np.zeros(np.shape(V_a))
+    if cfg.law is not VaccinationLaw.NONE:
+        actual = np.empty_like(residual)
+        target = np.empty_like(residual)
+        mask = np.empty(residual.shape, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            actual = params.nu * N * V_a
-            target = cfg.eps0 * (1.0 - cfg.eps * g) * N
-            scale = np.abs(actual)
-            for candidate in (np.abs(target), cfg.eps0 * N):
-                scale = np.where(candidate > scale, candidate, scale)
-            residual = np.where(scale == 0.0, 0.0, np.abs(actual - target) / scale)
+            np.multiply(params.nu, N, out=actual)
+            np.multiply(actual, V_a, out=actual)
+            np.multiply(cfg.eps, g, out=target)
+            np.subtract(1.0, target, out=target)
+            np.multiply(cfg.eps0, target, out=target)
+            np.multiply(target, N, out=target)
+            np.subtract(actual, target, out=residual)
+            np.abs(residual, out=residual)
+            # the scale overwrites actual; target's buffer holds each candidate
+            scale = np.abs(actual, out=actual)
+            np.abs(target, out=target)
+            np.greater(target, scale, out=mask)
+            np.copyto(scale, target, where=mask)
+            np.multiply(cfg.eps0, N, out=target)
+            np.greater(target, scale, out=mask)
+            np.copyto(scale, target, where=mask)
+            np.divide(residual, scale, out=residual)
+            np.equal(scale, 0.0, out=mask)
+            np.copyto(residual, 0.0, where=mask)
     return V_a < 0.0, V_a > 1.0, residual
 
 

@@ -315,9 +315,10 @@ def detect_steady_state(traj: Trajectory) -> SteadyState:
 
     Scans for the earliest t_ss such that every recorded sample in
     [t_ss, t_ss + STEADY_STATE_WINDOW_DAYS] has max_i |dx_i/dt| <= tol * N
-    at that sample, tol being the scenario's steady_state_tol. Returns the
-    window start and the window time-average state. A horizon shorter than
-    the window can never qualify.
+    at that sample, tol being the scenario's steady_state_tol; a sample
+    with a nan rate is moving. Returns the window start and the window
+    time-average state. A horizon shorter than the window can never
+    qualify.
     """
     n = len(traj)
     if n == 0:
@@ -328,14 +329,27 @@ def detect_steady_state(traj: Trajectory) -> SteadyState:
         w = 1
     if n < w + 1:
         return SteadyState()
-    still = np.abs(traj.rates).max(axis=1) <= tol * traj.N
-    # Windowed all-true via prefix sums of violations.
-    bad = np.concatenate(([0], np.cumsum(~still, dtype=np.int64)))
-    window_bad = bad[w + 1:] - bad[: n - w]
-    hits = np.nonzero(window_bad == 0)[0]
-    if hits.size == 0:
+    # The row-wise max of |rate| goes column by column into one buffer.
+    rates = traj.rates
+    peak = np.abs(rates[:, 0])
+    column = np.empty_like(peak)
+    for j in range(1, rates.shape[1]):
+        np.maximum(peak, np.abs(rates[:, j], out=column), out=peak)
+    # moving[1 + k] flags sample k and both ends are moving sentinels, so
+    # every still stretch is the gap between two consecutive moving flags;
+    # a flag is not (peak <= tol * N), so a nan peak is moving.
+    moving = np.ones(n + 2, dtype=bool)
+    np.less_equal(peak, np.multiply(tol, traj.N, out=column), out=moving[1:-1])
+    np.logical_not(moving[1:-1], out=moving[1:-1])
+    # freed before the flag positions, which number up to n + 2
+    del peak, column
+    flagged = np.flatnonzero(moving)
+    # flags at positions p < q hold the q - p - 1 still samples p .. q - 2
+    # between them: the first gap of w + 2 or more starts the window at p
+    wide = np.flatnonzero(np.diff(flagged) >= w + 2)
+    if wide.size == 0:
         return SteadyState()
-    k = int(hits[0])
+    k = int(flagged[wide[0]])
     x_ss = StateVec(*(float(v) for v in traj.states[k : k + w + 1].mean(axis=0)))
     return SteadyState(t_ss=float(traj.t[k]), x_ss=x_ss)
 

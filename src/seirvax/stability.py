@@ -259,14 +259,23 @@ def integral_test(traj) -> IntegralDiagnostic:
     dt = traj.dt
 
     n0 = float(n_pop[0])
-    weight = np.exp((params.mu - params.nu) * t)
-    integrand = params.rho * params.gamma * weight * i_pop
-    # cumulative trapezoid on the uniform grid
-    rhs_t = np.concatenate(
-        ([0.0], np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1])))
-    )
-    pointwise = weight * n_pop - (n0 - rhs_t)
-    max_pointwise = float(np.abs(pointwise).max())
+    # three scratch columns written in place: the weight, whose exp runs on
+    # a contiguous buffer as it always has, the integrand and the trapezoid
+    weight = np.multiply(params.mu - params.nu, t)
+    np.exp(weight, out=weight)
+    integrand = np.multiply(params.rho * params.gamma, weight)
+    np.multiply(integrand, i_pop, out=integrand)
+    # cumulative trapezoid on the uniform grid, rhs_t[0] = 0
+    rhs_t = np.empty_like(integrand)
+    rhs_t[0] = 0.0
+    steps = rhs_t[1:]
+    np.add(integrand[1:], integrand[:-1], out=steps)
+    np.multiply(0.5 * dt, steps, out=steps)
+    np.cumsum(steps, out=steps)
+    rhs = float(rhs_t[-1])
+    pointwise = np.multiply(weight, n_pop, out=weight)
+    np.subtract(pointwise, np.subtract(n0, rhs_t, out=rhs_t), out=pointwise)
+    max_pointwise = float(np.abs(pointwise, out=pointwise).max())
 
     i_max = float(i_pop.max(initial=0.0))
     tail_bound = (
@@ -276,7 +285,7 @@ def integral_test(traj) -> IntegralDiagnostic:
     )
     return IntegralDiagnostic(
         lhs=n0,
-        rhs=float(rhs_t[-1]),
+        rhs=rhs,
         max_pointwise_residual=max_pointwise,
         tail_bound=tail_bound,
     )

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seirvax import (
     ControlConfig,
@@ -24,7 +26,7 @@ from seirvax import (
 )
 from seirvax import control, sim
 from seirvax.errors import ConfigError
-from seirvax.presets import BALANCED_PARAMS
+from seirvax.presets import BALANCED_PARAMS, BASELINE_PARAMS
 
 from conftest import RECORDED_COLUMNS, assert_rows_match_control_sample, nan_profile_from
 
@@ -393,6 +395,83 @@ class TestSteadyState:
         assert ss.infected_fraction == pytest.approx(
             0.18316822975040722, rel=1e-12
         )
+
+
+# Kinds of recorded sample for the stillness patterns below: a still one
+# has zero rates or one rate exactly at tol * N (the bound is inclusive); a
+# moving one has a rate just above it, of either sign, or a nan rate.
+STILL_KINDS = ("zero", "at_tol")
+SAMPLE_KINDS = STILL_KINDS + ("above_tol", "below_neg_tol", "nan")
+WINDOW = 30  # round(STEADY_STATE_WINDOW_DAYS / dt) at dt = 1
+
+
+def _patterned(params, x0, kinds) -> Trajectory:
+    """A hand-built record one day apart whose sample k is of kind kinds[k];
+    its states drift row by row so each window has its own average."""
+    n = len(kinds)
+    traj = _motionless(params, x0, n)
+    states = x0.as_array() * (1.0 + np.arange(n)[:, None] / 64.0)
+    N = states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3]
+    tol = traj.scenario.steady_state_tol
+    rates = np.zeros((n, 4))
+    for k, kind in enumerate(kinds):
+        edge = tol * N[k]
+        rates[k, k % 4] = {
+            "zero": 0.0,
+            "at_tol": edge,
+            "above_tol": np.nextafter(edge, np.inf),
+            "below_neg_tol": -np.nextafter(edge, np.inf),
+            "nan": np.nan,
+        }[kind]
+    return replace(traj, states=states, N=N, rates=rates)
+
+
+def _scan(traj) -> SteadyState:
+    """The first window of WINDOW + 1 still samples, one window at a time."""
+    tol = traj.scenario.steady_state_tol
+    still = [all(abs(r) <= tol * n for r in row) for row, n in zip(traj.rates, traj.N)]
+    for k in range(len(traj) - WINDOW):
+        if all(still[k : k + WINDOW + 1]):
+            window = traj.states[k : k + WINDOW + 1].mean(axis=0)
+            return SteadyState(t_ss=float(traj.t[k]), x_ss=StateVec(*(float(v) for v in window)))
+    return SteadyState()
+
+
+stillness_patterns = st.lists(
+    st.tuples(st.sampled_from(SAMPLE_KINDS), st.integers(1, 2 * WINDOW)),
+    min_size=1, max_size=8,
+).map(lambda runs: [kind for kind, length in runs for _ in range(length)][:120])
+
+
+class TestSteadyStateSearch:
+    """detect_steady_state's gap search against a window-by-window scan."""
+
+    @pytest.mark.parametrize("kinds, t_ss", [
+        # a still stretch of exactly w + 1 samples ending on the last row
+        (["above_tol"] * 5 + ["zero"] * (WINDOW + 1), 5.0),
+        # one of w samples, at the end and between moving samples
+        (["nan"] * 5 + ["zero"] * WINDOW, None),
+        (["zero"] * WINDOW + ["above_tol"] + ["at_tol"] * WINDOW + ["nan"], None),
+        # n == w + 1, all still or one moving sample
+        (["at_tol"] * (WINDOW + 1), 0.0),
+        (["zero"] * WINDOW + ["below_neg_tol"], None),
+        # a nan rate is moving, and the window starts after it
+        (["zero"] * 10 + ["nan"] + ["zero"] * (WINDOW + 1), 11.0),
+        (["zero"] * 10 + ["nan"] + ["zero"] * WINDOW, None),
+        # the first of two qualifying stretches wins
+        (["zero"] * (WINDOW + 2) + ["nan"] + ["zero"] * (WINDOW + 5), 0.0),
+    ])
+    def test_explicit_patterns(self, params, outbreak_x0, kinds, t_ss):
+        traj = _patterned(params, outbreak_x0, kinds)
+        ss = detect_steady_state(traj)
+        assert ss.t_ss == t_ss
+        assert ss == _scan(traj)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(kinds=stillness_patterns)
+    def test_generated_patterns(self, kinds):
+        traj = _patterned(BASELINE_PARAMS, StateVec(400.0, 150.0, 250.0, 200.0), kinds)
+        assert detect_steady_state(traj) == _scan(traj)
 
 
 class TestResets:
