@@ -23,6 +23,25 @@ from seirvax.cli import (
 # and of every control-grid combination ("grid"); re-recorded with
 #     PYTHONPATH=src python tests/test_artifacts.py
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(lang: str) -> str:
+    """The text of README's first ```lang code block."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"```{lang}\n", 1)[1].split("```\n", 1)[0]
+
+
+def readme_ini(**edits: str | None) -> str:
+    """README's ini example without its `;` comment lines: each key that
+    edits names set to its value there, or left out where that is None."""
+    lines = []
+    for line in readme_block("ini").splitlines():
+        key = line.partition(" = ")[0]
+        if line.startswith(";") or (key in edits and edits[key] is None):
+            continue
+        lines.append(f"{key} = {edits[key]}" if key in edits else line)
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture

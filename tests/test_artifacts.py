@@ -11,8 +11,9 @@ exactly. A change that sets out to alter the report re-records the latter
     PYTHONPATH=src python tests/test_artifacts.py
 
 No preset fires a boundary reset, so one more scenario pins the reset
-path's bytes: README's ``ini`` example under the unsaturated law with an
-overdriven demand, whose digests are recorded below.
+path's bytes: README's ``ini`` example, read by ``conftest.readme_ini``,
+under the unsaturated law with an overdriven demand, whose digests are
+recorded below.
 """
 
 import hashlib
@@ -24,10 +25,9 @@ import pytest
 from seirvax import build_preset, integrate, preset_names
 from seirvax.cli import main
 
-from conftest import REPORT_DIGESTS, report_sha256
+from conftest import REPORT_DIGESTS, readme_ini, report_sha256
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
-README = Path(__file__).resolve().parents[1] / "README.md"
 MACHINE_MARKER = b"[machine]\n"
 
 # README's ini example with g = 0 and eps0 = 5 under the unsaturated law,
@@ -70,20 +70,10 @@ def test_preset_artifacts_match_recorded_digests(name, tmp_path, monkeypatch):
     assert hashlib.sha256(report).hexdigest() == whole
 
 
-def resetting_ini() -> str:
-    """README's ini example with RESETTING_EDITS applied."""
-    text = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```\n", 1)[0]
-    lines = []
-    for line in text.splitlines():
-        key = line.partition(" = ")[0]
-        lines.append(f"{key} = {RESETTING_EDITS[key]}" if key in RESETTING_EDITS else line)
-    return "\n".join(lines) + "\n"
-
-
 def test_resetting_scenario_matches_recorded_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("SEIRVAX_OUT", raising=False)
     ini = tmp_path / "resetting.ini"
-    ini.write_text(resetting_ini(), encoding="utf-8")
+    ini.write_text(readme_ini(**RESETTING_EDITS), encoding="utf-8")
     out = tmp_path / "o"
     assert main(["--config", str(ini), "--horizon", "5", "--out", str(out)]) == 0
     report = (out / "report.txt").read_bytes()

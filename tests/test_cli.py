@@ -35,33 +35,11 @@ from seirvax.cli import (
 from seirvax.config import with_numeric
 from seirvax.errors import ConfigError
 
-from conftest import csv_column, nan_profile_from
+from conftest import csv_column, nan_profile_from, readme_ini
 
-BASE_INI = """\
-[params]
-mu_days = 255
-omega_days = 15
-beta = 1.66
-sigma_days = 2.2
-gamma_days = 2.2
-rho = 0.1
-nu_days = 150
-
-[control]
-law = saturated
-g_family = eq33b
-h_family = section7
-eps0 = 0.5
-c_days = 5
-
-[scenario]
-S0 = 400
-E0 = 150
-I0 = 250
-R0 = 200
-horizon = 2
-dt = 0.01
-"""
+# README's ini example over 2 days, without its comments, name and
+# steady-state tolerance: the base file every scenario-file test edits.
+BASE_INI = readme_ini(name=None, steady_state_tol=None, horizon="2")
 
 # vartheta = mu + omega: the decay profile's denominator vanishes.
 DEGENERATE_DECAY_INI = """\
@@ -185,8 +163,9 @@ NUMERIC_SPELLINGS = [
 def sweep_specs(draw):
     """A numeric key (or its _days spelling) and 1-3 values, drawn from the
     edge values and arbitrary floats. The grid keys' arbitrary draws keep a
-    run of the 2-day, dt = 0.1 base to at most 200 steps; their edge values
-    still reach the non-finite and unstorable grid errors."""
+    run of a 2-day base to at most 200 steps at dt = 0.1 and 2000 at
+    dt = 0.01; their edge values still reach the non-finite and unstorable
+    grid errors."""
     _, key = draw(st.sampled_from(NUMERIC_SPELLINGS))
     arbitrary = {"horizon": st.floats(max_value=20.0),
                  "dt": st.floats(min_value=0.01)}.get(key, st.floats())
@@ -280,6 +259,32 @@ def sweep_statuses(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     return [row["status"] for row in rows]
+
+
+def assert_refused(err: str, out) -> None:
+    """main refused its input: one error line and no output directory."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert not out.exists()
+
+
+def assert_sweep_rows(path, key, values, err: str) -> None:
+    """sweep.csv holds the header, then one full row per value in order,
+    each with a status; an error row has empty cells and one cause line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert tuple(header) == SWEEP_COLUMNS
+    assert [len(row) for row in rows] == [len(SWEEP_COLUMNS)] * len(values)
+    assert [row[:2] for row in rows] == [[key, repr(v)] for v in values]
+    failed = []
+    for row in rows:
+        assert row[2] in ("ok", "extinct", "blowup", "error"), row
+        if row[2] == "error":
+            assert row[3:] == [""] * (len(SWEEP_COLUMNS) - 3), row
+            failed.append(f"sweep row {key}={row[1]} failed: ")
+    lines = err.splitlines()
+    assert len(lines) == len(failed)
+    assert all(line.startswith(cause) for line, cause in zip(lines, failed)), lines
 
 
 def assert_csv_matches(path, traj):
@@ -419,6 +424,16 @@ class TestOverrides:
         data = read_trajectory_csv(tmp_path / "trajectory.csv")
         assert len(data["t"]) == 151
 
+    def test_own_grid_as_overrides_changes_nothing(self, tmp_path):
+        name = "constant-population-check"
+        sc = build_preset(name)
+        grid = ["--dt", repr(sc.dt), "--horizon", repr(sc.horizon)]
+        for folder, overrides in (("plain", []), ("grid", grid)):
+            assert main(["--preset", name, *overrides, "--out", str(tmp_path / folder)]) == 0
+        for artifact in ("trajectory.csv", "report.txt"):
+            plain = (tmp_path / "plain" / artifact).read_bytes()
+            assert (tmp_path / "grid" / artifact).read_bytes() == plain, artifact
+
     def test_law_none_disables_vaccination(self, tmp_path):
         rc = main(["--preset", "fig2-saturated", "--law", "none",
                    "--horizon", "2", "--out", str(tmp_path)])
@@ -493,7 +508,7 @@ class TestConfigFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and message in err[0]
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("line, control", [
         ("c_days = 5", "c = 0"),
@@ -522,7 +537,7 @@ class TestConfigFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: [params] unknown key 'I0_ref'; numeric keys:")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_non_finite_initial_total_is_a_config_error(self, tmp_path, capsys):
         # each component is finite, their sum is not
@@ -536,7 +551,7 @@ class TestConfigFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0] == "error: initial population total must be finite, got inf"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_pole_free_corollary2_i_is_a_config_error(self, tmp_path, capsys):
         path = write_ini(tmp_path, POLE_FREE_INI)
@@ -546,7 +561,7 @@ class TestConfigFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "mu + omega > 0" in err[0]
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("control, message", [
         pytest.param("g_family = eq33a",
@@ -565,7 +580,7 @@ class TestConfigFiles:
         rc = main(["--config", str(path), "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [message]
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["--config", str(tmp_path / "absent.ini")])
@@ -594,21 +609,7 @@ class TestConfigFiles:
         assert err[0].startswith(f"error: {prefix} {path}: ")
         for needle in needles:
             assert needle in err[0]
-        assert not out.exists() or list(out.iterdir()) == []
-
-    def test_byte_order_mark_is_skipped(self, tmp_path):
-        # some editors save UTF-8 with a leading byte-order mark; the file
-        # must run exactly as the same text without it
-        outputs = []
-        for prefix, folder in ((b"", "plain"), (b"\xef\xbb\xbf", "bom")):
-            (tmp_path / folder).mkdir()
-            path = tmp_path / folder / "scenario.ini"
-            path.write_bytes(prefix + BASE_INI.encode("utf-8"))
-            out = tmp_path / folder / "o"
-            assert main(["--config", str(path), "--out", str(out)]) == 0
-            outputs.append([(out / name).read_bytes()
-                            for name in ("trajectory.csv", "report.txt")])
-        assert outputs[0] == outputs[1]
+        assert not out.exists()
 
     @settings(derandomize=True, max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -628,9 +629,7 @@ class TestConfigFiles:
             rc = main(["--config", str(path), "--out", str(out)])
         assert rc in (0, 2, 3, 4)
         if rc == 2:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), lines
-            assert not out.exists()
+            assert_refused(err.getvalue(), out)
         else:
             assert (out / "trajectory.csv").is_file() and (out / "report.txt").is_file()
             block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
@@ -819,6 +818,9 @@ dt = 0.01
         assert data["t"].tolist() == [0.0] and data["V_a"].tolist() == [np.inf]
         block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
         assert block["status"] == "blowup"
+        non_finite = [key for key, value in block.items()
+                      if value in ("nan", "inf", "-inf")]
+        assert non_finite == ["identity_max_residual"]
         assert block["identity_max_residual"] == "nan"
 
     # (scenario file edits, rows recorded): a divisor underflows to 0.0 on
@@ -1027,20 +1029,29 @@ class TestSweep:
                        "--sweep", f"{key}={','.join(map(repr, values))}",
                        "--out", str(tmp_path)])
         assert rc == 0
-        with open(tmp_path / "sweep.csv", newline="", encoding="utf-8") as fh:
-            header, *rows = csv.reader(fh)
-        assert tuple(header) == SWEEP_COLUMNS
-        assert [len(row) for row in rows] == [len(SWEEP_COLUMNS)] * len(values)
-        assert [row[:2] for row in rows] == [[key, repr(v)] for v in values]
-        failed = []
-        for row in rows:
-            assert row[2] in ("ok", "extinct", "blowup", "error"), row
-            if row[2] == "error":
-                assert row[3:] == [""] * (len(SWEEP_COLUMNS) - 3), row
-                failed.append(f"sweep row {key}={row[1]} failed: ")
-        lines = err.getvalue().splitlines()
-        assert len(lines) == len(failed)
-        assert all(line.startswith(cause) for line, cause in zip(lines, failed)), lines
+        assert_sweep_rows(tmp_path / "sweep.csv", key, values, err.getvalue())
+
+    @settings(derandomize=True, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=scenario_files(), spec=sweep_specs())
+    def test_generated_sweeps_over_generated_files_end_in_an_exit_code(self, tmp_path,
+                                                                      text, spec):
+        # a file main refuses exits 2 as a plain run would; any other file
+        # sweeps to a row per value (each example clears its output
+        # directory first)
+        key, values = spec
+        path = write_ini(tmp_path, text)
+        out = tmp_path / "o"
+        shutil.rmtree(out, ignore_errors=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["--config", str(path),
+                       "--sweep", f"{key}={','.join(map(repr, values))}", "--out", str(out)])
+        assert rc in (0, 2)
+        if rc == 2:
+            assert_refused(err.getvalue(), out)
+        else:
+            assert_sweep_rows(out / "sweep.csv", key, values, err.getvalue())
 
     @pytest.mark.parametrize("spec", ["zeta=1,2", "beta=", "beta", "beta=a,1"])
     def test_rejected_sweep_specs(self, tmp_path, capsys, spec):
