@@ -180,11 +180,6 @@ def _verdict_lines(v: StabilityVerdict) -> list[str]:
         lines.append(f"      {c.name}: {c.lhs:.6g} vs {c.rhs:.6g} ({mark})")
     for note in v.notes:
         lines.append(f"      note: {note}")
-    for flag in v.flags:
-        state = "holds" if flag.satisfied else "does not hold"
-        lines.append(
-            f"      [info] {flag.name}: {flag.lhs:.6g} vs {flag.rhs:.6g} ({state})"
-        )
     return lines
 
 

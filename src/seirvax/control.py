@@ -158,12 +158,17 @@ class ControlConfig:
                     f"the eq43_theorem6 design needs eps*eps0 > 0, got eps = {cfg.eps!r} "
                     f"and eps0 = {eps0!r}, whose product underflows to 0"
                 )
-            if not math.isfinite((eps0 - params.nu) / (cfg.eps * eps0)):
+            if not math.isfinite(_decay_ceiling(cfg, params)):
                 raise ConfigError(
                     f"the eq43_theorem6 design needs a finite ceiling (eps0 - nu)/(eps*eps0), "
                     f"got eps = {cfg.eps!r} and eps0 = {eps0!r}, whose ceiling overflows"
                 )
         return cfg
+
+
+def _decay_ceiling(cfg: ControlConfig, params: ModelParams) -> float:
+    """(eps0 - nu)/(eps*eps0), on a cfg whose eps0 is resolved."""
+    return (cfg.eps0 - params.nu) / (cfg.eps * cfg.eps0)
 
 
 def _decay_gap(cfg: ControlConfig, params: ModelParams) -> float:
@@ -605,4 +610,4 @@ def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:
     cfg = cfg.validated(params)
     if not cfg.eps * cfg.eps0 > 0.0:
         raise ConfigError("ceiling needs eps*eps0 > 0")
-    return (cfg.eps0 - params.nu) / (cfg.eps * cfg.eps0)
+    return _decay_ceiling(cfg, params)

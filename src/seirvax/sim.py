@@ -350,7 +350,16 @@ def detect_steady_state(traj: Trajectory) -> SteadyState:
     if wide.size == 0:
         return SteadyState()
     k = int(flagged[wide[0]])
-    x_ss = StateVec(*(float(v) for v in traj.states[k : k + w + 1].mean(axis=0)))
+    window = traj.states[k : k + w + 1]
+    with np.errstate(over="ignore"):
+        mean = window.mean(axis=0)
+    # a still window holds finite states, so a non-finite mean is a sum
+    # past the float range: that column is averaged scaled to its largest
+    # magnitude, which keeps every term at or below 1
+    for j in np.flatnonzero(~np.isfinite(mean)):
+        scale = np.abs(window[:, j]).max()
+        mean[j] = (window[:, j] / scale).mean() * scale
+    x_ss = StateVec(*(float(v) for v in mean))
     return SteadyState(t_ss=float(traj.t[k]), x_ss=x_ss)
 
 

@@ -6,6 +6,10 @@ Each predicate returns a StabilityVerdict carrying every inequality it
 evaluated, so reports can show exactly which condition failed; whether the
 hypothesis holds is derived from those conditions, never stored. Verdict ids
 (the enum values) are stable strings used in machine-readable output.
+
+The paper states these theorems for admissible rates (all nonnegative, rho
+in [0, 1]). ModelParams refuses any other rate set when it is built, so the
+predicates list only the conditions an admissible rate set can fail.
 """
 
 from __future__ import annotations
@@ -57,9 +61,6 @@ class StabilityVerdict:
     # False when a standing assumption fails and the criterion says nothing.
     applicable: bool = True
     notes: tuple[str, ...] = ()
-    # Informational checks excluded from hypothesis_holds (e.g. clauses
-    # that can never hold for admissible rates and exist only to be shown).
-    flags: tuple[ConditionCheck, ...] = ()
 
     @property
     def hypothesis_holds(self) -> bool:
@@ -89,26 +90,13 @@ def _cond(name: str, lhs: float, rhs: float, satisfied: bool) -> ConditionCheck:
     return ConditionCheck(name, float(lhs), float(rhs), bool(satisfied))
 
 
-def _rate_sign_conditions(p: ModelParams) -> list[ConditionCheck]:
-    m = min(p.beta, p.sigma, p.omega, p.gamma)
-    return [
-        _cond("min(beta, sigma, omega, gamma) >= 0", m, 0.0, m >= 0.0),
-        _cond("rho >= 0", p.rho, 0.0, p.rho >= 0.0),
-        _cond("rho <= 1", p.rho, 1.0, p.rho <= 1.0),
-    ]
-
-
 def check_population_nonincreasing(params: ModelParams) -> StabilityVerdict:
-    """Holds iff 0 <= nu <= mu with admissible remaining rates.
+    """Holds iff nu <= mu.
 
     Then dN/dt = (nu - mu)N - rho*gamma*I <= 0 for nonnegative states, so N
     never exceeds N(0) and every compartment stays bounded.
     """
-    conditions = [
-        _cond("nu >= 0", params.nu, 0.0, params.nu >= 0.0),
-        _cond("nu <= mu", params.nu, params.mu, params.nu <= params.mu),
-        *_rate_sign_conditions(params),
-    ]
+    conditions = [_cond("nu <= mu", params.nu, params.mu, params.nu <= params.mu)]
     notes = ()
     if params.mu == params.nu and (params.rho == 0.0 or params.gamma == 0.0):
         notes = (
@@ -154,38 +142,22 @@ def check_mortality_absorbs_growth(params: ModelParams) -> StabilityVerdict:
 def check_unforced_boundedness(params: ModelParams, case: int) -> StabilityVerdict:
     """Boundedness of the vaccination-free system, two alternative cases.
 
-    case 1: 0 <= nu <= mu. case 2: mu > 4*beta + nu and nu > beta >= 0.
-    Both share admissible-rate conditions and mu > 0. The clause
-    max(sigma, gamma) < -mu is impossible for nonnegative rates; it is
-    evaluated literally but reported as an informational flag, outside the
-    hypothesis.
+    case 1: nu <= mu. case 2: mu > 4*beta + nu and nu > beta. Both need
+    mu > 0. The paper's alternative clause max(sigma, gamma) < -mu is not
+    evaluated: no admissible rate set can satisfy it.
     """
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case!r}")
-    conditions = [
-        *_rate_sign_conditions(params),
-        _cond("mu > 0", params.mu, 0.0, params.mu > 0.0),
-    ]
+    conditions = [_cond("mu > 0", params.mu, 0.0, params.mu > 0.0)]
     if case == 1:
         criterion = StabilityCriterion.BOUNDED_SMALL_BIRTH
-        conditions.append(_cond("nu >= 0", params.nu, 0.0, params.nu >= 0.0))
         conditions.append(_cond("nu <= mu", params.nu, params.mu, params.nu <= params.mu))
     else:
         criterion = StabilityCriterion.BOUNDED_DOMINANT_MORTALITY
         bound = 4.0 * params.beta + params.nu
         conditions.append(_cond("mu > 4*beta + nu", params.mu, bound, params.mu > bound))
         conditions.append(_cond("nu > beta", params.nu, params.beta, params.nu > params.beta))
-        conditions.append(_cond("beta >= 0", params.beta, 0.0, params.beta >= 0.0))
-    worst = max(params.sigma, params.gamma)
-    flags = (
-        _cond("max(sigma, gamma) < -mu (literal clause, impossible for "
-              "nonnegative rates)", worst, -params.mu, worst < -params.mu),
-    )
-    return StabilityVerdict(
-        criterion=criterion,
-        conditions=tuple(conditions),
-        flags=flags,
-    )
+    return StabilityVerdict(criterion=criterion, conditions=tuple(conditions))
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,37 @@ class TestRunArtifacts:
         assert float(block["identity_max_residual"]) == 0.0
         assert float(block["integral_max_pointwise_residual"]) < 1e-3
 
+    def test_large_population_steady_state_is_finite(self, tmp_path):
+        # the 10-day window of S = 1e307 sums past the float range, and
+        # its mean used to read inf with a numpy overflow warning
+        ini = """\
+[params]
+mu = 0.01
+omega = 0
+beta = 1
+sigma = 0.5
+gamma = 0.5
+rho = 0
+nu = 0.01
+
+[control]
+law = none
+
+[scenario]
+S0 = 1e307
+E0 = 0
+I0 = 0
+R0 = 0
+horizon = 40
+dt = 0.1
+"""
+        out = tmp_path / "o"
+        rc = main(["--config", str(write_ini(tmp_path, ini)), "--out", str(out)])
+        assert rc == 0
+        block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
+        assert block["steady_state_found"] == "1"
+        assert (block["S_ss"], block["N_ss"]) == ("1e+307", "1e+307")
+
 
 class TestOverrides:
     def test_dt_and_horizon(self, tmp_path):

@@ -95,22 +95,39 @@ class TestVectorField:
         )
 
 
+RATE_NAMES = ("mu", "omega", "beta", "sigma", "gamma", "rho", "nu")
+
+
+def _params(**edit) -> ModelParams:
+    rates = dict(mu=0.1, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5, rho=0.1, nu=0.01)
+    return ModelParams(**{**rates, **edit})
+
+
 class TestParamsValidation:
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelParams(mu=-0.1, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
-                        rho=0.1, nu=0.01)
+    @pytest.mark.parametrize("value", [-0.1, -5e-324, -math.inf])
+    @pytest.mark.parametrize("name", RATE_NAMES)
+    def test_negative_rate_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            _params(**{name: value})
 
-    def test_rho_outside_unit_interval_rejected(self):
-        for rho in (-0.01, 1.01):
-            with pytest.raises(ConfigError):
-                ModelParams(mu=0.1, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
-                            rho=rho, nu=0.01)
+    @pytest.mark.parametrize("rho", [math.nextafter(1.0, 2.0), 1.01])
+    def test_rho_outside_unit_interval_rejected(self, rho):
+        with pytest.raises(ConfigError, match=r"rho must be in \[0, 1\]"):
+            _params(rho=rho)
 
-    def test_nonfinite_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            ModelParams(mu=math.nan, omega=0.1, beta=1.0, sigma=0.5, gamma=0.5,
-                        rho=0.1, nu=0.01)
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("name", RATE_NAMES)
+    def test_nonfinite_rate_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            _params(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    @pytest.mark.parametrize("name", RATE_NAMES)
+    def test_signed_zero_accepted(self, name, value):
+        assert getattr(_params(**{name: value}), name) == 0.0
+
+    def test_rho_of_one_accepted(self):
+        assert _params(rho=1.0).rho == 1.0
 
     @pytest.mark.parametrize("refs", [
         (math.inf, math.inf), (10.0, math.inf), (math.nan, 50.0), (10.0, math.nan),

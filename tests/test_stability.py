@@ -5,9 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seirvax import (
     IntegralDiagnostic,
+    MatrixVariant,
     ModelParams,
     StabilityCriterion,
     StabilityVerdict,
@@ -16,9 +19,12 @@ from seirvax import (
     check_unforced_boundedness,
     integral_test,
     integral_verdict,
+    metzler_parameter_criterion,
     standard_verdicts,
 )
 from seirvax.errors import NotApplicableError
+
+from conftest import rate
 
 
 def _by_name(verdict, name):
@@ -105,18 +111,6 @@ class TestUnforcedBoundedness:
     def test_case_out_of_range(self, params):
         with pytest.raises(ValueError):
             check_unforced_boundedness(params, 3)
-
-    def test_impossible_clause_reported_as_flag_only(self, params):
-        p = ModelParams(mu=0.01, omega=0.1, beta=0.001, sigma=0.4, gamma=0.4,
-                        rho=0.1, nu=0.002)
-        for case in (1, 2):
-            verdict = check_unforced_boundedness(p if case == 2 else params, case)
-            assert len(verdict.flags) == 1
-            flag = verdict.flags[0]
-            assert not flag.satisfied  # never holds for nonnegative rates
-            assert flag.rhs == -(p.mu if case == 2 else params.mu)
-        # the flag does not drag the hypothesis down
-        assert check_unforced_boundedness(p, 2).hypothesis_holds
 
 
 def _synthetic_unforced_decay(params, horizon=50.0, dt=0.05):
@@ -226,3 +220,62 @@ class TestStandardVerdicts:
                 hypothesis_holds=not verdict.hypothesis_holds,
                 conditions=verdict.conditions,
             )
+
+
+@st.composite
+def admissible_rates(draw):
+    """The seven rates, with the edges of the paper's statements drawn
+    often: signed zeros, nu = mu, nu = beta, rho in {0, 1} and gamma at
+    its threshold (nu - mu)/rho."""
+    zero = st.sampled_from([0.0, -0.0])
+    mu = draw(st.one_of(zero, rate(0.0, 0.1)))
+    beta = draw(st.one_of(zero, rate(0.0, 0.02), rate(0.0, 2.0)))
+    nu = draw(st.one_of(zero, st.just(mu), st.just(beta), rate(0.0, 0.2)))
+    rho = draw(st.one_of(st.sampled_from([0.0, 1.0]), rate(0.0, 1.0)))
+    gammas = [zero, rate(0.0, 1.0)]
+    if rho > 0.0 and 0.0 <= (nu - mu) / rho < np.inf:
+        gammas.append(st.just((nu - mu) / rho))
+    return ModelParams(
+        mu=mu, omega=draw(st.one_of(zero, rate(0.0, 1.0))), beta=beta,
+        sigma=draw(st.one_of(zero, rate(0.0, 1.0))), gamma=draw(st.one_of(*gammas)),
+        rho=rho, nu=nu,
+    )
+
+
+class TestGeneratedRates:
+    """Each verdict, and the Metzler criterion, equals the paper's
+    statement on generated admissible rates."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(p=admissible_rates())
+    # T4_case2 holding, and gamma exactly at T3's threshold
+    @example(p=ModelParams(mu=0.01, omega=0.1, beta=0.001, sigma=0.4, gamma=0.4,
+                           rho=0.1, nu=0.002))
+    @example(p=ModelParams(mu=0.01, omega=0.1, beta=1.0, sigma=0.5, gamma=0.02,
+                           rho=0.5, nu=0.02))
+    def test_verdicts_are_the_papers_statements(self, p):
+        t2, t3, t3_integral, case1, case2 = standard_verdicts(p)
+        growing = p.nu > p.mu
+        assert (t2.applicable, t2.hypothesis_holds) == (True, p.nu <= p.mu)
+        assert (t3.applicable, t3.hypothesis_holds) == (
+            growing, growing and p.rho > 0.0 and p.gamma >= (p.nu - p.mu) / p.rho
+        )
+        assert (t3_integral.applicable, t3_integral.hypothesis_holds) == (growing, False)
+        assert (case1.applicable, case1.hypothesis_holds) == (
+            True, p.mu > 0.0 and p.nu <= p.mu
+        )
+        assert (case2.applicable, case2.hypothesis_holds) == (
+            True, p.mu > 0.0 and p.mu > 4.0 * p.beta + p.nu and p.nu > p.beta
+        )
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(p=admissible_rates())
+    def test_metzler_criterion_is_the_papers_statement(self, p):
+        # only the contact drain -beta*S/N can leave the diagonal negative:
+        # a birth variant lifts it by nu, the others need beta = 0
+        for variant in MatrixVariant:
+            drain_in_i = variant.base in (
+                MatrixVariant.BILINEAR_VIA_I, MatrixVariant.SPLIT_DRAIN_I_GAIN_S
+            )
+            lifted = p.nu >= p.beta if variant.includes_birth_term else p.beta == 0.0
+            assert metzler_parameter_criterion(p, variant) is (not drain_in_i or lifted)
