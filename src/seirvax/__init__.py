@@ -73,12 +73,10 @@ from .control import (
 )
 from .sim import (
     STEADY_STATE_WINDOW_DAYS,
-    ConvergenceRow,
     RunStatus,
     ScenarioConfig,
     SteadyState,
     Trajectory,
-    convergence_study,
     detect_steady_state,
     integrate,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "ConfigError",
     "ControlConfig",
     "ControlSample",
-    "ConvergenceRow",
     "DecompositionError",
     "DegenerateProfileError",
     "ForcingForm",
@@ -130,7 +127,6 @@ __all__ = [
     "check_population_nonincreasing",
     "check_unforced_boundedness",
     "control_sample",
-    "convergence_study",
     "decay_design_g_ceiling",
     "decompose_star",
     "detect_steady_state",

@@ -41,7 +41,6 @@ from .sim import (
     integrate,
 )
 from .stability import (
-    POINTWISE_TOL,
     IntegralDiagnostic,
     StabilityVerdict,
     integral_test,
@@ -216,21 +215,6 @@ def render_report(rep: RunReport) -> str:
     out.append("stability profile:")
     for v in rep.verdicts:
         out.extend(_verdict_lines(v))
-    out.append("")
-    out.append("population integral identity:")
-    if rep.integral is None:
-        out.append("  not evaluated (needs nu > mu and at least two recorded samples)")
-    else:
-        d = rep.integral
-        out.append(
-            f"  max pointwise residual {d.max_pointwise_residual:.6g} "
-            f"(tol {POINTWISE_TOL:g} relative)"
-        )
-        out.append(
-            f"  horizon residual {d.residual:.6g} vs remaining-mass bound "
-            f"{d.tail_bound:.6g}"
-        )
-        out.append(f"  consistent: {'yes' if d.consistent else 'NO'}")
     out.append("")
     out.append("controller self-check:")
     out.append(

@@ -362,48 +362,3 @@ def detect_steady_state(traj: Trajectory) -> SteadyState:
     x_ss = StateVec(*(float(v) for v in mean))
     return SteadyState(t_ss=float(traj.t[k]), x_ss=x_ss)
 
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    dt: float
-    terminal: StateVec
-    diff_from_finest: float
-
-
-def convergence_study(
-    scenario: ScenarioConfig, dts
-) -> tuple[ConvergenceRow, ...]:
-    """Re-run one scenario over a ladder of step sizes.
-
-    Rows come back ordered coarse to fine; diff_from_finest is the max-abs
-    componentwise distance of the terminal state from the finest run's
-    (0 for the finest row itself). Needs at least two distinct step sizes.
-    Runs that truncate early make the comparison meaningless, so any
-    non-OK status raises.
-    """
-    ladder = sorted({float(d) for d in dts}, reverse=True)
-    if len(ladder) < 2:
-        raise ConfigError(
-            f"a convergence study needs at least two distinct step sizes, got {dts!r}"
-        )
-    for d in ladder:
-        if not (math.isfinite(d) and d > 0.0):
-            raise ConfigError(f"step sizes must be positive, got {d!r}")
-    terminals: list[StateVec] = []
-    for d in ladder:
-        traj = integrate(replace(scenario, dt=d))
-        if traj.status is not RunStatus.OK:
-            raise ConfigError(
-                f"run at dt={d!r} ended early with status {traj.status.value!r}; "
-                "convergence comparison needs complete runs"
-            )
-        terminals.append(traj.terminal_state())
-    finest = terminals[-1].as_array()
-    return tuple(
-        ConvergenceRow(
-            dt=d,
-            terminal=term,
-            diff_from_finest=float(np.max(np.abs(term.as_array() - finest))),
-        )
-        for d, term in zip(ladder, terminals)
-    )

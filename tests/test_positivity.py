@@ -40,6 +40,13 @@ def rate_sets(draw):
     )
 
 
+def drain_entry(params: ModelParams, x: StateVec, variant: MatrixVariant) -> float:
+    """Entry (0, 2) of a variant that puts the contact drain in the I
+    column: -beta*S/N, plus nu when the variant carries the births."""
+    drain = -(params.beta * (x.S / x.N))
+    return drain + params.nu if variant.includes_birth_term else drain
+
+
 # nonnegative components, each often exactly zero, with a total above 1
 _component = st.one_of(st.just(0.0), rate(0.0, 1000.0))
 admissible_states = st.builds(StateVec, _component, _component, _component, _component).filter(
@@ -117,7 +124,8 @@ class TestParameterCriterion:
 
     def test_criterion_matches_state_scan(self, params, rng):
         # True must mean Metzler at every admissible state; False must have
-        # a witness, and the all-susceptible corner is the worst case.
+        # a witness near the all-susceptible corner, whose one violation is
+        # the contact drain in the I column
         worst = StateVec(3.0 - 3e-6, 1e-6, 1e-6, 1e-6)
         for variant in MatrixVariant:
             if metzler_parameter_criterion(params, variant):
@@ -126,7 +134,9 @@ class TestParameterCriterion:
                     assert check_metzler(build_matrix(params, x, variant)).is_metzler
             else:
                 report = check_metzler(build_matrix(params, worst, variant))
-                assert not report.is_metzler
+                assert report.violating_entries == (
+                    (0, 2, drain_entry(params, worst, variant)),
+                ), variant
 
     def test_nu_equal_to_beta_keeps_the_corner_metzler(self):
         # beta*S/N taken left to right is 0.1*3/3 = 0.1 + 1 ulp, which made
@@ -142,7 +152,9 @@ class TestParameterCriterion:
     @given(params=rate_sets(), states=st.lists(admissible_states, min_size=1, max_size=4))
     def test_criterion_agrees_with_the_scan_on_generated_rates(self, params, states):
         # True: every drawn state and the all-susceptible corner of its
-        # population give a Metzler matrix; False: each corner is a witness
+        # population give a Metzler matrix. False: the contact drain is the
+        # only entry that can go negative, at every drawn state, and each
+        # corner is a witness
         corners = [StateVec(x.N, 0.0, 0.0, 0.0) for x in states]
         for variant in MatrixVariant:
             if metzler_parameter_criterion(params, variant):
@@ -150,10 +162,12 @@ class TestParameterCriterion:
                     report = check_metzler(build_matrix(params, x, variant))
                     assert report.is_metzler, (variant, x, report.violating_entries)
             else:
-                for x in corners:
-                    assert not check_metzler(build_matrix(params, x, variant)).is_metzler, (
-                        variant, x,
-                    )
+                for x in (*states, *corners):
+                    entry = drain_entry(params, x, variant)
+                    want = ((0, 2, entry),) if entry < 0.0 else ()
+                    report = check_metzler(build_matrix(params, x, variant))
+                    assert report.violating_entries == want, (variant, x)
+                assert all(drain_entry(params, x, variant) < 0.0 for x in corners), variant
 
 
 class TestConstantVaryingSplit:

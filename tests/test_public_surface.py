@@ -1,11 +1,16 @@
-"""The package's public surface: every exported name resolves.
+"""The package's public surface: every exported name resolves and has a reader.
 
 Guards deletions against a stale export: a name left in ``__all__`` after
-its definition is gone would break ``from seirvax import *``.
+its definition is gone would break ``from seirvax import *``. And guards
+the surface against growth: an exported name that nothing in the program
+reads, and that is not one of the paper's stated results, has no reason
+to be kept.
 """
 
+import ast
 from dataclasses import fields
 from inspect import signature
+from pathlib import Path
 
 import seirvax
 from seirvax.cli import TRAJECTORY_COLUMNS, RunReport
@@ -16,6 +21,47 @@ def test_every_exported_name_resolves_once():
     names = seirvax.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(seirvax, name)] == []
+
+
+# Exported for the paper's content (a closed form, a bound, a criterion or
+# a factorization) though no program path reads them: the tests read each
+# of them, and README shows most.
+PAPER_CONTENT_NAMES = frozenset({
+    "control_sample", "tracking_bound", "immune_closed_form", "stationary_tracking_level",
+    "decompose_star", "metzler_parameter_criterion", "reconstruct_derivative",
+})
+
+
+def _loaded_names(paths) -> set[str]:
+    """Every name read as a bare name or an attribute in these files."""
+    loaded = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+def test_every_exported_name_has_a_reader():
+    # a reader is the package itself (outside the re-exporting __init__),
+    # the benchmark harness, or the paper-content list above
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "seirvax").glob("*.py"))
+    readers = [p for p in package if p.name != "__init__.py"]
+    loaded = _loaded_names(readers + sorted((root / "perfbench").rglob("*.py")))
+    assert PAPER_CONTENT_NAMES <= set(seirvax.__all__)
+    unread = [name for name in seirvax.__all__ if name not in loaded | PAPER_CONTENT_NAMES]
+    assert unread == []
+
+
+def test_step_size_ladder_is_gone():
+    # RK4's order is checked by direct integrate calls in test_sim.py
+    for gone in ("convergence_study", "ConvergenceRow"):
+        assert gone not in seirvax.__all__, gone
+        for module in (seirvax, seirvax.sim):
+            assert not hasattr(module, gone), (module.__name__, gone)
 
 
 def test_star_import():

@@ -1,5 +1,5 @@
 """Integration engine: grid layout, conservation, truncation statuses,
-steady-state detection, reset handling, and step-size convergence."""
+steady-state detection, reset handling, and RK4's step-size order."""
 
 from dataclasses import replace
 
@@ -20,7 +20,6 @@ from seirvax import (
     Trajectory,
     VaccinationLaw,
     build_preset,
-    convergence_study,
     detect_steady_state,
     integrate,
 )
@@ -559,28 +558,13 @@ class TestResets:
 class TestConvergence:
     def test_fourth_order_step_halving(self):
         sc = replace(build_preset("fig1-no-vaccination"), horizon=50.0)
-        rows = convergence_study(sc, [0.01, 0.04, 0.02])
-        assert [r.dt for r in rows] == [0.04, 0.02, 0.01]
-        assert rows[-1].diff_from_finest == 0.0
-        ratio = rows[0].diff_from_finest / rows[1].diff_from_finest
+        runs = [integrate(replace(sc, dt=dt)) for dt in (0.04, 0.02, 0.01)]
+        assert [run.status for run in runs] == [RunStatus.OK] * 3
+        coarse, mid, fine = (run.terminal_state().as_array() for run in runs)
+        ratio = np.max(np.abs(coarse - fine)) / np.max(np.abs(mid - fine))
         # one halving of a 4th-order method against a fixed finest anchor:
         # (2^8 - 1)/(2^4 - 1) = 17 in the asymptotic regime
         assert 14.0 <= ratio <= 20.0
-
-    def test_ladder_validation(self, params, outbreak_x0):
-        sc = _plain_scenario(params, outbreak_x0)
-        with pytest.raises(ConfigError):
-            convergence_study(sc, [0.01])
-        with pytest.raises(ConfigError):
-            convergence_study(sc, [0.01, 0.01])
-        with pytest.raises(ConfigError):
-            convergence_study(sc, [0.01, -0.1])
-
-    def test_ladder_with_a_run_that_ends_early(self, outbreak_x0):
-        # the coarsest run goes first and already blows up
-        sc = _plain_scenario(RUNAWAY_PARAMS, outbreak_x0, horizon=2.0)
-        with pytest.raises(ConfigError, match=r"dt=0\.01 ended early with status 'blowup'"):
-            convergence_study(sc, [0.005, 0.01])
 
 
 class TestScenarioValidation:
