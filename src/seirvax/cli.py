@@ -6,7 +6,8 @@ the stability profile, and the controller self-checks, ending in a
 machine-readable key=value block.
 
 Exit codes: 0 clean run, 2 configuration problem (or any other package
-error), 3 population went extinct, 4 numeric blowup.
+error, or an output that cannot be written), 3 population went extinct,
+4 numeric blowup.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .sim import (
 )
 from .stability import (
     IntegralDiagnostic,
+    StabilityCriterion,
     StabilityVerdict,
     integral_test,
     standard_verdicts,
@@ -365,15 +367,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out_dir(arg_out: str | None) -> Path:
-    out = arg_out or os.environ.get("SEIRVAX_OUT") or "out"
-    path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".write-probe"
-        probe.touch()
-        probe.unlink()
-    except OSError as exc:
-        raise ConfigError(f"output directory {path} is not writable: {exc}") from exc
+    path = Path(arg_out or os.environ.get("SEIRVAX_OUT") or "out")
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -398,6 +393,8 @@ def _load_base_scenario(args) -> ScenarioConfig:
 def _print_stability_profile(params: ModelParams) -> None:
     print("stability profile (parameter-level; integral check needs a run):")
     for v in standard_verdicts(params, None):
+        if v.criterion is StabilityCriterion.POPULATION_INTEGRAL_IDENTITY:
+            v = replace(v, conditions=(), applicable=False)  # no run, no verdict
         for line in _verdict_lines(v):
             print(line)
 
@@ -454,7 +451,8 @@ def main(argv=None) -> int:
             )
         print(f"wrote {csv_path} and {report_path}")
         return _EXIT_BY_STATUS[traj.status]
-    except SeirvaxError as exc:
+    except (SeirvaxError, OSError) as exc:
+        # an OSError's text names the path that could not be made or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -760,9 +760,10 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    # needle None: the message names the --out path (the OSError's filename)
     @pytest.mark.parametrize("source, under_a_file, needle", [
         pytest.param(["--preset", "fig1-no-vaccination", "--horizon", "1"], True,
-                     "not writable", id="unwritable-out"),
+                     None, id="unwritable-out"),
         pytest.param([], False, "nothing to run", id="no-preset-or-config"),
     ])
     def test_usage_errors_write_nothing(self, tmp_path, capsys, source, under_a_file,
@@ -776,8 +777,24 @@ class TestExitCodes:
         rc = main([*source, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (needle or str(out)) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("artifact, args", [
+        ("trajectory.csv", ["--horizon", "1"]),
+        ("report.txt", ["--horizon", "1"]),
+        ("sweep.csv", ["--sweep", "beta=1,2"]),
+    ])
+    def test_failed_artifact_write(self, tmp_path, capsys, artifact, args):
+        # the artifact's name is taken by a directory, so opening it fails
+        out = tmp_path / "o"
+        (out / artifact).mkdir(parents=True)
+        rc = main(["--preset", "constant-population-check", *args, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out / artifact) in err
 
     def test_extinction(self, tmp_path):
         path = write_ini(tmp_path, COLLAPSE_INI, name="collapse.ini")
@@ -902,6 +919,9 @@ class TestStabilityFlag:
         out = capsys.readouterr().out
         for vid in VERDICT_IDS:
             assert f"] {vid}:" in out
+        # no run, so the integral identity is not judged
+        t3 = out.split("] T3_integral:")[1].split("\n  [")[0]
+        assert "[N/A  ] T3_integral:" in out and "VIOLATED" not in t3
         assert list(tmp_path.iterdir()) == []  # no artifacts
 
 
