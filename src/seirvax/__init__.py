@@ -5,9 +5,12 @@ Core entry points:
     integrate(scenario)               run one scenario (fixed-step RK4)
     build_preset(name)                bundled scenarios
     detect_steady_state(traj)         settled-regime search
-    standard_verdicts(params)         stability profile; each verdict's
+    standard_verdicts(params, diag)   stability profile; each verdict's
                                       hypothesis_holds is derived from its
-                                      conditions
+                                      conditions, and is False where it
+                                      does not apply
+    integral_test(traj)               the run's integral-identity diagnostic,
+                                      None where the identity does not apply
     make_rate_fn(params)              the vector field, as
                                       rate(S, E, I, R, V) -> (dS, dE, dI, dR)
     build_matrix(params, x, variant)  one of the eight 4x4 factorizations,
@@ -20,7 +23,6 @@ from .errors import (
     ConfigError,
     DecompositionError,
     DegenerateProfileError,
-    NotApplicableError,
     SeirvaxError,
     SingularStateError,
 )
@@ -102,7 +104,6 @@ __all__ = [
     "ModelParams",
     "ModulationFamily",
     "N_FLOOR",
-    "NotApplicableError",
     "PRESETS",
     "ReferenceProfile",
     "ResetEvent",

@@ -29,7 +29,7 @@ from .control import (
     VaccinationLaw,
     decay_design_g_ceiling,
 )
-from .errors import ConfigError, NotApplicableError, SeirvaxError
+from .errors import ConfigError, SeirvaxError
 from .model import ModelParams, StateVec
 from .presets import PRESETS, build_preset
 from .sim import (
@@ -43,7 +43,6 @@ from .sim import (
 )
 from .stability import (
     IntegralDiagnostic,
-    StabilityCriterion,
     StabilityVerdict,
     integral_test,
     standard_verdicts,
@@ -155,10 +154,7 @@ class RunReport:
 def build_run_report(traj: Trajectory) -> RunReport:
     params = traj.scenario.params
     ss = detect_steady_state(traj)
-    try:
-        diag = integral_test(traj)
-    except NotApplicableError:
-        diag = None
+    diag = integral_test(traj)
     return RunReport(traj, ss, diag, standard_verdicts(params, diag))
 
 
@@ -392,9 +388,7 @@ def _load_base_scenario(args) -> ScenarioConfig:
 
 def _print_stability_profile(params: ModelParams) -> None:
     print("stability profile (parameter-level; integral check needs a run):")
-    for v in standard_verdicts(params, None):
-        if v.criterion is StabilityCriterion.POPULATION_INTEGRAL_IDENTITY:
-            v = replace(v, conditions=(), applicable=False)  # no run, no verdict
+    for v in standard_verdicts(params):
         for line in _verdict_lines(v):
             print(line)
 

@@ -24,7 +24,3 @@ class DecompositionError(SeirvaxError):
 
 class DegenerateProfileError(SeirvaxError):
     """Reference profile parameters collapse the formula (zero denominator)."""
-
-
-class NotApplicableError(SeirvaxError):
-    """Diagnostic preconditions not met for this parameter set."""

@@ -4,8 +4,10 @@ infectious history.
 
 Each predicate returns a StabilityVerdict carrying every inequality it
 evaluated, so reports can show exactly which condition failed; whether the
-hypothesis holds is derived from those conditions, never stored. Verdict ids
-(the enum values) are stable strings used in machine-readable output.
+hypothesis holds is derived from those conditions, never stored. A verdict
+whose standing assumption fails, or that has no run to check, is not
+applicable and never holds. Verdict ids (the enum values) are stable strings
+used in machine-readable output.
 
 The paper states these theorems for admissible rates (all nonnegative, rho
 in [0, 1]). ModelParams refuses any other rate set when it is built, so the
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotApplicableError
 from .model import ModelParams
 
 # integral_test's tolerance on the pointwise identity residual, relative to N(0).
@@ -58,14 +59,15 @@ class ConditionCheck:
 class StabilityVerdict:
     criterion: StabilityCriterion
     conditions: tuple[ConditionCheck, ...]
-    # False when a standing assumption fails and the criterion says nothing.
+    # False when a standing assumption fails, or the criterion needs a run
+    # and has none: the criterion then says nothing.
     applicable: bool = True
     notes: tuple[str, ...] = ()
 
     @property
     def hypothesis_holds(self) -> bool:
-        """The verdict is exactly its conditions."""
-        return all(c.satisfied for c in self.conditions)
+        """The verdict is exactly its conditions, where it applies."""
+        return self.applicable and all(c.satisfied for c in self.conditions)
 
     @property
     def title(self) -> str:
@@ -119,21 +121,16 @@ def check_mortality_absorbs_growth(params: ModelParams) -> StabilityVerdict:
     applicable.
     """
     applicable = params.nu > params.mu
-    conditions = [
-        _cond("nu > mu (standing assumption)", params.nu, params.mu, applicable)
-    ]
+    conditions = (_cond("rho > 0", params.rho, 0.0, params.rho > 0.0),)
     if params.rho > 0.0:
         threshold = (params.nu - params.mu) / params.rho
-        conditions.append(_cond("rho > 0", params.rho, 0.0, True))
-        conditions.append(
+        conditions += (
             _cond("gamma >= (nu - mu)/rho", params.gamma, threshold,
-                  params.gamma >= threshold)
+                  params.gamma >= threshold),
         )
-    else:
-        conditions.append(_cond("rho > 0", params.rho, 0.0, False))
     return StabilityVerdict(
         criterion=StabilityCriterion.MORTALITY_ABSORBS_GROWTH,
-        conditions=tuple(conditions),
+        conditions=conditions,
         applicable=applicable,
         notes=() if applicable else ("births do not exceed deaths; criterion says nothing",),
     )
@@ -207,27 +204,22 @@ class IntegralDiagnostic:
         return all(c.satisfied for c in self.conditions)
 
 
-def integral_test(traj) -> IntegralDiagnostic:
+def integral_test(traj) -> IntegralDiagnostic | None:
     """Quadrature check of the population/infectious integral identity.
 
     Reads the run's own rates (`traj.scenario.params`) and step (`traj.dt`)
     with its sample times `t`, infectious counts `I` and totals `N`, which
-    lie on the uniform grid t_k = k*dt as every Trajectory's do. Requires
-    the growing-births regime nu > mu and at least two samples; otherwise
-    NotApplicableError. Uses trapezoidal quadrature on that grid, with the
-    pointwise tolerance POINTWISE_TOL * N(0).
+    lie on the uniform grid t_k = k*dt as every Trajectory's do. Returns
+    None, as the identity does not apply, unless births outpace deaths
+    (nu > mu) and the run recorded at least two samples. Uses trapezoidal
+    quadrature on that grid, with the pointwise tolerance POINTWISE_TOL * N(0).
     """
     params = traj.scenario.params
-    if params.nu <= params.mu:
-        raise NotApplicableError(
-            "integral identity check requires nu > mu "
-            f"(got nu={params.nu!r}, mu={params.mu!r})"
-        )
     t = np.asarray(traj.t, dtype=float)
+    if params.nu <= params.mu or t.size < 2:
+        return None
     i_pop = np.asarray(traj.I, dtype=float)
     n_pop = np.asarray(traj.N, dtype=float)
-    if t.size < 2:
-        raise NotApplicableError("integral identity check needs at least two samples")
     dt = traj.dt
 
     n0 = float(n_pop[0])
@@ -263,18 +255,13 @@ def integral_test(traj) -> IntegralDiagnostic:
     )
 
 
-def integral_verdict(params: ModelParams, diag: IntegralDiagnostic | None) -> StabilityVerdict:
+def integral_verdict(diag: IntegralDiagnostic | None) -> StabilityVerdict:
     """Wrap an IntegralDiagnostic as a verdict; None marks not-applicable."""
     if diag is None:
-        applicable = params.nu > params.mu
-        conditions = (
-            _cond("nu > mu (standing assumption)", params.nu, params.mu, applicable),
-            _cond("identity evaluated along a trajectory", 0.0, 1.0, False),
-        )
         return StabilityVerdict(
             criterion=StabilityCriterion.POPULATION_INTEGRAL_IDENTITY,
-            conditions=conditions,
-            applicable=applicable,
+            conditions=(),
+            applicable=False,
             notes=("no trajectory diagnostic available",),
         )
     return StabilityVerdict(
@@ -288,7 +275,7 @@ def standard_verdicts(params: ModelParams, diag: IntegralDiagnostic | None = Non
     return (
         check_population_nonincreasing(params),
         check_mortality_absorbs_growth(params),
-        integral_verdict(params, diag),
+        integral_verdict(diag),
         check_unforced_boundedness(params, 1),
         check_unforced_boundedness(params, 2),
     )

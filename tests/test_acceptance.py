@@ -29,7 +29,9 @@ from seirvax import (
     immune_closed_form,
     integral_test,
     integrate,
+    standard_verdicts,
 )
+from seirvax.cli import build_run_report
 from seirvax.control import ControlConfig
 
 from conftest import random_state
@@ -139,6 +141,14 @@ class TestPopulationIntegral:
         assert maxima[0] / maxima[1] >= 2.0
         assert maxima[1] / maxima[2] >= 2.0
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_quick_start_idiom_is_the_report(self, preset_runs, name):
+        # README's standard_verdicts(params, integral_test(traj)) on every
+        # preset, including those where births do not outpace deaths
+        traj = preset_runs[name]
+        verdicts = standard_verdicts(traj.scenario.params, integral_test(traj))
+        assert verdicts == build_run_report(traj).verdicts
+
 
 class TestImmuneDecayDesign:
     def test_matches_closed_form_at_fine_step(self):
@@ -167,6 +177,29 @@ class TestImmuneDecayDesign:
         )
         rel = np.abs(traj.R - expected) / np.abs(expected)
         assert rel.max() < 1e-6
+
+
+class TestNearFloatCeiling:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the incidence product beta * S * I / N overflows to inf at "
+        "the second RK4 stage (S = 1e305, I = 9.5e307), so a finite, "
+        "shrinking population ends blowup after one row; reordering the "
+        "product changes bits on every preset",
+    )
+    def test_shrinking_population_near_the_float_maximum_runs(self):
+        p = ModelParams(mu=0.01, omega=0.0, beta=1.0, sigma=0.5, gamma=1.0,
+                        rho=1.0, nu=0.02)
+        sc = ScenarioConfig(
+            params=p, x0=StateVec(0.0, 0.0, 1e308, 0.0),
+            control=ControlConfig(law=VaccinationLaw.NONE),
+            horizon=1.0, dt=0.1,
+        )
+        # dN/dt = (nu - mu) N - rho gamma I < 0 from the start
+        traj = integrate(sc)
+        assert traj.status is RunStatus.OK
+        assert len(traj.t) == 11
+        assert traj.N[-1] < traj.N[0]
 
 
 class TestReferenceTracking:

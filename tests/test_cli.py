@@ -810,7 +810,8 @@ class TestExitCodes:
         assert len(read_trajectory_csv(out / "trajectory.csv")["t"]) == 1
         block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
         assert block["status"] == "extinct"
-        assert block["T3_integral"] == "0"
+        # one row: the identity is never evaluated, so it does not apply
+        assert block["T3_integral"] == "na"
         assert "integral_consistent" not in block
 
     def test_blowup(self, tmp_path):
@@ -923,6 +924,20 @@ class TestStabilityFlag:
         t3 = out.split("] T3_integral:")[1].split("\n  [")[0]
         assert "[N/A  ] T3_integral:" in out and "VIOLATED" not in t3
         assert list(tmp_path.iterdir()) == []  # no artifacts
+
+    def test_not_applicable_reads_the_same_with_or_without_a_run(self, tmp_path, capsys):
+        # births balance deaths, so the identity does not apply to the run
+        # either: the report prints the block --check-stability prints
+        def t3_integral_block(text):
+            return text.split("] T3_integral:")[1].split("\n  [")[0]
+
+        preset = ["--preset", "constant-population-check"]
+        assert main([*preset, "--check-stability"]) == 0
+        profile = capsys.readouterr().out
+        assert main([*preset, "--out", str(tmp_path)]) == 0
+        report = (tmp_path / "report.txt").read_text(encoding="utf-8")
+        assert "[N/A  ] T3_integral:" in report
+        assert t3_integral_block(report) == t3_integral_block(profile)
 
 
 class TestSweep:

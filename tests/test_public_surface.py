@@ -178,4 +178,9 @@ def test_positivity_and_integral_analyses_take_only_their_subject():
         for module in (seirvax, seirvax.positivity, seirvax.errors):
             assert not hasattr(module, gone), (module.__name__, gone)
     assert list(signature(seirvax.integral_test).parameters) == ["traj"]
+    # "does not apply" is a verdict's applicable flag, not an exception
+    assert "NotApplicableError" not in seirvax.__all__
+    for module in (seirvax, seirvax.stability, seirvax.errors, seirvax.cli):
+        assert not hasattr(module, "NotApplicableError"), module.__name__
+    assert list(signature(seirvax.integral_verdict).parameters) == ["diag"]
     assert list(signature(seirvax.check_metzler).parameters) == ["matrix"]

@@ -22,7 +22,6 @@ from seirvax import (
     metzler_parameter_criterion,
     standard_verdicts,
 )
-from seirvax.errors import NotApplicableError
 
 from conftest import rate
 
@@ -79,6 +78,8 @@ class TestMortalityAbsorbsGrowth:
         assert not verdict.applicable
         assert not verdict.hypothesis_holds
         assert verdict.notes
+        # applicable carries the standing assumption; no condition repeats it
+        assert [c.name for c in verdict.conditions] == ["rho > 0", "gamma >= (nu - mu)/rho"]
 
     def test_boundary_gamma_exactly_at_threshold(self):
         p = ModelParams(mu=0.01, omega=0.1, beta=1.0, sigma=0.5, gamma=0.02,
@@ -126,14 +127,12 @@ def _synthetic_unforced_decay(params, horizon=50.0, dt=0.05):
 class TestIntegralIdentity:
     def test_requires_growing_births(self, params):
         traj = _synthetic_unforced_decay(replace(params, nu=params.mu))
-        with pytest.raises(NotApplicableError):
-            integral_test(traj)
+        assert integral_test(traj) is None
 
     def test_requires_two_samples(self, params):
         traj = _synthetic_unforced_decay(params, horizon=0.0)
         assert len(traj.t) == 1
-        with pytest.raises(NotApplicableError, match="two samples"):
-            integral_test(traj)
+        assert integral_test(traj) is None
 
     def test_disease_free_growth_is_flagged_inconsistent(self, params):
         # With I identically zero the weighted population is exactly
@@ -153,7 +152,7 @@ class TestIntegralIdentity:
             max_pointwise_residual=0.5, tail_bound=50.0,
         )
         assert diag.consistent and diag.residual == 10.0
-        verdict = integral_verdict(params, diag)
+        verdict = integral_verdict(diag)
         assert verdict.criterion.value == "T3_integral"
         assert verdict.hypothesis_holds and verdict.applicable
         assert verdict.conditions == diag.conditions
@@ -164,17 +163,14 @@ class TestIntegralIdentity:
         for broken in (replace(diag, max_pointwise_residual=1.5),
                        replace(diag, rhs=1051.5)):  # residual -51.5
             assert not broken.consistent
-            assert not integral_verdict(params, broken).hypothesis_holds
+            assert not integral_verdict(broken).hypothesis_holds
 
-    def test_verdict_without_diagnostic(self, params):
-        verdict = integral_verdict(params, None)
-        assert not verdict.hypothesis_holds
-        assert verdict.applicable  # nu > mu, just no trajectory
-        assert verdict.notes
-
-        balanced = replace(params, nu=params.mu)
-        verdict = integral_verdict(balanced, None)
-        assert not verdict.applicable
+    def test_verdict_without_diagnostic(self):
+        # no run to check, or the identity does not apply: N/A, nothing judged
+        verdict = integral_verdict(None)
+        assert not verdict.applicable and not verdict.hypothesis_holds
+        assert verdict.conditions == ()
+        assert verdict.notes == ("no trajectory diagnostic available",)
 
 
 class TestStandardVerdicts:
@@ -209,9 +205,13 @@ class TestStandardVerdicts:
         for p in (params, replace(params, nu=params.mu), replace(params, mu=0.0)):
             for diag in diags:
                 for v in standard_verdicts(p, diag):
-                    assert v.hypothesis_holds == all(
-                        c.satisfied for c in v.conditions
+                    assert v.hypothesis_holds == (
+                        v.applicable and all(c.satisfied for c in v.conditions)
                     ), v.criterion
+        # a verdict that does not apply never holds, even on satisfied conditions
+        t3 = check_mortality_absorbs_growth(replace(params, nu=params.mu))
+        assert all(c.satisfied for c in t3.conditions)
+        assert not t3.applicable and not t3.hypothesis_holds
         # the flag is derived, so a verdict cannot be built disagreeing with it
         verdict = standard_verdicts(params)[0]
         with pytest.raises(TypeError):
@@ -260,7 +260,8 @@ class TestGeneratedRates:
         assert (t3.applicable, t3.hypothesis_holds) == (
             growing, growing and p.rho > 0.0 and p.gamma >= (p.nu - p.mu) / p.rho
         )
-        assert (t3_integral.applicable, t3_integral.hypothesis_holds) == (growing, False)
+        # no run is given, so the integral identity never applies
+        assert (t3_integral.applicable, t3_integral.hypothesis_holds) == (False, False)
         assert (case1.applicable, case1.hypothesis_holds) == (
             True, p.mu > 0.0 and p.nu <= p.mu
         )
