@@ -172,15 +172,13 @@ def test_run_columns_share_the_control_sample_names():
 
 def test_positivity_and_integral_analyses_take_only_their_subject():
     # the run already records states after the reset and carries its own
-    # params and step; the Metzler definition is strict
-    for gone in ("monitor_nonnegativity", "NonnegativityReport", "NonUniformGridError"):
+    # params and step; the Metzler definition is strict; "does not apply"
+    # is a verdict's applicable flag, not an exception
+    for gone in ("monitor_nonnegativity", "NonnegativityReport", "NonUniformGridError",
+                 "NotApplicableError"):
         assert gone not in seirvax.__all__, gone
-        for module in (seirvax, seirvax.positivity, seirvax.errors):
+        for module in (seirvax, seirvax.positivity, seirvax.stability, seirvax.errors):
             assert not hasattr(module, gone), (module.__name__, gone)
     assert list(signature(seirvax.integral_test).parameters) == ["traj"]
-    # "does not apply" is a verdict's applicable flag, not an exception
-    assert "NotApplicableError" not in seirvax.__all__
-    for module in (seirvax, seirvax.stability, seirvax.errors, seirvax.cli):
-        assert not hasattr(module, "NotApplicableError"), module.__name__
     assert list(signature(seirvax.integral_verdict).parameters) == ["diag"]
     assert list(signature(seirvax.check_metzler).parameters) == ["matrix"]
