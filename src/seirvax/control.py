@@ -65,18 +65,17 @@ class ReferenceProfile(enum.Enum):
     """Shapes for the reference immune fraction h(t).
 
     EXP_SETTLING     starts at R(0)/N and relaxes to 1 at rate c, so the
-                     target becomes the whole population.
+                     target becomes the whole population; c = 0 holds it
+                     at R(0)/N.
     POLE_MATCHED     built on the immune compartment's own pole mu+omega
                      with level set by eps0; under a constant population
                      and eps0 = mu+omega it also settles at 1.
     DECAY_DESIGN     companion profile of IMMUNE_DECAY_DESIGN; decays to 0.
-    CONSTANT_LEVEL   pins the reference at the initial immune count.
     """
 
     EXP_SETTLING = "section7"
     POLE_MATCHED = "corollary2_i"
     DECAY_DESIGN = "theorem6_ii"
-    CONSTANT_LEVEL = "constant"
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,7 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     All profiles anchor at the initial immune count, R*(0) = r0. h_dot is
     the profile's explicit time-derivative with N held at its sampled
     value; the population's own rate enters through the product rule,
-    R_star_dot = h_dot*N + h*dN. CONSTANT_LEVEL re-anchors h = r0/N each
-    sample so R_star stays at r0; its explicit time-derivative is zero.
+    R_star_dot = h_dot*N + h*dN.
     """
     fam = cfg.h_family
     eps0 = cfg.eps0
@@ -246,7 +244,7 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
             h_dot = decay * (eps0 - a_r0 / N)
             return h, h_dot, h * N, h_dot * N + h * dN
 
-    elif fam is ReferenceProfile.DECAY_DESIGN:
+    else:  # DECAY_DESIGN
         a = params.immune_pole
         vartheta = cfg.vartheta
         neg_a = -a
@@ -260,12 +258,6 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
             h = (slow * r0 + eps0 * (slow - fast) / gap) / N
             h_dot = (decline * r0 + eps0 * (decline + vartheta * fast) / gap) / N
             return h, h_dot, h * N, h_dot * N + h * dN
-
-    else:  # CONSTANT_LEVEL
-
-        def profile(t, N, dN):
-            h = r0 / N
-            return h, 0.0, r0, h * dN
 
     return profile
 
@@ -603,9 +595,10 @@ def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:
     """Ceiling (eps0 - nu)/(eps*eps0) quoted for the decay design's
     alternative sufficiency argument.
 
-    The decay modulation itself sits above this ceiling for populations
-    above one individual; reports surface the comparison as a diagnostic
-    rather than enforcing it.
+    The decay modulation g(t) = (1 - e^{-vartheta t}/N)/eps sits above
+    this ceiling exactly when N > (eps0/nu)*e^{-vartheta t}, a threshold of
+    10.6 people at t = 0 on the immune-decay preset, falling with time;
+    reports surface the comparison as a diagnostic rather than enforcing it.
     """
     cfg = cfg.validated(params)
     if not cfg.eps * cfg.eps0 > 0.0:

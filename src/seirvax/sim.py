@@ -324,7 +324,10 @@ def detect_steady_state(traj: Trajectory) -> SteadyState:
     if n == 0:
         raise ValueError("cannot scan an empty trajectory")
     tol = traj.scenario.steady_state_tol
-    w = int(round(STEADY_STATE_WINDOW_DAYS / traj.dt))
+    steps = STEADY_STATE_WINDOW_DAYS / traj.dt
+    if math.isinf(steps):  # dt below about 1.7e-307: no run holds the window
+        return SteadyState()
+    w = int(round(steps))
     if w < 1:
         w = 1
     if n < w + 1:

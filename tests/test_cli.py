@@ -7,6 +7,7 @@ import csv
 import io
 import math
 import shutil
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -185,9 +186,9 @@ ENUM_VALUES = {
     "h_family": tuple(m.value for m in ReferenceProfile),
 }
 BAD_ENUM_VALUES = ("", "sideways", "EQ33B", "0")
-# The decay design and the decay profile, which an even pick among each key's
-# eleven spellings seldom reaches: the enum edit picks them about half the
-# time it sets their key.
+# The decay design and the decay profile, which an even pick among their
+# key's eleven or seven spellings seldom reaches: the enum edit picks them
+# about half the time it sets their key.
 DECAY_VALUES = {"g_family": "eq43_theorem6", "h_family": "theorem6_ii"}
 
 
@@ -195,7 +196,8 @@ DECAY_VALUES = {"g_family": "eq43_theorem6", "h_family": "theorem6_ii"}
 def scenario_files(draw):
     """BASE_INI with up to three edits: a section dropped, a key dropped or
     moved to another section, an enum key set to a valid or an invalid
-    value, or a numeric value set to an edge value. The horizon is never
+    value, a numeric value set to an edge value, or a grid of a subnormal
+    step and a horizon of 1-20 such steps. The horizon is never
     dropped alone: the default horizon is 600 days. vartheta is set, so
     that the eq43_theorem6 and theorem6_ii edits run."""
     base = configparser.ConfigParser(interpolation=None)
@@ -206,7 +208,7 @@ def scenario_files(draw):
     owner = {key: name for name in names for key in base[name]}
     raws = {key: raw for name in names for key, raw in base[name].items()}
     present = set(names)
-    edits = st.sampled_from(("number", "enum", "move", "drop", "section"))
+    edits = st.sampled_from(("number", "enum", "move", "drop", "section", "grid"))
     for edit in draw(st.lists(edits, max_size=3)):
         if edit == "section":
             present.discard(draw(st.sampled_from(names)))
@@ -221,6 +223,10 @@ def scenario_files(draw):
             if key in DECAY_VALUES:
                 values = st.one_of(st.just(DECAY_VALUES[key]), values)
             raws[key] = draw(values)
+        elif edit == "grid":
+            dt = draw(st.floats(5e-324, math.nextafter(sys.float_info.min, 0.0)))
+            raws["dt"] = repr(dt)
+            raws["horizon"] = repr(draw(st.integers(1, 20)) * dt)
         else:
             key = draw(st.sampled_from([k for k in owner if k not in ENUM_VALUES]))
             raws[key] = repr(draw(st.sampled_from(EDGE_VALUES)))
@@ -760,6 +766,16 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_window_past_the_float_range(self, tmp_path):
+        # the steady-state window's step count overflows below dt = 1.7e-307:
+        # the ten-step run writes its artifacts and reports no settled regime
+        out = tmp_path / "o"
+        rc = main(["--preset", "fig2-saturated", "--dt", "1e-320", "--horizon", "1e-319",
+                   "--out", str(out)])
+        assert rc == 0
+        block = machine_block((out / "report.txt").read_text(encoding="utf-8"))
+        assert (block["status"], block["steady_state_found"]) == ("ok", "0")
+
     # needle None: the message names the --out path (the OSError's filename)
     @pytest.mark.parametrize("source, under_a_file, needle", [
         pytest.param(["--preset", "fig1-no-vaccination", "--horizon", "1"], True,
@@ -962,6 +978,14 @@ class TestSweep:
         assert float(rows[1][header.index("t_ss")]) == pytest.approx(
             54.06, abs=1e-9
         )
+
+    def test_sweep_over_a_subnormal_grid(self, tmp_path):
+        # every row runs its ten steps; none overflows the steady-state window
+        path = write_ini(tmp_path, readme_ini(dt="1e-320", horizon="1e-319"))
+        rc = main(["--config", str(path), "--sweep", "beta=1.0,1.5",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert sweep_statuses(tmp_path / "o" / "sweep.csv") == ["ok", "ok"]
 
     def test_single_point_sweep_matches_plain_run(self, tmp_path):
         args = ["--preset", "fig1-no-vaccination", "--horizon", "300"]

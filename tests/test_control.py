@@ -51,8 +51,9 @@ def switched_config(**overrides) -> ControlConfig:
     return ControlConfig(**base)
 
 
-# Pins h = r0/N with h_dot = 0, so a sample's gains are those of a chosen h.
-LEVEL = ControlConfig(h_family=ReferenceProfile.CONSTANT_LEVEL)
+# section7 at c = 0 pins h = r0/N with h_dot = 0, so a sample's gains are
+# those of a chosen h.
+LEVEL = ControlConfig(c=0.0)
 
 
 class TestReferenceProfiles:
@@ -95,11 +96,16 @@ class TestReferenceProfiles:
         with pytest.raises(DegenerateProfileError):
             control_sample(cfg, params, 1.0, outbreak_x0, R0)
 
-    def test_constant_level_reanchors(self, params, outbreak_x0):
-        s = control_sample(LEVEL, params, 37.5, outbreak_x0, R0)
-        assert s.R_star == 200.0  # exact, by construction
-        assert s.h_dot == 0.0
-        assert s.R_star_dot == pytest.approx(-1.7237076648841356, rel=1e-12)
+    def test_zero_settling_rate_holds_the_reference(self, params, outbreak_x0):
+        # c = 0 pins h at R(0)/N with no explicit drift on every recorded
+        # row, whichever law closes the loop
+        for law in VaccinationLaw:
+            sc = replace(build_preset("fig2-saturated"), x0=outbreak_x0,
+                         control=replace(LEVEL, law=law), horizon=100.0, dt=0.5)
+            traj = integrate(sc)
+            assert traj.status is RunStatus.OK and len(traj.t) == 201, law
+            assert np.array_equal(traj.h, outbreak_x0.R / traj.N), law
+            assert (traj.h_dot == 0.0).all(), law
 
     def test_negative_time_rejected(self, params, outbreak_x0):
         cfg = ControlConfig()
@@ -267,7 +273,6 @@ class TestClosedLoopAutomaton:
             ReferenceProfile.EXP_SETTLING,
             ReferenceProfile.POLE_MATCHED,
             ReferenceProfile.DECAY_DESIGN,
-            ReferenceProfile.CONSTANT_LEVEL,
         )
         for g_family in g_families:
             for h_family in h_families:
@@ -548,6 +553,15 @@ class TestClosedFormOracles:
         g = control_sample(cfg, params, 200.0, x, R0).g
         assert g > ceiling
 
+    @pytest.mark.parametrize("N, side", [(8.0, "exceeds"), (1.0, "within")])
+    def test_decay_ceiling_threshold(self, N, side):
+        # g exceeds the ceiling exactly when N > (eps0/nu)*e^{-vartheta t}:
+        # 10.6 people at t = 0 on immune-decay, 7.1 by t = 5
+        sc = build_preset("immune-decay")
+        sc = replace(sc, x0=StateVec(*(v * N / sc.x0.N for v in sc.x0)), horizon=5.0)
+        g_max, ceiling = build_run_report(integrate(sc)).decay_g
+        assert ("exceeds" if g_max > ceiling else "within") == side
+
 
 class TestConfigValidation:
     def test_rate_feedback_gain_required(self, params):
@@ -653,7 +667,7 @@ class TestConfigValidation:
                           vartheta=-1e-9).validated(params)
         ControlConfig(c=0.0).validated(params)
         ControlConfig(h_family=ReferenceProfile.DECAY_DESIGN, vartheta=0.0).validated(params)
-        ControlConfig(c=-1.0, h_family=ReferenceProfile.CONSTANT_LEVEL).validated(params)
+        ControlConfig(c=-1.0, h_family=ReferenceProfile.POLE_MATCHED).validated(params)
         ControlConfig(vartheta=-1.0).validated(params)
 
     def test_pole_matched_profile_needs_a_pole(self, params):

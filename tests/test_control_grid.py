@@ -190,9 +190,10 @@ def not_equivariant(base, run, lam: float) -> list[str]:
 
 
 def test_thirty_combinations_carry_an_absolute_unit():
-    # 27 of the 84: the name dates from the 96-combination grid, whose
-    # eq33a family copied eq33b's three theorem6_ii cases
-    assert sum(bool(absolute_unit_formulas(sc)) for sc in SCENARIOS.values()) == 27
+    # 25 of the 63: the name dates from the 96-combination grid, whose
+    # eq33a family copied eq33b's three theorem6_ii cases and whose constant
+    # profile added two eq43_theorem6 cases
+    assert sum(bool(absolute_unit_formulas(sc)) for sc in SCENARIOS.values()) == 25
 
 
 # lam = 2**k keeps the grid's population of 1000 between about 1 and 1e6,

@@ -132,6 +132,11 @@ def test_one_selector_per_controller_behaviour():
         "custom_case_a", "custom_case_b",
     ]
     assert seirvax.ModulationFamily("eq33b") is seirvax.ModulationFamily.SWITCHED
+    # a pinned reference is section7 at c = 0
+    assert [h.value for h in seirvax.ReferenceProfile] == [
+        "section7", "corollary2_i", "theorem6_ii",
+    ]
+    assert not hasattr(seirvax.ReferenceProfile, "CONSTANT_LEVEL")
     for gone in ("SATURATED_BRANCH", "INTERIOR_BRANCH"):
         assert not hasattr(seirvax.ModulationFamily, gone), gone
     assert not hasattr(seirvax.control, "_SWITCHED_FAMILIES")

@@ -376,6 +376,14 @@ class TestSteadyState:
         assert ss.infected_fraction is None
         assert ss == SteadyState()
 
+    def test_window_past_the_float_range(self):
+        # 30/dt overflows to inf below dt = 1.7e-307: no step count holds
+        # the window, so the run does not settle rather than raise
+        sc = replace(build_preset("fig2-saturated"), dt=1e-320, horizon=1e-319)
+        traj = integrate(sc)
+        assert len(traj) == 11
+        assert detect_steady_state(traj) == SteadyState()
+
     def test_growing_population_never_settles(self):
         # total population climbs ~0.3% per day, far above the tolerance
         ss = detect_steady_state(integrate(build_preset("immune-decay")))

@@ -13,8 +13,14 @@ N.
 The recorded totals are rounded sums of rounded updates, so on runs that
 conserve N exactly (nu == mu with no disease mortality) they drift either
 way by rounding; the check allows that drift, bounded per step.
+
+Theorem 3's necessary condition (MORTALITY_ABSORBS_GROWTH): with nu > mu,
+dN/dt = (nu - mu)*N - rho*gamma*I >= a*N for a = nu - mu - rho*gamma, as
+I <= N on nonnegative states, so N(t) >= N(0)*exp(a*t). Where the verdict
+fails, a > 0 and N grows without bound. The controllers are Theorem 2's.
 """
 
+import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -26,6 +32,7 @@ from seirvax import (
     StateVec,
     VaccinationLaw,
     build_preset,
+    check_mortality_absorbs_growth,
     check_population_nonincreasing,
     integrate,
     preset_names,
@@ -103,3 +110,61 @@ def test_population_never_exceeds_its_start_when_t2_holds(sc):
     assert traj.reset_counts.sum() == 0
     excess = traj.N.max() - traj.N[0]
     assert excess <= rounding_allowance(sc, len(traj) - 1), excess / (U * traj.N[0])
+
+
+@st.composite
+def growing_rates(draw):
+    """Admissible rates with nu > mu, drawing rho in {0, 1} often and the
+    birth surplus nu - mu on both sides of rho*gamma."""
+    mu = draw(rate(0.0, 0.1))
+    rho = draw(st.one_of(st.sampled_from((0.0, 1.0)), rate(0.0, 1.0)))
+    gamma = draw(rate(0.0, 1.0))
+    surplus = draw(st.one_of(rate(1e-3, 0.3), rate(0.5, 2.0).map(lambda f: f * rho * gamma)))
+    return ModelParams(
+        mu=mu, omega=draw(rate(0.0, 1.0)), beta=draw(rate(0.0, 2.0)),
+        sigma=draw(rate(0.0, 1.0)), gamma=gamma, rho=rho, nu=mu + max(surplus, 1e-3),
+    )
+
+
+@st.composite
+def t3_scenarios(draw):
+    # I0 >= 1, and S0 = E0 = R0 = 0 (often drawn) starts the run at I = N,
+    # where the bound is tight
+    params = draw(growing_rates())
+    x0 = StateVec(draw(_component), draw(_component), draw(rate(1.0, 1000.0)), draw(_component))
+    return ScenarioConfig(
+        params=params, x0=x0,
+        control=draw(st.sampled_from(RESET_FREE_CONTROLS)),
+        horizon=draw(rate(10.0, 100.0)), dt=draw(st.sampled_from((0.05, 0.1, 0.5))),
+    )
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(sc=t3_scenarios())
+def test_population_keeps_theorem_3s_lower_bound(sc):
+    p = sc.params
+    a = p.nu - p.mu - p.rho * p.gamma
+    if not check_mortality_absorbs_growth(p).hypothesis_holds:
+        assert a > 0.0
+    try:
+        sc.resolved()
+    except ConfigError:
+        reject()
+    traj = integrate(sc)
+    assert traj.status is RunStatus.OK
+    # A step multiplies N by P(z), the degree-4 Taylor polynomial of
+    # exp(z) at z = a*dt, and adds rho*gamma*(S + E + R) of each stage with
+    # weights positive for |z| < 1 (the drawn |a| <= 1, so |z| <= 0.5). While
+    # the stages keep S + E + R >= 0, a run keeps N[k] >= N(0)*P(z)**k: the
+    # theorem's N(0)*exp(a*t_k) less RK4's own error on dN/dt = a*N, about
+    # k*z**5/120 relative for z > 0, and above it for z < 0.
+    z = a * sc.dt
+    assert abs(z) < 1.0
+    P = 1.0 + z * (1.0 + z * (1.0 / 2.0 + z * (1.0 / 6.0 + z / 24.0)))
+    k = np.arange(len(traj))
+    lower = traj.N[0] * P**k
+    # rounding as for Theorem 2, relative to the bound; 1500 undirected
+    # draws used at most 0.43 of it
+    allowance = rounding_allowance(sc, k) * (lower / sc.x0.N)
+    deficit = lower - traj.N
+    assert (deficit <= allowance).all(), (deficit / allowance).max()
