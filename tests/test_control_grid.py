@@ -1,8 +1,10 @@
 """Bit-identity of the closed loop across every family, profile and law.
 
 ``data/control_grid_digests.json`` holds the sha256 of every Trajectory
-column for a 200-step run of each admissible (g_family, h_family, law)
-combination, including the families no bundled preset exercises. A change
+column for a 200-step run of each admissible (g_family, reference, law)
+combination, including the families no bundled preset exercises. The
+reference is each h_family at the grid's settling rate, or section7 held
+at R(0)/N by c = 0 (``section7@c=0``). A change
 that sets out to alter model output re-records it with
 
     PYTHONPATH=src python tests/test_control_grid.py
@@ -64,15 +66,23 @@ BASE = ScenarioConfig(
 )
 
 
+# The reference axis: each profile at BASE's settling rate, and section7 at
+# c = 0, the pinned reference h = R(0)/N with h_dot = 0.
+REFERENCES = {h.value: {"h_family": h} for h in ReferenceProfile}
+REFERENCES["section7@c=0"] = {"h_family": ReferenceProfile.EXP_SETTLING, "c": 0.0}
+
+
 def grid_scenarios():
     """(key, scenario) for every admissible combination."""
-    for g, h, law in itertools.product(ModulationFamily, ReferenceProfile, VaccinationLaw):
-        control = replace(BASE.control, g_family=g, h_family=h, law=law)
+    for g, (ref, fields), law in itertools.product(
+        ModulationFamily, REFERENCES.items(), VaccinationLaw
+    ):
+        control = replace(BASE.control, g_family=g, law=law, **fields)
         try:
             control.validated(BASE.params)
         except ConfigError:
             continue
-        yield f"{g.value}/{h.value}/{law.value}", replace(BASE, control=control)
+        yield f"{g.value}/{ref}/{law.value}", replace(BASE, control=control)
 
 
 SCENARIOS = dict(grid_scenarios())
@@ -104,7 +114,7 @@ def recorded():
 
 def test_grid_covers_every_admissible_combination(recorded):
     assert sorted(SCENARIOS) == sorted(recorded)
-    assert len(SCENARIOS) == len(ModulationFamily) * len(ReferenceProfile) * len(VaccinationLaw)
+    assert len(SCENARIOS) == len(ModulationFamily) * len(REFERENCES) * len(VaccinationLaw)
 
 
 @pytest.mark.parametrize("key", list(SCENARIOS))
@@ -190,10 +200,9 @@ def not_equivariant(base, run, lam: float) -> list[str]:
 
 
 def test_thirty_combinations_carry_an_absolute_unit():
-    # 25 of the 63: the name dates from the 96-combination grid, whose
-    # eq33a family copied eq33b's three theorem6_ii cases and whose constant
-    # profile added two eq43_theorem6 cases
-    assert sum(bool(absolute_unit_formulas(sc)) for sc in SCENARIOS.values()) == 25
+    # 27 of the 84: the name dates from the 96-combination grid, whose
+    # eq33a family copied eq33b's three theorem6_ii cases
+    assert sum(bool(absolute_unit_formulas(sc)) for sc in SCENARIOS.values()) == 27
 
 
 # lam = 2**k keeps the grid's population of 1000 between about 1 and 1e6,
