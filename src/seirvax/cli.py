@@ -34,6 +34,7 @@ from .model import ModelParams, StateVec
 from .presets import PRESETS, build_preset
 from .sim import (
     STEADY_STATE_WINDOW_DAYS,
+    _RECORDED_CONTROL,
     RunStatus,
     ScenarioConfig,
     SteadyState,
@@ -49,10 +50,10 @@ from .stability import (
 )
 
 # trajectory.csv's header: the first twelve are Trajectory's attributes of
-# those names, reset_flag is its reset_counts.
+# those names, the run's recorded control values among them, reset_flag is
+# its reset_counts.
 TRAJECTORY_COLUMNS = (
-    "t", "S", "E", "I", "R", "N", "V_a", "V", "g", "h", "R_star", "dN",
-    "reset_flag", "theta0", "theta1",
+    "t", "S", "E", "I", "R", "N", *_RECORDED_CONTROL, "reset_flag", "theta0", "theta1",
 )
 
 _EXIT_BY_STATUS = {RunStatus.OK: 0, RunStatus.EXTINCT: 3, RunStatus.BLOWUP: 4}

@@ -187,8 +187,8 @@ def _decay_gap(cfg: ControlConfig, params: ModelParams) -> float:
 
 
 class ControlSample(NamedTuple):
-    """One evaluated control instant: the 13 control values a recorded row
-    holds, the ten a step boundary composes followed by the derived three."""
+    """One evaluated control instant: the ten values a step boundary
+    composes, then the derived three. A run records nine of the 13."""
 
     V_a: float
     V: float

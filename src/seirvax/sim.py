@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControlConfig, ControlSample, _derived_values, boundary_fn
+from .control import ControlConfig, _derived_values, boundary_fn
 from .errors import ConfigError, SingularStateError
 from .model import (
     COMPONENT_NAMES,
@@ -66,7 +66,7 @@ class ScenarioConfig:
         """Validate the grid and the initial state; the controller resolves
         eps0 and checks its guards. params is returned unchanged."""
         if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ConfigError(f"dt must be a positive number, got {self.dt!r}")
+            raise ConfigError(f"dt must be a positive finite number, got {self.dt!r}")
         if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
             raise ConfigError(
                 f"horizon must be at least one step, got horizon={self.horizon!r} "
@@ -79,7 +79,8 @@ class ScenarioConfig:
             )
         if not (math.isfinite(self.steady_state_tol) and self.steady_state_tol > 0.0):
             raise ConfigError(
-                f"steady_state_tol must be > 0, got {self.steady_state_tol!r}"
+                f"steady_state_tol must be a positive finite number, "
+                f"got {self.steady_state_tol!r}"
             )
         x0 = StateVec(*(float(v) for v in self.x0))
         for name, v in zip(COMPONENT_NAMES, x0):
@@ -102,10 +103,10 @@ class Trajectory:
 
     states[k] is the state the step was taken from (post-reset) and N[k]
     its total, and all control columns were evaluated on exactly that
-    state at t[k]. The control columns are ControlSample's fields, in its
-    order and under its names, which trajectory.csv's header shares.
-    status explains early truncation. A run compares and hashes by
-    identity, as its columns are arrays.
+    state at t[k]. The control columns are nine of ControlSample's 13
+    fields, in its order and under its names, which trajectory.csv's
+    header shares. status explains early truncation. A run compares and
+    hashes by identity, as its columns are arrays.
     """
 
     scenario: ScenarioConfig
@@ -118,11 +119,7 @@ class Trajectory:
     V: np.ndarray
     g: np.ndarray
     h: np.ndarray
-    h_dot: np.ndarray
     R_star: np.ndarray
-    R_star_dot: np.ndarray
-    K_N: np.ndarray
-    K_I: np.ndarray
     dN: np.ndarray
     theta0: np.ndarray
     theta1: np.ndarray
@@ -166,11 +163,12 @@ class Trajectory:
 
 
 # One row of the run's table per recorded boundary: t, the state S, E, I, R,
-# its total N, its four rates, then the ten control values the boundary
-# composes, in ControlSample's field order. The indicators theta0/theta1 and
-# identity_residual depend only on these, so integrate derives them once
-# per run after the loop (control._derived_values).
-_ROW = struct.Struct("20d")
+# its total N, its four rates, then the six of the boundary's ten control
+# values a run records, which trajectory.csv's header names from here. The
+# indicators theta0/theta1 and identity_residual depend only on these, so
+# integrate derives them once per run after the loop (control._derived_values).
+_RECORDED_CONTROL = ("V_a", "V", "g", "h", "R_star", "dN")
+_ROW = struct.Struct("16d")
 
 
 def integrate(scenario: ScenarioConfig) -> Trajectory:
@@ -189,10 +187,11 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     grid time not recorded.
 
     Each boundary calls the run's ``boundary_fn`` closure for its ten
-    control values and packs them, with t, the state, N and its rates,
-    straight into the run's table; ``control_sample`` calls the same closure
-    for one sample. The Trajectory's control columns are views of that
-    table, named by ControlSample's first ten fields.
+    control values and packs the six it records, with t, the state, N and
+    its rates, straight into the run's table; ``control_sample`` calls the
+    same closure for one sample, so ``control_sample(cfg, params, t[k],
+    state(k), r0, reset_counts[k] > 0)`` gives row k's 13 values, h_dot,
+    R_star_dot, K_N and K_I included. The control columns are table views.
     """
     sc = scenario.resolved()
     dt = sc.dt
@@ -240,10 +239,10 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
             reset_events.extend(ResetEvent(t, i, before) for i, before in clamps)
             reset_counts[k] = len(clamps)
 
-        V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN = boundary(t, N, I, negative)
+        V_a, V, g, h, _, R_star, _, _, _, dN = boundary(t, N, I, negative)
         d1S, d1E, d1I, d1R = rate(S, E, I, R, V)
         pack(packed, k * row_bytes, t, S, E, I, R, N, d1S, d1E, d1I, d1R,
-             V_a, V, g, h, h_dot, R_star, R_star_dot, K_N, K_I, dN)
+             V_a, V, g, h, R_star, dN)
         recorded = k + 1
         # a non-finite demand ends the run here: a nan one would feed a nan
         # step anyway, an infinite one can clamp to a finite V and run on
@@ -273,7 +272,7 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
     rows = table[:recorded]
     N = rows[:, 5]
-    columns = {name: rows[:, j] for j, name in enumerate(ControlSample._fields[:10], 10)}
+    columns = {name: rows[:, j] for j, name in enumerate(_RECORDED_CONTROL, 10)}
     theta0, theta1, residual = _derived_values(
         sc.control, params, N, columns["V_a"], columns["g"]
     )

@@ -80,9 +80,37 @@ RECORDED_COLUMNS = tuple(
 )
 
 
+# The control values a step boundary composes but a run does not record:
+# h_dot, R_star_dot, K_N and K_I.
+UNRECORDED = tuple(name for name in ControlSample._fields if name not in RECORDED_COLUMNS)
+
+
+def run_columns(traj) -> dict[str, np.ndarray]:
+    """Every array column of a run by name: RECORDED_COLUMNS, then the
+    UNRECORDED four, recomputed row by row.
+
+    The run's own boundary_fn closure is memoryless, so it is called once
+    per recorded row k at (t_k, N_k, I_k, reset_counts[k] > 0), the inputs
+    the row's boundary called it with.
+    """
+    sc = traj.scenario
+    boundary = control.boundary_fn(sc.control, sc.params, sc.x0.R)
+    composed = np.array([
+        boundary(t, N, I, count > 0) for t, N, I, count in zip(
+            traj.t.tolist(), traj.N.tolist(), traj.I.tolist(), traj.reset_counts.tolist()
+        )
+    ]).reshape(len(traj), 10)
+    columns = {name: getattr(traj, name) for name in RECORDED_COLUMNS}
+    for j, name in enumerate(ControlSample._fields[:10]):
+        if name in UNRECORDED:
+            columns[name] = composed[:, j]
+    return columns
+
+
 def assert_rows_match_control_sample(traj) -> int:
     """Every recorded row's control columns equal control_sample on that
-    row, bit for bit, the indicators and the identity residual included.
+    row, bit for bit, the indicators, the identity residual and the
+    UNRECORDED four (run_columns) included.
 
     The sample is (t_k, x_k, negative_k) with x_k the recorded (post-reset)
     state and negative_k = reset_counts[k] > 0. Returns how many rows were
@@ -90,7 +118,8 @@ def assert_rows_match_control_sample(traj) -> int:
     """
     sc = traj.scenario
     pack = struct.Struct(f"{len(ControlSample._fields)}d").pack
-    columns = [getattr(traj, name).tolist() for name in ControlSample._fields]
+    columns = run_columns(traj)
+    columns = [columns[name].tolist() for name in ControlSample._fields]
     negatives = 0
     for k, (t, x) in enumerate(zip(traj.t.tolist(), traj.states.tolist())):
         negative = bool(traj.reset_counts[k] > 0)

@@ -184,8 +184,10 @@ class TestNearFloatCeiling:
         strict=True,
         reason="the incidence product beta * S * I / N overflows to inf at "
         "the second RK4 stage (S = 1e305, I = 9.5e307), so a finite, "
-        "shrinking population ends blowup after one row; reordering the "
-        "product changes bits on every preset",
+        "shrinking population ends blowup after one row. Reordering the "
+        "product would not mend it: with a finite incidence, each stage's "
+        "dI is about -0.96e308 and the RK4 update's 2.0 * (d2I + d3I) "
+        "overflows to -inf next",
     )
     def test_shrinking_population_near_the_float_maximum_runs(self):
         p = ModelParams(mu=0.01, omega=0.0, beta=1.0, sigma=0.5, gamma=1.0,

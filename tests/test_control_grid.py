@@ -1,8 +1,10 @@
 """Bit-identity of the closed loop across every family, profile and law.
 
 ``data/control_grid_digests.json`` holds the sha256 of every Trajectory
-column for a 200-step run of each admissible (g_family, reference, law)
-combination, including the families no bundled preset exercises. The
+column, and of the four control values a run does not record
+(``conftest.run_columns``), for a 200-step run of each admissible
+(g_family, reference, law) combination, including the families no
+bundled preset exercises. The
 reference is each h_family at the grid's settling rate, or section7 held
 at R(0)/N by c = 0 (``section7@c=0``). A change
 that sets out to alter model output re-records it with
@@ -21,6 +23,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seirvax
 from seirvax import (
     BASELINE_PARAMS,
     ConfigError,
@@ -46,11 +52,11 @@ from seirvax import (
 from seirvax.cli import build_run_report, machine_items, write_trajectory_csv
 
 from conftest import (
-    RECORDED_COLUMNS,
     REPORT_DIGESTS,
     assert_rows_match_control_sample,
     reference_write,
     report_sha256,
+    run_columns,
 )
 
 DIGESTS = Path(__file__).parent / "data" / "control_grid_digests.json"
@@ -95,7 +101,7 @@ def _sha(arr: np.ndarray) -> str:
 
 
 def trajectory_digest(traj) -> dict:
-    out = {name: _sha(getattr(traj, name)) for name in RECORDED_COLUMNS}
+    out = {name: _sha(column) for name, column in run_columns(traj).items()}
     out["status"] = traj.status.value
     out["reset_events"] = hashlib.sha256(
         repr([(e.t, e.index, e.value_before) for e in traj.reset_events]).encode()
@@ -120,6 +126,49 @@ def test_grid_covers_every_admissible_combination(recorded):
 @pytest.mark.parametrize("key", list(SCENARIOS))
 def test_columns_match_recorded_digests(key, recorded):
     assert trajectory_digest(integrate(SCENARIOS[key])) == recorded[key]
+
+
+# numpy picks a SIMD loop per CPU, and np.exp's results differ between its
+# loops; the digests must not depend on which loop a CPU gets. The child
+# re-records the grid with NPY_DISABLE_CPU_FEATURES naming its argument
+# list, after checking each named group is off, since numpy silently
+# ignores a name it does not know.
+DISPATCH_CHILD = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+on = [name for name in sys.argv[1:] if __cpu_features__.get(name) is not False]
+assert not on, f"not disabled: {on}"
+from test_control_grid import record
+print(json.dumps(record()))
+"""
+NO_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        return {}
+    return __cpu_features__
+
+
+@pytest.mark.skipif(
+    not {"X86_V3", *NO_AVX512} <= set(_cpu_features()),
+    reason="numpy names no x86-64 feature groups on this machine",
+)
+@pytest.mark.parametrize("disabled", [NO_AVX512, NO_AVX512 + ("X86_V3",)],
+                         ids=["without-X86_V4", "without-X86_V3"])
+def test_digests_hold_on_a_narrower_cpu(disabled, recorded):
+    path = [str(Path(seirvax.__file__).parents[1]), str(Path(__file__).parent)]
+    path.append(os.environ.get("PYTHONPATH", ""))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    child = subprocess.run([sys.executable, "-c", DISPATCH_CHILD, *disabled], env=env,
+                           capture_output=True, text=True, timeout=300, check=False)
+    assert child.returncode == 0, child.stderr
+    digests = json.loads(child.stdout)
+    assert sorted(digests) == sorted(recorded)
+    assert [key for key in recorded if digests[key] != recorded[key]] == []
 
 
 @pytest.mark.parametrize("key", list(SCENARIOS))
@@ -191,10 +240,10 @@ def base_run(key: str):
 def not_equivariant(base, run, lam: float) -> list[str]:
     """Columns of run (and status) that are not base's, times lam for the
     columns in people, bit for bit."""
+    want, got = run_columns(base), run_columns(run)
     bad = [
-        name for name in RECORDED_COLUMNS
-        if getattr(run, name).tobytes()
-        != (lam * getattr(base, name) if name in SCALED else getattr(base, name)).tobytes()
+        name for name, column in got.items()
+        if column.tobytes() != (lam * want[name] if name in SCALED else want[name]).tobytes()
     ]
     return bad + ["status"] * (run.status is not base.status)
 

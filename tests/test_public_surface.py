@@ -161,18 +161,24 @@ def test_presets_are_values():
 
 
 def test_run_columns_share_the_control_sample_names():
-    # a run's control columns are ControlSample's fields in its order, and
-    # trajectory.csv's float columns are run attributes of the same names
+    # a run's control columns are the ControlSample fields it records, in
+    # its order; h_dot, R_star_dot, K_N and K_I serve only to form V_a and
+    # are not recorded. trajectory.csv's float columns are run attributes of
+    # the same names, its control columns the ones sim records.
     names = [f.name for f in fields(seirvax.Trajectory)]
     start = names.index("rates") + 1
-    assert names[start:start + len(seirvax.ControlSample._fields)] == list(
-        seirvax.ControlSample._fields
-    )
+    recorded = [name for name in seirvax.ControlSample._fields if name in names]
+    assert (len(recorded), len(seirvax.ControlSample._fields)) == (9, 13)
+    assert names[start:start + len(recorded)] == recorded
+    assert TRAJECTORY_COLUMNS[6:12] == seirvax.sim._RECORDED_CONTROL == tuple(recorded[:6])
+    assert seirvax.sim._ROW.size == 8 * (10 + len(seirvax.sim._RECORDED_CONTROL)) == 128
     for name in TRAJECTORY_COLUMNS[:12]:
         assert hasattr(seirvax.Trajectory, name) or name in names, name
-    for gone in ("va", "v", "r_star", "r_star_dot", "k_n", "k_i", "dn"):
+    for gone in ("va", "v", "r_star", "r_star_dot", "k_n", "k_i", "dn",
+                 "h_dot", "R_star_dot", "K_N", "K_I"):
         assert gone not in names and not hasattr(seirvax.Trajectory, gone), gone
     assert not hasattr(seirvax.sim, "_CONTROL_COLUMNS")
+    assert "_RECORDED_CONTROL" not in seirvax.__all__
 
 
 def test_positivity_and_integral_analyses_take_only_their_subject():

@@ -1,6 +1,7 @@
 """Integration engine: grid layout, conservation, truncation statuses,
 steady-state detection, reset handling, and RK4's step-size order."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,10 @@ from seirvax import control, sim
 from seirvax.errors import ConfigError
 from seirvax.presets import BALANCED_PARAMS, BASELINE_PARAMS
 
-from conftest import RECORDED_COLUMNS, assert_rows_match_control_sample, nan_profile_from
+from conftest import (
+    RECORDED_COLUMNS, assert_rows_match_control_sample, nan_profile_from, run_columns,
+)
+from test_control_grid import SCENARIOS as GRID
 
 # Between the grid points 703.7 and 703.8 at dt = 0.1: the row at 703.8 is
 # the first with a nan demand.
@@ -178,8 +182,9 @@ class TestTruncation:
         assert traj.status is RunStatus.BLOWUP
         assert (len(traj), traj.halt_time) == (k + 1, (k + 1) * 0.1)
         assert np.all(np.isfinite(traj.V_a[:k]))
+        columns = run_columns(traj)
         for name in ControlSample._fields[:9] + ("identity_residual",):
-            assert np.isnan(getattr(traj, name)[k]), name
+            assert np.isnan(columns[name][k]), name
         assert np.isfinite(traj.dN[k]) and not (traj.theta0[k] or traj.theta1[k])
         assert traj.reset_events == ()
         # control_sample returns the same nan sample, bit for bit
@@ -329,6 +334,36 @@ class TestRateContract:
         assert calls[0] == 4 * (len(traj) - 1) + 1
 
 
+class TestBoundaryContract:
+    """integrate looks its controller closure up as seirvax.sim.boundary_fn
+    at call time and calls it once per recorded row, with negative equal to
+    that row's reset_counts[k] > 0: the inputs conftest.run_columns calls
+    the closure with to recompute the four control values a run does not
+    record."""
+
+    def test_negative_is_the_rows_reset_flag(self, monkeypatch):
+        negatives = []
+        boundary_fn = sim.boundary_fn
+
+        def recording_boundary_fn(cfg, params, r0):
+            boundary = boundary_fn(cfg, params, r0)
+
+            def recorded(t, N, I, negative):
+                negatives.append(negative)
+                return boundary(t, N, I, negative)
+
+            return recorded
+
+        monkeypatch.setattr(sim, "boundary_fn", recording_boundary_fn)
+        resetting = 0
+        for key, sc in GRID.items():
+            negatives.clear()
+            traj = integrate(sc)
+            assert negatives == (traj.reset_counts > 0).tolist(), key
+            resetting += any(negatives)
+        assert resetting == 8
+
+
 def _motionless(params, x0, n) -> Trajectory:
     """A hand-built record of n rows one day apart, all holding x0 with
     zero rates."""
@@ -340,8 +375,7 @@ def _motionless(params, x0, n) -> Trajectory:
         states=np.tile(x0.as_array(), (n, 1)),
         N=np.full(n, x0.S + x0.E + x0.I + x0.R),
         rates=np.zeros((n, 4)),
-        V_a=zeros, V=zeros, g=zeros, h=zeros, h_dot=zeros,
-        R_star=zeros, R_star_dot=zeros, K_N=zeros, K_I=zeros, dN=zeros,
+        V_a=zeros, V=zeros, g=zeros, h=zeros, R_star=zeros, dN=zeros,
         theta0=np.zeros(n, dtype=bool), theta1=np.zeros(n, dtype=bool),
         identity_residual=zeros, reset_counts=np.zeros(n, dtype=np.int64),
         reset_events=(),
@@ -585,6 +619,12 @@ class TestScenarioValidation:
             _plain_scenario(params, outbreak_x0, horizon=0.05, dt=0.1).resolved()
         with pytest.raises(ConfigError):
             _plain_scenario(params, outbreak_x0, steady_state_tol=0.0).resolved()
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_steady_state_tol_guard(self, params, outbreak_x0, tol):
+        message = f"steady_state_tol must be a positive finite number, got {tol!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _plain_scenario(params, outbreak_x0, steady_state_tol=tol).resolved()
 
     def test_state_guards(self, params):
         with pytest.raises(ConfigError):

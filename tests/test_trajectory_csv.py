@@ -85,8 +85,7 @@ def trajectories(draw):
     return Trajectory(
         scenario=build_preset("fig2-saturated"), status=RunStatus.OK,
         t=t, states=np.column_stack((S, E, I, R)), N=N,
-        rates=np.zeros((n, 4)), V_a=V_a, V=V, g=g, h=h, h_dot=unused,
-        R_star=R_star, R_star_dot=unused, K_N=unused, K_I=unused, dN=dN,
+        rates=np.zeros((n, 4)), V_a=V_a, V=V, g=g, h=h, R_star=R_star, dN=dN,
         theta0=theta0, theta1=theta1, identity_residual=unused,
         reset_counts=reset_counts, reset_events=(),
     )
