@@ -214,12 +214,11 @@ class ControlSample(NamedTuple):
 # validated() hold here.
 
 def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
-    """Reference profile: profile(t, N, dN) -> (h, h_dot, R_star, R_star_dot).
+    """Reference profile: profile(t, N) -> (h, h_dot).
 
-    All profiles anchor at the initial immune count, R*(0) = r0. h_dot is
-    the profile's explicit time-derivative with N held at its sampled
-    value; the population's own rate enters through the product rule,
-    R_star_dot = h_dot*N + h*dN.
+    All profiles anchor at the initial immune count, R*(0) = h(0)*N(0) = r0.
+    h_dot is the profile's explicit time-derivative with N held at its
+    sampled value; ``boundary_fn`` forms R* = h*N and its product rule.
     """
     fam = cfg.h_family
     eps0 = cfg.eps0
@@ -227,22 +226,22 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
         c = cfg.c
         neg_c = -c
 
-        def profile(t, N, dN):
+        def profile(t, N):
             decay = math.exp(neg_c * t)
             h = (decay * r0 + N * (1.0 - decay)) / N
             h_dot = c * decay * (1.0 - r0 / N)
-            return h, h_dot, h * N, h_dot * N + h * dN
+            return h, h_dot
 
     elif fam is ReferenceProfile.POLE_MATCHED:
         a = params.immune_pole
         neg_a = -a
         a_r0 = a * r0
 
-        def profile(t, N, dN):
+        def profile(t, N):
             decay = math.exp(neg_a * t)
             h = (decay * r0 + eps0 * N * (1.0 - decay) / a) / N
             h_dot = decay * (eps0 - a_r0 / N)
-            return h, h_dot, h * N, h_dot * N + h * dN
+            return h, h_dot
 
     else:  # DECAY_DESIGN
         a = params.immune_pole
@@ -251,13 +250,13 @@ def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
         neg_vartheta = -vartheta
         gap = vartheta - a
 
-        def profile(t, N, dN):
+        def profile(t, N):
             slow = math.exp(neg_a * t)
             fast = math.exp(neg_vartheta * t)
             decline = neg_a * slow
             h = (slow * r0 + eps0 * (slow - fast) / gap) / N
             h_dot = (decline * r0 + eps0 * (decline + vartheta * fast) / gap) / N
-            return h, h_dot, h * N, h_dot * N + h * dN
+            return h, h_dot
 
     return profile
 
@@ -342,9 +341,10 @@ def boundary_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     K_N, K_I, dN), for a validated config and the run's initial immune
     count r0; ``integrate`` calls the closure at every boundary and
     ``control_sample`` at one sample. It composes the population rate
-    dN = (nu - mu)*N - rho*gamma*I, the reference profile, the modulation
-    (g = 0 under the NONE law, the configured family not consulted) and
-    the gains, scheduled from the sample and memoryless:
+    dN = (nu - mu)*N - rho*gamma*I, the profile's h and h_dot, the
+    reference R_star = h*N with its product rule R_star_dot = h_dot*N +
+    h*dN, the modulation (g = 0 under the NONE law, the configured family
+    not consulted) and the gains, scheduled from the sample and memoryless:
 
         K_N = -(K_R + (nu - mu) K_Rd) h - K_Rd h_dot + eps0 (1 - eps g)
         K_I = gamma rho K_Rd h
@@ -381,7 +381,8 @@ def boundary_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     def boundary(t, N, I, negative):
         dN = growth * N - deaths * I
         try:
-            h, h_dot, R_star, R_star_dot = profile(t, N, dN)
+            h, h_dot = profile(t, N)
+            R_star, R_star_dot = h * N, h_dot * N + h * dN
             g = modulation(t, N, I)
             K_N = kn_h * h - K_Rd * h_dot + eps0 * (1.0 - eps * g)
             K_I = ki_h * h

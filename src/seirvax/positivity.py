@@ -140,10 +140,9 @@ def apply_reset(x: StateVec) -> tuple[StateVec, tuple[tuple[int, float], ...]]:
     left for the run's total to read as a blowup.
 
     Returns the clamped state and (component index, value before) pairs for
-    each clamped component; empty tuple means nothing fired.
+    each clamped component; no pairs mean nothing fired and x comes back.
     """
     clamps = tuple((i, v) for i, v in enumerate(x) if -math.inf < v < 0.0)
     if not clamps:
         return x, ()
-    cleaned = StateVec(*(0.0 if -math.inf < v < 0.0 else v for v in x))
-    return cleaned, clamps
+    return x._replace(**{x._fields[i]: 0.0 for i, _ in clamps}), clamps

@@ -163,13 +163,13 @@ def nan_profile_from(monkeypatch, t_nan: float) -> None:
     it through to V, and that boundary ends the run a blowup.
     """
     profile_fn = control._profile_fn
-    nans = (math.nan,) * 4
+    nans = (math.nan,) * 2
 
     def patched(cfg, params, r0):
         profile = profile_fn(cfg, params, r0)
 
-        def late_nan(t, N, dN):
-            return nans if t >= t_nan else profile(t, N, dN)
+        def late_nan(t, N):
+            return nans if t >= t_nan else profile(t, N)
 
         return late_nan
 

@@ -130,16 +130,24 @@ def test_columns_match_recorded_digests(key, recorded):
 
 # numpy picks a SIMD loop per CPU, and np.exp's results differ between its
 # loops; the digests must not depend on which loop a CPU gets. The child
-# re-records the grid with NPY_DISABLE_CPU_FEATURES naming its argument
-# list, after checking each named group is off, since numpy silently
-# ignores a name it does not know.
+# re-records the grid's column digests and, from the same runs, its
+# whole-report digests (integral_test's np.exp lands only in the report)
+# with NPY_DISABLE_CPU_FEATURES naming its argument list, after checking
+# each named group is off, since numpy silently ignores a name it does
+# not know.
 DISPATCH_CHILD = """
 import json, sys
 from numpy._core._multiarray_umath import __cpu_features__
 on = [name for name in sys.argv[1:] if __cpu_features__.get(name) is not False]
 assert not on, f"not disabled: {on}"
-from test_control_grid import record
-print(json.dumps(record()))
+from seirvax import integrate
+from conftest import report_sha256
+from test_control_grid import SCENARIOS, trajectory_digest
+runs = {key: integrate(sc) for key, sc in SCENARIOS.items()}
+print(json.dumps({
+    "columns": {key: trajectory_digest(traj) for key, traj in runs.items()},
+    "reports": {key: report_sha256(traj) for key, traj in runs.items()},
+}))
 """
 NO_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
@@ -167,8 +175,12 @@ def test_digests_hold_on_a_narrower_cpu(disabled, recorded):
                            capture_output=True, text=True, timeout=300, check=False)
     assert child.returncode == 0, child.stderr
     digests = json.loads(child.stdout)
-    assert sorted(digests) == sorted(recorded)
-    assert [key for key in recorded if digests[key] != recorded[key]] == []
+    columns, reports = digests["columns"], digests["reports"]
+    assert sorted(columns) == sorted(recorded)
+    assert [key for key in recorded if columns[key] != recorded[key]] == []
+    recorded_reports = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))["grid"]
+    assert sorted(reports) == sorted(recorded_reports)
+    assert [key for key in recorded_reports if reports[key] != recorded_reports[key]] == []
 
 
 @pytest.mark.parametrize("key", list(SCENARIOS))

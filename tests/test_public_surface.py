@@ -144,6 +144,14 @@ def test_one_selector_per_controller_behaviour():
     assert list(signature(seirvax.control.boundary_fn).parameters) == ["cfg", "params", "r0"]
     for gone in ("control_pieces", "_law_fn"):
         assert not hasattr(seirvax.control, gone), gone
+    # a built profile is the paper's h and its time-derivative, from (t, N);
+    # the boundary closure forms R_star and its product rule from them
+    params = seirvax.build_preset("fig2-saturated").params
+    for h_family in seirvax.ReferenceProfile:
+        cfg = seirvax.ControlConfig(h_family=h_family, vartheta=1.0).validated(params)
+        profile = seirvax.control._profile_fn(cfg, params, 10.0)
+        assert list(signature(profile).parameters) == ["t", "N"], h_family
+        assert len(profile(0.0, 100.0)) == 2, h_family
 
 
 def test_presets_are_values():

@@ -547,24 +547,23 @@ class TestResets:
             dt=0.01,
         )
         clean = integrate(sc)
-        # one boundary between the first and the last reset reads R_star =
-        # -inf: the demand is -inf there and applies V = 0, so the loop
+        # one boundary between the first and the last reset reads g = +inf:
+        # K_N and the demand are -inf there and apply V = 0, so the loop
         # itself would run on and keep resetting
         k = 250
         t_k = float(clean.t[k])
         assert clean.reset_events[0].t < t_k < clean.reset_events[-1].t
-        profile_fn = control._profile_fn
+        modulation_fn = control._modulation_fn
 
         def patched(cfg, p, r0):
-            profile = profile_fn(cfg, p, r0)
+            modulation = modulation_fn(cfg, p, r0)
 
-            def spiked(t, N, dN):
-                h, h_dot, R_star, R_star_dot = profile(t, N, dN)
-                return h, h_dot, (-np.inf if t == t_k else R_star), R_star_dot
+            def spiked(t, N, I):
+                return np.inf if t == t_k else modulation(t, N, I)
 
             return spiked
 
-        monkeypatch.setattr(control, "_profile_fn", patched)
+        monkeypatch.setattr(control, "_modulation_fn", patched)
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
         assert (len(traj), traj.halt_time) == (k + 1, (k + 1) * sc.dt)
