@@ -120,8 +120,15 @@ class ControlConfig:
                 f"modulation family {cfg.g_family.value!r} needs eps > 0 "
                 "(eps = 0 forces the modulation off)"
             )
-        if cfg.law is not VaccinationLaw.NONE and not params.nu > 0.0:
-            raise ConfigError("an active vaccination law needs nu > 0 (it scales 1/(nu N))")
+        if cfg.law is not VaccinationLaw.NONE:
+            if not params.nu > 0.0:
+                raise ConfigError("an active vaccination law needs nu > 0 (it scales 1/(nu N))")
+            # the demand collapses to eps0*(1 - eps*g)/nu
+            if not math.isfinite(eps0 / params.nu):
+                raise ConfigError(
+                    f"an active vaccination law needs a finite eps0/nu, got eps0 = {eps0!r} "
+                    f"and nu = {params.nu!r}, whose ratio overflows"
+                )
         if cfg.g_family is ModulationFamily.SWITCHED:
             floor = max(params.nu, params.immune_recovery_rate)
             if not eps0 > floor:
@@ -139,24 +146,15 @@ class ControlConfig:
             raise ConfigError(f"the corollary2_i profile needs mu + omega > 0, got {pole!r}")
         if cfg.h_family is ReferenceProfile.DECAY_DESIGN:
             # the decay profile alone needs only a nonzero gap
-            if cfg.vartheta is None:
-                raise ConfigError("the decay design needs vartheta set")
-            if cfg.vartheta == pole:
+            vartheta = _vartheta(cfg)
+            if vartheta == pole:
                 raise DegenerateProfileError(
                     f"the decay profile degenerates when vartheta equals mu + omega = {pole!r}"
                 )
-            if cfg.vartheta < 0.0:
-                raise ConfigError(
-                    f"the theorem6_ii profile needs vartheta >= 0, got {cfg.vartheta!r}"
-                )
+            if vartheta < 0.0:
+                raise ConfigError(f"the theorem6_ii profile needs vartheta >= 0, got {vartheta!r}")
         if cfg.g_family is ModulationFamily.IMMUNE_DECAY_DESIGN:
             _decay_gap(cfg, params)
-            # the sufficiency ceiling a report quotes divides by eps*eps0
-            if cfg.eps * eps0 == 0.0:
-                raise ConfigError(
-                    f"the eq43_theorem6 design needs eps*eps0 > 0, got eps = {cfg.eps!r} "
-                    f"and eps0 = {eps0!r}, whose product underflows to 0"
-                )
             if not math.isfinite(_decay_ceiling(cfg, params)):
                 raise ConfigError(
                     f"the eq43_theorem6 design needs a finite ceiling (eps0 - nu)/(eps*eps0), "
@@ -166,8 +164,20 @@ class ControlConfig:
 
 
 def _decay_ceiling(cfg: ControlConfig, params: ModelParams) -> float:
-    """(eps0 - nu)/(eps*eps0), on a cfg whose eps0 is resolved."""
+    """(eps0 - nu)/(eps*eps0), the sufficiency ceiling a report quotes, on
+    a cfg whose eps0 is resolved; eps*eps0 must not underflow to 0."""
+    if cfg.eps * cfg.eps0 == 0.0:
+        raise ConfigError(
+            f"the eq43_theorem6 design needs eps*eps0 > 0, got eps = {cfg.eps!r} "
+            f"and eps0 = {cfg.eps0!r}, whose product underflows to 0"
+        )
     return (cfg.eps0 - params.nu) / (cfg.eps * cfg.eps0)
+
+
+def _vartheta(cfg: ControlConfig) -> float:
+    if cfg.vartheta is None:
+        raise ConfigError("the decay design needs vartheta set")
+    return cfg.vartheta
 
 
 def _decay_gap(cfg: ControlConfig, params: ModelParams) -> float:
@@ -175,15 +185,13 @@ def _decay_gap(cfg: ControlConfig, params: ModelParams) -> float:
 
     vartheta must be set and above the immune pole mu + omega.
     """
-    if cfg.vartheta is None:
-        raise ConfigError("the decay design needs vartheta set")
+    vartheta = _vartheta(cfg)
     pole = params.immune_pole
-    if not cfg.vartheta > pole:
+    if not vartheta > pole:
         raise ConfigError(
-            f"the decay design needs vartheta > mu + omega = {pole!r}, "
-            f"got {cfg.vartheta!r}"
+            f"the decay design needs vartheta > mu + omega = {pole!r}, got {vartheta!r}"
         )
-    return cfg.vartheta - pole
+    return vartheta - pole
 
 
 class ControlSample(NamedTuple):
@@ -577,9 +585,7 @@ def immune_closed_form(cfg: ControlConfig, params: ModelParams, t, R0: float):
     a = params.immune_pole
     tt = np.asarray(t, dtype=float)
     out = np.exp(-a * tt) * (R0 + cfg.eps0 * (1.0 - np.exp(-gap * tt)) / gap)
-    if np.isscalar(t) or getattr(t, "ndim", 1) == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def stationary_tracking_level(cfg: ControlConfig, params: ModelParams, N: float) -> float:
@@ -601,7 +607,4 @@ def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:
     10.6 people at t = 0 on the immune-decay preset, falling with time;
     reports surface the comparison as a diagnostic rather than enforcing it.
     """
-    cfg = cfg.validated(params)
-    if not cfg.eps * cfg.eps0 > 0.0:
-        raise ConfigError("ceiling needs eps*eps0 > 0")
-    return _decay_ceiling(cfg, params)
+    return _decay_ceiling(cfg.validated(params), params)

@@ -13,8 +13,8 @@ class SingularStateError(SeirvaxError):
     """Total population at or below the extinction floor, or nan; dynamics
     undefined. total is the offending population."""
 
-    def __init__(self, message: str, total: float):
-        super().__init__(message)
+    def __init__(self, total: float, floor: float):
+        super().__init__(f"total population {total!r} at or below floor {floor}")
         self.total = total
 
 

@@ -51,9 +51,6 @@ class StateVec(NamedTuple):
         """(E + I)/N."""
         return (self.E + self.I) / self.N
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self, dtype=float)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -101,7 +98,7 @@ def _require_population(x) -> float:
     S, E, I, R = x
     N = S + E + I + R
     if not N > N_FLOOR:
-        raise SingularStateError(f"total population {N!r} at or below floor {N_FLOOR}", N)
+        raise SingularStateError(N, N_FLOOR)
     return N
 
 
@@ -128,9 +125,7 @@ def make_rate_fn(params: ModelParams):
     def rate(S: float, E: float, I: float, R: float, V: float):
         N = S + E + I + R
         if not N > N_FLOOR:
-            raise SingularStateError(
-                f"total population {N!r} at or below floor {N_FLOOR}", N
-            )
+            raise SingularStateError(N, N_FLOOR)
         incidence = beta * S * I / N
         births = nu * N
         vaccinated = births * V

@@ -171,6 +171,11 @@ _RECORDED_CONTROL = ("V_a", "V", "g", "h", "R_star", "dN")
 _ROW = struct.Struct("16d")
 
 
+def _ending(N: float) -> RunStatus:
+    """The status a total outside (N_FLOOR, inf) ends a run with."""
+    return RunStatus.EXTINCT if math.isfinite(N) else RunStatus.BLOWUP
+
+
 def integrate(scenario: ScenarioConfig) -> Trajectory:
     """Run one scenario to its horizon (or early truncation).
 
@@ -229,11 +234,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         if negative:
             (S, E, I, R), clamps = apply_reset(StateVec(S, E, I, R))
         N = S + E + I + R
-        if N - N != 0.0:
-            status = RunStatus.BLOWUP
-            break
-        if not N > N_FLOOR:
-            status = RunStatus.EXTINCT
+        if not N > N_FLOOR or N - N != 0.0:
+            status = _ending(N)
             break
         if negative:
             reset_events.extend(ResetEvent(t, i, before) for i, before in clamps)
@@ -263,7 +265,7 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
                 S + dt * d3S, E + dt * d3E, I + dt * d3I, R + dt * d3R, V
             )
         except SingularStateError as exc:
-            status = RunStatus.EXTINCT if math.isfinite(exc.total) else RunStatus.BLOWUP
+            status = _ending(exc.total)
             break
         S += sixth * (d1S + 2.0 * (d2S + d3S) + d4S)
         E += sixth * (d1E + 2.0 * (d2E + d3E) + d4E)
@@ -326,9 +328,7 @@ def detect_steady_state(traj: Trajectory) -> SteadyState:
     steps = STEADY_STATE_WINDOW_DAYS / traj.dt
     if math.isinf(steps):  # dt below about 1.7e-307: no run holds the window
         return SteadyState()
-    w = int(round(steps))
-    if w < 1:
-        w = 1
+    w = max(1, int(round(steps)))
     if n < w + 1:
         return SteadyState()
     # The row-wise max of |rate| goes column by column into one buffer.

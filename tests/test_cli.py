@@ -355,10 +355,11 @@ class TestRunArtifacts:
         assert_csv_matches(tmp_path / "o" / "trajectory.csv", traj)
 
     def test_csv_round_trip_keeps_every_bit_but_a_nans_sign(self, tmp_path):
-        # eps0 = 1e308 overflows the first demand: one blowup row whose V_a,
-        # V and g are nan; the file writes repr's "nan" for either sign, so
-        # those cells read back as nan and every other cell bit for bit
-        sc = with_numeric(build_preset("fig2-saturated"), "eps0", 1e308)
+        # eps0 = 1e306 (eps0/nu = 1.5e308) overflows the first demand: one
+        # blowup row whose V_a, V and g are nan; the file writes repr's "nan"
+        # for either sign, so those cells read back as nan and every other
+        # cell bit for bit
+        sc = with_numeric(build_preset("fig2-saturated"), "eps0", 1e306)
         traj = integrate(replace(sc, horizon=2.0, dt=0.1))
         assert traj.status.value == "blowup" and len(traj) == 1
         path = tmp_path / "trajectory.csv"
@@ -588,6 +589,20 @@ class TestConfigFiles:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0] == "error: initial population total must be finite, got inf"
+        assert not out.exists()
+
+    def test_infinite_demand_level_is_a_config_error(self, tmp_path, capsys):
+        # the default controller's eps0 = mu + omega = 1 over nu = 5e-324
+        # overflows: the run once ended blowup after one row with V_a = inf
+        ini = ("[params]\nmu = 0\nomega = 1\nbeta = 0\nsigma = 0\ngamma = 0\nrho = 0\n"
+               "nu = 5e-324\n[scenario]\nS0 = 1\nE0 = 0\nI0 = 0\nR0 = 0\nhorizon = 2\n")
+        out = tmp_path / "o"
+        rc = main(["--config", str(write_ini(tmp_path, ini)), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: an active vaccination law needs a finite eps0/nu, got eps0 = 1.0 "
+            "and nu = 5e-324, whose ratio overflows"
+        ]
         assert not out.exists()
 
     def test_pole_free_corollary2_i_is_a_config_error(self, tmp_path, capsys):
@@ -870,10 +885,11 @@ dt = 0.01
         assert block["status"] == "blowup"
 
     def test_infinite_demand_is_blowup(self, tmp_path, capsys):
-        # eps0 = 1e308 overflows the first demand to inf, which the
-        # saturated law would clamp to 1 and run on
+        # eps0 = 1e306 keeps eps0/nu = 1.5e308 finite, but K_N*N overflows
+        # the first demand to inf, which the saturated law would clamp to 1
+        # and run on
         ini = BASE_INI.replace("g_family = eq33b", "g_family = zero")
-        ini = ini.replace("eps0 = 0.5", "eps0 = 1e308")
+        ini = ini.replace("eps0 = 0.5", "eps0 = 1e306")
         ini = ini.replace("dt = 0.01", "dt = 0.1")
         out = tmp_path / "o"
         rc = main(["--config", str(write_ini(tmp_path, ini)), "--out", str(out)])
@@ -899,8 +915,8 @@ dt = 0.01
         pytest.param({"g_family = eq33b": "g_family = corollary2_ii",
                       "eps0 = 0.5": "eps0 = 5e-324"}, 2, id="corollary2_ii-eps0*settled"),
         pytest.param({"g_family = eq33b": "g_family = zero", "nu_days = 150": "nu = 5e-324",
-                      "S0 = 400": "S0 = 0.4", "E0 = 150": "E0 = 0", "I0 = 250": "I0 = 0",
-                      "R0 = 200": "R0 = 0"}, 1, id="zero-nu*N"),
+                      "eps0 = 0.5": "eps0 = 5e-324", "S0 = 400": "S0 = 0.4", "E0 = 150": "E0 = 0",
+                      "I0 = 250": "I0 = 0", "R0 = 200": "R0 = 0"}, 1, id="zero-nu*N"),
     ])
     def test_underflowed_divisor_is_blowup(self, tmp_path, capsys, edits, rows):
         ini = BASE_INI.replace("dt = 0.01", "dt = 0.1")

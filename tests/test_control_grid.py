@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seirvax
@@ -266,12 +266,7 @@ def test_thirty_combinations_carry_an_absolute_unit():
     assert sum(bool(absolute_unit_formulas(sc)) for sc in SCENARIOS.values()) == 27
 
 
-# lam = 2**k keeps the grid's population of 1000 between about 1 and 1e6,
-# far from N_FLOOR and from overflow
-@settings(derandomize=True, max_examples=4, deadline=None)
-@given(k=st.integers(-10, 10).filter(bool))
-def test_population_scale_is_equivariant(k):
-    lam = 2.0**k
+def assert_equivariant(lam: float):
     for key, sc in SCENARIOS.items():
         bad = not_equivariant(base_run(key), integrate(scaled(sc, lam)), lam)
         units = absolute_unit_formulas(sc)
@@ -282,6 +277,27 @@ def test_population_scale_is_equivariant(k):
             )
         else:
             assert not bad, (key, lam, bad)
+
+
+# lam = 2**k takes the grid's population of 1000 from about 1.8e-12 (k = -50
+# puts it below N_FLOOR) to about 2.6e154; from k = 504 the incidence
+# product overflows (the xfail below)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(k=st.integers(-49, 503).filter(bool))
+@example(k=-49)
+@example(k=503)
+def test_population_scale_is_equivariant(k):
+    assert_equivariant(2.0**k)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the vector field's incidence beta * S * I / N (model.py:133) overflows "
+    "once S*I exceeds 1.8e308: at lam = 2**504 the 57 unit-free combinations end "
+    "blowup after one row; build_matrix's beta * (I / N) * S stays finite",
+)
+def test_population_scale_is_equivariant_past_the_incidence_overflow():
+    assert_equivariant(2.0**504)
 
 
 # [machine] keys in people

@@ -85,7 +85,7 @@ class TestVectorField:
 
     def test_state_and_rate_containers(self, params, outbreak_x0):
         assert outbreak_x0.N == 1000.0
-        arr = outbreak_x0.as_array()
+        arr = np.asarray(outbreak_x0, dtype=float)
         assert arr.dtype == float and arr.shape == (4,)
         # a rate is a plain (dS, dE, dI, dR) tuple, summing to dN
         d = make_rate_fn(params)(1.0, 2.0, 3.0, 4.0, 0.0)

@@ -204,7 +204,7 @@ class TestConstantVaryingSplit:
             forcing = forcing_vector(
                 params, x, v, ForcingForm.VACCINE_PLUS_BIRTH_VECTOR
             )
-            rebuilt = (a_const + b) @ x.as_array() + forcing
+            rebuilt = (a_const + b) @ np.asarray(x, dtype=float) + forcing
             d = np.array(make_rate_fn(params)(*x, v))
             scale = np.maximum(1.0, np.abs(d))
             assert np.all(np.abs(rebuilt - d) <= 1e-10 * scale)

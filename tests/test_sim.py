@@ -146,11 +146,12 @@ class TestTruncation:
         assert np.all(np.isfinite(traj.states)) and traj.N[-1] > 100.0
 
     def test_infinite_demand_is_blowup(self, params, outbreak_x0):
-        # eps0 = 1e308 overflows the demand at t = 0 to inf; the saturated
-        # law clamps it to V = 1, which would run on to the horizon
+        # eps0 = 1e306 keeps eps0/nu = 1.5e308 finite, but K_N*N overflows
+        # the demand at t = 0 to inf; the saturated law clamps it to V = 1,
+        # which would run on to the horizon
         sc = ScenarioConfig(
             params=params, x0=outbreak_x0,
-            control=ControlConfig(eps0=1e308), horizon=2.0, dt=0.1,
+            control=ControlConfig(eps0=1e306), horizon=2.0, dt=0.1,
         )
         traj = integrate(sc)
         assert traj.status is RunStatus.BLOWUP
@@ -166,8 +167,8 @@ class TestTruncation:
                      id="custom_case_a-eps_nu*N"),
         pytest.param("corollary2_ii", dict(eps0=5e-324), {}, None, 1,
                      id="corollary2_ii-eps0*settled"),
-        pytest.param("zero", {}, dict(nu=5e-324), StateVec(0.4, 0.0, 0.0, 0.0), 0,
-                     id="zero-nu*N"),
+        pytest.param("zero", dict(eps0=5e-324), dict(nu=5e-324), StateVec(0.4, 0.0, 0.0, 0.0),
+                     0, id="zero-nu*N"),
     ])
     def test_underflowed_divisor_is_blowup(self, params, outbreak_x0, family, constants,
                                            rates, x0, k):
@@ -372,7 +373,7 @@ def _motionless(params, x0, n) -> Trajectory:
     return Trajectory(
         scenario=sc, status=RunStatus.OK,
         t=np.arange(n) * 1.0,
-        states=np.tile(x0.as_array(), (n, 1)),
+        states=np.tile(np.asarray(x0, dtype=float), (n, 1)),
         N=np.full(n, x0.S + x0.E + x0.I + x0.R),
         rates=np.zeros((n, 4)),
         V_a=zeros, V=zeros, g=zeros, h=zeros, R_star=zeros, dN=zeros,
@@ -451,7 +452,7 @@ def _patterned(params, x0, kinds) -> Trajectory:
     its states drift row by row so each window has its own average."""
     n = len(kinds)
     traj = _motionless(params, x0, n)
-    states = x0.as_array() * (1.0 + np.arange(n)[:, None] / 64.0)
+    states = np.asarray(x0, dtype=float) * (1.0 + np.arange(n)[:, None] / 64.0)
     N = states[:, 0] + states[:, 1] + states[:, 2] + states[:, 3]
     tol = traj.scenario.steady_state_tol
     rates = np.zeros((n, 4))
@@ -601,7 +602,7 @@ class TestConvergence:
         sc = replace(build_preset("fig1-no-vaccination"), horizon=50.0)
         runs = [integrate(replace(sc, dt=dt)) for dt in (0.04, 0.02, 0.01)]
         assert [run.status for run in runs] == [RunStatus.OK] * 3
-        coarse, mid, fine = (run.terminal_state().as_array() for run in runs)
+        coarse, mid, fine = (np.asarray(run.terminal_state(), dtype=float) for run in runs)
         ratio = np.max(np.abs(coarse - fine)) / np.max(np.abs(mid - fine))
         # one halving of a 4th-order method against a fixed finest anchor:
         # (2^8 - 1)/(2^4 - 1) = 17 in the asymptotic regime
@@ -636,6 +637,25 @@ class TestScenarioValidation:
         huge = StateVec(1e308, 1e308, 1e308, 1e308)
         with pytest.raises(ConfigError, match="initial population total must be finite"):
             _plain_scenario(params, huge).resolved()
+
+    # (rates, eps0): the demand level eps0/nu overflows; both once ended
+    # blowup after one row with V_a = inf
+    @pytest.mark.parametrize("rates, eps0", [
+        pytest.param(ModelParams(mu=0.0, omega=1.0, beta=0.0, sigma=0.0, gamma=0.0, rho=0.0,
+                                 nu=5e-324), None, id="subnormal-nu"),
+        pytest.param(BASELINE_PARAMS, 1e308, id="huge-eps0"),
+    ])
+    def test_infinite_demand_level_is_a_config_error(self, rates, eps0):
+        sc = ScenarioConfig(params=rates, x0=StateVec(1.0, 0.0, 0.0, 0.0),
+                            control=ControlConfig(eps0=eps0))
+        resolved_eps0 = rates.immune_pole if eps0 is None else eps0
+        message = (f"an active vaccination law needs a finite eps0/nu, got "
+                   f"eps0 = {resolved_eps0!r} and nu = {rates.nu!r}")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            integrate(sc)
+        # the none law applies no demand
+        no_law = replace(sc, control=ControlConfig(eps0=eps0, law=VaccinationLaw.NONE))
+        assert integrate(no_law).status is RunStatus.OK
 
     def test_resolved_fills_gains_and_keeps_params(self, params, outbreak_x0):
         sc = ScenarioConfig(params=params, x0=outbreak_x0).resolved()
