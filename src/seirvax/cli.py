@@ -16,9 +16,10 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import orjson
@@ -124,8 +125,7 @@ def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(header)}
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Everything report.txt is rendered from: the run and its three
     analyses. Name, status, grid, tolerance and terminal state are read off
     the run and its scenario."""

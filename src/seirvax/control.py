@@ -490,8 +490,7 @@ class TrackingCase(enum.Enum):
     CASE_VIII = "viii"
 
 
-@dataclass(frozen=True)
-class TrackingBound:
+class TrackingBound(NamedTuple):
     """Asymptotic upper bound for the immune population, R(inf) <= R_bar.
 
     feasible means the bounding ratio R_bar/N2 is at most 1 (the bound says

@@ -18,6 +18,7 @@ rebuilds it from such a pair.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,7 +77,7 @@ class ModelParams:
     def __post_init__(self):
         for name in ("mu", "omega", "beta", "sigma", "gamma", "rho", "nu"):
             v = getattr(self, name)
-            if not np.isfinite(v):
+            if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
             if name != "rho" and v < 0:
                 raise ConfigError(f"{name} must be >= 0, got {v!r}")

@@ -12,7 +12,7 @@ set outside the paper's standing assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class MetzlerReport:
+class MetzlerReport(NamedTuple):
     """Result of scanning a matrix's off-diagonal entries.
 
     violating_entries holds (row, col, value) triples, 0-based indices.
@@ -122,9 +121,9 @@ def decompose_star(
     return a_const, b
 
 
-@dataclass(frozen=True)
-class ResetEvent:
-    """One clamped component at a step boundary."""
+class ResetEvent(NamedTuple):
+    """One clamped component at a step boundary; index is its position in
+    COMPONENT_NAMES (the field shadows tuple.index)."""
 
     t: float
     index: int

@@ -10,7 +10,8 @@ disease-free so the immune compartment follows its design in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from .control import (
     ControlConfig,
@@ -61,8 +62,7 @@ _FIG2 = ScenarioConfig(
 )
 
 
-@dataclass(frozen=True)
-class PresetEntry:
+class PresetEntry(NamedTuple):
     description: str
     scenario: ScenarioConfig
 

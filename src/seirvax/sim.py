@@ -15,6 +15,7 @@ import enum
 import math
 import struct
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -294,8 +295,7 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     )
 
 
-@dataclass(frozen=True)
-class SteadyState:
+class SteadyState(NamedTuple):
     """Outcome of the settled-regime search; the default is not found."""
 
     t_ss: float | None = None

@@ -17,7 +17,7 @@ predicates list only the conditions an admissible rate set can fail.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +45,7 @@ class StabilityCriterion(enum.Enum):
     BOUNDED_DOMINANT_MORTALITY = "T4_case2"
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """One evaluated inequality: `name` relates lhs to rhs."""
 
     name: str
@@ -55,8 +54,7 @@ class ConditionCheck:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     criterion: StabilityCriterion
     conditions: tuple[ConditionCheck, ...]
     # False when a standing assumption fails, or the criterion needs a run
@@ -157,8 +155,7 @@ def check_unforced_boundedness(params: ModelParams, case: int) -> StabilityVerdi
     return StabilityVerdict(criterion=criterion, conditions=tuple(conditions))
 
 
-@dataclass(frozen=True)
-class IntegralDiagnostic:
+class IntegralDiagnostic(NamedTuple):
     """Finite-horizon evaluation of the population/infectious identity.
 
     The continuous system satisfies, for nu > mu,

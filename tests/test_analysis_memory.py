@@ -1,6 +1,6 @@
 """Memory a run's analyses add on top of the run.
 
-A recorded run holds 178 bytes per row. The passes that read it after the
+A recorded run holds 146 bytes per row. The passes that read it after the
 loop (the derived control columns, the steady-state search and the
 integral identity check) each hold at most three whole-run scratch
 buffers beyond their result, so their transient memory, traced peak minus

@@ -8,7 +8,8 @@ to be kept.
 """
 
 import ast
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from importlib import import_module
 from inspect import signature
 from pathlib import Path
 
@@ -96,12 +97,46 @@ def test_model_records_restate_nothing():
             assert not hasattr(module, gone), (module.__name__, gone)
 
 
+# Every result record: immutable, compared and hashed by value, changed
+# with _replace. RunReport keeps the run and its three analyses, as
+# everything else report.txt shows is read off the run; IntegralDiagnostic
+# stores no derived value; a preset entry holds its scenario.
+RESULT_FIELDS = {
+    seirvax.stability.ConditionCheck: ("name", "lhs", "rhs", "satisfied"),
+    seirvax.stability.StabilityVerdict: ("criterion", "conditions", "applicable", "notes"),
+    seirvax.stability.IntegralDiagnostic: (
+        "lhs", "rhs", "max_pointwise_residual", "tail_bound",
+    ),
+    seirvax.positivity.MetzlerReport: ("min_offdiagonal", "violating_entries"),
+    seirvax.positivity.ResetEvent: ("t", "index", "value_before"),
+    seirvax.sim.SteadyState: ("t_ss", "x_ss"),
+    seirvax.control.TrackingBound: ("case", "R_bar", "ratio", "immune_extinction", "requires"),
+    PresetEntry: ("description", "scenario"),
+    RunReport: ("traj", "steady_state", "integral", "verdicts"),
+}
+
+
+def test_results_are_named_tuples_and_settings_are_dataclasses():
+    # a dataclass is a setting callers change with dataclasses.replace, or
+    # the run itself; building a NamedTuple class generates no methods
+    modules = [import_module(f"seirvax.{path.stem}")
+               for path in Path(seirvax.__file__).parent.glob("*.py")
+               if path.stem != "__init__"]
+    classes = {
+        cls for module in modules for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+    }
+    assert {cls.__name__ for cls in classes if is_dataclass(cls)} == {
+        "ModelParams", "ControlConfig", "ScenarioConfig", "Trajectory",
+    }
+    named_tuples = {cls for cls in classes if issubclass(cls, tuple)}
+    assert named_tuples == set(RESULT_FIELDS) | {seirvax.StateVec, seirvax.ControlSample}
+    for cls, names in RESULT_FIELDS.items():
+        assert cls._fields == names, cls.__name__
+
+
 def test_run_report_keeps_the_run_and_its_analyses():
-    # everything else report.txt shows is read off the run, and the
-    # scenario's steady_state_tol is the only steady-state tolerance
-    assert [f.name for f in fields(RunReport)] == [
-        "traj", "steady_state", "integral", "verdicts",
-    ]
+    # the scenario's steady_state_tol is the only steady-state tolerance
     assert list(signature(seirvax.detect_steady_state).parameters) == ["traj"]
 
 
@@ -120,9 +155,10 @@ def test_model_params_are_the_seven_rates():
 def test_integral_diagnostic_stores_no_derived_value():
     # residual is lhs - rhs, the pointwise tolerance is POINTWISE_TOL, and
     # the horizon is the run's last sample time
-    assert [f.name for f in fields(seirvax.IntegralDiagnostic)] == [
-        "lhs", "rhs", "max_pointwise_residual", "tail_bound",
-    ]
+    for derived in ("residual", "conditions", "consistent"):
+        assert isinstance(getattr(seirvax.IntegralDiagnostic, derived), property), derived
+    for gone in ("tol", "horizon"):
+        assert not hasattr(seirvax.IntegralDiagnostic, gone), gone
 
 
 def test_one_selector_per_controller_behaviour():
@@ -155,8 +191,7 @@ def test_one_selector_per_controller_behaviour():
 
 
 def test_presets_are_values():
-    # each entry holds its scenario, keyed by the scenario's own name
-    assert [f.name for f in fields(PresetEntry)] == ["description", "scenario"]
+    # each entry is keyed by its scenario's own name
     for name, entry in seirvax.PRESETS.items():
         assert entry.scenario.name == name
         assert seirvax.build_preset(name) is entry.scenario

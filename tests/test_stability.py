@@ -160,8 +160,8 @@ class TestIntegralIdentity:
         assert (pointwise.lhs, pointwise.rhs) == (0.5, 1.0)
         assert (horizon.lhs, horizon.rhs) == (10.0, 51.0)
         # either inequality alone breaks consistency and the verdict
-        for broken in (replace(diag, max_pointwise_residual=1.5),
-                       replace(diag, rhs=1051.5)):  # residual -51.5
+        for broken in (diag._replace(max_pointwise_residual=1.5),
+                       diag._replace(rhs=1051.5)):  # residual -51.5
             assert not broken.consistent
             assert not integral_verdict(broken).hypothesis_holds
 

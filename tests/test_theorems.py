@@ -37,8 +37,10 @@ R* = N - (N - R(0))*e^{-a t}, so R tracks R* and R/N reaches 1 with it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -317,3 +319,23 @@ def test_tracking_design_applies_v_star_and_reaches_full_immunity(sc):
     # (1 - R(0)/N)*e^{-a t}; the same draws used at most 0.35 of 8u
     tail = (1.0 - r0 / traj.N[-1]) * math.exp(-a * traj.t[-1])
     assert abs((1.0 - traj.h[-1]) - tail) <= 8.0 * U
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="boundary_fn's unsaturated fallback (V = 1.0 when V_a > 1.0 and negative) "
+    "applies V = 1 instead of V* = 1 + omega/nu = 128.5 to the step that starts at a "
+    "rounding-level reset (S = -1.89e-14 at t = 3.0), so R/N falls from 1 to 0.779",
+)
+def test_tracking_design_holds_full_immunity_through_a_rounding_reset():
+    # R = N from the start, so the objective is met before the first step;
+    # S leaves zero only by rounding
+    design = build_preset("disease-free-tracking")
+    mu = 1.0 / 255.0
+    sc = ScenarioConfig(
+        params=replace(design.params, mu=mu, nu=mu, omega=0.5),
+        x0=StateVec(0.0, 0.0, 0.0, 1000.0), control=design.control,
+        horizon=60.0, dt=0.5,
+    )
+    traj = integrate(sc)
+    assert (traj.R / traj.N >= 1.0 - 1e-6).all()
