@@ -30,7 +30,6 @@ from .model import (
     CANONICAL_VARIANT,
     COMPONENT_NAMES,
     N_FLOOR,
-    ForcingForm,
     MatrixVariant,
     ModelParams,
     StateVec,
@@ -97,7 +96,6 @@ __all__ = [
     "ControlSample",
     "DecompositionError",
     "DegenerateProfileError",
-    "ForcingForm",
     "IntegralDiagnostic",
     "MatrixVariant",
     "MetzlerReport",

@@ -11,8 +11,8 @@ leave [0, 1] (the laws upstream decide whether to clamp it).
 
 make_rate_fn is the one spelling of the vector field. build_matrix and
 forcing_vector factor it as a bare 4x4 matrix times the state plus an input
-vector, eight ways (MatrixVariant, ForcingForm); reconstruct_derivative
-rebuilds it from such a pair.
+vector, eight ways (MatrixVariant); reconstruct_derivative rebuilds it from
+such a pair.
 """
 
 from __future__ import annotations
@@ -177,21 +177,6 @@ class MatrixVariant(enum.Enum):
 CANONICAL_VARIANT = MatrixVariant.SPLIT_DRAIN_S_GAIN_I
 
 
-class ForcingForm(enum.Enum):
-    """How the input enters alongside a matrix variant.
-
-    VACCINE_PLUS_BIRTH_VECTOR   affine: (-nu, 0, 0, nu)*N*V + (nu, 0, 0, 0)*N
-    BIRTH_ROUTED_CONTROL        nu*N*(1-V, 0, 0, V), a nonnegative control
-                                vector whenever V is in [0, 1]
-    BIRTH_INSIDE_MATRIX         (-nu, 0, 0, nu)*N*V only; pairs with the
-                                _WITH_BIRTH matrix variants
-    """
-
-    VACCINE_PLUS_BIRTH_VECTOR = "vaccine-plus-birth-vector"
-    BIRTH_ROUTED_CONTROL = "birth-routed-control"
-    BIRTH_INSIDE_MATRIX = "birth-inside-matrix"
-
-
 def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> np.ndarray:
     """Instantaneous state matrix for the given factoring variant.
 
@@ -209,17 +194,13 @@ def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> np
     m[3] = (0.0, 0.0, params.immune_recovery_rate, -params.immune_pole)
 
     base = variant.base
-    if base is MatrixVariant.BILINEAR_VIA_S:
+    if base in (MatrixVariant.BILINEAR_VIA_S, MatrixVariant.SPLIT_DRAIN_S_GAIN_I):
         m[0] = (-(mu + foi), 0.0, 0.0, params.omega)
-        m[1] = (foi, -(mu + params.sigma), 0.0, 0.0)
-    elif base is MatrixVariant.BILINEAR_VIA_I:
+    else:
         m[0] = (-mu, 0.0, -contact, params.omega)
-        m[1] = (0.0, -(mu + params.sigma), contact, 0.0)
-    elif base is MatrixVariant.SPLIT_DRAIN_I_GAIN_S:
-        m[0] = (-mu, 0.0, -contact, params.omega)
+    if base in (MatrixVariant.BILINEAR_VIA_S, MatrixVariant.SPLIT_DRAIN_I_GAIN_S):
         m[1] = (foi, -(mu + params.sigma), 0.0, 0.0)
-    else:  # SPLIT_DRAIN_S_GAIN_I
-        m[0] = (-(mu + foi), 0.0, 0.0, params.omega)
+    else:
         m[1] = (0.0, -(mu + params.sigma), contact, 0.0)
 
     if variant.includes_birth_term:
@@ -228,35 +209,25 @@ def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> np
     return m
 
 
-def forcing_vector(params: ModelParams, x: StateVec, V: float, form: ForcingForm) -> np.ndarray:
-    """Input vector matching a forcing form (see ForcingForm)."""
+def forcing_vector(
+    params: ModelParams, x: StateVec, V: float, variant: MatrixVariant
+) -> np.ndarray:
+    """Input vector paired with a matrix variant.
+
+    Base variants carry the newborn inflow here, (nu*N - nu*N*V, 0, 0, nu*N*V);
+    the _WITH_BIRTH siblings carry it in the matrix, leaving (-nu*N*V, 0, 0,
+    nu*N*V). For V in [0, 1] the base vector is nonnegative.
+    """
     N = _require_population(x)
     births = params.nu * N
     vaccinated = births * V
-    if form is ForcingForm.VACCINE_PLUS_BIRTH_VECTOR:
-        return np.array([births - vaccinated, 0.0, 0.0, vaccinated])
-    if form is ForcingForm.BIRTH_ROUTED_CONTROL:
-        return births * np.array([1.0 - V, 0.0, 0.0, V])
-    return np.array([-vaccinated, 0.0, 0.0, vaccinated])
+    inflow = -vaccinated if variant.includes_birth_term else births - vaccinated
+    return np.array([inflow, 0.0, 0.0, vaccinated])
 
 
 def reconstruct_derivative(
-    params: ModelParams,
-    x: StateVec,
-    V: float,
-    variant: MatrixVariant,
-    form: ForcingForm,
+    params: ModelParams, x: StateVec, V: float, variant: MatrixVariant
 ) -> np.ndarray:
-    """Rebuild the vector field as matrix*state + forcing, (dS, dE, dI, dR).
-
-    The birth inflow must live in exactly one place, so the matrix variant
-    and the forcing form have to agree on who carries it.
-    """
-    wants_birth_matrix = form is ForcingForm.BIRTH_INSIDE_MATRIX
-    if variant.includes_birth_term != wants_birth_matrix:
-        raise ConfigError(
-            f"forcing form {form.value!r} does not pair with variant {variant.value!r}: "
-            "the birth inflow would be dropped or double-counted"
-        )
+    """Rebuild the vector field as matrix*state + forcing, (dS, dE, dI, dR)."""
     m = build_matrix(params, x, variant)
-    return m @ np.asarray(x, dtype=float) + forcing_vector(params, x, V, form)
+    return m @ np.asarray(x, dtype=float) + forcing_vector(params, x, V, variant)

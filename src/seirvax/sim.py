@@ -64,8 +64,11 @@ class ScenarioConfig:
     name: str = "custom"
 
     def resolved(self) -> "ScenarioConfig":
-        """Validate the grid and the initial state; the controller resolves
-        eps0 and checks its guards. params is returned unchanged."""
+        """Validate the name, the grid and the initial state; the controller
+        resolves eps0 and checks its guards. params is returned unchanged."""
+        # the name fills one line of report.txt; splitlines drops every break
+        if "".join(self.name.splitlines()) != self.name:
+            raise ConfigError(f"scenario name must be one line, got {self.name!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be a positive finite number, got {self.dt!r}")
         if not (math.isfinite(self.horizon) and self.horizon >= self.dt):

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from seirvax import (
     BASELINE_PARAMS, ControlSample, StateVec, Trajectory, control, control_sample,
+    make_rate_fn,
 )
 from seirvax.cli import (
     _CSV_CHUNK_ROWS,
@@ -128,6 +130,29 @@ def assert_rows_match_control_sample(traj) -> int:
         recorded = tuple(column[k] for column in columns)
         assert pack(*recorded) == pack(*expected), (k, recorded, expected)
     return negatives
+
+
+def continuous_reference(traj) -> np.ndarray:
+    """The run's states without the zero-order hold, one row per recorded t.
+
+    scipy's DOP853 at rtol = atol = 1e-13 drives the run's own rate and
+    boundary_fn closures, and evaluates the applied V = boundary(t, N, I,
+    False)[1] at every call instead of holding it across a step. The
+    reference never resets, so it matches runs with no reset events only.
+    The tight atol matters: at 1e-12*N its floor hides RK4's error.
+    """
+    sc = traj.scenario
+    rate = make_rate_fn(sc.params)
+    boundary = control.boundary_fn(sc.control, sc.params, sc.x0.R)
+
+    def field(t, x):
+        S, E, I, R = x
+        return rate(S, E, I, R, boundary(t, S + E + I + R, I, False)[1])
+
+    sol = solve_ivp(field, (0.0, float(traj.t[-1])), list(sc.x0), method="DOP853",
+                    t_eval=traj.t, rtol=1e-13, atol=1e-13)
+    assert sol.success, sol.message
+    return sol.y.T
 
 
 def csv_column(traj, name: str) -> np.ndarray:

@@ -34,7 +34,7 @@ from seirvax import (
 from seirvax.cli import build_run_report
 from seirvax.control import ControlConfig
 
-from conftest import random_state
+from conftest import continuous_reference, random_state
 
 PRESET_NAMES = (
     "fig1-no-vaccination",
@@ -177,6 +177,37 @@ class TestImmuneDecayDesign:
         )
         rel = np.abs(traj.R - expected) / np.abs(expected)
         assert rel.max() < 1e-6
+
+
+class TestZeroOrderHoldFloor:
+    # (max row error / N at dt 0.02, at dt 0.01, the range of the order
+    # between them), measured over 200 days against continuous_reference.
+    # fig3 and immune-decay apply a V that moves within a step, so holding
+    # it costs O(dt); the other three runs hold a V constant on every row,
+    # so RK4's O(dt^4) sets their error. disease-free-tracking sits at
+    # rounding, where no order shows.
+    ORDER_1, ORDER_4, ANY = (0.9, 1.1), (3.5, np.inf), (-np.inf, np.inf)
+    FLOORS = {
+        "fig1-no-vaccination": (5.80e-11, 3.61e-12, ORDER_4),
+        "fig2-saturated": (5.82e-11, 3.62e-12, ORDER_4),
+        "constant-population-check": (5.79e-11, 3.60e-12, ORDER_4),
+        "fig3-unsaturated": (4.91e-4, 2.45e-4, ORDER_1),
+        "immune-decay": (2.76e-7, 1.38e-7, ORDER_1),
+        "disease-free-tracking": (8.28e-14, 7.48e-14, ANY),
+    }
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_error_against_continuous_reference(self, name):
+        coarse, fine, (low, high) = self.FLOORS[name]
+        errors = []
+        for dt in (0.02, 0.01):
+            traj = integrate(replace(build_preset(name), horizon=200.0, dt=dt))
+            assert traj.status is RunStatus.OK
+            assert traj.reset_counts.sum() == 0
+            gap = np.abs(traj.states - continuous_reference(traj)).max(axis=1)
+            errors.append(float((gap / traj.N).max()))
+        assert errors[0] <= 1.5 * coarse and errors[1] <= 1.5 * fine, errors
+        assert low <= np.log2(errors[0] / errors[1]) <= high, errors
 
 
 class TestNearFloatCeiling:

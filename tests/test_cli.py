@@ -550,6 +550,7 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("line, control", [
         ("c_days = 5", "c = 0"),
+        ("c_days = 5", "c_days = inf"),
         ("h_family = section7", "h_family = theorem6_ii\nvartheta = 0"),
     ])
     def test_zero_reference_rate_runs(self, tmp_path, capsys, line, control):
@@ -561,6 +562,16 @@ class TestConfigFiles:
         assert capsys.readouterr().err == ""
         data = read_trajectory_csv(out / "trajectory.csv")
         assert np.all(np.isfinite(data["R_star"]))
+
+    def test_multi_line_name_is_a_config_error(self, tmp_path, capsys):
+        # configparser joins an indented line onto the one before: the name
+        # once split report.txt's [machine] block across two lines
+        path = write_ini(tmp_path, readme_ini(name="my\n  run", horizon="2"))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: scenario name must be one line, got 'my\\nrun'\n"
+        assert_refused(err, out)
 
     @pytest.mark.parametrize("refs", ["I0_ref = inf\nN0_ref = inf",
                                       "I0_ref = 10\nN0_ref = inf",

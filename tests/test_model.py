@@ -11,7 +11,6 @@ import pytest
 
 import seirvax as sx
 from seirvax import (
-    ForcingForm,
     MatrixVariant,
     ModelParams,
     StateVec,
@@ -23,8 +22,6 @@ from seirvax import (
 from seirvax.errors import ConfigError, SingularStateError
 
 from conftest import random_state
-
-BASE_FORMS = (ForcingForm.VACCINE_PLUS_BIRTH_VECTOR, ForcingForm.BIRTH_ROUTED_CONTROL)
 
 
 class TestVectorField:
@@ -212,53 +209,27 @@ class TestMatrixRepresentations:
             d = np.array(make_rate_fn(params)(*x, v))
             scale = np.maximum(1.0, np.abs(d))
             for variant in MatrixVariant:
-                forms = (
-                    (ForcingForm.BIRTH_INSIDE_MATRIX,)
-                    if variant.includes_birth_term
-                    else BASE_FORMS
-                )
-                for form in forms:
-                    rebuilt = reconstruct_derivative(params, x, v, variant, form)
-                    assert np.all(np.abs(rebuilt - d) <= 1e-10 * scale)
+                rebuilt = reconstruct_derivative(params, x, v, variant)
+                assert np.all(np.abs(rebuilt - d) <= 1e-10 * scale)
 
-    def test_variant_form_pairing_enforced(self, params, outbreak_x0):
-        with pytest.raises(ConfigError):
-            reconstruct_derivative(
-                params, outbreak_x0, 0.5,
-                MatrixVariant.SPLIT_DRAIN_S_GAIN_I_WITH_BIRTH,
-                ForcingForm.VACCINE_PLUS_BIRTH_VECTOR,
-            )
-        with pytest.raises(ConfigError):
-            reconstruct_derivative(
-                params, outbreak_x0, 0.5,
-                MatrixVariant.SPLIT_DRAIN_S_GAIN_I,
-                ForcingForm.BIRTH_INSIDE_MATRIX,
-            )
-
-    def test_forcing_forms_agree(self, params, outbreak_x0):
+    def test_birth_sibling_forcing_drops_the_inflow(self, params, outbreak_x0):
         v = 0.3
-        affine = forcing_vector(
-            params, outbreak_x0, v, ForcingForm.VACCINE_PLUS_BIRTH_VECTOR
-        )
-        routed = forcing_vector(
-            params, outbreak_x0, v, ForcingForm.BIRTH_ROUTED_CONTROL
-        )
-        np.testing.assert_allclose(affine, routed, rtol=1e-14)
         births = params.nu * outbreak_x0.N
-        inside = forcing_vector(
-            params, outbreak_x0, v, ForcingForm.BIRTH_INSIDE_MATRIX
-        )
-        np.testing.assert_allclose(
-            affine - inside, [births, 0.0, 0.0, 0.0], rtol=1e-14
-        )
+        for variant in MatrixVariant:
+            if variant.includes_birth_term:
+                continue
+            sibling = MatrixVariant(variant.value + "_0")
+            base = forcing_vector(params, outbreak_x0, v, variant)
+            inside = forcing_vector(params, outbreak_x0, v, sibling)
+            np.testing.assert_allclose(
+                base - inside, [births, 0.0, 0.0, 0.0], rtol=1e-14
+            )
 
-    def test_routed_control_nonnegative_for_admissible_input(
+    def test_base_forcing_nonnegative_for_admissible_input(
         self, params, outbreak_x0
     ):
         for v in (0.0, 0.25, 1.0):
-            vec = forcing_vector(
-                params, outbreak_x0, v, ForcingForm.BIRTH_ROUTED_CONTROL
-            )
+            vec = forcing_vector(params, outbreak_x0, v, sx.CANONICAL_VARIANT)
             assert vec.min() >= 0.0
 
     def test_variant_ids_are_stable(self):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seirvax import (
-    ForcingForm,
     MatrixVariant,
     ModelParams,
     StateVec,
@@ -201,9 +200,7 @@ class TestConstantVaryingSplit:
             x = random_state(rng)
             v = float(rng.uniform(0.0, 1.0))
             a_const, b = decompose_star(params, x)
-            forcing = forcing_vector(
-                params, x, v, ForcingForm.VACCINE_PLUS_BIRTH_VECTOR
-            )
+            forcing = forcing_vector(params, x, v, MatrixVariant.SPLIT_DRAIN_S_GAIN_I)
             rebuilt = (a_const + b) @ np.asarray(x, dtype=float) + forcing
             d = np.array(make_rate_fn(params)(*x, v))
             scale = np.maximum(1.0, np.abs(d))

@@ -620,6 +620,16 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             _plain_scenario(params, outbreak_x0, steady_state_tol=0.0).resolved()
 
+    @pytest.mark.parametrize("name", ["a\rb", "a\nb", "a\u2028b", "a\n"])
+    def test_name_spans_one_line(self, params, outbreak_x0, name):
+        # any break str.splitlines honours would split report.txt's line
+        message = f"scenario name must be one line, got {name!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            integrate(_plain_scenario(params, outbreak_x0, name=name))
+
+    def test_empty_name_is_accepted(self, params, outbreak_x0):
+        assert integrate(_plain_scenario(params, outbreak_x0, name="")).scenario.name == ""
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_steady_state_tol_guard(self, params, outbreak_x0, tol):
         message = f"steady_state_tol must be a positive finite number, got {tol!r}"
