@@ -17,6 +17,12 @@ Core entry points:
                                       as a bare ndarray
     control_sample(cfg, params, ...)  the feedback law at one state and time:
                                       every control value a recorded row holds
+
+The run modules hold what a simulation executes. The paper's analysis
+apparatus (the factorizations such as build_matrix, the Metzler checks,
+decompose_star, the tracking bounds and the closed forms) lives in
+seirvax.analysis; its names import from here too, and the first access to
+one of them imports that module.
 """
 
 from .errors import (
@@ -26,26 +32,7 @@ from .errors import (
     SeirvaxError,
     SingularStateError,
 )
-from .model import (
-    CANONICAL_VARIANT,
-    COMPONENT_NAMES,
-    N_FLOOR,
-    MatrixVariant,
-    ModelParams,
-    StateVec,
-    build_matrix,
-    forcing_vector,
-    make_rate_fn,
-    reconstruct_derivative,
-)
-from .positivity import (
-    MetzlerReport,
-    ResetEvent,
-    apply_reset,
-    check_metzler,
-    decompose_star,
-    metzler_parameter_criterion,
-)
+from .model import COMPONENT_NAMES, N_FLOOR, ModelParams, StateVec, make_rate_fn
 from .stability import (
     ConditionCheck,
     IntegralDiagnostic,
@@ -63,21 +50,18 @@ from .control import (
     ControlSample,
     ModulationFamily,
     ReferenceProfile,
-    TrackingBound,
-    TrackingCase,
     VaccinationLaw,
     control_sample,
     decay_design_g_ceiling,
-    immune_closed_form,
-    stationary_tracking_level,
-    tracking_bound,
 )
 from .sim import (
     STEADY_STATE_WINDOW_DAYS,
+    ResetEvent,
     RunStatus,
     ScenarioConfig,
     SteadyState,
     Trajectory,
+    apply_reset,
     detect_steady_state,
     integrate,
 )
@@ -144,3 +128,14 @@ __all__ = [
     "tracking_bound",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # every exported name not bound above is the paper's analysis apparatus
+    # (factorizations, Metzler checks, tracking bounds, closed forms): no run
+    # reads it, so seirvax.analysis is imported on first access, not here
+    if name in __all__:
+        from . import analysis
+
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

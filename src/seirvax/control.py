@@ -13,6 +13,10 @@ state resets for positivity.
 
 Family/profile selector values ("eq33b", "section7", ...) are stable ids
 used in config files and reports; the Python names describe behavior.
+
+The design's closed forms (tracking_bound with its TrackingCase and
+TrackingBound, immune_closed_form, stationary_tracking_level) are analysis,
+not run code: they live in seirvax.analysis.
 """
 
 from __future__ import annotations
@@ -477,124 +481,6 @@ def control_sample(
     values = boundary_fn(cfg, params, r0)(t, N, x.I, negative)
     theta0, theta1, residual = _derived_values(cfg, params, N, values[0], values[2])
     return ControlSample(*values, theta0, theta1, float(residual))
-
-
-class TrackingCase(enum.Enum):
-    CASE_I = "i"
-    CASE_II = "ii"
-    CASE_III = "iii"
-    CASE_IV = "iv"
-    CASE_V = "v"
-    CASE_VI = "vi"
-    CASE_VII = "vii"
-    CASE_VIII = "viii"
-
-
-class TrackingBound(NamedTuple):
-    """Asymptotic upper bound for the immune population, R(inf) <= R_bar.
-
-    feasible means the bounding ratio R_bar/N2 is at most 1 (the bound says
-    something a population can satisfy). immune_extinction marks the
-    special case where the immune level converges to zero outright.
-    requires documents the design context in which the case's formula was
-    derived; it is not checked against a trajectory.
-    """
-
-    case: TrackingCase
-    R_bar: float
-    ratio: float
-    immune_extinction: bool = False
-    requires: str = ""
-
-    @property
-    def feasible(self) -> bool:
-        return self.ratio <= 1.0
-
-
-def tracking_bound(
-    case: TrackingCase,
-    params: ModelParams,
-    cfg: ControlConfig,
-    N2: float,
-    g_min: float | None = None,
-    g_max: float | None = None,
-) -> TrackingBound:
-    """Closed-form tracking bound for one design case.
-
-    N2 is the population upper bound. CASE_I needs the run's minimum
-    modulation value (g_min); CASE_VIII its maximum (g_max).
-    """
-    cfg = cfg.validated(params)
-    if not N2 > 0.0:
-        raise ConfigError(f"N2 must be > 0, got {N2!r}")
-    a = params.immune_pole
-    if not a > 0.0:
-        raise ConfigError("tracking bounds divide by mu + omega; need it > 0")
-    g1r = params.immune_recovery_rate
-
-    def bound(ratio: float, requires: str, extinct: bool = False) -> TrackingBound:
-        return TrackingBound(
-            case=case, R_bar=ratio * N2, ratio=ratio,
-            immune_extinction=extinct, requires=requires,
-        )
-
-    if case is TrackingCase.CASE_I:
-        if g_min is None:
-            raise ConfigError("case i needs the run minimum of the modulation signal")
-        return bound(cfg.eps0 * (1.0 - cfg.eps * g_min) / a,
-                     "switched modulation, saturated branch active")
-    if case is TrackingCase.CASE_II:
-        return bound((params.nu + g1r) / a, "g = 1/eps")
-    if case is TrackingCase.CASE_III:
-        return bound(g1r / a, "g = 1/eps and the upper indicator never fires")
-    if case is TrackingCase.CASE_IV:
-        return bound(g1r / a, "nu = eps0, both indicators down, g = 1/eps")
-    if case is TrackingCase.CASE_V:
-        req = "nu = eps0, lower indicator pinned up, upper never fires"
-        if g1r == 0.0:
-            return TrackingBound(
-                case=case, R_bar=0.0, ratio=0.0,
-                immune_extinction=True, requires=req + ", no immune inflow channel",
-            )
-        return bound(g1r / a, req)
-    if case is TrackingCase.CASE_VI:
-        return bound((params.nu + g1r) / a, "nu = eps0, g = 0, lower indicator never fires")
-    if case is TrackingCase.CASE_VII:
-        return bound(g1r / a, "nu = eps0, g = 0, lower indicator pinned up")
-    if g_max is None:
-        raise ConfigError("case viii needs the run maximum of the modulation signal")
-    return bound((params.nu + g1r + cfg.eps * params.nu * g_max) / a, "nu = eps0")
-
-
-def immune_closed_form(cfg: ControlConfig, params: ModelParams, t, R0: float):
-    """Closed-form immune trajectory under the exponential-decay design.
-
-    Valid for the IMMUNE_DECAY_DESIGN modulation with no infectious inflow
-    into the immune compartment (disease-free runs): then the modulated
-    vaccination level is eps0 * e^{-vartheta t}, the population factor
-    cancels, and
-
-        R(t) = e^{-(mu+omega) t} (R0 + eps0 (1 - e^{-(vartheta-mu-omega) t})
-                                         / (vartheta - mu - omega)).
-
-    t may be a scalar or an array.
-    """
-    cfg = cfg.validated(params)
-    gap = _decay_gap(cfg, params)
-    a = params.immune_pole
-    tt = np.asarray(t, dtype=float)
-    out = np.exp(-a * tt) * (R0 + cfg.eps0 * (1.0 - np.exp(-gap * tt)) / gap)
-    return float(out) if out.ndim == 0 else out
-
-
-def stationary_tracking_level(cfg: ControlConfig, params: ModelParams, N: float) -> float:
-    """Steady immune level eps0*N/(vartheta - mu - omega) for the tracking
-    configuration that holds the population constant.
-
-    Equals N exactly when vartheta = eps0 + mu + omega.
-    """
-    cfg = cfg.validated(params)
-    return cfg.eps0 * N / _decay_gap(cfg, params)
 
 
 def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:

@@ -9,20 +9,17 @@ The vaccination input V routes the newborn stream nu*N: a fraction V goes
 straight to the immune compartment, the rest enters the susceptibles. V may
 leave [0, 1] (the laws upstream decide whether to clamp it).
 
-make_rate_fn is the one spelling of the vector field. build_matrix and
-forcing_vector factor it as a bare 4x4 matrix times the state plus an input
-vector, eight ways (MatrixVariant); reconstruct_derivative rebuilds it from
-such a pair.
+make_rate_fn is the one spelling of the vector field. Its eight matrix
+factorizations (MatrixVariant, build_matrix, forcing_vector,
+reconstruct_derivative) are analysis, not run code: they live in
+seirvax.analysis.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import ConfigError, SingularStateError
 
@@ -138,96 +135,3 @@ def make_rate_fn(params: ModelParams):
         )
 
     return rate
-
-
-class MatrixVariant(enum.Enum):
-    """The eight ways the dynamics factor into matrix * state + forcing.
-
-    The transmission bilinearity beta*S*I/N can be attributed to the S
-    column (coefficient beta*I/N) or the I column (coefficient beta*S/N),
-    independently for the susceptible drain and the latent gain; that gives
-    four base variants. Each has a sibling with the newborn inflow folded
-    into the matrix as a rank-one first-row shift (+nu in every column of
-    row S) instead of living in the forcing vector.
-
-    Enum values are the stable ids used in configs and reports.
-    """
-
-    BILINEAR_VIA_S = "A1"
-    BILINEAR_VIA_I = "A2"
-    SPLIT_DRAIN_I_GAIN_S = "A3"
-    SPLIT_DRAIN_S_GAIN_I = "A4"
-    BILINEAR_VIA_S_WITH_BIRTH = "A1_0"
-    BILINEAR_VIA_I_WITH_BIRTH = "A2_0"
-    SPLIT_DRAIN_I_GAIN_S_WITH_BIRTH = "A3_0"
-    SPLIT_DRAIN_S_GAIN_I_WITH_BIRTH = "A4_0"
-
-    @property
-    def includes_birth_term(self) -> bool:
-        return self.value.endswith("_0")
-
-    @property
-    def base(self) -> "MatrixVariant":
-        """The sibling without the birth term (self if already base)."""
-        return MatrixVariant(self.value[:2])
-
-
-# Canonical representation used internally; the others exist for analysis
-# and cross-checks.
-CANONICAL_VARIANT = MatrixVariant.SPLIT_DRAIN_S_GAIN_I
-
-
-def build_matrix(params: ModelParams, x: StateVec, variant: MatrixVariant) -> np.ndarray:
-    """Instantaneous state matrix for the given factoring variant.
-
-    Row/column order is (S, E, I, R).
-    """
-    S, E, I, R = x
-    N = _require_population(x)
-    # fractions first: S/N <= 1 exactly, so contact never rounds above beta
-    foi = params.beta * (I / N)  # force of infection, multiplies S
-    contact = params.beta * (S / N)  # contact drain, multiplies I
-    mu = params.mu
-
-    m = np.zeros((4, 4))
-    m[2] = (0.0, params.sigma, -(mu + params.gamma), 0.0)
-    m[3] = (0.0, 0.0, params.immune_recovery_rate, -params.immune_pole)
-
-    base = variant.base
-    if base in (MatrixVariant.BILINEAR_VIA_S, MatrixVariant.SPLIT_DRAIN_S_GAIN_I):
-        m[0] = (-(mu + foi), 0.0, 0.0, params.omega)
-    else:
-        m[0] = (-mu, 0.0, -contact, params.omega)
-    if base in (MatrixVariant.BILINEAR_VIA_S, MatrixVariant.SPLIT_DRAIN_I_GAIN_S):
-        m[1] = (foi, -(mu + params.sigma), 0.0, 0.0)
-    else:
-        m[1] = (0.0, -(mu + params.sigma), contact, 0.0)
-
-    if variant.includes_birth_term:
-        m[0] += params.nu
-
-    return m
-
-
-def forcing_vector(
-    params: ModelParams, x: StateVec, V: float, variant: MatrixVariant
-) -> np.ndarray:
-    """Input vector paired with a matrix variant.
-
-    Base variants carry the newborn inflow here, (nu*N - nu*N*V, 0, 0, nu*N*V);
-    the _WITH_BIRTH siblings carry it in the matrix, leaving (-nu*N*V, 0, 0,
-    nu*N*V). For V in [0, 1] the base vector is nonnegative.
-    """
-    N = _require_population(x)
-    births = params.nu * N
-    vaccinated = births * V
-    inflow = -vaccinated if variant.includes_birth_term else births - vaccinated
-    return np.array([inflow, 0.0, 0.0, vaccinated])
-
-
-def reconstruct_derivative(
-    params: ModelParams, x: StateVec, V: float, variant: MatrixVariant
-) -> np.ndarray:
-    """Rebuild the vector field as matrix*state + forcing, (dS, dE, dI, dR)."""
-    m = build_matrix(params, x, variant)
-    return m @ np.asarray(x, dtype=float) + forcing_vector(params, x, V, variant)

@@ -28,7 +28,6 @@ from .model import (
     StateVec,
     make_rate_fn,
 )
-from .positivity import ResetEvent, apply_reset
 
 # The benchmark's tracer (perfbench/tracing.py) still looks these five
 # names up on this module and wraps them; nothing calls them. Retargeting
@@ -173,6 +172,32 @@ class Trajectory:
 # integrate derives them once per run after the loop (control._derived_values).
 _RECORDED_CONTROL = ("V_a", "V", "g", "h", "R_star", "dN")
 _ROW = struct.Struct("16d")
+
+
+class ResetEvent(NamedTuple):
+    """One clamped component at a step boundary; index is its position in
+    COMPONENT_NAMES (the field shadows tuple.index)."""
+
+    t: float
+    index: int
+    value_before: float
+
+    @property
+    def component(self) -> str:
+        return COMPONENT_NAMES[self.index]
+
+
+def apply_reset(x: StateVec) -> tuple[StateVec, tuple[tuple[int, float], ...]]:
+    """Clamp finite negative components to exactly zero; a -inf one is
+    left for the run's total to read as a blowup.
+
+    Returns the clamped state and (component index, value before) pairs for
+    each clamped component; no pairs mean nothing fired and x comes back.
+    """
+    clamps = tuple((i, v) for i, v in enumerate(x) if -math.inf < v < 0.0)
+    if not clamps:
+        return x, ()
+    return x._replace(**{x._fields[i]: 0.0 for i, _ in clamps}), clamps
 
 
 def _ending(N: float) -> RunStatus:

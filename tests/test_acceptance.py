@@ -236,7 +236,7 @@ class TestNearFloatCeiling:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="the vector field's incidence beta * S * I / N (model.py:133) overflows "
+        reason="make_rate_fn's incidence beta * S * I / N overflows "
         "to inf at t = 0, as S*I = 1e310, so a run from S = I = 1e155 ends "
         "blowup after one row under either law; spelled beta * (I / N) * S it is finite",
     )

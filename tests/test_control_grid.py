@@ -292,7 +292,7 @@ def test_population_scale_is_equivariant(k):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the vector field's incidence beta * S * I / N (model.py:133) overflows "
+    reason="make_rate_fn's incidence beta * S * I / N overflows "
     "once S*I exceeds 1.8e308: at lam = 2**504 the 57 unit-free combinations end "
     "blowup after one row; build_matrix's beta * (I / N) * S stays finite",
 )

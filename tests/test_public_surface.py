@@ -8,12 +8,17 @@ to be kept.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass
 from importlib import import_module
+from importlib.util import find_spec
 from inspect import signature
 from pathlib import Path
 
 import seirvax
+import seirvax.analysis
 from seirvax.cli import TRAJECTORY_COLUMNS, RunReport
 from seirvax.presets import PresetEntry
 
@@ -107,10 +112,10 @@ RESULT_FIELDS = {
     seirvax.stability.IntegralDiagnostic: (
         "lhs", "rhs", "max_pointwise_residual", "tail_bound",
     ),
-    seirvax.positivity.MetzlerReport: ("min_offdiagonal", "violating_entries"),
-    seirvax.positivity.ResetEvent: ("t", "index", "value_before"),
+    seirvax.analysis.MetzlerReport: ("min_offdiagonal", "violating_entries"),
+    seirvax.sim.ResetEvent: ("t", "index", "value_before"),
     seirvax.sim.SteadyState: ("t_ss", "x_ss"),
-    seirvax.control.TrackingBound: ("case", "R_bar", "ratio", "immune_extinction", "requires"),
+    seirvax.analysis.TrackingBound: ("case", "R_bar", "ratio", "immune_extinction", "requires"),
     PresetEntry: ("description", "scenario"),
     RunReport: ("traj", "steady_state", "integral", "verdicts"),
 }
@@ -231,8 +236,48 @@ def test_positivity_and_integral_analyses_take_only_their_subject():
     for gone in ("monitor_nonnegativity", "NonnegativityReport", "NonUniformGridError",
                  "NotApplicableError"):
         assert gone not in seirvax.__all__, gone
-        for module in (seirvax, seirvax.positivity, seirvax.stability, seirvax.errors):
+        for module in (seirvax, seirvax.analysis, seirvax.stability, seirvax.errors):
             assert not hasattr(module, gone), (module.__name__, gone)
     assert list(signature(seirvax.integral_test).parameters) == ["traj"]
     assert list(signature(seirvax.integral_verdict).parameters) == ["diag"]
     assert list(signature(seirvax.check_metzler).parameters) == ["matrix"]
+    # the Metzler checks moved into seirvax.analysis with the rest of the
+    # analysis apparatus
+    assert find_spec("seirvax.positivity") is None
+    assert not hasattr(seirvax, "positivity")
+
+
+# The paper's analysis apparatus, which no run executes: seirvax exports
+# each name and imports seirvax.analysis on first access to one of them.
+ANALYSIS_NAMES = (
+    "MatrixVariant", "CANONICAL_VARIANT", "build_matrix", "forcing_vector",
+    "reconstruct_derivative", "MetzlerReport", "check_metzler",
+    "metzler_parameter_criterion", "decompose_star", "TrackingCase", "TrackingBound",
+    "tracking_bound", "immune_closed_form", "stationary_tracking_level",
+)
+
+IMPORT_BOUNDARY_CHILD = """
+import sys
+import seirvax
+from seirvax import cli
+assert cli.main(["--preset", "constant-population-check", "--horizon", "1",
+                 "--out", sys.argv[1]]) == 0
+assert "seirvax.analysis" not in sys.modules, "a run imported seirvax.analysis"
+for name in sys.argv[2:]:
+    assert getattr(seirvax, name).__module__ == "seirvax.analysis", name
+assert "seirvax.analysis" in sys.modules
+"""
+
+
+def test_a_run_loads_no_analysis_code(tmp_path):
+    # a fresh interpreter, as this one has imported seirvax.analysis above
+    path = [str(Path(seirvax.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY_CHILD, str(tmp_path), *ANALYSIS_NAMES],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    assert (tmp_path / "trajectory.csv").is_file()
+    assert set(ANALYSIS_NAMES) <= set(seirvax.__all__)
+    assert not hasattr(seirvax, "no_such_name")
