@@ -5,12 +5,14 @@ Core entry points:
     integrate(scenario)               run one scenario (fixed-step RK4)
     build_preset(name)                bundled scenarios
     detect_steady_state(traj)         settled-regime search
-    standard_verdicts(params, diag)   stability profile; each verdict's
+    standard_verdicts(params, integral)
+                                      stability profile; each verdict's
                                       hypothesis_holds is derived from its
                                       conditions, and is False where it
                                       does not apply
-    integral_test(traj)               the run's integral-identity diagnostic,
-                                      None where the identity does not apply
+    integral_test(traj)               the run's T3_integral verdict, not
+                                      applicable where the identity does
+                                      not apply
     make_rate_fn(params)              the vector field, as
                                       rate(S, E, I, R, V) -> (dS, dE, dI, dR)
     build_matrix(params, x, variant)  one of the eight 4x4 factorizations,
@@ -35,14 +37,12 @@ from .errors import (
 from .model import COMPONENT_NAMES, N_FLOOR, ModelParams, StateVec, make_rate_fn
 from .stability import (
     ConditionCheck,
-    IntegralDiagnostic,
     StabilityCriterion,
     StabilityVerdict,
     check_mortality_absorbs_growth,
     check_population_nonincreasing,
     check_unforced_boundedness,
     integral_test,
-    integral_verdict,
     standard_verdicts,
 )
 from .control import (
@@ -80,7 +80,6 @@ __all__ = [
     "ControlSample",
     "DecompositionError",
     "DegenerateProfileError",
-    "IntegralDiagnostic",
     "MatrixVariant",
     "MetzlerReport",
     "ModelParams",
@@ -116,7 +115,6 @@ __all__ = [
     "forcing_vector",
     "immune_closed_form",
     "integral_test",
-    "integral_verdict",
     "integrate",
     "load_scenario",
     "make_rate_fn",

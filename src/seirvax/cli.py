@@ -43,12 +43,7 @@ from .sim import (
     detect_steady_state,
     integrate,
 )
-from .stability import (
-    IntegralDiagnostic,
-    StabilityVerdict,
-    integral_test,
-    standard_verdicts,
-)
+from .stability import StabilityVerdict, integral_test, standard_verdicts
 
 # trajectory.csv's header: the first twelve are Trajectory's attributes of
 # those names, the run's recorded control values among them, reset_flag is
@@ -132,7 +127,7 @@ class RunReport(NamedTuple):
 
     traj: Trajectory
     steady_state: SteadyState
-    integral: IntegralDiagnostic | None
+    integral: StabilityVerdict
     verdicts: tuple[StabilityVerdict, ...]
 
     @property
@@ -155,8 +150,8 @@ class RunReport(NamedTuple):
 def build_run_report(traj: Trajectory) -> RunReport:
     params = traj.scenario.params
     ss = detect_steady_state(traj)
-    diag = integral_test(traj)
-    return RunReport(traj, ss, diag, standard_verdicts(params, diag))
+    integral = integral_test(traj)
+    return RunReport(traj, ss, integral, standard_verdicts(params, integral))
 
 
 def _fmt_state(x: StateVec) -> str:
@@ -262,12 +257,10 @@ def machine_items(rep: RunReport) -> list[tuple[str, str]]:
     for v in rep.verdicts:
         value = ("1" if v.hypothesis_holds else "0") if v.applicable else "na"
         items.append((v.criterion.value, value))
-    if rep.integral is not None:
-        items.append(
-            ("integral_max_pointwise_residual",
-             repr(rep.integral.max_pointwise_residual))
-        )
-        items.append(("integral_consistent", "1" if rep.integral.consistent else "0"))
+    if rep.integral.applicable:
+        pointwise = rep.integral.conditions[0]
+        items.append(("integral_max_pointwise_residual", repr(pointwise.lhs)))
+        items.append(("integral_consistent", "1" if rep.integral.hypothesis_holds else "0"))
     items.append(("identity_max_residual", repr(rep.identity_max_residual)))
     items.append(("reset_count", str(rep.reset_count)))
     if (decay := rep.decay_g) is not None:

@@ -369,7 +369,11 @@ def detect_steady_state(traj: Trajectory) -> SteadyState:
     # every still stretch is the gap between two consecutive moving flags;
     # a flag is not (peak <= tol * N), so a nan peak is moving.
     moving = np.ones(n + 2, dtype=bool)
-    np.less_equal(peak, np.multiply(tol, traj.N, out=column), out=moving[1:-1])
+    # a tol*N past the float range is an infinite threshold, every sample
+    # under it still: the overflow is the answer, not a fault
+    with np.errstate(over="ignore"):
+        np.multiply(tol, traj.N, out=column)
+    np.less_equal(peak, column, out=moving[1:-1])
     np.logical_not(moving[1:-1], out=moving[1:-1])
     # freed before the flag positions, which number up to n + 2
     del peak, column

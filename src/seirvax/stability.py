@@ -1,13 +1,13 @@
-"""Boundedness/stability predicates on the model parameters, plus an
-integral diagnostic that ties the simulated population decay to the
-infectious history.
+"""Boundedness/stability predicates on the model parameters, plus the
+trajectory-level integral check that ties the simulated population decay
+to the infectious history.
 
-Each predicate returns a StabilityVerdict carrying every inequality it
-evaluated, so reports can show exactly which condition failed; whether the
-hypothesis holds is derived from those conditions, never stored. A verdict
-whose standing assumption fails, or that has no run to check, is not
-applicable and never holds. Verdict ids (the enum values) are stable strings
-used in machine-readable output.
+Each predicate, integral_test among them, returns a StabilityVerdict
+carrying every inequality it evaluated, so reports can show exactly which
+condition failed; whether the hypothesis holds is derived from those
+conditions, never stored. A verdict whose standing assumption fails, or
+that has no run to check, is not applicable and never holds. Verdict ids
+(the enum values) are stable strings used in machine-readable output.
 
 The paper states these theorems for admissible rates (all nonnegative, rho
 in [0, 1]). ModelParams refuses any other rate set when it is built, so the
@@ -155,66 +155,37 @@ def check_unforced_boundedness(params: ModelParams, case: int) -> StabilityVerdi
     return StabilityVerdict(criterion=criterion, conditions=tuple(conditions))
 
 
-class IntegralDiagnostic(NamedTuple):
-    """Finite-horizon evaluation of the population/infectious identity.
-
-    The continuous system satisfies, for nu > mu,
-
-        e^{(mu-nu) t} N(t) = N(0) - rho*gamma * int_0^t e^{(mu-nu) tau} I dtau
-
-    exactly. lhs is N(0); rhs the quadrature of the right-hand integral at
-    the horizon; residual = lhs - rhs equals the remaining (undecayed) mass
-    e^{(mu-nu)T} N(T), and should not exceed tail_bound when the run is
-    consistent with boundedness. max_pointwise_residual tracks the identity
-    along the whole trajectory, in absolute population units; consistency
-    compares it against POINTWISE_TOL * N(0). conditions holds the two
-    inequalities; the run is consistent when both are satisfied.
-    """
-
-    lhs: float
-    rhs: float
-    max_pointwise_residual: float
-    tail_bound: float
-
-    @property
-    def residual(self) -> float:
-        return self.lhs - self.rhs
-
-    @property
-    def conditions(self) -> tuple[ConditionCheck, ConditionCheck]:
-        tol_abs = POINTWISE_TOL * self.lhs
-        return (
-            _cond(
-                "max pointwise identity residual <= tol*N(0)",
-                self.max_pointwise_residual, tol_abs,
-                self.max_pointwise_residual <= tol_abs,
-            ),
-            _cond(
-                "|N(0) - integral| <= tail bound + tol*N(0)",
-                abs(self.residual), self.tail_bound + tol_abs,
-                abs(self.residual) <= self.tail_bound + tol_abs,
-            ),
-        )
-
-    @property
-    def consistent(self) -> bool:
-        return all(c.satisfied for c in self.conditions)
+# T3_integral without a run to check, or where the identity does not apply
+_INTEGRAL_NOT_APPLICABLE = StabilityVerdict(
+    criterion=StabilityCriterion.POPULATION_INTEGRAL_IDENTITY,
+    conditions=(),
+    applicable=False,
+    notes=("no trajectory diagnostic available",),
+)
 
 
-def integral_test(traj) -> IntegralDiagnostic | None:
-    """Quadrature check of the population/infectious integral identity.
+def integral_test(traj) -> StabilityVerdict:
+    """The T3_integral verdict: a quadrature check of the identity
+
+        e^{(mu-nu) t} N(t) = N(0) - rho*gamma * int_0^t e^{(mu-nu) tau} I dtau,
+
+    which the continuous system satisfies exactly for nu > mu.
 
     Reads the run's own rates (`traj.scenario.params`) and step (`traj.dt`)
     with its sample times `t`, infectious counts `I` and totals `N`, which
-    lie on the uniform grid t_k = k*dt as every Trajectory's do. Returns
-    None, as the identity does not apply, unless births outpace deaths
-    (nu > mu) and the run recorded at least two samples. Uses trapezoidal
-    quadrature on that grid, with the pointwise tolerance POINTWISE_TOL * N(0).
+    lie on the uniform grid t_k = k*dt as every Trajectory's do. The
+    verdict is not applicable unless births outpace deaths (nu > mu) and
+    the run recorded at least two samples. Uses trapezoidal quadrature on
+    that grid. Its two conditions, with tol = POINTWISE_TOL: the largest
+    pointwise identity residual along the run, in absolute population
+    units, is at most tol*N(0); and the horizon residual |N(0) - integral|,
+    the undecayed mass e^{(mu-nu)T} N(T), is at most the tail bound
+    rho*gamma*max(I)*e^{(mu-nu)T}/(nu - mu) plus tol*N(0).
     """
     params = traj.scenario.params
     t = np.asarray(traj.t, dtype=float)
     if params.nu <= params.mu or t.size < 2:
-        return None
+        return _INTEGRAL_NOT_APPLICABLE
     i_pop = np.asarray(traj.I, dtype=float)
     n_pop = np.asarray(traj.N, dtype=float)
     dt = traj.dt
@@ -244,35 +215,31 @@ def integral_test(traj) -> IntegralDiagnostic | None:
         * float(np.exp((params.mu - params.nu) * float(t[-1])))
         / (params.nu - params.mu)
     )
-    return IntegralDiagnostic(
-        lhs=n0,
-        rhs=rhs,
-        max_pointwise_residual=max_pointwise,
-        tail_bound=tail_bound,
-    )
-
-
-def integral_verdict(diag: IntegralDiagnostic | None) -> StabilityVerdict:
-    """Wrap an IntegralDiagnostic as a verdict; None marks not-applicable."""
-    if diag is None:
-        return StabilityVerdict(
-            criterion=StabilityCriterion.POPULATION_INTEGRAL_IDENTITY,
-            conditions=(),
-            applicable=False,
-            notes=("no trajectory diagnostic available",),
-        )
+    tol_abs = POINTWISE_TOL * n0
+    horizon_residual = abs(n0 - rhs)
     return StabilityVerdict(
         criterion=StabilityCriterion.POPULATION_INTEGRAL_IDENTITY,
-        conditions=diag.conditions,
+        conditions=(
+            _cond(
+                "max pointwise identity residual <= tol*N(0)",
+                max_pointwise, tol_abs, max_pointwise <= tol_abs,
+            ),
+            _cond(
+                "|N(0) - integral| <= tail bound + tol*N(0)",
+                horizon_residual, tail_bound + tol_abs,
+                horizon_residual <= tail_bound + tol_abs,
+            ),
+        ),
     )
 
 
-def standard_verdicts(params: ModelParams, diag: IntegralDiagnostic | None = None):
-    """The five verdicts every report carries, in stable order."""
+def standard_verdicts(params: ModelParams, integral: StabilityVerdict | None = None):
+    """The five verdicts every report carries, in stable order; integral is
+    the run's integral_test verdict, not applicable when there is no run."""
     return (
         check_population_nonincreasing(params),
         check_mortality_absorbs_growth(params),
-        integral_verdict(diag),
+        _INTEGRAL_NOT_APPLICABLE if integral is None else integral,
         check_unforced_boundedness(params, 1),
         check_unforced_boundedness(params, 2),
     )

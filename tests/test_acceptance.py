@@ -125,18 +125,18 @@ class TestPopulationIntegral:
     def test_pointwise_identity_and_quadrature_order(self, preset_runs):
         # criterion 6: trapezoid check of the weighted-population identity
         traj = preset_runs["fig1-no-vaccination"]
-        diag = integral_test(traj)
-        assert diag.max_pointwise_residual / traj.N[0] < 1e-3
-        assert diag.consistent
+        verdict = integral_test(traj)
+        pointwise = verdict.conditions[0]
+        assert pointwise.lhs / traj.N[0] < 1e-3
+        assert verdict.hypothesis_holds
 
         maxima = []
         for dt in (0.04, 0.02):
             coarse = integrate(
                 replace(build_preset("fig1-no-vaccination"), dt=dt)
             )
-            d = integral_test(coarse)
-            maxima.append(d.max_pointwise_residual)
-        maxima.append(diag.max_pointwise_residual)
+            maxima.append(integral_test(coarse).conditions[0].lhs)
+        maxima.append(pointwise.lhs)
         # second-order quadrature: each halving buys at least a factor 2
         assert maxima[0] / maxima[1] >= 2.0
         assert maxima[1] / maxima[2] >= 2.0

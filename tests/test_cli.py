@@ -164,9 +164,9 @@ NUMERIC_SPELLINGS = [
 def sweep_specs(draw):
     """A numeric key (or its _days spelling) and 1-3 values, drawn from the
     edge values and arbitrary floats. The grid keys' arbitrary draws keep a
-    run of a 2-day base to at most 200 steps at dt = 0.1 and 2000 at
-    dt = 0.01; their edge values still reach the non-finite and unstorable
-    grid errors."""
+    run of README's 2-day base at dt = 0.01 to at most 2000 steps and one
+    of a 40-day base at dt = 0.1 to at most 4000; their edge values still
+    reach the non-finite and unstorable grid errors."""
     _, key = draw(st.sampled_from(NUMERIC_SPELLINGS))
     arbitrary = {"horizon": st.floats(max_value=20.0),
                  "dt": st.floats(min_value=0.01)}.get(key, st.floats())
@@ -1138,11 +1138,12 @@ class TestSweep:
     def test_generated_sweep_values_end_in_a_row_each(self, tmp_path, spec):
         # every value runs to a status or fails its own row with one cause
         # line; nothing escapes main (tmp_path is shared: each example
-        # rewrites sweep.csv before reading it)
+        # rewrites sweep.csv before reading it). The base outlasts the
+        # 30-day steady-state window, so its runs reach the window scan.
         key, values = spec
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main(["--preset", "fig2-saturated", "--horizon", "2", "--dt", "0.1",
+            rc = main(["--preset", "fig2-saturated", "--horizon", "40", "--dt", "0.1",
                        "--sweep", f"{key}={','.join(map(repr, values))}",
                        "--out", str(tmp_path)])
         assert rc == 0

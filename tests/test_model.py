@@ -1,4 +1,4 @@
-"""Vector-field, parameter-validation, and matrix-representation tests.
+"""Vector-field and parameter-validation tests.
 
 Hand-computed expected values were derived with exact rational arithmetic
 from the model definitions before being frozen here.
@@ -15,13 +15,9 @@ from seirvax import (
     ModelParams,
     StateVec,
     build_matrix,
-    forcing_vector,
     make_rate_fn,
-    reconstruct_derivative,
 )
 from seirvax.errors import ConfigError, SingularStateError
-
-from conftest import random_state
 
 
 class TestVectorField:
@@ -148,93 +144,3 @@ class TestParamsValidation:
         for variant in MatrixVariant:
             m = build_matrix(params, outbreak_x0, variant)
             assert m[3, 3] == -params.immune_pole
-
-
-class TestMatrixRepresentations:
-    def test_canonical_matrix_frozen_entries(self, params, outbreak_x0):
-        m = build_matrix(params, outbreak_x0, MatrixVariant.SPLIT_DRAIN_S_GAIN_I)
-        expected = np.array([
-            [-0.418921568627451, 0.0, 0.0, 0.06666666666666667],
-            [0.0, -0.4584670231729055, 0.664, 0.0],
-            [0.0, 0.45454545454545453, -0.4584670231729055, 0.0],
-            [0.0, 0.0, 0.4090909090909091, -0.07058823529411765],
-        ])
-        assert isinstance(m, np.ndarray) and m.shape == (4, 4)
-        np.testing.assert_allclose(m, expected, rtol=1e-12, atol=0.0)
-
-    def test_bilinear_attribution_placement(self, params, outbreak_x0):
-        foi = params.beta * outbreak_x0.I / outbreak_x0.N  # 0.415
-        contact = params.beta * outbreak_x0.S / outbreak_x0.N  # 0.664
-        a1 = build_matrix(params, outbreak_x0, MatrixVariant.BILINEAR_VIA_S)
-        a2 = build_matrix(params, outbreak_x0, MatrixVariant.BILINEAR_VIA_I)
-        a3 = build_matrix(params, outbreak_x0, MatrixVariant.SPLIT_DRAIN_I_GAIN_S)
-        # drain in the S column, gain from the S column
-        assert a1[0, 0] == pytest.approx(-(params.mu + foi), rel=1e-14)
-        assert a1[1, 0] == pytest.approx(foi, rel=1e-14)
-        assert a1[0, 2] == 0.0 and a1[1, 2] == 0.0
-        # drain and gain both through the I column
-        assert a2[0, 2] == pytest.approx(-contact, rel=1e-14)
-        assert a2[1, 2] == pytest.approx(contact, rel=1e-14)
-        assert a2[0, 0] == pytest.approx(-params.mu, rel=1e-14)
-        # mixed: drain via I, gain via S
-        assert a3[0, 2] == pytest.approx(-contact, rel=1e-14)
-        assert a3[1, 0] == pytest.approx(foi, rel=1e-14)
-        # infectious and immune rows are shared by all variants
-        np.testing.assert_allclose(a1[2:], a2[2:], rtol=0.0, atol=0.0)
-        np.testing.assert_allclose(a1[2:], a3[2:], rtol=0.0, atol=0.0)
-
-    def test_birth_sibling_is_rank_one_row_shift(self, params, outbreak_x0):
-        for variant in MatrixVariant:
-            if variant.includes_birth_term:
-                continue
-            sibling = MatrixVariant(variant.value + "_0")
-            base = build_matrix(params, outbreak_x0, variant)
-            lifted = build_matrix(params, outbreak_x0, sibling)
-            diff = lifted - base
-            np.testing.assert_allclose(diff[0], params.nu, rtol=1e-14)
-            np.testing.assert_allclose(diff[1:], 0.0, atol=0.0)
-
-    def test_zero_transmission_makes_mixed_variants_metzler(self, outbreak_x0):
-        p = ModelParams(mu=0.01, omega=0.05, beta=0.0, sigma=0.4, gamma=0.4,
-                        rho=0.2, nu=0.005)
-        m = build_matrix(p, outbreak_x0, MatrixVariant.BILINEAR_VIA_I)
-        off = m[~np.eye(4, dtype=bool)]
-        assert off.min() >= 0.0
-
-    def test_representation_equivalence_all_variants(self, params, rng):
-        # every factoring must rebuild the same vector field
-        for _ in range(1000):
-            x = random_state(rng)
-            v = float(rng.uniform(-0.2, 1.2))
-            d = np.array(make_rate_fn(params)(*x, v))
-            scale = np.maximum(1.0, np.abs(d))
-            for variant in MatrixVariant:
-                rebuilt = reconstruct_derivative(params, x, v, variant)
-                assert np.all(np.abs(rebuilt - d) <= 1e-10 * scale)
-
-    def test_birth_sibling_forcing_drops_the_inflow(self, params, outbreak_x0):
-        v = 0.3
-        births = params.nu * outbreak_x0.N
-        for variant in MatrixVariant:
-            if variant.includes_birth_term:
-                continue
-            sibling = MatrixVariant(variant.value + "_0")
-            base = forcing_vector(params, outbreak_x0, v, variant)
-            inside = forcing_vector(params, outbreak_x0, v, sibling)
-            np.testing.assert_allclose(
-                base - inside, [births, 0.0, 0.0, 0.0], rtol=1e-14
-            )
-
-    def test_base_forcing_nonnegative_for_admissible_input(
-        self, params, outbreak_x0
-    ):
-        for v in (0.0, 0.25, 1.0):
-            vec = forcing_vector(params, outbreak_x0, v, sx.CANONICAL_VARIANT)
-            assert vec.min() >= 0.0
-
-    def test_variant_ids_are_stable(self):
-        assert {v.value for v in MatrixVariant} == {
-            "A1", "A2", "A3", "A4", "A1_0", "A2_0", "A3_0", "A4_0"
-        }
-        assert sx.CANONICAL_VARIANT.value == "A4"
-        assert MatrixVariant("A3_0").base is MatrixVariant.SPLIT_DRAIN_I_GAIN_S

@@ -104,14 +104,11 @@ def test_model_records_restate_nothing():
 
 # Every result record: immutable, compared and hashed by value, changed
 # with _replace. RunReport keeps the run and its three analyses, as
-# everything else report.txt shows is read off the run; IntegralDiagnostic
-# stores no derived value; a preset entry holds its scenario.
+# everything else report.txt shows is read off the run; a preset entry
+# holds its scenario.
 RESULT_FIELDS = {
     seirvax.stability.ConditionCheck: ("name", "lhs", "rhs", "satisfied"),
     seirvax.stability.StabilityVerdict: ("criterion", "conditions", "applicable", "notes"),
-    seirvax.stability.IntegralDiagnostic: (
-        "lhs", "rhs", "max_pointwise_residual", "tail_bound",
-    ),
     seirvax.analysis.MetzlerReport: ("min_offdiagonal", "violating_entries"),
     seirvax.sim.ResetEvent: ("t", "index", "value_before"),
     seirvax.sim.SteadyState: ("t_ss", "x_ss"),
@@ -157,13 +154,13 @@ def test_model_params_are_the_seven_rates():
     ]
 
 
-def test_integral_diagnostic_stores_no_derived_value():
-    # residual is lhs - rhs, the pointwise tolerance is POINTWISE_TOL, and
-    # the horizon is the run's last sample time
-    for derived in ("residual", "conditions", "consistent"):
-        assert isinstance(getattr(seirvax.IntegralDiagnostic, derived), property), derived
-    for gone in ("tol", "horizon"):
-        assert not hasattr(seirvax.IntegralDiagnostic, gone), gone
+def test_integral_verdict_stores_no_derived_value():
+    # the integral identity is the T3_integral verdict: whether it holds is
+    # derived from its two conditions, the pointwise tolerance is
+    # POINTWISE_TOL, and the horizon is the run's last sample time
+    assert isinstance(seirvax.StabilityVerdict.hypothesis_holds, property)
+    for gone in ("tol", "horizon", "residual", "consistent"):
+        assert not hasattr(seirvax.StabilityVerdict, gone), gone
 
 
 def test_one_selector_per_controller_behaviour():
@@ -232,14 +229,15 @@ def test_run_columns_share_the_control_sample_names():
 def test_positivity_and_integral_analyses_take_only_their_subject():
     # the run already records states after the reset and carries its own
     # params and step; the Metzler definition is strict; "does not apply"
-    # is a verdict's applicable flag, not an exception
+    # is a verdict's applicable flag, not an exception; the integral
+    # identity is the T3_integral verdict integral_test returns
     for gone in ("monitor_nonnegativity", "NonnegativityReport", "NonUniformGridError",
-                 "NotApplicableError"):
+                 "NotApplicableError", "IntegralDiagnostic", "integral_verdict"):
         assert gone not in seirvax.__all__, gone
         for module in (seirvax, seirvax.analysis, seirvax.stability, seirvax.errors):
             assert not hasattr(module, gone), (module.__name__, gone)
     assert list(signature(seirvax.integral_test).parameters) == ["traj"]
-    assert list(signature(seirvax.integral_verdict).parameters) == ["diag"]
+    assert list(signature(seirvax.standard_verdicts).parameters) == ["params", "integral"]
     assert list(signature(seirvax.check_metzler).parameters) == ["matrix"]
     # the Metzler checks moved into seirvax.analysis with the rest of the
     # analysis apparatus

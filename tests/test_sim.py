@@ -1,5 +1,6 @@
 """Integration engine: grid layout, conservation, truncation statuses,
-steady-state detection, reset handling, and RK4's step-size order."""
+steady-state detection, reset handling and the reset rule itself, and
+RK4's step-size order."""
 
 import re
 from dataclasses import replace
@@ -20,6 +21,7 @@ from seirvax import (
     SteadyState,
     Trajectory,
     VaccinationLaw,
+    apply_reset,
     build_preset,
     detect_steady_state,
     integrate,
@@ -419,6 +421,17 @@ class TestSteadyState:
         assert len(traj) == 11
         assert detect_steady_state(traj) == SteadyState()
 
+    def test_tolerance_past_the_float_range(self):
+        # tol * N overflows to inf: an infinite threshold under which every
+        # sample is still, so the run settles at its first row, and no
+        # overflow warning is raised on the way
+        sc = replace(build_preset("fig2-saturated"), horizon=40.0, dt=0.1,
+                     steady_state_tol=1e308)
+        traj = integrate(sc)
+        assert len(traj) == 401
+        ss = detect_steady_state(traj)
+        assert ss.found and ss.t_ss == 0.0
+
     def test_growing_population_never_settles(self):
         # total population climbs ~0.3% per day, far above the tolerance
         ss = detect_steady_state(integrate(build_preset("immune-decay")))
@@ -595,6 +608,29 @@ class TestResets:
             traj = integrate(build_preset(name))
             assert traj.reset_events == ()
             assert int(traj.reset_counts.sum()) == 0
+
+
+class TestNonnegativityTools:
+    def test_reset_clamps_to_exact_zero(self):
+        x = StateVec(1.0, -0.5, 0.0, -1e-14)
+        cleaned, clamps = apply_reset(x)
+        assert cleaned == StateVec(1.0, 0.0, 0.0, 0.0)
+        assert cleaned.E == 0.0 and cleaned.R == 0.0
+        assert clamps == ((1, -0.5), (3, -1e-14))
+
+    def test_reset_leaves_negative_infinity(self):
+        # only finite negatives are clamped: -inf is no rounding excursion,
+        # and the run's total reads it as a blowup
+        x = StateVec(1.0, -np.inf, -2.0, 0.0)
+        cleaned, clamps = apply_reset(x)
+        assert cleaned == StateVec(1.0, -np.inf, 0.0, 0.0)
+        assert clamps == ((2, -2.0),)
+
+    def test_reset_noop_passthrough(self):
+        x = StateVec(1.0, 0.0, 2.0, 3.0)
+        cleaned, clamps = apply_reset(x)
+        assert cleaned is x
+        assert clamps == ()
 
 
 class TestConvergence:

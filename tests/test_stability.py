@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seirvax import (
-    IntegralDiagnostic,
     MatrixVariant,
     ModelParams,
     StabilityCriterion,
@@ -18,7 +17,6 @@ from seirvax import (
     check_population_nonincreasing,
     check_unforced_boundedness,
     integral_test,
-    integral_verdict,
     metzler_parameter_criterion,
     standard_verdicts,
 )
@@ -114,63 +112,76 @@ class TestUnforcedBoundedness:
             check_unforced_boundedness(params, 3)
 
 
-def _synthetic_unforced_decay(params, horizon=50.0, dt=0.05):
-    """Disease-free closed form: N grows exponentially, I stays zero."""
+def _synthetic_unforced_decay(params, horizon=50.0, dt=0.05, i_const=0.0):
+    """Closed form with a constant infectious count i_const: dN/dt =
+    (nu - mu)N - rho*gamma*i_const from N(0) = 1000. Disease-free (I
+    identically zero) by default, when N grows exponentially."""
     t = np.arange(0.0, horizon + 0.5 * dt, dt)
     n0 = 1000.0
-    n = n0 * np.exp((params.nu - params.mu) * t)
+    growth = np.exp((params.nu - params.mu) * t)
+    n = n0 * growth
+    if i_const:
+        n -= params.rho * params.gamma * i_const * (growth - 1.0) / (params.nu - params.mu)
     return SimpleNamespace(
-        t=t, I=np.zeros_like(t), N=n, dt=dt, scenario=SimpleNamespace(params=params)
+        t=t, I=np.full_like(t, i_const), N=n, dt=dt, scenario=SimpleNamespace(params=params)
     )
+
+
+def _balanced_run(params):
+    """The infectious count whose disease deaths balance the excess births
+    at N = 1000: the total stays put and the run is consistent."""
+    i_const = (params.nu - params.mu) * 1000.0 / (params.rho * params.gamma)
+    return _synthetic_unforced_decay(params, i_const=i_const)
 
 
 class TestIntegralIdentity:
     def test_requires_growing_births(self, params):
-        traj = _synthetic_unforced_decay(replace(params, nu=params.mu))
-        assert integral_test(traj) is None
+        p = replace(params, nu=params.mu)
+        verdict = integral_test(_synthetic_unforced_decay(p))
+        assert verdict == standard_verdicts(p)[2]
+        assert not verdict.applicable and not verdict.hypothesis_holds
 
     def test_requires_two_samples(self, params):
         traj = _synthetic_unforced_decay(params, horizon=0.0)
         assert len(traj.t) == 1
-        assert integral_test(traj) is None
+        assert integral_test(traj) == standard_verdicts(params)[2]
 
     def test_disease_free_growth_is_flagged_inconsistent(self, params):
         # With I identically zero the weighted population is exactly
         # conserved pointwise, yet the horizon residual equals N(0) while
         # the tail bound is zero: unbounded growth is correctly refused.
-        traj = _synthetic_unforced_decay(params)
-        diag = integral_test(traj)
-        assert diag.rhs == 0.0
-        assert diag.max_pointwise_residual == pytest.approx(0.0, abs=1e-9)
-        assert diag.residual == pytest.approx(1000.0, rel=1e-12)
-        assert diag.tail_bound == 0.0
-        assert not diag.consistent
+        verdict = integral_test(_synthetic_unforced_decay(params))
+        assert verdict.applicable and not verdict.hypothesis_holds
+        pointwise, horizon = verdict.conditions
+        assert pointwise.lhs == pytest.approx(0.0, abs=1e-9)
+        assert pointwise.rhs == 1.0 and pointwise.satisfied
+        assert horizon.lhs == pytest.approx(1000.0, rel=1e-12)
+        assert horizon.rhs == 1.0  # tail bound 0 plus tol*N(0)
+        assert not horizon.satisfied
 
-    def test_verdict_from_diagnostic(self, params):
-        diag = IntegralDiagnostic(
-            lhs=1000.0, rhs=990.0,
-            max_pointwise_residual=0.5, tail_bound=50.0,
-        )
-        assert diag.consistent and diag.residual == 10.0
-        verdict = integral_verdict(diag)
+    def test_verdict_from_a_consistent_run(self, params):
+        traj = _balanced_run(params)
+        verdict = integral_test(traj)
         assert verdict.criterion.value == "T3_integral"
         assert verdict.hypothesis_holds and verdict.applicable
-        assert verdict.conditions == diag.conditions
-        pointwise, horizon = diag.conditions
-        assert (pointwise.lhs, pointwise.rhs) == (0.5, 1.0)
-        assert (horizon.lhs, horizon.rhs) == (10.0, 51.0)
-        # either inequality alone breaks consistency and the verdict
-        for broken in (diag._replace(max_pointwise_residual=1.5),
-                       diag._replace(rhs=1051.5)):  # residual -51.5
-            assert not broken.consistent
-            assert not integral_verdict(broken).hypothesis_holds
-
-    def test_verdict_without_diagnostic(self):
-        # no run to check, or the identity does not apply: N/A, nothing judged
-        verdict = integral_verdict(None)
-        assert not verdict.applicable and not verdict.hypothesis_holds
-        assert verdict.conditions == ()
-        assert verdict.notes == ("no trajectory diagnostic available",)
+        assert verdict.notes == ()
+        pointwise, horizon = verdict.conditions
+        assert pointwise.name == "max pointwise identity residual <= tol*N(0)"
+        assert horizon.name == "|N(0) - integral| <= tail bound + tol*N(0)"
+        assert pointwise.lhs < 1e-6 and pointwise.rhs == 1.0
+        # the horizon residual is the undecayed mass 1000 e^{(mu-nu)T}, and
+        # at the balancing I the tail bound equals it
+        mass = 1000.0 * np.exp((params.mu - params.nu) * traj.t[-1])
+        assert horizon.lhs == pytest.approx(mass, rel=1e-6)
+        assert horizon.rhs == pytest.approx(mass + 1.0, rel=1e-12)
+        # either inequality alone breaks the verdict: a pointwise excursion
+        # of 2 people one step in, then the disease-free run above
+        traj.N[1] += 2.0
+        pointwise, horizon = integral_test(traj).conditions
+        assert not pointwise.satisfied and horizon.satisfied
+        assert not integral_test(traj).hypothesis_holds
+        pointwise, horizon = integral_test(_synthetic_unforced_decay(params)).conditions
+        assert pointwise.satisfied and not horizon.satisfied
 
 
 class TestStandardVerdicts:
@@ -182,29 +193,27 @@ class TestStandardVerdicts:
         for v in verdicts:
             assert isinstance(v.title, str) and v.title
 
-    def test_diagnostic_threaded_through(self, params):
-        diag = IntegralDiagnostic(
-            lhs=1.0, rhs=1.0,
-            max_pointwise_residual=0.0, tail_bound=1.0,
-        )
-        verdicts = standard_verdicts(params, diag)
-        assert verdicts[2].hypothesis_holds
+    def test_no_run_is_not_applicable(self, params):
+        # no run to check: N/A, nothing judged
+        verdict = standard_verdicts(params)[2]
+        assert not verdict.applicable and not verdict.hypothesis_holds
+        assert verdict.conditions == ()
+        assert verdict.notes == ("no trajectory diagnostic available",)
+
+    def test_integral_verdict_threaded_through(self, params):
+        integral = integral_test(_balanced_run(params))
+        verdicts = standard_verdicts(params, integral)
+        assert verdicts[2] is integral and verdicts[2].hypothesis_holds
 
     def test_hypothesis_holds_is_all_conditions(self, params):
-        diags = (
+        integrals = (
             None,
-            IntegralDiagnostic(
-                lhs=1.0, rhs=1.0,
-                max_pointwise_residual=0.0, tail_bound=1.0,
-            ),
-            IntegralDiagnostic(
-                lhs=1.0, rhs=0.0,
-                max_pointwise_residual=0.0, tail_bound=0.0,
-            ),
+            integral_test(_balanced_run(params)),
+            integral_test(_synthetic_unforced_decay(params)),
         )
         for p in (params, replace(params, nu=params.mu), replace(params, mu=0.0)):
-            for diag in diags:
-                for v in standard_verdicts(p, diag):
+            for integral in integrals:
+                for v in standard_verdicts(p, integral):
                     assert v.hypothesis_holds == (
                         v.applicable and all(c.satisfied for c in v.conditions)
                     ), v.criterion
