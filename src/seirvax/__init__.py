@@ -19,12 +19,15 @@ Core entry points:
                                       as a bare ndarray
     control_sample(cfg, params, ...)  the feedback law at one state and time:
                                       every control value a recorded row holds
+    load_scenario(path)               a scenario file, unresolved
 
 The run modules hold what a simulation executes. The paper's analysis
 apparatus (the factorizations such as build_matrix, the Metzler checks,
-decompose_star, the tracking bounds and the closed forms) lives in
-seirvax.analysis; its names import from here too, and the first access to
-one of them imports that module.
+decompose_star, the tracking bounds, the closed forms and the single-sample
+controller control_sample with its ControlSample record) lives in
+seirvax.analysis, and scenario-file parsing (load_scenario) in
+seirvax.config. Their names import from here too, and the first access to
+one of them imports its module: a preset run loads neither.
 """
 
 from .errors import (
@@ -47,11 +50,9 @@ from .stability import (
 )
 from .control import (
     ControlConfig,
-    ControlSample,
     ModulationFamily,
     ReferenceProfile,
     VaccinationLaw,
-    control_sample,
     decay_design_g_ceiling,
 )
 from .sim import (
@@ -66,7 +67,6 @@ from .sim import (
     integrate,
 )
 from .presets import BASELINE_PARAMS, PRESETS, build_preset, preset_names
-from .config import load_scenario
 
 __version__ = "0.1.0"
 
@@ -129,9 +129,14 @@ __all__ = [
 
 
 def __getattr__(name):
-    # every exported name not bound above is the paper's analysis apparatus
-    # (factorizations, Metzler checks, tracking bounds, closed forms): no run
-    # reads it, so seirvax.analysis is imported on first access, not here
+    # every exported name not bound above is read by no preset run, so its
+    # module is imported on first access, not here: load_scenario parses
+    # scenario files (seirvax.config, with configparser), and the rest is
+    # the paper's analysis apparatus (seirvax.analysis)
+    if name == "load_scenario":
+        from .config import load_scenario
+
+        return load_scenario
     if name in __all__:
         from . import analysis
 

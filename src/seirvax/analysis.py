@@ -1,10 +1,11 @@
 """The paper's analysis apparatus: factorizations, Metzler checks, the
-constant/varying split, tracking bounds and closed forms.
+constant/varying split, tracking bounds, closed forms and the
+single-sample controller.
 
 No run executes any of it: a simulation, the CLI and the benchmark read
-only the run modules (model, control, sim, stability, presets, config,
-cli), and none of them imports this one. ``seirvax`` re-exports every
-name here and imports this module on first access to one of them.
+only the run modules (model, control, sim, stability, presets, cli), and
+none of them imports this one. ``seirvax`` re-exports every name here and
+imports this module on first access to one of them.
 
 build_matrix and forcing_vector factor the vector field ``make_rate_fn``
 (model.py) as a bare 4x4 matrix times the state plus an input vector,
@@ -20,7 +21,8 @@ set outside the paper's standing assumptions. The reset rule that clamps
 negative populations is run code and lives in sim.py.
 
 tracking_bound, immune_closed_form and stationary_tracking_level are the
-controller's closed forms (control.py holds the controller itself).
+controller's closed forms (control.py holds the controller itself), and
+control_sample evaluates that controller at one state and time.
 """
 
 from __future__ import annotations
@@ -30,9 +32,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .control import ControlConfig, _decay_gap
-from .errors import ConfigError, DecompositionError
-from .model import ModelParams, StateVec, _require_population
+from .control import ControlConfig, _decay_gap, _derived_values, boundary_fn
+from .errors import ConfigError, DecompositionError, SingularStateError
+from .model import N_FLOOR, ModelParams, StateVec
+
+
+def _require_population(x) -> float:
+    S, E, I, R = x
+    N = S + E + I + R
+    if not N > N_FLOOR:
+        raise SingularStateError(N, N_FLOOR)
+    return N
 
 
 class MatrixVariant(enum.Enum):
@@ -337,3 +347,48 @@ def stationary_tracking_level(cfg: ControlConfig, params: ModelParams, N: float)
     """
     cfg = cfg.validated(params)
     return cfg.eps0 * N / _decay_gap(cfg, params)
+
+
+# ---------------------------------------------------------------------------
+# Single samples: control_sample evaluates the whole law at one state and
+# time, the switched design's g on the branch that state selects included.
+
+class ControlSample(NamedTuple):
+    """One evaluated control instant: the ten values a step boundary
+    composes, then the derived three. A run records nine of the 13."""
+
+    V_a: float
+    V: float
+    g: float
+    h: float
+    h_dot: float
+    R_star: float
+    R_star_dot: float
+    K_N: float
+    K_I: float
+    dN: float
+    theta0: bool
+    theta1: bool
+    identity_residual: float
+
+
+def control_sample(
+    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, r0: float,
+    negative: bool = False,
+) -> ControlSample:
+    """The controller at one sample: the ``boundary_fn`` closure that
+    ``integrate`` calls at each step boundary, called once.
+
+    x is the (post-reset) state at time t >= 0, r0 the initial immune count
+    and negative whether some component was < 0 before the reset. The ten
+    composed values are followed by ``_derived_values``: the indicators and
+    the identity residual. On a run's own samples the result equals the
+    recorded row bit for bit.
+    """
+    cfg = cfg.validated(params)
+    if not t >= 0.0:
+        raise ValueError(f"t must be >= 0, got {t!r}")
+    N = _require_population(x)
+    values = boundary_fn(cfg, params, r0)(t, N, x.I, negative)
+    theta0, theta1, residual = _derived_values(cfg, params, N, values[0], values[2])
+    return ControlSample(*values, theta0, theta1, float(residual))

@@ -8,6 +8,10 @@ machine-readable key=value block.
 Exit codes: 0 clean run, 2 configuration problem (or any other package
 error, or an output that cannot be written), 3 population went extinct,
 4 numeric blowup.
+
+Scenario files and numeric overrides (--config, --dt, --horizon, --sweep)
+import seirvax.config where they are read: a preset run loads no
+scenario-file parser.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from typing import NamedTuple
 import numpy as np
 import orjson
 
-from .config import load_scenario, numeric_key, with_numeric
 from .control import (
     ModulationFamily,
     VaccinationLaw,
@@ -43,7 +46,12 @@ from .sim import (
     detect_steady_state,
     integrate,
 )
-from .stability import StabilityVerdict, integral_test, standard_verdicts
+from .stability import (
+    StabilityCriterion,
+    StabilityVerdict,
+    integral_test,
+    standard_verdicts,
+)
 
 # trajectory.csv's header: the first twelve are Trajectory's attributes of
 # those names, the run's recorded control values among them, reset_flag is
@@ -121,14 +129,22 @@ def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
 
 
 class RunReport(NamedTuple):
-    """Everything report.txt is rendered from: the run and its three
-    analyses. Name, status, grid, tolerance and terminal state are read off
-    the run and its scenario."""
+    """Everything report.txt is rendered from: the run and its two
+    analyses, the steady state and the stability profile, whose T3_integral
+    verdict is the run's integral identity. Name, status, grid, tolerance
+    and terminal state are read off the run and its scenario."""
 
     traj: Trajectory
     steady_state: SteadyState
-    integral: StabilityVerdict
     verdicts: tuple[StabilityVerdict, ...]
+
+    @property
+    def integral(self) -> StabilityVerdict:
+        """The run's T3_integral verdict, picked out of verdicts."""
+        return next(
+            v for v in self.verdicts
+            if v.criterion is StabilityCriterion.POPULATION_INTEGRAL_IDENTITY
+        )
 
     @property
     def identity_max_residual(self) -> float:
@@ -148,10 +164,8 @@ class RunReport(NamedTuple):
 
 
 def build_run_report(traj: Trajectory) -> RunReport:
-    params = traj.scenario.params
     ss = detect_steady_state(traj)
-    integral = integral_test(traj)
-    return RunReport(traj, ss, integral, standard_verdicts(params, integral))
+    return RunReport(traj, ss, standard_verdicts(traj.scenario.params, integral_test(traj)))
 
 
 def _fmt_state(x: StateVec) -> str:
@@ -257,10 +271,10 @@ def machine_items(rep: RunReport) -> list[tuple[str, str]]:
     for v in rep.verdicts:
         value = ("1" if v.hypothesis_holds else "0") if v.applicable else "na"
         items.append((v.criterion.value, value))
-    if rep.integral.applicable:
-        pointwise = rep.integral.conditions[0]
+    if (integral := rep.integral).applicable:
+        pointwise = integral.conditions[0]
         items.append(("integral_max_pointwise_residual", repr(pointwise.lhs)))
-        items.append(("integral_consistent", "1" if rep.integral.hypothesis_holds else "0"))
+        items.append(("integral_consistent", "1" if integral.hypothesis_holds else "0"))
     items.append(("identity_max_residual", repr(rep.identity_max_residual)))
     items.append(("reset_count", str(rep.reset_count)))
     if (decay := rep.decay_g) is not None:
@@ -293,12 +307,20 @@ def parse_sweep_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     return key, values
 
 
-# perfbench's sweep workload sets its values under this name
-apply_sweep_value = with_numeric
+def __getattr__(name):
+    # perfbench's sweep workload sets its values under this name; it is
+    # config.with_numeric itself, and config loads on first use
+    if name == "apply_sweep_value":
+        from .config import with_numeric
+
+        return with_numeric
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
     """One sweep.csv row; its cells are the run's [machine] values."""
+    from .config import with_numeric
+
     try:
         traj = integrate(with_numeric(scenario, key, value))
         rep = build_run_report(traj)
@@ -312,6 +334,8 @@ def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
 def run_sweep(scenario: ScenarioConfig, spec: str, arg_out: str | None) -> Path:
     """One run per grid value, merged in grid order; failures become rows.
     A bad spec is refused before the output directory is made."""
+    from .config import numeric_key
+
     key, values = parse_sweep_spec(spec)
     numeric_key(key)  # reject an unknown key before any run starts
     path = _resolve_out_dir(arg_out) / "sweep.csv"
@@ -366,11 +390,15 @@ def _load_base_scenario(args) -> ScenarioConfig:
     if args.preset:
         scenario = build_preset(args.preset)
     elif args.config:
+        from .config import load_scenario
+
         scenario = load_scenario(args.config)
     else:
         raise ConfigError("nothing to run: give --preset or --config (or --list-presets)")
     for key in ("dt", "horizon"):
         if (value := getattr(args, key)) is not None:
+            from .config import with_numeric
+
             scenario = with_numeric(scenario, key, value)
     if args.law is not None:
         scenario = replace(

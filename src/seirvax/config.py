@@ -129,6 +129,10 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"malformed config {path}: {folded}") from exc
 
     extra = set(parser.sections()) - _NUMERIC_KEYS.keys()
+    # configparser copies [DEFAULT]'s keys into every section, where each
+    # would be blamed on a section the file never wrote it in
+    if parser.defaults():
+        extra.add(parser.default_section)
     if extra:
         raise ConfigError(f"unknown section(s): {', '.join(sorted(extra))}")
     if "params" not in parser:

@@ -15,8 +15,9 @@ Family/profile selector values ("eq33b", "section7", ...) are stable ids
 used in config files and reports; the Python names describe behavior.
 
 The design's closed forms (tracking_bound with its TrackingCase and
-TrackingBound, immune_closed_form, stationary_tracking_level) are analysis,
-not run code: they live in seirvax.analysis.
+TrackingBound, immune_closed_form, stationary_tracking_level) and the
+single-sample controller (control_sample and its ControlSample record) are
+analysis, not run code: they live in seirvax.analysis.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateProfileError
-from .model import ModelParams, StateVec, _require_population
+from .model import ModelParams
 
 
 class VaccinationLaw(enum.Enum):
@@ -198,31 +198,12 @@ def _decay_gap(cfg: ControlConfig, params: ModelParams) -> float:
     return vartheta - pole
 
 
-class ControlSample(NamedTuple):
-    """One evaluated control instant: the ten values a step boundary
-    composes, then the derived three. A run records nine of the 13."""
-
-    V_a: float
-    V: float
-    g: float
-    h: float
-    h_dot: float
-    R_star: float
-    R_star_dot: float
-    K_N: float
-    K_I: float
-    dN: float
-    theta0: bool
-    theta1: bool
-    identity_residual: float
-
-
 # ---------------------------------------------------------------------------
 # Per-family pieces. Each resolves its selector and constants once and
 # returns a plain-float function; boundary_fn composes the profile and the
 # modulation with the population rate, the gains and the law into the one
-# closure that integrate calls at each step boundary and control_sample
-# calls for one sample. Each takes a validated config, so the guards in
+# closure that integrate calls at each step boundary and
+# seirvax.analysis.control_sample calls for one sample. Each takes a validated config, so the guards in
 # validated() hold here.
 
 def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
@@ -352,7 +333,7 @@ def boundary_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     The values come in row order, (V_a, V, g, h, h_dot, R_star, R_star_dot,
     K_N, K_I, dN), for a validated config and the run's initial immune
     count r0; ``integrate`` calls the closure at every boundary and
-    ``control_sample`` at one sample. It composes the population rate
+    ``seirvax.analysis.control_sample`` at one sample. It composes the population rate
     dN = (nu - mu)*N - rho*gamma*I, the profile's h and h_dot, the
     reference R_star = h*N with its product rule R_star_dot = h_dot*N +
     h*dN, the modulation (g = 0 under the NONE law, the configured family
@@ -455,32 +436,6 @@ def _derived_values(cfg: ControlConfig, params: ModelParams, N, V_a, g):
             np.equal(scale, 0.0, out=mask)
             np.copyto(residual, 0.0, where=mask)
     return V_a < 0.0, V_a > 1.0, residual
-
-
-# ---------------------------------------------------------------------------
-# Single samples: control_sample evaluates the whole law at one state and
-# time, the switched design's g on the branch that state selects included.
-
-def control_sample(
-    cfg: ControlConfig, params: ModelParams, t: float, x: StateVec, r0: float,
-    negative: bool = False,
-) -> ControlSample:
-    """The controller at one sample: the ``boundary_fn`` closure that
-    ``integrate`` calls at each step boundary, called once.
-
-    x is the (post-reset) state at time t >= 0, r0 the initial immune count
-    and negative whether some component was < 0 before the reset. The ten
-    composed values are followed by ``_derived_values``: the indicators and
-    the identity residual. On a run's own samples the result equals the
-    recorded row bit for bit.
-    """
-    cfg = cfg.validated(params)
-    if not t >= 0.0:
-        raise ValueError(f"t must be >= 0, got {t!r}")
-    N = _require_population(x)
-    values = boundary_fn(cfg, params, r0)(t, N, x.I, negative)
-    theta0, theta1, residual = _derived_values(cfg, params, N, values[0], values[2])
-    return ControlSample(*values, theta0, theta1, float(residual))
 
 
 def decay_design_g_ceiling(cfg: ControlConfig, params: ModelParams) -> float:

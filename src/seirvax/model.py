@@ -92,14 +92,6 @@ class ModelParams:
         return self.mu + self.omega
 
 
-def _require_population(x) -> float:
-    S, E, I, R = x
-    N = S + E + I + R
-    if not N > N_FLOOR:
-        raise SingularStateError(N, N_FLOOR)
-    return N
-
-
 def make_rate_fn(params: ModelParams):
     """The vaccinated SEIR vector field, as a plain-float closure.
 

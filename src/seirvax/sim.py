@@ -106,10 +106,11 @@ class Trajectory:
 
     states[k] is the state the step was taken from (post-reset) and N[k]
     its total, and all control columns were evaluated on exactly that
-    state at t[k]. The control columns are nine of ControlSample's 13
-    fields, in its order and under its names, which trajectory.csv's
-    header shares. status explains early truncation. A run compares and
-    hashes by identity, as its columns are arrays.
+    state at t[k]. The control columns are nine of the 13 fields of
+    seirvax.analysis.ControlSample, in its order and under its names,
+    which trajectory.csv's header shares. status explains early
+    truncation. A run compares and hashes by identity, as its columns are
+    arrays.
     """
 
     scenario: ScenarioConfig
@@ -222,8 +223,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
 
     Each boundary calls the run's ``boundary_fn`` closure for its ten
     control values and packs the six it records, with t, the state, N and
-    its rates, straight into the run's table; ``control_sample`` calls the
-    same closure for one sample, so ``control_sample(cfg, params, t[k],
+    its rates, straight into the run's table; ``control_sample``
+    (seirvax.analysis) calls the same closure for one sample, so ``control_sample(cfg, params, t[k],
     state(k), r0, reset_counts[k] > 0)`` gives row k's 13 values, h_dot,
     R_star_dot, K_N and K_I included. The control columns are table views.
     """

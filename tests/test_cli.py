@@ -504,6 +504,10 @@ class TestConfigFiles:
          "not both"),
         (lambda s: s.replace("law = saturated", "law = sideways"), "allowed"),
         (lambda s: s.replace("rho = 0.1", "rho = 0.1\ndt = 0.01"), "belongs in"),
+        # configparser copies [DEFAULT]'s keys into every section, where each
+        # would be blamed on [params], a section the file never wrote it in
+        (lambda s: "[DEFAULT]\ndt = 0.1\n\n" + s, "unknown section(s): DEFAULT"),
+        (lambda s: "[DEFAULT]\nK_R = 2\n\n" + s, "unknown section(s): DEFAULT"),
     ])
     def test_rejected_configs(self, tmp_path, capsys, mangle, needle):
         path = write_ini(tmp_path, mangle(BASE_INI))

@@ -103,9 +103,9 @@ def test_model_records_restate_nothing():
 
 
 # Every result record: immutable, compared and hashed by value, changed
-# with _replace. RunReport keeps the run and its three analyses, as
-# everything else report.txt shows is read off the run; a preset entry
-# holds its scenario.
+# with _replace. RunReport keeps the run and its two analyses, as
+# everything else report.txt shows is read off the run (its integral
+# verdict is one of the verdicts); a preset entry holds its scenario.
 RESULT_FIELDS = {
     seirvax.stability.ConditionCheck: ("name", "lhs", "rhs", "satisfied"),
     seirvax.stability.StabilityVerdict: ("criterion", "conditions", "applicable", "notes"),
@@ -114,7 +114,7 @@ RESULT_FIELDS = {
     seirvax.sim.SteadyState: ("t_ss", "x_ss"),
     seirvax.analysis.TrackingBound: ("case", "R_bar", "ratio", "immune_extinction", "requires"),
     PresetEntry: ("description", "scenario"),
-    RunReport: ("traj", "steady_state", "integral", "verdicts"),
+    RunReport: ("traj", "steady_state", "verdicts"),
 }
 
 
@@ -252,6 +252,7 @@ ANALYSIS_NAMES = (
     "reconstruct_derivative", "MetzlerReport", "check_metzler",
     "metzler_parameter_criterion", "decompose_star", "TrackingCase", "TrackingBound",
     "tracking_bound", "immune_closed_form", "stationary_tracking_level",
+    "ControlSample", "control_sample",
 )
 
 IMPORT_BOUNDARY_CHILD = """
@@ -267,15 +268,42 @@ assert "seirvax.analysis" in sys.modules
 """
 
 
-def test_a_run_loads_no_analysis_code(tmp_path):
+# A preset run with no override reads no scenario file and sets no numeric
+# key: it loads neither seirvax.config nor configparser, and the names that
+# read them resolve on first access.
+PRESET_RUN_CHILD = """
+import sys
+import seirvax
+from seirvax import cli
+assert cli.main(["--preset", "constant-population-check", "--out", sys.argv[1]]) == 0
+for module in ("seirvax.config", "configparser", "seirvax.analysis"):
+    assert module not in sys.modules, f"a preset run imported {module}"
+assert seirvax.load_scenario.__module__ == "seirvax.config"
+import seirvax.config
+assert cli.apply_sweep_value is seirvax.config.with_numeric
+"""
+
+
+def _run_child(script: str, *args: str) -> None:
     # a fresh interpreter, as this one has imported seirvax.analysis above
     path = [str(Path(seirvax.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     child = subprocess.run(
-        [sys.executable, "-c", IMPORT_BOUNDARY_CHILD, str(tmp_path), *ANALYSIS_NAMES],
+        [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120, check=False,
     )
     assert child.returncode == 0, child.stderr
+
+
+def test_a_run_loads_no_analysis_code(tmp_path):
+    _run_child(IMPORT_BOUNDARY_CHILD, str(tmp_path), *ANALYSIS_NAMES)
     assert (tmp_path / "trajectory.csv").is_file()
     assert set(ANALYSIS_NAMES) <= set(seirvax.__all__)
     assert not hasattr(seirvax, "no_such_name")
+
+
+def test_a_preset_run_loads_no_scenario_file_parser(tmp_path):
+    _run_child(PRESET_RUN_CHILD, str(tmp_path))
+    assert (tmp_path / "trajectory.csv").is_file()
+    assert "load_scenario" in seirvax.__all__
+    assert not hasattr(seirvax.cli, "no_such_name")
