@@ -26,8 +26,10 @@ apparatus (the factorizations such as build_matrix, the Metzler checks,
 decompose_star, the tracking bounds, the closed forms and the single-sample
 controller control_sample with its ControlSample record) lives in
 seirvax.analysis, and scenario-file parsing (load_scenario) in
-seirvax.config. Their names import from here too, and the first access to
-one of them imports its module: a preset run loads neither.
+seirvax.config; the numeric key table it reads sits beside ScenarioConfig
+in seirvax.sim. Their names import from here too, and the first access to
+one of them imports its module: no run loads seirvax.analysis, and only a
+scenario file loads seirvax.config.
 """
 
 from .errors import (

@@ -9,9 +9,9 @@ Exit codes: 0 clean run, 2 configuration problem (or any other package
 error, or an output that cannot be written), 3 population went extinct,
 4 numeric blowup.
 
-Scenario files and numeric overrides (--config, --dt, --horizon, --sweep)
-import seirvax.config where they are read: a preset run loads no
-scenario-file parser.
+Numeric overrides (--dt, --horizon, --sweep) set keys through the table
+beside ScenarioConfig in seirvax.sim; only --config imports seirvax.config,
+so no other run loads a scenario-file parser.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .sim import (
     Trajectory,
     detect_steady_state,
     integrate,
+    numeric_key,
+    with_numeric,
 )
 from .stability import (
     StabilityCriterion,
@@ -307,20 +309,14 @@ def parse_sweep_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     return key, values
 
 
-def __getattr__(name):
-    # perfbench's sweep workload sets its values under this name; it is
-    # config.with_numeric itself, and config loads on first use
-    if name == "apply_sweep_value":
-        from .config import with_numeric
-
-        return with_numeric
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# perfbench's sweep workload sets its values under this name
+apply_sweep_value = with_numeric
 
 
+# run_sweep and _sweep_row stay cli globals: perfbench's traced sweep wraps
+# cli._sweep_row and cli.integrate, and CI's traced check reads their spans.
 def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
     """One sweep.csv row; its cells are the run's [machine] values."""
-    from .config import with_numeric
-
     try:
         traj = integrate(with_numeric(scenario, key, value))
         rep = build_run_report(traj)
@@ -334,8 +330,6 @@ def _sweep_row(key: str, value: float, scenario: ScenarioConfig) -> list[str]:
 def run_sweep(scenario: ScenarioConfig, spec: str, arg_out: str | None) -> Path:
     """One run per grid value, merged in grid order; failures become rows.
     A bad spec is refused before the output directory is made."""
-    from .config import numeric_key
-
     key, values = parse_sweep_spec(spec)
     numeric_key(key)  # reject an unknown key before any run starts
     path = _resolve_out_dir(arg_out) / "sweep.csv"
@@ -397,8 +391,6 @@ def _load_base_scenario(args) -> ScenarioConfig:
         raise ConfigError("nothing to run: give --preset or --config (or --list-presets)")
     for key in ("dt", "horizon"):
         if (value := getattr(args, key)) is not None:
-            from .config import with_numeric
-
             scenario = with_numeric(scenario, key, value)
     if args.law is not None:
         scenario = replace(

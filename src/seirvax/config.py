@@ -1,17 +1,17 @@
-"""Plain-text scenario files, and the numeric keys they share with --sweep.
+"""Plain-text scenario files: INI-style sections [params], [control],
+[scenario].
 
-INI-style sections [params], [control], [scenario]. The numeric keys are
-one table (``_NUMERIC_KEYS``) that scenario files and ``--sweep`` both
-read; each rate and the settling constant c also accept a ``_days``
-variant giving the mean period instead (mu_days=255 means mu = 1/255).
-Unknown sections or keys are errors so typos cannot silently fall back
-to defaults.
+Each numeric key is read through the key table beside ScenarioConfig in
+seirvax.sim, which --sweep, --dt and --horizon read too; each rate and the
+settling constant c also accept a ``_days`` variant giving the mean period
+instead (mu_days=255 means mu = 1/255). Unknown sections or keys are errors
+so typos cannot silently fall back to defaults. Only --config and
+load_scenario import this module, and configparser with it.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import replace
 from pathlib import Path
 
 from .control import (
@@ -22,57 +22,11 @@ from .control import (
 )
 from .errors import ConfigError
 from .model import ModelParams, StateVec
-from .sim import ScenarioConfig
+from .sim import _NUMERIC_KEYS, _PERIOD_KEYS, ScenarioConfig, _numeric_setting, numeric_key
 
-# Every numeric key a scenario file or --sweep may set, grouped by the
-# section (and the ScenarioConfig field) it sets.
-_NUMERIC_KEYS = {
-    "params": ("mu", "omega", "beta", "sigma", "gamma", "rho", "nu"),
-    "control": ("K_R", "K_Rd", "eps", "eps0", "vartheta", "c"),
-    "scenario": ("horizon", "dt", "steady_state_tol"),
-}
-# Keys that also take their mean period: KEY_days = D sets KEY = 1/D.
-_PERIOD_KEYS = ("mu", "omega", "beta", "sigma", "gamma", "nu", "c")
 _ENUM_KEYS = {
     "law": VaccinationLaw, "g_family": ModulationFamily, "h_family": ReferenceProfile,
 }
-
-
-def numeric_key(key: str) -> tuple[str, str]:
-    """(section, field) that a numeric key sets; KEY_days sets KEY.
-
-    Needs no value, so a caller can reject a key before any run starts.
-    """
-    field = key.removesuffix("_days")
-    if field == key or field in _PERIOD_KEYS:
-        for section, fields in _NUMERIC_KEYS.items():
-            if field in fields:
-                return section, field
-    known = " ".join(k for fields in _NUMERIC_KEYS.values() for k in fields)
-    raise ConfigError(
-        f"unknown key {key!r}; numeric keys: {known} "
-        f"(and KEY_days for {' '.join(_PERIOD_KEYS)})"
-    )
-
-
-def _numeric_setting(key: str, value: float) -> tuple[str, str, float]:
-    """(section, field, value) that one numeric key sets: KEY_days = D
-    sets KEY = 1/D, and D = 0 is rejected."""
-    section, field = numeric_key(key)
-    if field != key:
-        if value == 0.0:
-            raise ConfigError(f"{key} must be nonzero")
-        value = 1.0 / value
-    return section, field, value
-
-
-def with_numeric(scenario: ScenarioConfig, key: str, value: float) -> ScenarioConfig:
-    """scenario with one numeric key set to value."""
-    section, field, value = _numeric_setting(key, value)
-    if section == "scenario":
-        return replace(scenario, **{field: value})
-    target = replace(getattr(scenario, section), **{field: value})
-    return replace(scenario, **{section: target})
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:

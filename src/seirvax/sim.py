@@ -7,6 +7,9 @@ values line up exactly with recorded samples. Finite negative components
 are clamped to zero at every boundary before its total is summed; under
 the clamped law these resets never fire in practice, under the unclamped
 law they are the positivity mechanism.
+
+The numeric key table (numeric_key, with_numeric) sits beside ScenarioConfig,
+whose fields it sets: --sweep, --dt, --horizon and scenario files all read it.
 """
 
 from __future__ import annotations
@@ -98,6 +101,54 @@ class ScenarioConfig:
 
     def step_count(self) -> int:
         return max(1, int(round(self.horizon / self.dt)))
+
+
+# Every numeric key a scenario file or --sweep may set, grouped by the
+# section (and the ScenarioConfig field) it sets.
+_NUMERIC_KEYS = {
+    "params": ("mu", "omega", "beta", "sigma", "gamma", "rho", "nu"),
+    "control": ("K_R", "K_Rd", "eps", "eps0", "vartheta", "c"),
+    "scenario": ("horizon", "dt", "steady_state_tol"),
+}
+# Keys that also take their mean period: KEY_days = D sets KEY = 1/D.
+_PERIOD_KEYS = ("mu", "omega", "beta", "sigma", "gamma", "nu", "c")
+
+
+def numeric_key(key: str) -> tuple[str, str]:
+    """(section, field) that a numeric key sets; KEY_days sets KEY.
+
+    Needs no value, so a caller can reject a key before any run starts.
+    """
+    field = key.removesuffix("_days")
+    if field == key or field in _PERIOD_KEYS:
+        for section, fields in _NUMERIC_KEYS.items():
+            if field in fields:
+                return section, field
+    known = " ".join(k for fields in _NUMERIC_KEYS.values() for k in fields)
+    raise ConfigError(
+        f"unknown key {key!r}; numeric keys: {known} "
+        f"(and KEY_days for {' '.join(_PERIOD_KEYS)})"
+    )
+
+
+def _numeric_setting(key: str, value: float) -> tuple[str, str, float]:
+    """(section, field, value) that one numeric key sets: KEY_days = D
+    sets KEY = 1/D, and D = 0 is rejected."""
+    section, field = numeric_key(key)
+    if field != key:
+        if value == 0.0:
+            raise ConfigError(f"{key} must be nonzero")
+        value = 1.0 / value
+    return section, field, value
+
+
+def with_numeric(scenario: ScenarioConfig, key: str, value: float) -> ScenarioConfig:
+    """scenario with one numeric key set to value."""
+    section, field, value = _numeric_setting(key, value)
+    if section == "scenario":
+        return replace(scenario, **{field: value})
+    target = replace(getattr(scenario, section), **{field: value})
+    return replace(scenario, **{section: target})
 
 
 @dataclass(eq=False)

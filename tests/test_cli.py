@@ -33,8 +33,8 @@ from seirvax.cli import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from seirvax.config import with_numeric
 from seirvax.errors import ConfigError
+from seirvax.sim import with_numeric
 
 from conftest import csv_column, nan_profile_from, readme_ini
 

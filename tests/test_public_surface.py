@@ -17,10 +17,14 @@ from importlib.util import find_spec
 from inspect import signature
 from pathlib import Path
 
+import pytest
+
 import seirvax
 import seirvax.analysis
 from seirvax.cli import TRAJECTORY_COLUMNS, RunReport
 from seirvax.presets import PresetEntry
+
+from conftest import readme_ini
 
 
 def test_every_exported_name_resolves_once():
@@ -279,8 +283,20 @@ assert cli.main(["--preset", "constant-population-check", "--out", sys.argv[1]])
 for module in ("seirvax.config", "configparser", "seirvax.analysis"):
     assert module not in sys.modules, f"a preset run imported {module}"
 assert seirvax.load_scenario.__module__ == "seirvax.config"
-import seirvax.config
-assert cli.apply_sweep_value is seirvax.config.with_numeric
+import seirvax.sim
+assert cli.apply_sweep_value is seirvax.sim.with_numeric
+"""
+
+
+# One CLI run in a fresh interpreter: argv[1] is 1 where the run must have
+# loaded seirvax.config (and configparser with it), 0 where it must not;
+# the rest is the run's argv.
+CLI_MODE_CHILD = """
+import sys
+from seirvax import cli
+assert cli.main(sys.argv[2:]) == 0
+for module in ("seirvax.config", "configparser"):
+    assert (module in sys.modules) == (sys.argv[1] == "1"), module
 """
 
 
@@ -306,4 +322,30 @@ def test_a_preset_run_loads_no_scenario_file_parser(tmp_path):
     _run_child(PRESET_RUN_CHILD, str(tmp_path))
     assert (tmp_path / "trajectory.csv").is_file()
     assert "load_scenario" in seirvax.__all__
-    assert not hasattr(seirvax.cli, "no_such_name")
+
+
+# Numeric overrides set keys through the table beside ScenarioConfig in
+# seirvax.sim: only a scenario file loads the parser.
+@pytest.mark.parametrize("extra", [
+    pytest.param(["--dt", "0.5", "--sweep", "beta=1,2"], id="sweep"),
+    pytest.param(["--dt", "0.5"], id="dt-horizon"),
+])
+def test_a_numeric_override_loads_no_scenario_file_parser(tmp_path, extra):
+    _run_child(CLI_MODE_CHILD, "0", "--preset", "constant-population-check",
+               "--horizon", "1", *extra, "--out", str(tmp_path))
+    made = "sweep.csv" if "--sweep" in extra else "trajectory.csv"
+    assert (tmp_path / made).is_file()
+
+
+def test_a_config_run_loads_the_scenario_file_parser(tmp_path):
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(readme_ini(horizon="1"), encoding="utf-8")
+    _run_child(CLI_MODE_CHILD, "1", "--config", str(ini), "--out", str(tmp_path))
+    assert (tmp_path / "trajectory.csv").is_file()
+
+
+def test_the_numeric_key_table_has_one_spelling():
+    import seirvax.config
+    import seirvax.sim
+
+    assert seirvax.config.numeric_key is seirvax.sim.numeric_key
