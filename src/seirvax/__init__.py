@@ -44,9 +44,6 @@ from .stability import (
     ConditionCheck,
     StabilityCriterion,
     StabilityVerdict,
-    check_mortality_absorbs_growth,
-    check_population_nonincreasing,
-    check_unforced_boundedness,
     integral_test,
     standard_verdicts,
 )
@@ -107,9 +104,6 @@ __all__ = [
     "build_matrix",
     "build_preset",
     "check_metzler",
-    "check_mortality_absorbs_growth",
-    "check_population_nonincreasing",
-    "check_unforced_boundedness",
     "control_sample",
     "decay_design_g_ceiling",
     "decompose_star",

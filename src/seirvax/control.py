@@ -203,8 +203,8 @@ def _decay_gap(cfg: ControlConfig, params: ModelParams) -> float:
 # returns a plain-float function; boundary_fn composes the profile and the
 # modulation with the population rate, the gains and the law into the one
 # closure that integrate calls at each step boundary and
-# seirvax.analysis.control_sample calls for one sample. Each takes a validated config, so the guards in
-# validated() hold here.
+# seirvax.analysis.control_sample calls for one sample. Each takes a
+# validated config, so the guards in validated() hold here.
 
 def _profile_fn(cfg: ControlConfig, params: ModelParams, r0: float):
     """Reference profile: profile(t, N) -> (h, h_dot).

@@ -275,9 +275,10 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     Each boundary calls the run's ``boundary_fn`` closure for its ten
     control values and packs the six it records, with t, the state, N and
     its rates, straight into the run's table; ``control_sample``
-    (seirvax.analysis) calls the same closure for one sample, so ``control_sample(cfg, params, t[k],
-    state(k), r0, reset_counts[k] > 0)`` gives row k's 13 values, h_dot,
-    R_star_dot, K_N and K_I included. The control columns are table views.
+    (seirvax.analysis) calls the same closure for one sample, so
+    ``control_sample(cfg, params, t[k], state(k), r0, reset_counts[k] > 0)``
+    gives row k's 13 values, h_dot, R_star_dot, K_N and K_I included. The
+    control columns are table views.
     """
     sc = scenario.resolved()
     dt = sc.dt

@@ -2,16 +2,17 @@
 trajectory-level integral check that ties the simulated population decay
 to the infectious history.
 
-Each predicate, integral_test among them, returns a StabilityVerdict
-carrying every inequality it evaluated, so reports can show exactly which
-condition failed; whether the hypothesis holds is derived from those
-conditions, never stored. A verdict whose standing assumption fails, or
-that has no run to check, is not applicable and never holds. Verdict ids
-(the enum values) are stable strings used in machine-readable output.
+standard_verdicts builds the five verdicts a report carries, taking the
+run-level one from integral_test. Each StabilityVerdict carries every
+inequality it evaluated, so reports can show exactly which condition
+failed; whether the hypothesis holds is derived from those conditions,
+never stored. A verdict whose standing assumption fails, or that has no
+run to check, is not applicable and never holds. Verdict ids (the enum
+values) are stable strings used in machine-readable output.
 
 The paper states these theorems for admissible rates (all nonnegative, rho
 in [0, 1]). ModelParams refuses any other rate set when it is built, so the
-predicates list only the conditions an admissible rate set can fail.
+verdicts list only the conditions an admissible rate set can fail.
 """
 
 from __future__ import annotations
@@ -28,20 +29,25 @@ POINTWISE_TOL = 1e-3
 
 
 class StabilityCriterion(enum.Enum):
-    # Total population nonincreasing (births at or below deaths): every
-    # trajectory stays bounded by N(0).
+    # Total population nonincreasing: holds iff nu <= mu. Then
+    # dN/dt = (nu - mu)N - rho*gamma*I <= 0 for nonnegative states, so N
+    # never exceeds N(0) and every compartment stays bounded.
     POPULATION_NONINCREASING = "T2"
-    # With births exceeding deaths, boundedness needs the disease mortality
-    # channel to absorb the excess growth: gamma >= (nu - mu)/rho.
+    # Necessary condition for boundedness when births outpace deaths. Its
+    # standing assumption nu > mu is the applicable flag; with it,
+    # boundedness requires rho > 0 and gamma >= (nu - mu)/rho (the disease
+    # mortality channel must be able to drain the net inflow).
     MORTALITY_ABSORBS_GROWTH = "T3_necessary"
     # Finite-horizon quadrature check of the exact population/infectious
     # integral identity (the "if and only if" characterization alongside
-    # the necessary condition above).
+    # the necessary condition above), evaluated on a run by integral_test.
     POPULATION_INTEGRAL_IDENTITY = "T3_integral"
-    # Unforced boundedness, low-birth case: 0 <= nu <= mu.
+    # Boundedness of the vaccination-free system, two alternative cases,
+    # both needing mu > 0. Low-birth case: nu <= mu.
     BOUNDED_SMALL_BIRTH = "T4_case1"
-    # Unforced boundedness, dominant-mortality case: mu > 4*beta + nu and
-    # nu > beta >= 0.
+    # Dominant-mortality case: mu > 4*beta + nu and nu > beta. The paper's
+    # alternative clause max(sigma, gamma) < -mu is not evaluated: no
+    # admissible rate set can satisfy it.
     BOUNDED_DOMINANT_MORTALITY = "T4_case2"
 
 
@@ -88,71 +94,6 @@ _CRITERION_TITLES = {
 
 def _cond(name: str, lhs: float, rhs: float, satisfied: bool) -> ConditionCheck:
     return ConditionCheck(name, float(lhs), float(rhs), bool(satisfied))
-
-
-def check_population_nonincreasing(params: ModelParams) -> StabilityVerdict:
-    """Holds iff nu <= mu.
-
-    Then dN/dt = (nu - mu)N - rho*gamma*I <= 0 for nonnegative states, so N
-    never exceeds N(0) and every compartment stays bounded.
-    """
-    conditions = [_cond("nu <= mu", params.nu, params.mu, params.nu <= params.mu)]
-    notes = ()
-    if params.mu == params.nu and (params.rho == 0.0 or params.gamma == 0.0):
-        notes = (
-            "population is exactly constant: births balance deaths and the "
-            "disease mortality channel is off",
-        )
-    return StabilityVerdict(
-        criterion=StabilityCriterion.POPULATION_NONINCREASING,
-        conditions=tuple(conditions),
-        notes=notes,
-    )
-
-
-def check_mortality_absorbs_growth(params: ModelParams) -> StabilityVerdict:
-    """Necessary condition for boundedness when births outpace deaths.
-
-    Standing assumption nu > mu; with it, boundedness requires rho > 0 and
-    gamma >= (nu - mu)/rho (the disease mortality channel must be able to
-    drain the net inflow). When nu <= mu the verdict is marked not
-    applicable.
-    """
-    applicable = params.nu > params.mu
-    conditions = (_cond("rho > 0", params.rho, 0.0, params.rho > 0.0),)
-    if params.rho > 0.0:
-        threshold = (params.nu - params.mu) / params.rho
-        conditions += (
-            _cond("gamma >= (nu - mu)/rho", params.gamma, threshold,
-                  params.gamma >= threshold),
-        )
-    return StabilityVerdict(
-        criterion=StabilityCriterion.MORTALITY_ABSORBS_GROWTH,
-        conditions=conditions,
-        applicable=applicable,
-        notes=() if applicable else ("births do not exceed deaths; criterion says nothing",),
-    )
-
-
-def check_unforced_boundedness(params: ModelParams, case: int) -> StabilityVerdict:
-    """Boundedness of the vaccination-free system, two alternative cases.
-
-    case 1: nu <= mu. case 2: mu > 4*beta + nu and nu > beta. Both need
-    mu > 0. The paper's alternative clause max(sigma, gamma) < -mu is not
-    evaluated: no admissible rate set can satisfy it.
-    """
-    if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case!r}")
-    conditions = [_cond("mu > 0", params.mu, 0.0, params.mu > 0.0)]
-    if case == 1:
-        criterion = StabilityCriterion.BOUNDED_SMALL_BIRTH
-        conditions.append(_cond("nu <= mu", params.nu, params.mu, params.nu <= params.mu))
-    else:
-        criterion = StabilityCriterion.BOUNDED_DOMINANT_MORTALITY
-        bound = 4.0 * params.beta + params.nu
-        conditions.append(_cond("mu > 4*beta + nu", params.mu, bound, params.mu > bound))
-        conditions.append(_cond("nu > beta", params.nu, params.beta, params.nu > params.beta))
-    return StabilityVerdict(criterion=criterion, conditions=tuple(conditions))
 
 
 # T3_integral without a run to check, or where the identity does not apply
@@ -235,11 +176,35 @@ def integral_test(traj) -> StabilityVerdict:
 
 def standard_verdicts(params: ModelParams, integral: StabilityVerdict | None = None):
     """The five verdicts every report carries, in stable order; integral is
-    the run's integral_test verdict, not applicable when there is no run."""
+    the run's integral_test verdict, not applicable when there is no run.
+    Each criterion's statement is at its StabilityCriterion member."""
+    mu, nu, rho, gamma, beta = params.mu, params.nu, params.rho, params.gamma, params.beta
+    small_birth = _cond("nu <= mu", nu, mu, nu <= mu)
+    has_mortality = _cond("mu > 0", mu, 0.0, mu > 0.0)
+    constant = ()
+    if mu == nu and (rho == 0.0 or gamma == 0.0):
+        constant = (
+            "population is exactly constant: births balance deaths and the "
+            "disease mortality channel is off",
+        )
+    absorbs = (_cond("rho > 0", rho, 0.0, rho > 0.0),)
+    if rho > 0.0:
+        threshold = (nu - mu) / rho
+        absorbs += (_cond("gamma >= (nu - mu)/rho", gamma, threshold, gamma >= threshold),)
+    growing = nu > mu
+    bound = 4.0 * beta + nu
     return (
-        check_population_nonincreasing(params),
-        check_mortality_absorbs_growth(params),
+        StabilityVerdict(StabilityCriterion.POPULATION_NONINCREASING, (small_birth,),
+                         notes=constant),
+        StabilityVerdict(
+            StabilityCriterion.MORTALITY_ABSORBS_GROWTH, absorbs, applicable=growing,
+            notes=() if growing else ("births do not exceed deaths; criterion says nothing",),
+        ),
         _INTEGRAL_NOT_APPLICABLE if integral is None else integral,
-        check_unforced_boundedness(params, 1),
-        check_unforced_boundedness(params, 2),
+        StabilityVerdict(StabilityCriterion.BOUNDED_SMALL_BIRTH, (has_mortality, small_birth)),
+        StabilityVerdict(StabilityCriterion.BOUNDED_DOMINANT_MORTALITY, (
+            has_mortality,
+            _cond("mu > 4*beta + nu", mu, bound, mu > bound),
+            _cond("nu > beta", nu, beta, nu > beta),
+        )),
     )

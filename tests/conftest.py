@@ -22,7 +22,8 @@ from seirvax.cli import (
 )
 
 # sha256 of the whole report.txt text of every bundled preset ("presets")
-# and of every control-grid combination ("grid"); re-recorded with
+# and of every control-grid combination ("grid"), and of each preset's
+# --check-stability stdout ("check_stability"); re-recorded with
 #     PYTHONPATH=src python tests/test_artifacts.py
 REPORT_DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
 README = Path(__file__).resolve().parents[1] / "README.md"

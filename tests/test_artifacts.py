@@ -3,10 +3,11 @@
 ``perfbench/digests.json`` holds the sha256 of each preset's
 trajectory.csv and of the ``[machine]`` block of its report.txt (from the
 ``[machine]`` line to the end of the file); ``data/report_digests.json``
-holds the sha256 of the whole report.txt, human section included. Every
-change that does not set out to alter model output must reproduce them
-exactly. A change that sets out to alter the report re-records the latter
-(presets and control grid) with
+holds the sha256 of the whole report.txt, human section included, and of
+each preset's ``--check-stability`` stdout. Every change that does not set
+out to alter model output must reproduce them exactly. A change that sets
+out to alter the report re-records the latter (presets, control grid and
+stability profiles) with
 
     PYTHONPATH=src python tests/test_artifacts.py
 
@@ -17,7 +18,9 @@ recorded below.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -53,8 +56,18 @@ def machine_block_sha256(report: bytes) -> str:
     return hashlib.sha256(report[start:]).hexdigest()
 
 
+def stability_profile_sha256(name: str) -> str:
+    """The sha256 of what ``--check-stability`` prints for this preset."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["--preset", name, "--check-stability"]) == 0
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 def test_every_preset_has_a_digest():
     assert sorted(recorded_digests()) == sorted(preset_names())
+    profiles = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))["check_stability"]
+    assert sorted(profiles) == sorted(preset_names())
 
 
 @pytest.mark.parametrize("name", preset_names())
@@ -68,6 +81,12 @@ def test_preset_artifacts_match_recorded_digests(name, tmp_path, monkeypatch):
     assert machine_block_sha256(report) == want["machine_block"]
     whole = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))["presets"][name]
     assert hashlib.sha256(report).hexdigest() == whole
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_stability_profile_matches_recorded_digest(name):
+    want = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))["check_stability"][name]
+    assert stability_profile_sha256(name) == want
 
 
 def test_resetting_scenario_matches_recorded_digests(tmp_path, monkeypatch):
@@ -89,6 +108,7 @@ def record_reports() -> dict:
     return {
         "presets": {name: report_sha256(integrate(build_preset(name))) for name in preset_names()},
         "grid": {key: report_sha256(integrate(sc)) for key, sc in SCENARIOS.items()},
+        "check_stability": {name: stability_profile_sha256(name) for name in preset_names()},
     }
 
 

@@ -98,9 +98,16 @@ def test_single_sample_surface_is_control_sample():
 
 def test_model_records_restate_nothing():
     # make_rate_fn is the one vector field, build_matrix returns a bare
-    # array, and a verdict's flag is derived from its conditions
-    assert {"make_rate_fn", "build_matrix", "StabilityVerdict"} <= set(seirvax.__all__)
-    for gone in ("derivative", "StateRate", "DynamicsMatrix", "InconsistentVerdictError"):
+    # array, a verdict's flag is derived from its conditions, and
+    # standard_verdicts builds every parameter-level verdict
+    assert {"make_rate_fn", "build_matrix", "StabilityVerdict", "standard_verdicts"} <= set(
+        seirvax.__all__
+    )
+    for gone in (
+        "derivative", "StateRate", "DynamicsMatrix", "InconsistentVerdictError",
+        "check_population_nonincreasing", "check_mortality_absorbs_growth",
+        "check_unforced_boundedness",
+    ):
         assert not hasattr(seirvax, gone), gone
         for module in (seirvax.model, seirvax.errors, seirvax.stability):
             assert not hasattr(module, gone), (module.__name__, gone)

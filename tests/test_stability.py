@@ -9,13 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seirvax import (
+    ConditionCheck,
     MatrixVariant,
     ModelParams,
     StabilityCriterion,
     StabilityVerdict,
-    check_mortality_absorbs_growth,
-    check_population_nonincreasing,
-    check_unforced_boundedness,
     integral_test,
     metzler_parameter_criterion,
     standard_verdicts,
@@ -32,7 +30,7 @@ def _by_name(verdict, name):
 
 class TestPopulationNonincreasing:
     def test_growing_population_fails(self, params):
-        verdict = check_population_nonincreasing(params)
+        verdict = standard_verdicts(params)[0]
         assert verdict.criterion is StabilityCriterion.POPULATION_NONINCREASING
         assert verdict.criterion.value == "T2"
         assert not verdict.hypothesis_holds
@@ -43,22 +41,22 @@ class TestPopulationNonincreasing:
         assert all(c.satisfied for c in verdict.conditions if c is not bad)
 
     def test_small_birth_rate_holds(self, params):
-        verdict = check_population_nonincreasing(replace(params, nu=0.001))
+        verdict = standard_verdicts(replace(params, nu=0.001))[0]
         assert verdict.hypothesis_holds and verdict.applicable
 
     def test_constant_population_note(self, params):
         balanced = replace(params, nu=params.mu, rho=0.0)
-        verdict = check_population_nonincreasing(balanced)
+        verdict = standard_verdicts(balanced)[0]
         assert verdict.hypothesis_holds
         assert any("constant" in note for note in verdict.notes)
         # mortality channel active: no special note
-        verdict = check_population_nonincreasing(replace(params, nu=params.mu))
+        verdict = standard_verdicts(replace(params, nu=params.mu))[0]
         assert verdict.hypothesis_holds and verdict.notes == ()
 
 
 class TestMortalityAbsorbsGrowth:
     def test_endemic_parameters_hold(self, params):
-        verdict = check_mortality_absorbs_growth(params)
+        verdict = standard_verdicts(params)[1]
         assert verdict.criterion.value == "T3_necessary"
         assert verdict.applicable and verdict.hypothesis_holds
         check = _by_name(verdict, "gamma >= (nu - mu)/rho")
@@ -66,13 +64,13 @@ class TestMortalityAbsorbsGrowth:
         assert check.lhs == params.gamma
 
     def test_no_mortality_channel_fails(self, params):
-        verdict = check_mortality_absorbs_growth(replace(params, rho=0.0))
+        verdict = standard_verdicts(replace(params, rho=0.0))[1]
         assert verdict.applicable and not verdict.hypothesis_holds
         assert not _by_name(verdict, "rho > 0").satisfied
         assert all(c.name != "gamma >= (nu - mu)/rho" for c in verdict.conditions)
 
     def test_not_applicable_when_births_balanced(self, params):
-        verdict = check_mortality_absorbs_growth(replace(params, nu=params.mu))
+        verdict = standard_verdicts(replace(params, nu=params.mu))[1]
         assert not verdict.applicable
         assert not verdict.hypothesis_holds
         assert verdict.notes
@@ -82,34 +80,30 @@ class TestMortalityAbsorbsGrowth:
     def test_boundary_gamma_exactly_at_threshold(self):
         p = ModelParams(mu=0.01, omega=0.1, beta=1.0, sigma=0.5, gamma=0.02,
                         rho=0.5, nu=0.02)
-        verdict = check_mortality_absorbs_growth(p)
+        verdict = standard_verdicts(p)[1]
         assert verdict.hypothesis_holds  # >= is inclusive
 
 
 class TestUnforcedBoundedness:
     def test_case_one(self, params):
-        failing = check_unforced_boundedness(params, 1)
+        failing = standard_verdicts(params)[3]
         assert failing.criterion.value == "T4_case1"
         assert not failing.hypothesis_holds
         assert not _by_name(failing, "nu <= mu").satisfied
 
-        holding = check_unforced_boundedness(replace(params, nu=params.mu), 1)
+        holding = standard_verdicts(replace(params, nu=params.mu))[3]
         assert holding.hypothesis_holds
 
     def test_case_two(self, params):
-        failing = check_unforced_boundedness(params, 2)
+        failing = standard_verdicts(params)[4]
         assert failing.criterion.value == "T4_case2"
         assert not failing.hypothesis_holds
         assert not _by_name(failing, "mu > 4*beta + nu").satisfied
 
         p = ModelParams(mu=0.01, omega=0.1, beta=0.001, sigma=0.4, gamma=0.4,
                         rho=0.1, nu=0.002)
-        holding = check_unforced_boundedness(p, 2)
+        holding = standard_verdicts(p)[4]
         assert holding.hypothesis_holds
-
-    def test_case_out_of_range(self, params):
-        with pytest.raises(ValueError):
-            check_unforced_boundedness(params, 3)
 
 
 def _synthetic_unforced_decay(params, horizon=50.0, dt=0.05, i_const=0.0):
@@ -218,7 +212,7 @@ class TestStandardVerdicts:
                         v.applicable and all(c.satisfied for c in v.conditions)
                     ), v.criterion
         # a verdict that does not apply never holds, even on satisfied conditions
-        t3 = check_mortality_absorbs_growth(replace(params, nu=params.mu))
+        t3 = standard_verdicts(replace(params, nu=params.mu))[1]
         assert all(c.satisfied for c in t3.conditions)
         assert not t3.applicable and not t3.hypothesis_holds
         # the flag is derived, so a verdict cannot be built disagreeing with it
@@ -280,6 +274,14 @@ class TestGeneratedRates:
         # mu > 4*beta + nu with beta >= 0 gives nu < mu: case 2 implies
         # case 1, whose conclusion is T2's, so T2's run oracle covers both
         assert case1.hypothesis_holds or not case2.hypothesis_holds
+        # T2 and T4_case1 judge the same birth/death balance, and both T4
+        # cases the same mortality floor
+        assert t2.conditions == case1.conditions[1:] == (
+            ConditionCheck("nu <= mu", p.nu, p.mu, p.nu <= p.mu),
+        )
+        assert case1.conditions[0] == case2.conditions[0] == (
+            ConditionCheck("mu > 0", p.mu, 0.0, p.mu > 0.0)
+        )
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(p=admissible_rates())

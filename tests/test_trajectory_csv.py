@@ -3,7 +3,7 @@
 write_trajectory_csv stacks each chunk's float columns into one block. A run
 of adjacent columns that is plain (zero or 1e-4 <= |x| < 1e16) on every row
 of the chunk is formatted by one orjson dump of that run; any other column
-goes cell by cell, orjson first and repr for the cells outside that range.
+is one repr of the whole column (cli._csv_cells), split into its cells.
 The int columns are one more block. The reference
 (conftest.reference_write) is the csv.writer (excel dialect) formulation
 the file format was first defined by; the two must agree on every row count
@@ -68,7 +68,7 @@ def trajectories(draw):
                 col[k] = SPECIALS[(j + k) % len(SPECIALS)]
         floats.append(col)
     # one plain column leaves the range in a single chunk: it is formatted
-    # cell by cell there and in a block in every other chunk
+    # by one repr of the column there and in a block in every other chunk
     if n > _CSV_CHUNK_ROWS:
         switching = floats[draw(st.sampled_from([j for j, p in enumerate(plain) if p]))]
         first = draw(st.integers(0, (n - 1) // _CSV_CHUNK_ROWS)) * _CSV_CHUNK_ROWS
