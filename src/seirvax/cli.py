@@ -3,7 +3,9 @@
 Artifacts land in --out (or $SEIRVAX_OUT, or ./out): trajectory.csv with
 one row per recorded boundary, and report.txt with the settled regime,
 the stability profile, and the controller self-checks, ending in a
-machine-readable key=value block.
+machine-readable key=value block. A single run formats trajectory.csv
+in a forked second process while it integrates, where one can run beside
+it (_formatter); the bytes are write_trajectory_csv's either way.
 
 Exit codes: 0 clean run, 2 configuration problem (or any other package
 error, or an output that cannot be written), 3 population went extinct,
@@ -38,6 +40,7 @@ from .model import ModelParams, StateVec
 from .presets import PRESETS, build_preset
 from .sim import (
     STEADY_STATE_WINDOW_DAYS,
+    _BLOCK_ROWS,
     _RECORDED_CONTROL,
     RunStatus,
     ScenarioConfig,
@@ -66,8 +69,10 @@ _EXIT_BY_STATUS = {RunStatus.OK: 0, RunStatus.EXTINCT: 3, RunStatus.BLOWUP: 4}
 
 
 # Rows per write: whole-run formatting would hold every row of the run as a
-# Python bytes object at once.
-_CSV_CHUNK_ROWS = 1024
+# Python bytes object at once. A streamed run's blocks (integrate's on_rows)
+# are these chunks.
+_CSV_CHUNK_ROWS = _BLOCK_ROWS
+_CSV_HEADER = ",".join(TRAJECTORY_COLUMNS).encode() + b"\r\n"
 
 
 def _plain(values: np.ndarray) -> np.ndarray:
@@ -90,33 +95,56 @@ def _csv_rows(block: np.ndarray) -> list[bytes]:
     return dumped[2:-2].split(b"],[")
 
 
+def _csv_chunk(traj: Trajectory, chunk: slice) -> bytes:
+    """trajectory.csv's lines for one chunk of the run's rows. Each run of
+    adjacent float columns that is plain on every row of the chunk is one
+    ``_csv_rows`` block, any other column is one repr of the column through
+    ``_csv_cells``, and the int columns are one more block."""
+    block = np.column_stack([getattr(traj, name)[chunk] for name in TRAJECTORY_COLUMNS[:12]])
+    pieces = []
+    j = 0
+    for plain, run in groupby(_plain(block).all(axis=0).tolist()):
+        end = j + len(list(run))
+        if plain:
+            pieces.append(_csv_rows(block[:, j:end]))
+        else:
+            pieces.extend(_csv_cells(block[:, k]) for k in range(j, end))
+        j = end
+    flags = (traj.reset_counts, traj.theta0, traj.theta1)
+    pieces.append(_csv_rows(np.column_stack([col[chunk] for col in flags]).astype(np.int64)))
+    return b"\r\n".join(map(b",".join, zip(*pieces))) + b"\r\n"
+
+
 def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Emit the run at full float precision: every cell is its repr, which
     round-trips exactly, in the bytes csv.writer's excel dialect writes (str
-    is repr for floats and ints, no repr needs quoting, lines end in CRLF).
-    Per chunk of rows, each run of adjacent float columns that is plain on
-    every row is one ``_csv_rows`` block, any other column is one repr of
-    the column through ``_csv_cells``, and the int columns are one more
-    block."""
-    floats = [getattr(traj, name) for name in TRAJECTORY_COLUMNS[:12]]
-    flags = (traj.reset_counts, traj.theta0, traj.theta1)
+    is repr for floats and ints, no repr needs quoting, lines end in CRLF),
+    one ``_csv_chunk`` of rows at a time."""
     with open(path, "wb") as fh:
-        fh.write(",".join(TRAJECTORY_COLUMNS).encode() + b"\r\n")
+        fh.write(_CSV_HEADER)
         for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            chunk = slice(start, start + _CSV_CHUNK_ROWS)
-            block = np.column_stack([col[chunk] for col in floats])
-            pieces = []
-            j = 0
-            for plain, run in groupby(_plain(block).all(axis=0).tolist()):
-                end = j + len(list(run))
-                if plain:
-                    pieces.append(_csv_rows(block[:, j:end]))
-                else:
-                    pieces.extend(_csv_cells(block[:, k]) for k in range(j, end))
-                j = end
-            ints = np.column_stack([col[chunk] for col in flags]).astype(np.int64)
-            pieces.append(_csv_rows(ints))
-            fh.write(b"\r\n".join(map(b",".join, zip(*pieces))) + b"\r\n")
+            fh.write(_csv_chunk(traj, slice(start, start + _CSV_CHUNK_ROWS)))
+
+
+def _formatter(resolved: ScenarioConfig):
+    """A seirvax.stream.Formatter for a run of the resolved scenario, or
+    None where trajectory.csv is written after the run: no os.fork, one
+    usable CPU, a grid of at most one chunk, or no temporary file (pipe,
+    process) to be had. Only a run that streams loads seirvax.stream."""
+    if not hasattr(os, "fork") or resolved.step_count() < _CSV_CHUNK_ROWS:
+        return None
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS): every CPU is usable
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return None
+    from .stream import Formatter
+
+    try:
+        return Formatter(resolved)
+    except OSError:
+        return None
 
 
 def read_trajectory_csv(path: Path) -> dict[str, np.ndarray]:
@@ -435,14 +463,24 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
             return 0
 
-        traj = integrate(scenario)
-        # made after the run, so a grid too large to store makes no directory
-        out_dir = _resolve_out_dir(args.out)
-        report = build_run_report(traj)
-        csv_path = out_dir / "trajectory.csv"
-        report_path = out_dir / "report.txt"
-        write_trajectory_csv(traj, csv_path)
-        report_path.write_text(render_report(report), encoding="utf-8")
+        formatter = _formatter(resolved)
+        try:
+            traj = integrate(scenario, on_rows=None if formatter is None else formatter.send)
+            if formatter is not None:
+                formatter.end_rows()
+            # made after the run, so a grid too large to store makes no directory
+            out_dir = _resolve_out_dir(args.out)
+            report = build_run_report(traj)
+            csv_path = out_dir / "trajectory.csv"
+            report_path = out_dir / "report.txt"
+            if formatter is None:
+                write_trajectory_csv(traj, csv_path)
+            else:
+                formatter.write(csv_path)
+            report_path.write_text(render_report(report), encoding="utf-8")
+        finally:
+            if formatter is not None:
+                formatter.close()
         ss = report.steady_state
         sc = traj.scenario
         if ss.found:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -224,6 +225,8 @@ class Trajectory:
 # integrate derives them once per run after the loop (control._derived_values).
 _RECORDED_CONTROL = ("V_a", "V", "g", "h", "R_star", "dN")
 _ROW = struct.Struct("16d")
+# Rows per on_rows call; trajectory.csv is formatted in chunks of this many.
+_BLOCK_ROWS = 1024
 
 
 class ResetEvent(NamedTuple):
@@ -257,7 +260,42 @@ def _ending(N: float) -> RunStatus:
     return RunStatus.EXTINCT if math.isfinite(N) else RunStatus.BLOWUP
 
 
-def integrate(scenario: ScenarioConfig) -> Trajectory:
+def _trajectory(
+    sc: ScenarioConfig,
+    status: RunStatus,
+    rows: np.ndarray,
+    reset_counts: np.ndarray,
+    reset_events: tuple[ResetEvent, ...],
+) -> Trajectory:
+    """The Trajectory over rows of a run's table (one _ROW each) of the
+    resolved scenario sc: its columns are views of rows, and the indicators
+    and the identity residual are derived from them."""
+    N = rows[:, 5]
+    columns = {name: rows[:, j] for j, name in enumerate(_RECORDED_CONTROL, 10)}
+    theta0, theta1, residual = _derived_values(
+        sc.control, sc.params, N, columns["V_a"], columns["g"]
+    )
+    return Trajectory(
+        scenario=sc,
+        status=status,
+        t=rows[:, 0],
+        states=rows[:, 1:5],
+        N=N,
+        rates=rows[:, 6:10],
+        theta0=theta0,
+        theta1=theta1,
+        identity_residual=residual,
+        reset_counts=reset_counts,
+        reset_events=reset_events,
+        **columns,
+    )
+
+
+def integrate(
+    scenario: ScenarioConfig,
+    *,
+    on_rows: Callable[[np.ndarray, np.ndarray], object] | None = None,
+) -> Trajectory:
     """Run one scenario to its horizon (or early truncation).
 
     Truncation rules, each ending the loop where it fires and keeping
@@ -279,6 +317,11 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     ``control_sample(cfg, params, t[k], state(k), r0, reset_counts[k] > 0)``
     gives row k's 13 values, h_dot, R_star_dot, K_N and K_I included. The
     control columns are table views.
+
+    on_rows, when given, is called with each block of _BLOCK_ROWS table
+    rows (views, in the _ROW layout) and their reset counts as soon as the
+    block's last row is recorded, and once after the loop with the rows
+    left over, if any, so it sees every recorded row once, in order.
     """
     sc = scenario.resolved()
     dt = sc.dt
@@ -309,6 +352,8 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
     half = 0.5 * dt
     sixth = dt / 6.0
     pack = _ROW.pack_into
+    # the last row of the next block to pass on; past the grid without on_rows
+    block_end = size if on_rows is None else _BLOCK_ROWS - 1
 
     for k in range(size):
         t = k * dt
@@ -328,6 +373,10 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         pack(packed, k * row_bytes, t, S, E, I, R, N, d1S, d1E, d1I, d1R,
              V_a, V, g, h, R_star, dN)
         recorded = k + 1
+        if k == block_end:
+            block = slice(recorded - _BLOCK_ROWS, recorded)
+            on_rows(table[block], reset_counts[block])
+            block_end += _BLOCK_ROWS
         # a non-finite demand ends the run here: a nan one would feed a nan
         # step anyway, an infinite one can clamp to a finite V and run on
         if V_a - V_a != 0.0:
@@ -354,25 +403,11 @@ def integrate(scenario: ScenarioConfig) -> Trajectory:
         I += sixth * (d1I + 2.0 * (d2I + d3I) + d4I)
         R += sixth * (d1R + 2.0 * (d2R + d3R) + d4R)
 
-    rows = table[:recorded]
-    N = rows[:, 5]
-    columns = {name: rows[:, j] for j, name in enumerate(_RECORDED_CONTROL, 10)}
-    theta0, theta1, residual = _derived_values(
-        sc.control, params, N, columns["V_a"], columns["g"]
-    )
-    return Trajectory(
-        scenario=sc,
-        status=status,
-        t=rows[:, 0],
-        states=rows[:, 1:5],
-        N=N,
-        rates=rows[:, 6:10],
-        theta0=theta0,
-        theta1=theta1,
-        identity_residual=residual,
-        reset_counts=reset_counts[:recorded],
-        reset_events=tuple(reset_events),
-        **columns,
+    if on_rows is not None and recorded % _BLOCK_ROWS:
+        block = slice(recorded - recorded % _BLOCK_ROWS, recorded)
+        on_rows(table[block], reset_counts[block])
+    return _trajectory(
+        sc, status, table[:recorded], reset_counts[:recorded], tuple(reset_events)
     )
 
 

@@ -180,23 +180,29 @@ def report_sha256(traj) -> str:
     return hashlib.sha256(render_report(build_run_report(traj)).encode("utf-8")).hexdigest()
 
 
-def nan_profile_from(monkeypatch, t_nan: float) -> None:
-    """Make every run's reference profile read nan from time t_nan on.
+def profile_from(monkeypatch, t_from: float, late) -> None:
+    """Make every run's reference profile return late(t, N) from time
+    t_from on.
 
     boundary_fn looks _profile_fn up on seirvax.control when it builds the
-    closure, so the wrapped profile reaches integrate's step loop: at the
-    first boundary with t >= t_nan the demand V_a is nan, the clamp passes
-    it through to V, and that boundary ends the run a blowup.
+    closure, so the wrapped profile reaches integrate's step loop.
     """
     profile_fn = control._profile_fn
-    nans = (math.nan,) * 2
 
     def patched(cfg, params, r0):
         profile = profile_fn(cfg, params, r0)
 
-        def late_nan(t, N):
-            return nans if t >= t_nan else profile(t, N)
+        def switched(t, N):
+            return late(t, N) if t >= t_from else profile(t, N)
 
-        return late_nan
+        return switched
 
     monkeypatch.setattr(control, "_profile_fn", patched)
+
+
+def nan_profile_from(monkeypatch, t_nan: float) -> None:
+    """Make every run's reference profile read nan from time t_nan on: at
+    the first boundary with t >= t_nan the demand V_a is nan, the clamp
+    passes it through to V, and that boundary ends the run a blowup."""
+    nans = (math.nan,) * 2
+    profile_from(monkeypatch, t_nan, lambda t, N: nans)

@@ -24,6 +24,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -134,7 +135,9 @@ def test_columns_match_recorded_digests(key, recorded):
 # whole-report digests (integral_test's np.exp lands only in the report)
 # with NPY_DISABLE_CPU_FEATURES naming its argument list, after checking
 # each named group is off, since numpy silently ignores a name it does
-# not know.
+# not know. glibc likewise picks its exp code by CPU feature, and
+# GLIBC_TUNABLES masks features for the child alone; the child prints
+# exp_probe_sha256 so the parent can tell whether the mask took effect.
 DISPATCH_CHILD = """
 import json, sys
 from numpy._core._multiarray_umath import __cpu_features__
@@ -142,14 +145,22 @@ on = [name for name in sys.argv[1:] if __cpu_features__.get(name) is not False]
 assert not on, f"not disabled: {on}"
 from seirvax import integrate
 from conftest import report_sha256
-from test_control_grid import SCENARIOS, trajectory_digest
+from test_control_grid import SCENARIOS, exp_probe_sha256, trajectory_digest
 runs = {key: integrate(sc) for key, sc in SCENARIOS.items()}
 print(json.dumps({
+    "exp_probe": exp_probe_sha256(),
     "columns": {key: trajectory_digest(traj) for key, traj in runs.items()},
     "reports": {key: report_sha256(traj) for key, traj in runs.items()},
 }))
 """
 NO_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def exp_probe_sha256() -> str:
+    """sha256 of math.exp over 100,000 fixed inputs in (-50, 0]; glibc's FMA
+    and generic exp differ on 67 of them."""
+    values = [math.exp(-50.0 * k / 100_000) for k in range(100_000)]
+    return hashlib.sha256(struct.pack(f"{len(values)}d", *values)).hexdigest()
 
 
 def _cpu_features() -> dict:
@@ -160,21 +171,34 @@ def _cpu_features() -> dict:
     return __cpu_features__
 
 
-@pytest.mark.skipif(
+NUMPY_FEATURE_GROUPS = pytest.mark.skipif(
     not {"X86_V3", *NO_AVX512} <= set(_cpu_features()),
     reason="numpy names no x86-64 feature groups on this machine",
 )
-@pytest.mark.parametrize("disabled", [NO_AVX512, NO_AVX512 + ("X86_V3",)],
-                         ids=["without-X86_V4", "without-X86_V3"])
-def test_digests_hold_on_a_narrower_cpu(disabled, recorded):
+
+
+# (environment variable, value, numpy feature groups the child checks are off)
+@pytest.mark.parametrize("variable, value, disabled", [
+    pytest.param("NPY_DISABLE_CPU_FEATURES", " ".join(NO_AVX512), NO_AVX512,
+                 id="without-X86_V4", marks=NUMPY_FEATURE_GROUPS),
+    pytest.param("NPY_DISABLE_CPU_FEATURES", " ".join(NO_AVX512 + ("X86_V3",)),
+                 NO_AVX512 + ("X86_V3",), id="without-X86_V3", marks=NUMPY_FEATURE_GROUPS),
+    pytest.param("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-FMA,-AVX2,-FMA4", (),
+                 id="without-glibc-FMA", marks=pytest.mark.xfail(
+                     strict=True, reason="ROADMAP item 13: glibc's generic exp is not "
+                     "correctly rounded on inputs the runs use, so digests move")),
+])
+def test_digests_hold_on_a_narrower_cpu(variable, value, disabled, recorded):
     path = [str(Path(seirvax.__file__).parents[1]), str(Path(__file__).parent)]
     path.append(os.environ.get("PYTHONPATH", ""))
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(disabled),
-               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env[variable] = value
     child = subprocess.run([sys.executable, "-c", DISPATCH_CHILD, *disabled], env=env,
                            capture_output=True, text=True, timeout=300, check=False)
     assert child.returncode == 0, child.stderr
     digests = json.loads(child.stdout)
+    if variable == "GLIBC_TUNABLES" and digests["exp_probe"] == exp_probe_sha256():
+        pytest.skip(f"{variable}={value} left math.exp unchanged: this libm ignores it")
     columns, reports = digests["columns"], digests["reports"]
     assert sorted(columns) == sorted(recorded)
     assert [key for key in recorded if columns[key] != recorded[key]] == []
