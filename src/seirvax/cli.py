@@ -41,7 +41,8 @@ from .presets import PRESETS, build_preset
 from .sim import (
     STEADY_STATE_WINDOW_DAYS,
     _BLOCK_ROWS,
-    _RECORDED_CONTROL,
+    _RATE_COLUMNS,
+    _TABLE_COLUMNS,
     RunStatus,
     ScenarioConfig,
     SteadyState,
@@ -58,20 +59,14 @@ from .stability import (
     standard_verdicts,
 )
 
-# trajectory.csv's header: the first twelve are Trajectory's attributes of
-# those names, the run's recorded control values among them, reset_flag is
-# its reset_counts.
-TRAJECTORY_COLUMNS = (
-    "t", "S", "E", "I", "R", "N", *_RECORDED_CONTROL, "reset_flag", "theta0", "theta1",
-)
+# trajectory.csv's float columns are the run's table but its rates, each
+# under the name of the Trajectory attribute that views it; reset_flag is
+# the run's reset_counts.
+_CSV_FLOATS = [j for j, name in enumerate(_TABLE_COLUMNS) if name not in _RATE_COLUMNS]
+TRAJECTORY_COLUMNS = (*(_TABLE_COLUMNS[j] for j in _CSV_FLOATS), "reset_flag", "theta0", "theta1")
 
 _EXIT_BY_STATUS = {RunStatus.OK: 0, RunStatus.EXTINCT: 3, RunStatus.BLOWUP: 4}
 
-
-# Rows per write: whole-run formatting would hold every row of the run as a
-# Python bytes object at once. A streamed run's blocks (integrate's on_rows)
-# are these chunks.
-_CSV_CHUNK_ROWS = _BLOCK_ROWS
 _CSV_HEADER = ",".join(TRAJECTORY_COLUMNS).encode() + b"\r\n"
 
 
@@ -100,7 +95,7 @@ def _csv_chunk(traj: Trajectory, chunk: slice) -> bytes:
     adjacent float columns that is plain on every row of the chunk is one
     ``_csv_rows`` block, any other column is one repr of the column through
     ``_csv_cells``, and the int columns are one more block."""
-    block = np.column_stack([getattr(traj, name)[chunk] for name in TRAJECTORY_COLUMNS[:12]])
+    block = traj.table[chunk, _CSV_FLOATS]
     pieces = []
     j = 0
     for plain, run in groupby(_plain(block).all(axis=0).tolist()):
@@ -119,11 +114,12 @@ def write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     """Emit the run at full float precision: every cell is its repr, which
     round-trips exactly, in the bytes csv.writer's excel dialect writes (str
     is repr for floats and ints, no repr needs quoting, lines end in CRLF),
-    one ``_csv_chunk`` of rows at a time."""
+    one ``_csv_chunk`` of _BLOCK_ROWS rows at a time: formatting the whole
+    run at once would hold every row as a Python bytes object."""
     with open(path, "wb") as fh:
         fh.write(_CSV_HEADER)
-        for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            fh.write(_csv_chunk(traj, slice(start, start + _CSV_CHUNK_ROWS)))
+        for start in range(0, len(traj), _BLOCK_ROWS):
+            fh.write(_csv_chunk(traj, slice(start, start + _BLOCK_ROWS)))
 
 
 def _formatter(resolved: ScenarioConfig):
@@ -131,7 +127,7 @@ def _formatter(resolved: ScenarioConfig):
     None where trajectory.csv is written after the run: no os.fork, one
     usable CPU, a grid of at most one chunk, or no temporary file (pipe,
     process) to be had. Only a run that streams loads seirvax.stream."""
-    if not hasattr(os, "fork") or resolved.step_count() < _CSV_CHUNK_ROWS:
+    if not hasattr(os, "fork") or resolved.step_count() < _BLOCK_ROWS:
         return None
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -12,6 +12,7 @@ load_scenario import this module, and configparser with it.
 from __future__ import annotations
 
 import configparser
+import os
 from pathlib import Path
 
 from .control import (
@@ -107,7 +108,8 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     control = ControlConfig(**enums, **_numbers("control", control_items))
 
     scen = dict(parser["scenario"]) if "scenario" in parser else {}
-    name = scen.pop("name", path.stem)
+    # a file name need not be UTF-8; its undecodable bytes read as U+FFFD
+    name = scen.pop("name", os.fsencode(path.stem).decode("utf-8", "replace"))
     x0_vals = []
     for key in ("S0", "E0", "I0", "R0"):
         raw = scen.pop(key, None)

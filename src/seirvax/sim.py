@@ -72,6 +72,9 @@ class ScenarioConfig:
         # the name fills one line of report.txt; splitlines drops every break
         if "".join(self.name.splitlines()) != self.name:
             raise ConfigError(f"scenario name must be one line, got {self.name!r}")
+        # report.txt is UTF-8, which has no code for a lone surrogate
+        if any("\ud800" <= c <= "\udfff" for c in self.name):
+            raise ConfigError(f"scenario name must be encodable as UTF-8, got {self.name!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ConfigError(f"dt must be a positive finite number, got {self.dt!r}")
         if not (math.isfinite(self.horizon) and self.horizon >= self.dt):
@@ -152,55 +155,61 @@ def with_numeric(scenario: ScenarioConfig, key: str, value: float) -> ScenarioCo
     return replace(scenario, **{section: target})
 
 
+# One row of the run's table per recorded boundary, in integrate's pack
+# order: t, the state S, E, I, R, its total N, its four rates (read only
+# together, as Trajectory.rates), then the six of the boundary's ten control
+# values a run records. Trajectory's views and trajectory.csv's float columns
+# are found here by name.
+_RATE_COLUMNS = tuple(f"d{name}_dt" for name in COMPONENT_NAMES)
+_TABLE_COLUMNS = ("t", *COMPONENT_NAMES, "N", *_RATE_COLUMNS, "V_a", "V", "g", "h", "R_star", "dN")
+_ROW = struct.Struct(f"{len(_TABLE_COLUMNS)}d")
+# Rows per on_rows call, and per chunk trajectory.csv is formatted in.
+_BLOCK_ROWS = 1024
+
+
+def _view(first: str, last: str | None = None) -> property:
+    """A Trajectory's view of its table column first, or columns first..last."""
+    j = _TABLE_COLUMNS.index(first)
+    index = j if last is None else slice(j, _TABLE_COLUMNS.index(last) + 1)
+    return property(lambda self: self.table[:, index])
+
+
 @dataclass(eq=False)
 class Trajectory:
-    """Columnar record of one run.
+    """Record of one run: its table, one _TABLE_COLUMNS row per recorded
+    boundary, of which every column attribute is a read-only view.
 
     states[k] is the state the step was taken from (post-reset) and N[k]
     its total, and all control columns were evaluated on exactly that
     state at t[k]. The control columns are nine of the 13 fields of
     seirvax.analysis.ControlSample, in its order and under its names,
-    which trajectory.csv's header shares. status explains early
-    truncation. A run compares and hashes by identity, as its columns are
-    arrays.
+    which trajectory.csv's header shares; theta0, theta1 and
+    identity_residual depend only on the table and are derived when the
+    record is built (control._derived_values), which takes a resolved
+    scenario. status explains early truncation. A run compares and hashes
+    by identity, as its columns are arrays.
     """
 
     scenario: ScenarioConfig
     status: RunStatus
-    t: np.ndarray
-    states: np.ndarray
-    N: np.ndarray
-    rates: np.ndarray
-    V_a: np.ndarray
-    V: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    R_star: np.ndarray
-    dN: np.ndarray
-    theta0: np.ndarray
-    theta1: np.ndarray
-    identity_residual: np.ndarray
+    table: np.ndarray
     reset_counts: np.ndarray
     reset_events: tuple[ResetEvent, ...]
 
+    t, S, E, I, R, N = map(_view, ("t", "S", "E", "I", "R", "N"))
+    V_a, V, g, h, R_star, dN = map(_view, ("V_a", "V", "g", "h", "R_star", "dN"))
+    states, rates = _view("S", "R"), _view(_RATE_COLUMNS[0], _RATE_COLUMNS[-1])
+
+    def __post_init__(self) -> None:
+        self.table = self.table.view()
+        self.table.flags.writeable = False
+        sc = self.scenario
+        self.theta0, self.theta1, self.identity_residual = _derived_values(
+            sc.control, sc.params, self.N, self.V_a, self.g
+        )
+
     def __len__(self) -> int:
-        return self.t.size
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def E(self) -> np.ndarray:
-        return self.states[:, 1]
-
-    @property
-    def I(self) -> np.ndarray:
-        return self.states[:, 2]
-
-    @property
-    def R(self) -> np.ndarray:
-        return self.states[:, 3]
+        return self.table.shape[0]
 
     @property
     def dt(self) -> float:
@@ -216,17 +225,6 @@ class Trajectory:
 
     def terminal_state(self) -> StateVec:
         return self.state(len(self) - 1)
-
-
-# One row of the run's table per recorded boundary: t, the state S, E, I, R,
-# its total N, its four rates, then the six of the boundary's ten control
-# values a run records, which trajectory.csv's header names from here. The
-# indicators theta0/theta1 and identity_residual depend only on these, so
-# integrate derives them once per run after the loop (control._derived_values).
-_RECORDED_CONTROL = ("V_a", "V", "g", "h", "R_star", "dN")
-_ROW = struct.Struct("16d")
-# Rows per on_rows call; trajectory.csv is formatted in chunks of this many.
-_BLOCK_ROWS = 1024
 
 
 class ResetEvent(NamedTuple):
@@ -260,37 +258,6 @@ def _ending(N: float) -> RunStatus:
     return RunStatus.EXTINCT if math.isfinite(N) else RunStatus.BLOWUP
 
 
-def _trajectory(
-    sc: ScenarioConfig,
-    status: RunStatus,
-    rows: np.ndarray,
-    reset_counts: np.ndarray,
-    reset_events: tuple[ResetEvent, ...],
-) -> Trajectory:
-    """The Trajectory over rows of a run's table (one _ROW each) of the
-    resolved scenario sc: its columns are views of rows, and the indicators
-    and the identity residual are derived from them."""
-    N = rows[:, 5]
-    columns = {name: rows[:, j] for j, name in enumerate(_RECORDED_CONTROL, 10)}
-    theta0, theta1, residual = _derived_values(
-        sc.control, sc.params, N, columns["V_a"], columns["g"]
-    )
-    return Trajectory(
-        scenario=sc,
-        status=status,
-        t=rows[:, 0],
-        states=rows[:, 1:5],
-        N=N,
-        rates=rows[:, 6:10],
-        theta0=theta0,
-        theta1=theta1,
-        identity_residual=residual,
-        reset_counts=reset_counts,
-        reset_events=reset_events,
-        **columns,
-    )
-
-
 def integrate(
     scenario: ScenarioConfig,
     *,
@@ -312,14 +279,15 @@ def integrate(
 
     Each boundary calls the run's ``boundary_fn`` closure for its ten
     control values and packs the six it records, with t, the state, N and
-    its rates, straight into the run's table; ``control_sample``
-    (seirvax.analysis) calls the same closure for one sample, so
+    its rates, straight into the run's table, one _TABLE_COLUMNS row;
+    ``control_sample`` (seirvax.analysis) calls the same closure for one
+    sample, so
     ``control_sample(cfg, params, t[k], state(k), r0, reset_counts[k] > 0)``
     gives row k's 13 values, h_dot, R_star_dot, K_N and K_I included. The
-    control columns are table views.
+    returned Trajectory keeps the recorded rows of the table.
 
     on_rows, when given, is called with each block of _BLOCK_ROWS table
-    rows (views, in the _ROW layout) and their reset counts as soon as the
+    rows (views) and their reset counts as soon as the
     block's last row is recorded, and once after the loop with the rows
     left over, if any, so it sees every recorded row once, in order.
     """
@@ -332,10 +300,9 @@ def integrate(
 
     size = n_steps + 1
     # The table is the run's only storage: each step packs its row straight
-    # into it, and the Trajectory's stored columns are views of the recorded
-    # rows.
+    # into it, and the Trajectory keeps the recorded rows.
     try:
-        table = np.empty((size, _ROW.size // 8))
+        table = np.empty((size, len(_TABLE_COLUMNS)))
         reset_counts = np.zeros(size, dtype=np.int64)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(
@@ -406,7 +373,7 @@ def integrate(
     if on_rows is not None and recorded % _BLOCK_ROWS:
         block = slice(recorded - recorded % _BLOCK_ROWS, recorded)
         on_rows(table[block], reset_counts[block])
-    return _trajectory(
+    return Trajectory(
         sc, status, table[:recorded], reset_counts[:recorded], tuple(reset_events)
     )
 

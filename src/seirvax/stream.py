@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cli
-from .sim import _ROW, RunStatus, ScenarioConfig, _trajectory
+from .sim import _BLOCK_ROWS, _ROW, RunStatus, ScenarioConfig, Trajectory
 
 # One streamed row: its table row, then its reset count.
 _STREAM_ROW_BYTES = _ROW.size + 8
@@ -30,9 +30,10 @@ class Formatter:
 
     ``send`` is integrate's on_rows callback: it writes each block of table
     rows, then their reset counts, to a pipe. The child reads the blocks
-    back, builds each one's Trajectory (sim._trajectory, so the indicators
-    come from control._derived_values) and appends its ``cli._csv_chunk``
-    to an unlinked temporary file, holding one block at a time.
+    back, builds each one's Trajectory with the constructor integrate
+    uses, so the indicators come from control._derived_values, and
+    appends its ``cli._csv_chunk`` to an unlinked temporary file, holding
+    one block at a time.
     ``end_rows`` closes the pipe after the run; ``write`` waits for the
     child and copies the file to the path; ``close`` releases what is left,
     reaping the child. Raises OSError when the file, the pipe or the
@@ -112,13 +113,13 @@ def _format_rows(scenario: ScenarioConfig, read_fd: int, out) -> None:
     try:
         with open(read_fd, "rb") as pipe:
             out.write(cli._CSV_HEADER)
-            while data := pipe.read(cli._CSV_CHUNK_ROWS * _STREAM_ROW_BYTES):
+            while data := pipe.read(_BLOCK_ROWS * _STREAM_ROW_BYTES):
                 n, torn = divmod(len(data), _STREAM_ROW_BYTES)
                 if torn:
                     raise ValueError(f"{torn} bytes of a torn row")
                 rows = np.frombuffer(data, count=n * _ROW.size // 8).reshape(n, -1)
                 counts = np.frombuffer(data, dtype=np.int64, offset=n * _ROW.size)
-                block = _trajectory(scenario, RunStatus.OK, rows, counts, ())
+                block = Trajectory(scenario, RunStatus.OK, rows, counts, ())
                 out.write(cli._csv_chunk(block, slice(None)))
             out.flush()
         code = 0

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import math
 import struct
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +10,14 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from seirvax import (
-    BASELINE_PARAMS, ControlSample, StateVec, Trajectory, control, control_sample,
-    make_rate_fn,
+    BASELINE_PARAMS, ControlSample, StateVec, control, control_sample, make_rate_fn,
 )
 from seirvax.cli import (
-    _CSV_CHUNK_ROWS,
     TRAJECTORY_COLUMNS,
     build_run_report,
     render_report,
 )
+from seirvax.sim import _BLOCK_ROWS
 
 # sha256 of the whole report.txt text of every bundled preset ("presets")
 # and of every control-grid combination ("grid"), and of each preset's
@@ -75,11 +73,12 @@ def random_state(rng, scale=800.0) -> StateVec:
             return x
 
 
-# Every array column of a run, in field order: each Trajectory field but
-# the scenario, the status and the reset events.
-RECORDED_COLUMNS = tuple(
-    f.name for f in fields(Trajectory)
-    if f.name not in ("scenario", "status", "reset_events")
+# Every array column of a run: the table's views, in table order, then the
+# indicators and the identity residual derived from them, then the reset
+# counts.
+RECORDED_COLUMNS = (
+    "t", "states", "N", "rates", "V_a", "V", "g", "h", "R_star", "dN",
+    "theta0", "theta1", "identity_residual", "reset_counts",
 )
 
 
@@ -170,8 +169,8 @@ def reference_write(traj, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
-        for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-            chunk = slice(start, start + _CSV_CHUNK_ROWS)
+        for start in range(0, len(traj), _BLOCK_ROWS):
+            chunk = slice(start, start + _BLOCK_ROWS)
             writer.writerows(zip(*(col[chunk].tolist() for col in columns)))
 
 

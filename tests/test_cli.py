@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import math
+import os
 import shutil
 import sys
 from dataclasses import replace
@@ -25,7 +26,6 @@ from seirvax import (
     preset_names,
 )
 from seirvax.cli import (
-    _CSV_CHUNK_ROWS,
     SWEEP_COLUMNS,
     TRAJECTORY_COLUMNS,
     build_run_report,
@@ -34,7 +34,7 @@ from seirvax.cli import (
     write_trajectory_csv,
 )
 from seirvax.errors import ConfigError
-from seirvax.sim import with_numeric
+from seirvax.sim import _BLOCK_ROWS, with_numeric
 
 from conftest import csv_column, nan_profile_from, readme_ini
 
@@ -342,8 +342,8 @@ class TestRunArtifacts:
         assert rc == 0
         traj = integrate(replace(build_preset("fig2-saturated"), horizon=100.0))
         # several write chunks, the last one partial
-        assert len(traj) > 2 * _CSV_CHUNK_ROWS
-        assert len(traj) % _CSV_CHUNK_ROWS != 0
+        assert len(traj) > 2 * _BLOCK_ROWS
+        assert len(traj) % _BLOCK_ROWS != 0
         assert_csv_matches(tmp_path / "trajectory.csv", traj)
 
     def test_csv_round_trips_truncated_run(self, tmp_path):
@@ -576,6 +576,18 @@ class TestConfigFiles:
         err = capsys.readouterr().err
         assert err == "error: scenario name must be one line, got 'my\\nrun'\n"
         assert_refused(err, out)
+
+    def test_undecodable_file_name_names_the_run(self, tmp_path, capsys):
+        # a file with no name line names the run after itself; a byte of
+        # its name that is not UTF-8 once ended the run in a traceback while
+        # report.txt was written, and now reads as U+FFFD
+        name = os.fsdecode(b"\xff-scenario.ini")
+        path = write_ini(tmp_path, readme_ini(name=None), name=name)
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--horizon", "1", "--out", str(out)]) == 0
+        report = (out / "report.txt").read_bytes().decode("utf-8")
+        assert "\nscenario=\ufffd-scenario\n" in report
+        assert capsys.readouterr().out.startswith("\ufffd-scenario: status ok;")
 
     @pytest.mark.parametrize("refs", ["I0_ref = inf\nN0_ref = inf",
                                       "I0_ref = 10\nN0_ref = inf",

@@ -27,6 +27,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from seirvax import (
     integrate,
     preset_names,
 )
-from seirvax.cli import build_run_report, machine_items, write_trajectory_csv
+from seirvax.cli import build_run_report, machine_items, render_report, write_trajectory_csv
 
 from conftest import (
     REPORT_DIGESTS,
@@ -59,6 +60,7 @@ from conftest import (
     report_sha256,
     run_columns,
 )
+from test_artifacts import machine_block_sha256, recorded_digests
 
 DIGESTS = Path(__file__).parent / "data" / "control_grid_digests.json"
 
@@ -132,11 +134,13 @@ def test_columns_match_recorded_digests(key, recorded):
 # numpy picks a SIMD loop per CPU, and np.exp's results differ between its
 # loops; the digests must not depend on which loop a CPU gets. The child
 # re-records the grid's column digests and, from the same runs, its
-# whole-report digests (integral_test's np.exp lands only in the report)
-# with NPY_DISABLE_CPU_FEATURES naming its argument list, after checking
-# each named group is off, since numpy silently ignores a name it does
-# not know. glibc likewise picks its exp code by CPU feature, and
-# GLIBC_TUNABLES masks features for the child alone; the child prints
+# whole-report digests (integral_test's np.exp lands only in the report),
+# and the six presets' trajectory.csv and [machine] digests of
+# perfbench/digests.json (preset_artifact_digests, in the child's own
+# process). It runs with NPY_DISABLE_CPU_FEATURES naming its argument list,
+# after checking each named group is off, since numpy silently ignores a
+# name it does not know. glibc likewise picks its exp code by CPU feature,
+# and GLIBC_TUNABLES masks features for the child alone; the child prints
 # exp_probe_sha256 so the parent can tell whether the mask took effect.
 DISPATCH_CHILD = """
 import json, sys
@@ -145,12 +149,15 @@ on = [name for name in sys.argv[1:] if __cpu_features__.get(name) is not False]
 assert not on, f"not disabled: {on}"
 from seirvax import integrate
 from conftest import report_sha256
-from test_control_grid import SCENARIOS, exp_probe_sha256, trajectory_digest
+from test_control_grid import (
+    SCENARIOS, exp_probe_sha256, preset_artifact_digests, trajectory_digest,
+)
 runs = {key: integrate(sc) for key, sc in SCENARIOS.items()}
 print(json.dumps({
     "exp_probe": exp_probe_sha256(),
     "columns": {key: trajectory_digest(traj) for key, traj in runs.items()},
     "reports": {key: report_sha256(traj) for key, traj in runs.items()},
+    "presets": preset_artifact_digests(),
 }))
 """
 NO_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
@@ -161,6 +168,24 @@ def exp_probe_sha256() -> str:
     and generic exp differ on 67 of them."""
     values = [math.exp(-50.0 * k / 100_000) for k in range(100_000)]
     return hashlib.sha256(struct.pack(f"{len(values)}d", *values)).hexdigest()
+
+
+def preset_artifact_digests() -> dict:
+    """Each preset's trajectory.csv and [machine] digests, in the layout of
+    perfbench/digests.json, from direct integrate, write_trajectory_csv and
+    build_run_report calls, so nothing forks."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trajectory.csv"
+        for name in preset_names():
+            traj = integrate(build_preset(name))
+            write_trajectory_csv(traj, path)
+            report = render_report(build_run_report(traj)).encode("utf-8")
+            digests[name] = {
+                "trajectory_csv": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "machine_block": machine_block_sha256(report),
+            }
+    return digests
 
 
 def _cpu_features() -> dict:
@@ -205,6 +230,9 @@ def test_digests_hold_on_a_narrower_cpu(variable, value, disabled, recorded):
     recorded_reports = json.loads(REPORT_DIGESTS.read_text(encoding="utf-8"))["grid"]
     assert sorted(reports) == sorted(recorded_reports)
     assert [key for key in recorded_reports if reports[key] != recorded_reports[key]] == []
+    presets, recorded_presets = digests["presets"], recorded_digests()
+    assert sorted(presets) == sorted(recorded_presets)
+    assert [name for name in recorded_presets if presets[name] != recorded_presets[name]] == []
 
 
 @pytest.mark.parametrize("key", list(SCENARIOS))

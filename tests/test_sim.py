@@ -27,6 +27,7 @@ from seirvax import (
     integrate,
 )
 from seirvax import control, sim
+from seirvax.cli import TRAJECTORY_COLUMNS
 from seirvax.errors import ConfigError
 from seirvax.presets import BALANCED_PARAMS, BASELINE_PARAMS
 
@@ -101,6 +102,24 @@ class TestGridAndRecording:
     def test_terminal_state(self, params, outbreak_x0):
         traj = integrate(_plain_scenario(params, outbreak_x0))
         assert traj.terminal_state() == traj.state(len(traj) - 1)
+
+    def test_columns_are_read_only_views_of_the_table(self):
+        # the row layout is named once, in _TABLE_COLUMNS: each column
+        # attribute views its table column there, and trajectory.csv's
+        # float columns are the table's but for the rates, in table order
+        traj = integrate(build_preset("fig2-saturated"))
+        names, rates = sim._TABLE_COLUMNS, sim._RATE_COLUMNS
+        spans = {name: (j, j + 1) for j, name in enumerate(names) if name not in rates}
+        spans["states"] = names.index("S"), names.index("R") + 1
+        spans["rates"] = names.index(rates[0]), names.index(rates[-1]) + 1
+        for name, (start, stop) in spans.items():
+            view = getattr(traj, name)
+            column = traj.table[:, start:stop].reshape(view.shape)
+            assert np.shares_memory(view, column), name
+            assert view.tobytes() == column.tobytes(), name
+            assert not view.flags.writeable, name
+        assert traj.states.shape == traj.rates.shape == (len(traj), 4)
+        assert TRAJECTORY_COLUMNS[:12] == tuple(name for name in names if name not in rates)
 
 
 class TestInvariants:
@@ -367,22 +386,22 @@ class TestBoundaryContract:
         assert resetting == 8
 
 
+def _record(sc, states, rates) -> Trajectory:
+    """A hand-built record of the resolved scenario sc: one row per state,
+    one day apart, with its total, these rates and zero control values."""
+    n = len(states)
+    S, E, I, R = states.T
+    columns = {"t": np.arange(n) * 1.0, "S": S, "E": E, "I": I, "R": R, "N": S + E + I + R}
+    columns.update(zip(sim._RATE_COLUMNS, rates.T))
+    table = np.column_stack([columns.get(name, np.zeros(n)) for name in sim._TABLE_COLUMNS])
+    return Trajectory(sc, RunStatus.OK, table, np.zeros(n, dtype=np.int64), ())
+
+
 def _motionless(params, x0, n) -> Trajectory:
     """A hand-built record of n rows one day apart, all holding x0 with
     zero rates."""
     sc = _plain_scenario(params, x0, horizon=40.0, dt=1.0).resolved()
-    zeros = np.zeros(n)
-    return Trajectory(
-        scenario=sc, status=RunStatus.OK,
-        t=np.arange(n) * 1.0,
-        states=np.tile(np.asarray(x0, dtype=float), (n, 1)),
-        N=np.full(n, x0.S + x0.E + x0.I + x0.R),
-        rates=np.zeros((n, 4)),
-        V_a=zeros, V=zeros, g=zeros, h=zeros, R_star=zeros, dN=zeros,
-        theta0=np.zeros(n, dtype=bool), theta1=np.zeros(n, dtype=bool),
-        identity_residual=zeros, reset_counts=np.zeros(n, dtype=np.int64),
-        reset_events=(),
-    )
+    return _record(sc, np.tile(np.asarray(x0, dtype=float), (n, 1)), np.zeros((n, 4)))
 
 
 class TestSteadyState:
@@ -478,7 +497,7 @@ def _patterned(params, x0, kinds) -> Trajectory:
             "below_neg_tol": -np.nextafter(edge, np.inf),
             "nan": np.nan,
         }[kind]
-    return replace(traj, states=states, N=N, rates=rates)
+    return _record(traj.scenario, states, rates)
 
 
 def _scan(traj) -> SteadyState:
@@ -662,6 +681,13 @@ class TestScenarioValidation:
         message = f"scenario name must be one line, got {name!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             integrate(_plain_scenario(params, outbreak_x0, name=name))
+
+    def test_name_must_encode_as_utf8(self):
+        # report.txt is UTF-8, which cannot hold a lone surrogate such as
+        # the one an undecodable file name byte becomes in a str
+        message = "scenario name must be encodable as UTF-8, got '\\udcff'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            integrate(replace(build_preset("fig2-saturated"), name="\udcff"))
 
     def test_empty_name_is_accepted(self, params, outbreak_x0):
         assert integrate(_plain_scenario(params, outbreak_x0, name="")).scenario.name == ""

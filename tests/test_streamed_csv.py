@@ -27,7 +27,8 @@ from seirvax import (
     preset_names,
     stream,
 )
-from seirvax.cli import _CSV_CHUNK_ROWS, main
+from seirvax.cli import main
+from seirvax.sim import _BLOCK_ROWS
 
 from conftest import nan_profile_from, profile_from, reference_write
 from test_artifacts import recorded_digests
@@ -150,8 +151,8 @@ def test_grid_run_streams_the_reference_bytes(key, dt, tmp_path):
 
 
 @pytest.mark.parametrize("rows", [
-    2, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 2 * _CSV_CHUNK_ROWS,
-    2 * _CSV_CHUNK_ROWS + 1,
+    2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS,
+    2 * _BLOCK_ROWS + 1,
 ])
 def test_block_edges_stream_the_reference_bytes(rows, tmp_path):
     sc = build_preset("fig2-saturated")
@@ -179,7 +180,7 @@ def test_serial_path_is_taken(why, tmp_path, monkeypatch, taken):
     elif why == "no-fork":
         monkeypatch.delattr(os, "fork")
     elif why == "one-chunk":
-        horizon = str((_CSV_CHUNK_ROWS - 1) * 0.01)
+        horizon = str((_BLOCK_ROWS - 1) * 0.01)
     else:
         def no_file(*args, **kwargs):
             raise OSError("no temporary file")

@@ -1,10 +1,10 @@
 """trajectory.csv writer against a csv.writer reference, byte for byte.
 
-write_trajectory_csv stacks each chunk's float columns into one block. A run
-of adjacent columns that is plain (zero or 1e-4 <= |x| < 1e16) on every row
-of the chunk is formatted by one orjson dump of that run; any other column
-is one repr of the whole column (cli._csv_cells), split into its cells.
-The int columns are one more block. The reference
+write_trajectory_csv takes each chunk's float columns from the run's table
+as one block. A run of adjacent columns that is plain (zero or
+1e-4 <= |x| < 1e16) on every row of the chunk is formatted by one orjson
+dump of that run; any other column is one repr of the whole column
+(cli._csv_cells), split into its cells. The int columns are one more block. The reference
 (conftest.reference_write) is the csv.writer (excel dialect) formulation
 the file format was first defined by; the two must agree on every row count
 around the chunk boundary, on both sides of each edge of that range, on
@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from seirvax import build_preset
-from seirvax.cli import _CSV_CHUNK_ROWS, write_trajectory_csv
-from seirvax.sim import RunStatus, Trajectory
+from seirvax.cli import write_trajectory_csv
+from seirvax.sim import _BLOCK_ROWS, _TABLE_COLUMNS, RunStatus, Trajectory
 
 from conftest import reference_write
 
@@ -35,8 +35,8 @@ SPECIALS = (
     math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e16, 0), 1e15, 2.0**53 + 2,
 )
 ROW_COUNTS = (
-    1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
-    2 * _CSV_CHUNK_ROWS + 3,
+    1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+    2 * _BLOCK_ROWS + 3,
 )
 # t, S, E, I, R, dN, V_a, V, g, h, R_star (N is S + E + I + R, as integrate sums it)
 N_FLOAT_COLUMNS = 11
@@ -69,29 +69,27 @@ def trajectories(draw):
         floats.append(col)
     # one plain column leaves the range in a single chunk: it is formatted
     # by one repr of the column there and in a block in every other chunk
-    if n > _CSV_CHUNK_ROWS:
+    if n > _BLOCK_ROWS:
         switching = floats[draw(st.sampled_from([j for j, p in enumerate(plain) if p]))]
-        first = draw(st.integers(0, (n - 1) // _CSV_CHUNK_ROWS)) * _CSV_CHUNK_ROWS
-        row = draw(st.integers(first, min(n, first + _CSV_CHUNK_ROWS) - 1))
+        first = draw(st.integers(0, (n - 1) // _BLOCK_ROWS)) * _BLOCK_ROWS
+        row = draw(st.integers(first, min(n, first + _BLOCK_ROWS) - 1))
         switching[row] = draw(st.sampled_from(OUTSIDE_PLAIN))
     counts = st.integers(0, 4)
     reset_counts = draw(hnp.arrays(np.int64, n, elements=counts, fill=counts))
     reset_counts[-1] = draw(st.integers(1, 4))
-    theta0, theta1 = (draw(hnp.arrays(np.bool_, n)) for _ in range(2))
-    t, S, E, I, R, dN, V_a, V, g, h, R_star = floats
-    unused = np.zeros(n)
+    names = ("t", "S", "E", "I", "R", "dN", "V_a", "V", "g", "h", "R_star")
+    columns = dict(zip(names, floats))
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, overflow
-        N = S + E + I + R
-    return Trajectory(
-        scenario=build_preset("fig2-saturated"), status=RunStatus.OK,
-        t=t, states=np.column_stack((S, E, I, R)), N=N,
-        rates=np.zeros((n, 4)), V_a=V_a, V=V, g=g, h=h, R_star=R_star, dN=dN,
-        theta0=theta0, theta1=theta1, identity_residual=unused,
-        reset_counts=reset_counts, reset_events=(),
-    )
+        columns["N"] = columns["S"] + columns["E"] + columns["I"] + columns["R"]
+    # the rates, which the file does not hold, are zero; the indicators
+    # follow the drawn V_a, which holds values below 0, above 1 and the
+    # special values
+    table = np.column_stack([columns.get(name, np.zeros(n)) for name in _TABLE_COLUMNS])
+    scenario = build_preset("fig2-saturated").resolved()
+    return Trajectory(scenario, RunStatus.OK, table, reset_counts, ())
 
 
-# no shrink phase: shrinking columns of up to 2*_CSV_CHUNK_ROWS + 3 rows
+# no shrink phase: shrinking columns of up to 2*_BLOCK_ROWS + 3 rows
 # takes minutes, and the first failing example is reported as drawn
 @settings(derandomize=True, deadline=None, max_examples=20,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
