@@ -404,6 +404,12 @@ def _resolve_out_dir(arg_out: str | None) -> Path:
     return path
 
 
+def _shown(path: Path) -> str:
+    # a byte of the path that is not UTF-8 is a lone surrogate, which a
+    # strict stdout cannot encode; it prints as \xNN, a UTF-8 path unchanged
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 def _load_base_scenario(args) -> ScenarioConfig:
     if args.preset:
         scenario = build_preset(args.preset)
@@ -456,7 +462,7 @@ def main(argv=None) -> int:
 
         if args.sweep:
             path = run_sweep(scenario, args.sweep, args.out)
-            print(f"wrote {path}")
+            print(f"wrote {_shown(path)}")
             return 0
 
         formatter = _formatter(resolved)
@@ -491,7 +497,7 @@ def main(argv=None) -> int:
                 f"within {sc.horizon:g} days (terminal infected fraction "
                 f"{traj.terminal_state().infected_fraction:.4g})"
             )
-        print(f"wrote {csv_path} and {report_path}")
+        print(f"wrote {_shown(csv_path)} and {_shown(report_path)}")
         return _EXIT_BY_STATUS[traj.status]
     except (SeirvaxError, OSError) as exc:
         # an OSError's text names the path that could not be made or written

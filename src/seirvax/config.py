@@ -76,12 +76,12 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
     except configparser.Error as exc:
         # configparser puts the file, line and offending text on lines of
         # their own; the CLI's error is one line
         folded = " ".join(line.strip() for line in str(exc).splitlines())
-        raise ConfigError(f"malformed config {path}: {folded}") from exc
+        raise ConfigError(f"malformed config {str(path)!r}: {folded}") from exc
 
     extra = set(parser.sections()) - _NUMERIC_KEYS.keys()
     # configparser copies [DEFAULT]'s keys into every section, where each

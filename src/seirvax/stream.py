@@ -96,7 +96,7 @@ class Formatter:
         if code != 0:
             path.unlink()
             how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
-            raise OSError(f"cannot write {path}: its formatter process {how}")
+            raise OSError(f"cannot write {str(path)!r}: its formatter process {how}")
 
     def close(self) -> None:
         if self.pid is not None:

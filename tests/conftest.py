@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import seirvax
 from seirvax import (
     BASELINE_PARAMS, ControlSample, StateVec, control, control_sample, make_rate_fn,
 )
@@ -43,6 +47,20 @@ def readme_ini(**edits: str | None) -> str:
             continue
         lines.append(f"{key} = {edits[key]}" if key in edits else line)
     return "\n".join(lines) + "\n"
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This environment for a fresh interpreter that imports this seirvax,
+    with the variables in extra set."""
+    path = [str(Path(seirvax.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
+def run_cli(*args, **extra: str) -> subprocess.CompletedProcess:
+    """`python -m seirvax.cli` in a real process, its output as bytes. An
+    argument may be bytes, as argv is, and extra sets environment variables."""
+    return subprocess.run([sys.executable, "-m", "seirvax.cli", *args], env=child_env(**extra),
+                          capture_output=True, timeout=120, check=False)
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from seirvax.cli import (
 from seirvax.errors import ConfigError
 from seirvax.sim import _BLOCK_ROWS, with_numeric
 
-from conftest import csv_column, nan_profile_from, readme_ini
+from conftest import csv_column, nan_profile_from, readme_ini, run_cli
 
 # README's ini example over 2 days, without its comments, name and
 # steady-state tolerance: the base file every scenario-file test edits.
@@ -449,6 +449,25 @@ dt = 0.1
         assert (block["S_ss"], block["N_ss"]) == ("1e+307", "1e+307")
 
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "beta=1,2"]], ids=["run", "sweep"])
+    @pytest.mark.parametrize("name, shown", [(b"\xffout", "\\xffout"), ("é-out".encode(), "é-out")],
+                             ids=["undecodable", "utf-8"])
+    def test_wrote_line_prints_on_a_strict_stdout(self, tmp_path, sweep, name, shown):
+        # a byte of the out path that is not UTF-8 once ended a finished run
+        # in a traceback and exit 1 where stdout cannot encode it; it prints
+        # escaped, and a UTF-8 path prints as it is
+        out = tmp_path / os.fsdecode(name)
+        child = run_cli("--preset", "fig2-saturated", "--horizon", "1", *sweep, "--out", out,
+                        PYTHONIOENCODING="utf-8:strict")
+        assert child.returncode == 0, child.stderr
+        assert b"Traceback" not in child.stderr
+        made = ["sweep.csv"] if sweep else ["trajectory.csv", "report.txt"]
+        assert all((out / artifact).is_file() for artifact in made)
+        shown = os.path.join(tmp_path, shown)
+        wrote = " and ".join(os.path.join(shown, artifact) for artifact in made)
+        assert child.stdout.decode("utf-8").splitlines()[-1] == f"wrote {wrote}"
+
+
 class TestOverrides:
     def test_dt_and_horizon(self, tmp_path):
         rc = main(["--preset", "fig1-no-vaccination", "--dt", "0.02",
@@ -588,6 +607,12 @@ class TestConfigFiles:
         report = (out / "report.txt").read_bytes().decode("utf-8")
         assert "\nscenario=\ufffd-scenario\n" in report
         assert capsys.readouterr().out.startswith("\ufffd-scenario: status ok;")
+        # only a real process decodes the file name from argv bytes
+        out = tmp_path / "child"
+        child = run_cli("--config", os.fsencode(path), "--horizon", "1", "--out", out)
+        assert child.returncode == 0, child.stderr
+        report = (out / "report.txt").read_bytes().decode("utf-8")
+        assert "\nscenario=\ufffd-scenario\n" in report
 
     @pytest.mark.parametrize("refs", ["I0_ref = inf\nN0_ref = inf",
                                       "I0_ref = 10\nN0_ref = inf",
@@ -685,9 +710,22 @@ class TestConfigFiles:
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: {prefix} {path}: ")
+        assert err[0].startswith(f"error: {prefix} {str(path)!r}: ")
         for needle in needles:
             assert needle in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, b"beta=1\n"], ids=["missing", "malformed"])
+    def test_a_newline_in_the_path_stays_on_the_error_line(self, tmp_path, capsys, content):
+        # README promises one error line naming the path: the path is quoted
+        path = tmp_path / "no\nsuch.ini"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"config {str(path)!r}: " in err[0]
         assert not out.exists()
 
     @settings(derandomize=True, max_examples=150, deadline=None,

@@ -8,7 +8,6 @@ to be kept.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
@@ -24,7 +23,7 @@ import seirvax.analysis
 from seirvax.cli import TRAJECTORY_COLUMNS, RunReport
 from seirvax.presets import PresetEntry
 
-from conftest import readme_ini
+from conftest import child_env, readme_ini
 
 
 def test_every_exported_name_resolves_once():
@@ -313,11 +312,9 @@ for module in ("seirvax.config", "configparser"):
 
 def _run_child(script: str, *args: str) -> None:
     # a fresh interpreter, as this one has imported seirvax.analysis above
-    path = [str(Path(seirvax.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     child = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=env, capture_output=True, text=True, timeout=120, check=False,
+        env=child_env(), capture_output=True, text=True, timeout=120, check=False,
     )
     assert child.returncode == 0, child.stderr
 

@@ -238,12 +238,13 @@ def test_a_dead_formatter_is_one_error_line(death, tmp_path, monkeypatch, capsys
         raise RuntimeError("formatter failed")
 
     monkeypatch.setattr(cli, "_csv_chunk", dies)
-    out = tmp_path / "o"
+    # the error names the path quoted, so a newline in it stays on the line
+    out = tmp_path / "o\nut"
     rc = main(["--preset", "fig2-saturated", "--horizon", "100", "--out", str(out)])
     assert rc == 2 and taken == ["streamed"]
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(out / "trajectory.csv") in err and "Traceback" not in err
+    assert repr(str(out / "trajectory.csv")) in err and "Traceback" not in err
     assert not (out / "trajectory.csv").exists()
     assert_no_child_left()
 
